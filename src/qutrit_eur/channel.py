@@ -24,15 +24,19 @@ gamma, times in units of 1/gamma.
 The kernels work on a time axis: ``kraus_tensor`` builds the (T, 3, 3, 3)
 Kraus tensor of a whole block of times, ``superoperator`` turns it into
 the local map S_t on vectorised 3x3 operators, and ``evolve_product``
-applies S_t to both qutrits as two batched 9x9 products. The single-time
-functions (``kraus_set``, ``apply_channel``, ``apply_product_channel``)
-are the T = 1 case of the same kernels.
+applies S_t to both qutrits as two batched 9x9 products. The parameters
+broadcast against the times: a sweep passes one ChannelParams for its
+whole grid, a batch of independent draws one per time. The branch
+amplitude and its RK4 oracle are elementwise in the same way. The
+single-time functions (``decoherence_factor``, ``decoherence_factor_ode``,
+``kraus_set``, ``apply_channel``, ``apply_product_channel``) are the
+T = 1 case of the same kernels.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
 
@@ -105,8 +109,10 @@ def derive_params(p: ChannelParams) -> DerivedParams:
         # long as a**2 + b**2 = 1
         a = b = _SQRT_HALF
     else:
-        a = math.sqrt((q + p.gamma1 - p.gamma2) / (2.0 * q))
-        b = math.sqrt((q - p.gamma1 + p.gamma2) / (2.0 * q))
+        # without SGI q = |gamma1 - gamma2|, and round-off can leave one
+        # radicand a few ulp below 0
+        a = math.sqrt(max(0.0, (q + p.gamma1 - p.gamma2) / (2.0 * q)))
+        b = math.sqrt(max(0.0, (q - p.gamma1 + p.gamma2) / (2.0 * q)))
     return DerivedParams(q=q, gamma_plus=gamma_plus, gamma_minus=gamma_minus, a=a, b=b)
 
 
@@ -119,97 +125,133 @@ def _branch_rate(p: ChannelParams, branch: Branch) -> float:
     raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
 
 
-def _g_closed(p: ChannelParams, rate: float, ts: np.ndarray) -> np.ndarray:
-    """Closed-form branch amplitude G(t) on an array of times.
+def _branch_inputs(params: Sequence[ChannelParams], branches: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point spectral width and branch rate, as two arrays."""
+    rows = [(p.lam, _branch_rate(p, b)) for p, b in zip(params, branches, strict=True)]
+    lam, rate = np.array(rows, dtype=float).reshape(-1, 2).T
+    return lam, rate
+
+
+def _require_times(ts: np.ndarray) -> None:
+    require_samples(
+        (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
+    )
+
+
+def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
+    """Closed-form branch amplitude G(t), elementwise over broadcast lam, rate and ts.
 
     Evaluated as a sum of two complex exponentials with nonpositive real
     exponents, which equals
     exp(-lam*t/2) * [cosh(d*t/2) + (lam/d)*sinh(d*t/2)],  d = sqrt(lam^2 - 2*lam*rate),
     but stays finite for large lam*t and handles imaginary d (the
-    oscillatory strong-coupling regime) in the same code path. A time
-    that is negative or not finite, or lam and rates so large (about
-    1e154) that the formula overflows, give a ValueError naming the first
+    oscillatory strong-coupling regime) in the same expression; where d
+    vanishes against lam, its d -> 0 limit is taken instead. A time that
+    is negative or not finite, or lam and rates so large (about 1e154)
+    that the formula overflows, give a ValueError naming the first
     failing t.
     """
-    require_samples(
-        (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
-    )
-    lam = p.lam
-    d = cmath.sqrt(lam * lam - 2.0 * lam * rate)
-    # overflow shows up as NaN in val and is reported by the check below
-    with np.errstate(invalid="ignore", over="ignore"):
-        # <=, so that d == 0 takes this branch even where 1e-12*lam underflows to 0
-        if abs(d) <= _CRITICAL_SPLIT_RTOL * lam:
-            val = np.exp(-lam * ts / 2.0) * (1.0 + lam * ts / 2.0) + 0j
-        else:
-            # halving is exact, so this is 0.5 * sum_k weight_k * exp(rate_k * t / 2) term for term
-            half_rates = np.array([d - lam, -(d + lam)]) / 2.0
-            half_weights = np.array([1.0 + lam / d, 1.0 - lam / d]) / 2.0
-            val = (half_weights[:, None] * np.exp(np.multiply.outer(half_rates, ts))).sum(axis=0)
+    _require_times(ts)
+    # division by d == 0 and overflow give NaN here; np.where drops the
+    # former and the check below reports the latter
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.sqrt(np.asarray(lam * lam - 2.0 * lam * rate, dtype=complex))
+        weight = lam / d
+        split = (
+            (1.0 + weight) / 2.0 * np.exp((d - lam) / 2.0 * ts)
+            + (1.0 - weight) / 2.0 * np.exp(-(d + lam) / 2.0 * ts)
+        )
+        # <=, so that d == 0 takes the limit even where 1e-12*lam underflows to 0
+        val = np.where(
+            np.abs(d) <= _CRITICAL_SPLIT_RTOL * lam, np.exp(-lam * ts / 2.0) * (1.0 + lam * ts / 2.0), split
+        )
     require_samples(
         np.isfinite(val.real) & (np.abs(val.imag) <= 1e-12), ts,
-        lambda i: f"branch amplitude not finite and real: {complex(val[i])!r} for {p} (branch rate {rate!r})",
+        lambda i: f"branch amplitude not finite and real: {complex(val[i])!r} for "
+                  f"lam={float(np.broadcast_to(lam, ts.shape)[i])!r} "
+                  f"(branch rate {float(np.broadcast_to(rate, ts.shape)[i])!r})",
     )
     return val.real
+
+
+def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
+    """Branch amplitude by fixed-step RK4, elementwise over broadcast lam, rate and ts.
+
+    One RK4 step of the linear system y' = A y, y = (G, G'),
+    A = [[0, 1], [-lam*rate/2, -lam]], is exactly the propagator
+    M(h) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24; n steps are M(h)^n,
+    applied to y(0) = (1, 0) by binary powering. The step is t/n with
+    n = max(1, ceil(t/h_max)), h_max = min(0.01/lam, 0.01/rate, t/1000),
+    small against every timescale of the equation.
+    """
+    _require_times(ts)
+    lam, rate, ts = np.broadcast_arrays(lam, rate, ts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_max = np.minimum(np.minimum(0.01 / lam, np.where(rate > 0, 0.01 / rate, math.inf)), ts / 1000.0)
+        steps = np.where(ts > 0, np.maximum(1.0, np.ceil(ts / h_max)), 1.0)
+    # the powering loop runs once per bit of an int64 step count
+    require_samples(
+        steps <= 2.0**62, ts, lambda i: f"RK4 oracle needs {steps[i]:.3e} steps for lam={float(lam[i])!r} "
+                                        f"(branch rate {float(rate[i])!r}), more than 2**62",
+    )
+    h = ts / steps
+    ha = np.zeros(ts.shape + (2, 2))
+    ha[..., 0, 1] = h
+    ha[..., 1, 0] = -h * (0.5 * lam * rate)
+    ha[..., 1, 1] = -h * lam
+    eye = np.eye(2)
+    power = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+    y = np.zeros(ts.shape + (2, 1))
+    y[..., 0, 0] = 1.0
+    n = steps.astype(np.int64)
+    while n.any():
+        odd = (n & 1).astype(bool)[..., None, None]
+        y = np.where(odd, power @ y, y)
+        power = power @ power
+        n >>= 1
+    return y[..., 0, 0]
 
 
 def _times(t) -> np.ndarray:
     return np.array([t], dtype=float)
 
 
+def decoherence_factors(params: Sequence[ChannelParams], branches: Sequence[Branch], ts) -> np.ndarray:
+    """Closed-form decoherence amplitudes, one per (params, branch, t) point."""
+    return _g_closed(*_branch_inputs(params, branches), np.asarray(ts, dtype=float))
+
+
+def decoherence_factors_ode(params: Sequence[ChannelParams], branches: Sequence[Branch], ts) -> np.ndarray:
+    """RK4 oracle amplitudes, one per (params, branch, t) point; independent of the closed form."""
+    return _g_rk4(*_branch_inputs(params, branches), np.asarray(ts, dtype=float))
+
+
 def decoherence_factor(p: ChannelParams, branch: Branch, t: float) -> float:
     """Decoherence amplitude of one dressed decay branch at time t (in [-1, 1])."""
-    return float(_g_closed(p, _branch_rate(p, branch), _times(t))[0])
+    return float(_g_closed(p.lam, _branch_rate(p, branch), _times(t))[0])
 
 
 def decoherence_factor_ode(p: ChannelParams, branch: Branch, t: float) -> float:
     """Branch amplitude by fixed-step RK4 integration of its damped-oscillator equation.
 
-    Independent numerical oracle for decoherence_factor. The step is
-    h = min(0.01/lam, 0.01/rate, t/1000), small against every timescale of
-    G'' + lam*G' + (lam*rate/2)*G = 0 with G(0) = 1, G'(0) = 0.
+    Independent numerical oracle for decoherence_factor; the T = 1 case of
+    decoherence_factors_ode.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0:
-        return 1.0
-    lam = p.lam
-    rate = _branch_rate(p, branch)
-    h_max = min(0.01 / lam, 0.01 / rate if rate > 0 else math.inf, t / 1000.0)
-    n = max(1, math.ceil(t / h_max))
-    h = t / n
-    c = 0.5 * lam * rate
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    g, v = 1.0, 0.0
-    for _ in range(n):
-        k1g = v
-        k1v = -lam * v - c * g
-        g2 = g + h2 * k1g
-        v2 = v + h2 * k1v
-        k2g = v2
-        k2v = -lam * v2 - c * g2
-        g3 = g + h2 * k2g
-        v3 = v + h2 * k2v
-        k3g = v3
-        k3v = -lam * v3 - c * g3
-        g4 = g + h * k3g
-        v4 = v + h * k3v
-        k4g = v4
-        k4v = -lam * v4 - c * g4
-        g += h6 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        v += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return g
+    return float(decoherence_factors_ode([p], [branch], [t])[0])
 
 
-def require_complete(kraus: np.ndarray, ts=None) -> None:
-    """Check sum_i K_i^dagger K_i = I for every time of a (T, 3, 3, 3) Kraus tensor."""
+def require_complete(kraus: np.ndarray, ts=None) -> np.ndarray:
+    """Check sum_i K_i^dagger K_i = I for every time of a (T, 3, 3, 3) Kraus tensor.
+
+    Returns the deviation max|sum K^dag K - I| of every time.
+    """
     acc = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
     dev = np.abs(acc - np.eye(3)).max(axis=(-2, -1))
     require_samples(
         dev <= COMPLETENESS_ATOL, ts,
         lambda i: f"Kraus completeness violated: max|sum K^dag K - I| = {dev[i]:.3e}",
     )
+    return dev
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,42 +276,45 @@ class KrausSet:
         return np.asarray(self.ops, dtype=complex)[None]
 
 
-def _kraus_coefficients(a: float, b: float, levels: tuple[int, int, int]) -> np.ndarray:
-    """Constant part and amplitude coefficients of the Kraus tensor, shape (5, 3, 3, 3).
-
-    K(t) = C[0] + G_plus(t) C[1] + G_minus(t) C[2] + W_plus(t) C[3] + W_minus(t) C[4],
-    with W = sqrt(1 - G^2). K_1 damps and mixes the excited levels through
-    both branch amplitudes and leaves the ground level alone; K_2/K_3 feed
-    the decayed population of the plus/minus dressed branch into the ground
-    level. Their ground rows carry the mixing amplitudes (a, -b) and (b, a)
-    themselves, which is what makes sum K^dag K = I hold exactly.
-    """
-    e1, e2, g = levels
-    coef = np.zeros((5, 3, 3, 3), dtype=complex)
-    coef[0, 0, g, g] = 1.0
-    coef[1, 0, e1, e1], coef[1, 0, e1, e2], coef[1, 0, e2, e1], coef[1, 0, e2, e2] = a * a, -a * b, -a * b, b * b
-    coef[2, 0, e1, e1], coef[2, 0, e1, e2], coef[2, 0, e2, e1], coef[2, 0, e2, e2] = b * b, a * b, a * b, a * a
-    coef[3, 1, g, e1], coef[3, 1, g, e2] = a, -b
-    coef[4, 2, g, e1], coef[4, 2, g, e2] = b, a
-    return coef
+def _channel_inputs(p: ChannelParams | Sequence[ChannelParams]) -> tuple:
+    """lam, gamma_plus, gamma_minus, a, b: floats for one ChannelParams, arrays for a sequence."""
+    if isinstance(p, ChannelParams):
+        d = derive_params(p)
+        return p.lam, d.gamma_plus, d.gamma_minus, d.a, d.b
+    return tuple(np.array([_channel_inputs(q) for q in p], dtype=float).reshape(-1, 5).T)
 
 
 def kraus_tensor(
-    p: ChannelParams, ts: np.ndarray, levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"]
+    p: ChannelParams | Sequence[ChannelParams],
+    ts: np.ndarray,
+    levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kraus operators at every time of ts, with both branch amplitudes.
 
-    Returns the (T, 3, 3, 3) tensor K[t, i] = K_i(t) and the arrays
+    p is one ChannelParams for the whole axis or a sequence with one per
+    time. Returns the (T, 3, 3, 3) tensor K[t, i] = K_i(t) and the arrays
     G_plus(t), G_minus(t); check completeness with require_complete.
     levels gives the computational indices of (excited 1, excited 2,
     ground), which is how a basis convention relabels the levels.
+
+    K_1 damps and mixes the excited levels through both branch amplitudes
+    and leaves the ground level alone; K_2/K_3 feed the decayed population
+    W = sqrt(1 - G^2) of the plus/minus dressed branch into the ground
+    level. Their ground rows carry the mixing amplitudes (a, -b) and (b, a)
+    themselves, which is what makes sum K^dag K = I hold exactly.
     """
-    d = derive_params(p)
-    g = np.stack([_g_closed(p, d.gamma_plus, ts), _g_closed(p, d.gamma_minus, ts)], axis=1)
-    amps = np.concatenate([g, np.sqrt(np.maximum(0.0, 1.0 - g * g))], axis=1)
-    coef = _kraus_coefficients(d.a, d.b, levels)
-    kraus = (amps[:, :, None] * coef[1:].reshape(4, 27)).sum(axis=1).reshape(len(ts), 3, 3, 3)
-    return kraus + coef[0], g[:, 0], g[:, 1]
+    lam, rate_plus, rate_minus, a, b = _channel_inputs(p)
+    g_plus, g_minus = _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
+    w_plus, w_minus = (np.sqrt(np.maximum(0.0, 1.0 - g * g)) for g in (g_plus, g_minus))
+    e1, e2, g = levels
+    kraus = np.zeros((len(ts), 3, 3, 3), dtype=complex)
+    kraus[:, 0, g, g] = 1.0
+    kraus[:, 0, e1, e1] = g_plus * (a * a) + g_minus * (b * b)
+    kraus[:, 0, e1, e2] = kraus[:, 0, e2, e1] = g_plus * -(a * b) + g_minus * (a * b)
+    kraus[:, 0, e2, e2] = g_plus * (b * b) + g_minus * (a * a)
+    kraus[:, 1, g, e1], kraus[:, 1, g, e2] = w_plus * a, w_plus * -b
+    kraus[:, 2, g, e1], kraus[:, 2, g, e2] = w_minus * b, w_minus * a
+    return kraus, g_plus, g_minus
 
 
 def kraus_set(p: ChannelParams, t: float) -> KrausSet:
@@ -308,12 +353,17 @@ def evolve_product(paired_rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
     return pair_indices(sup @ paired_rho @ sup.swapaxes(1, 2))
 
 
+def evolve_single(rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """One qutrit per superoperator: (T, 3, 3) states through the (T, 9, 9) S_t, giving (T, 3, 3)."""
+    return (sup @ rho.reshape(-1, 9, 1)).reshape(-1, 3, 3)
+
+
 def apply_channel(rho: np.ndarray, ks: KrausSet) -> np.ndarray:
     """Evolve a single-qutrit density matrix: rho -> sum_i K_i rho K_i^dagger."""
     rho = require_density_matrix(rho)
     if rho.shape != (3, 3):
         raise ValueError(f"apply_channel expects a 3x3 state, got shape {rho.shape}")
-    return (superoperator(ks.tensor)[0] @ rho.reshape(9)).reshape(3, 3)
+    return evolve_single(rho[None], superoperator(ks.tensor))[0]
 
 
 def apply_product_channel(rho_ab: np.ndarray, ks: KrausSet) -> np.ndarray:

@@ -16,6 +16,7 @@ lam = 1000 instead. Which reading was used is recorded in the CSV header.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -26,19 +27,17 @@ from . import __version__
 from .channel import (
     LEVEL_ORDERS,
     ChannelParams,
-    apply_channel,
-    apply_product_channel,
-    decoherence_factor,
-    decoherence_factor_ode,
+    decoherence_factors,
+    decoherence_factors_ode,
     evolve_product,
-    kraus_set,
+    evolve_single,
     kraus_tensor,
     pair_indices,
     require_complete,
     superoperator,
 )
-from .entropy import BERTA_ATOL, eur_columns, eur_sample
-from .linalg import require_density_matrix
+from .entropy import BERTA_ATOL, eur_columns
+from .linalg import SampleError, hermitian_part, require_density_matrix, require_density_stack
 from .states_obs import isotropic_state, max_overlap_c, spin1_observable
 
 BASIS_CONVENTIONS = tuple(LEVEL_ORDERS)
@@ -145,21 +144,15 @@ def local_minima_indices(values, delta: float = EXTREMUM_DELTA) -> list[int]:
     flat stretches while keeping every physically resolved dip.
     """
     v = np.asarray(values, dtype=float)
-    return [
-        i
-        for i in range(1, len(v) - 1)
-        if v[i] < v[i - 1] - delta and v[i] < v[i + 1] - delta
-    ]
+    mid = v[1:-1]
+    return (np.flatnonzero((mid < v[:-2] - delta) & (mid < v[2:] - delta)) + 1).tolist()
 
 
 def local_maxima_indices(values, delta: float = EXTREMUM_DELTA) -> list[int]:
     """Interior indices rising at least delta above both neighbours."""
     v = np.asarray(values, dtype=float)
-    return [
-        i
-        for i in range(1, len(v) - 1)
-        if v[i] > v[i - 1] + delta and v[i] > v[i + 1] + delta
-    ]
+    mid = v[1:-1]
+    return (np.flatnonzero((mid > v[:-2] + delta) & (mid > v[2:] + delta)) + 1).tolist()
 
 
 def summarize(records: list[SweepRecord]) -> SweepSummary:
@@ -179,12 +172,10 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
     i_max = int(np.argmax(u_l))
     i_min = int(np.argmin(u_l))
 
-    zeros = []
     shifted = neg - NEGATIVITY_ZERO_THRESHOLD
-    for i in range(len(records) - 1):
-        if shifted[i] * shifted[i + 1] < 0:
-            frac = shifted[i] / (shifted[i] - shifted[i + 1])
-            zeros.append(float(ts[i] + frac * (ts[i + 1] - ts[i])))
+    i = np.flatnonzero(shifted[:-1] * shifted[1:] < 0)
+    frac = shifted[i] / (shifted[i] - shifted[i + 1])
+    zeros = ts[i] + frac * (ts[i + 1] - ts[i])
 
     minima = local_minima_indices(u_l)
     period = float(np.mean(np.diff(ts[minima]))) if len(minima) >= 2 else None
@@ -194,7 +185,7 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
         t_u_l_max=float(ts[i_max]),
         u_l_min=float(u_l[i_min]),
         t_u_l_min=float(ts[i_min]),
-        negativity_zeros=tuple(zeros),
+        negativity_zeros=tuple(zeros.tolist()),
         period_estimate=period,
     )
 
@@ -285,10 +276,15 @@ def write_summary(summary: SweepSummary, destination) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho).real
+def _random_factor(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The draws behind one random density matrix, X with rho = X X^dagger / tr(X X^dagger)."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _density_matrices(x: np.ndarray) -> np.ndarray:
+    """Density matrices X X^dagger / tr(X X^dagger) from a (T, n, n) stack of factors."""
+    rho = x @ x.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def _random_channel_params(rng: np.random.Generator) -> ChannelParams:
@@ -300,21 +296,57 @@ def _random_channel_params(rng: np.random.Generator) -> ChannelParams:
     )
 
 
+def _evaluate_draws(evaluate, draws) -> list[np.ndarray]:
+    """Evaluate (params, t, *inputs) draws in _BLOCK-sized batches.
+
+    draws is consumed one block at a time, so random draws are taken in
+    the order the iterator yields them. evaluate(params, ts, *inputs) gets
+    a list of ChannelParams and one array per further field, and returns a
+    tuple of per-draw arrays; these come back joined over all blocks. A
+    failing per-sample check is re-raised naming the draw index, its
+    parameters and its time.
+    """
+    draws = iter(draws)
+    outputs = []
+    start = 0
+    while block := list(itertools.islice(draws, _BLOCK)):
+        params, ts, *inputs = zip(*block)
+        ts = np.array(ts)
+        try:
+            outputs.append(evaluate(list(params), ts, *map(np.array, inputs)))
+        except SampleError as exc:
+            raise ValueError(
+                f"{exc} (draw {start + exc.index}: {params[exc.index]}, t={float(ts[exc.index])!r})"
+            ) from exc
+        start += len(block)
+    if not outputs:
+        raise ValueError("a check suite needs at least 1 draw")
+    return [np.concatenate(column) for column in zip(*outputs)]
+
+
+def _cptp_draws(rng: np.random.Generator, n: int):
+    for _ in range(n):
+        yield _random_channel_params(rng), rng.uniform(0.0, 20.0), _random_factor(rng, 3)
+
+
+def _cptp_block(params, ts, factors):
+    kraus = kraus_tensor(params, ts)[0]
+    complete = require_complete(kraus, ts)
+    out = evolve_single(require_density_stack(_density_matrices(factors), ts), superoperator(kraus))
+    trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
+    dip = -np.linalg.eigvalsh(hermitian_part(out))[:, 0]
+    return complete, trace, dip
+
+
 def check_cptp(n_draws: int = 1000, seed: int = 20240811) -> tuple[bool, str]:
-    """Completeness and state validity of the channel over random parameter draws."""
+    """Completeness and state validity of the channel over random parameter draws.
+
+    Each draw takes its parameters, then t, then a random input state from
+    the generator; the draws are evaluated in batches.
+    """
     rng = np.random.default_rng(seed)
-    worst_complete = 0.0
-    worst_trace = 0.0
-    worst_eig = 0.0
-    for _ in range(n_draws):
-        params = _random_channel_params(rng)
-        t = rng.uniform(0.0, 20.0)
-        ks = kraus_set(params, t)
-        acc = sum(k.conj().T @ k for k in ks.ops)
-        worst_complete = max(worst_complete, float(np.max(np.abs(acc - np.eye(3)))))
-        out = apply_channel(_random_density_matrix(rng, 3), ks)
-        worst_trace = max(worst_trace, abs(float(np.trace(out).real) - 1.0))
-        worst_eig = max(worst_eig, -float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0]))
+    complete, trace, dip = _evaluate_draws(_cptp_block, _cptp_draws(rng, n_draws))
+    worst_complete, worst_trace, worst_eig = float(complete.max()), float(trace.max()), float(max(dip.max(), 0.0))
     ok = worst_complete <= 1e-10 and worst_trace <= 1e-12 and worst_eig <= 1e-10
     detail = (
         f"{n_draws} draws: completeness {worst_complete:.2e}, "
@@ -349,31 +381,41 @@ def oracle_grid(n_points: int = 100) -> list[tuple[ChannelParams, str, float]]:
     return points
 
 
+def _oracle_block(params, ts, branches):
+    closed = decoherence_factors(params, branches, ts)
+    return (np.abs(closed - decoherence_factors_ode(params, branches, ts)),)
+
+
 def check_oracle(n_points: int = 100) -> tuple[bool, str]:
     """Agreement of the closed-form branch amplitude with its RK4 oracle."""
-    worst = 0.0
-    for params, branch, t in oracle_grid(n_points):
-        closed = decoherence_factor(params, branch, t)
-        integrated = decoherence_factor_ode(params, branch, t)
-        worst = max(worst, abs(closed - integrated))
+    (diff,) = _evaluate_draws(_oracle_block, ((p, t, branch) for p, branch, t in oracle_grid(n_points)))
+    worst = float(diff.max())
     ok = worst <= 1e-8
     return ok, f"{n_points} grid points: worst |closed - integrated| = {worst:.2e}"
 
 
-def check_uncertainty_inequality(n_draws: int = 1000, seed: int = 20240812) -> tuple[bool, str]:
-    """Lower-bound inequality on randomly evolved isotropic states."""
-    rng = np.random.default_rng(seed)
+def _inequality_draws(rng: np.random.Generator, n: int):
+    for _ in range(n):
+        params, k = _random_channel_params(rng), rng.uniform(0.0, 1.0)
+        yield params, rng.uniform(0.0, 300.0), k
+
+
+def _inequality_block(params, ts, ks):
     c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
-    worst_margin = math.inf
-    worst_split = 0.0
-    for _ in range(n_draws):
-        params = _random_channel_params(rng)
-        cfg_k = rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.0, 300.0)
-        rho = apply_product_channel(isotropic_state(cfg_k), kraus_set(params, t))
-        sample = eur_sample(rho, c)
-        worst_margin = min(worst_margin, sample.u_l - sample.u_b)
-        worst_split = max(worst_split, abs(sample.u_l - (sample.s_xb + sample.s_zb)))
+    rho0 = require_density_stack(isotropic_state(ks), ts, "rho0")
+    cols = eur_columns(evolve_product(pair_indices(rho0), superoperator(kraus_tensor(params, ts)[0])), c, ts)
+    return cols.u_l - cols.u_b, np.abs(cols.u_l - (cols.s_xb + cols.s_zb))
+
+
+def check_uncertainty_inequality(n_draws: int = 1000, seed: int = 20240812) -> tuple[bool, str]:
+    """Lower-bound inequality on randomly evolved isotropic states.
+
+    Each draw takes its parameters, then k, then t from the generator; the
+    draws are evaluated in batches.
+    """
+    rng = np.random.default_rng(seed)
+    margin, split = _evaluate_draws(_inequality_block, _inequality_draws(rng, n_draws))
+    worst_margin, worst_split = float(margin.min()), float(split.max())
     ok = worst_margin >= -BERTA_ATOL and worst_split <= 1e-12
     detail = (
         f"{n_draws} draws: worst bound margin {worst_margin:.2e}, "

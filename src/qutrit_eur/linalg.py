@@ -23,8 +23,16 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
+class SampleError(ValueError):
+    """A check failed at one sample of a stack; index is that sample's position in it."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def require_samples(ok: np.ndarray, ts, describe) -> None:
-    """Raise ValueError at the first sample whose flag in ok is False.
+    """Raise SampleError (a ValueError) at the first sample whose flag in ok is False.
 
     ok holds one flag per sample of a stack; comparisons with NaN give
     False, so a NaN sample fails too. describe(i) says what is wrong with
@@ -34,7 +42,7 @@ def require_samples(ok: np.ndarray, ts, describe) -> None:
         return
     i = int(np.argmin(ok))
     where = "" if ts is None else f" at t={float(ts[i]):.12g}"
-    raise ValueError(f"{describe(i)}{where}")
+    raise SampleError(f"{describe(i)}{where}", i)
 
 
 def require_hermitian_stack(m: np.ndarray, ts=None, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
@@ -65,12 +73,23 @@ def require_state_spectrum(w: np.ndarray, ts=None, name: str = "rho") -> None:
     )
 
 
-def require_hermitian(m: np.ndarray, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Check entrywise Hermiticity within atol and return the Hermitian part."""
+def require_density_stack(rho: np.ndarray, ts=None, name: str = "rho") -> np.ndarray:
+    """Validate a (T, n, n) stack of density matrices and return its Hermitian part."""
+    rho = require_hermitian_stack(rho, ts, name)
+    require_state_spectrum(np.linalg.eigvalsh(rho), ts, name)
+    return rho
+
+
+def _square(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    return require_hermitian_stack(m[None], name=name, atol=atol)[0]
+    return m
+
+
+def require_hermitian(m: np.ndarray, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """Check entrywise Hermiticity within atol and return the Hermitian part."""
+    return require_hermitian_stack(_square(m, name)[None], name=name, atol=atol)[0]
 
 
 def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -78,11 +97,9 @@ def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 
     Returns the Hermitian part so downstream numerics start from a clean
     operator; round-off from repeated channel application accumulates
-    asymmetry of order 1e-15.
+    asymmetry of order 1e-15. The one-matrix case of require_density_stack.
     """
-    rho = require_hermitian(rho, name=name)
-    require_state_spectrum(np.linalg.eigvalsh(rho[None]), name=name)
-    return rho
+    return require_density_stack(_square(rho, name)[None], name=name)[0]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

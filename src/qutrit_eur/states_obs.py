@@ -26,10 +26,12 @@ def _psi_plus() -> np.ndarray:
     return psi
 
 
-def isotropic_state(k: float) -> np.ndarray:
-    """Isotropic two-qutrit state (1-k)/9 * I + k |psi+><psi+|."""
-    if not 0.0 <= k <= 1.0:
+def isotropic_state(k) -> np.ndarray:
+    """Isotropic two-qutrit state (1-k)/9 * I + k |psi+><psi+|; an array of k gives a stack of them."""
+    k = np.asarray(k, dtype=float)
+    if not np.all((0.0 <= k) & (k <= 1.0)):
         raise ValueError(f"k must lie in [0, 1], got {k}")
+    k = k[..., None, None]
     psi = _psi_plus()
     return (1.0 - k) / 9.0 * np.eye(9, dtype=complex) + k * np.outer(psi, psi.conj())
 

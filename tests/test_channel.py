@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qutrit_eur.channel import (
@@ -13,9 +15,12 @@ from qutrit_eur.channel import (
     apply_product_channel,
     decoherence_factor,
     decoherence_factor_ode,
+    decoherence_factors_ode,
     derive_params,
     kraus_set,
+    kraus_tensor,
 )
+from qutrit_eur.experiment import oracle_grid
 from qutrit_eur.entropy import negativity
 from qutrit_eur.linalg import kron
 from qutrit_eur.states_obs import isotropic_state
@@ -67,6 +72,15 @@ def test_derive_params_asymmetric():
     assert d.gamma_plus == pytest.approx((3.0 + q) / 2, abs=1e-12)
     assert d.gamma_minus == pytest.approx((3.0 - q) / 2, abs=1e-12)
     assert d.a**2 == pytest.approx((q + 1.0) / (2 * q), abs=1e-12)
+
+
+def test_derive_params_no_sgi_unequal_rates():
+    # q = |gamma1 - gamma2| rounds so that q - gamma1 + gamma2 is about -3e-17
+    d = derive_params(ChannelParams(gamma1=2.0, gamma2=0.1, theta=0.0, lam=1.0))
+    assert d.a == pytest.approx(1.0, abs=1e-14)
+    assert d.b <= 1e-7
+    assert d.gamma_plus == pytest.approx(2.0, abs=1e-14)
+    assert d.gamma_minus == pytest.approx(0.1, abs=1e-14)
 
 
 def test_derive_params_invariants_random():
@@ -195,6 +209,59 @@ def test_g_overflow_raises_value_error_naming_inputs():
         kraus_set(SYMMETRIC_NO_SGI, math.inf)
 
 
+def stepped_rk4(p, branch, t):
+    """The oracle as an explicit four-stage RK4 loop, with the oracle's step rule."""
+    lam = p.lam
+    rate = getattr(derive_params(p), f"gamma_{branch}")
+    if t == 0:
+        return 1.0
+    h_max = min(0.01 / lam, 0.01 / rate if rate > 0 else math.inf, t / 1000.0)
+    n = max(1, math.ceil(t / h_max))
+    h = t / n
+    c = 0.5 * lam * rate
+    g, v = 1.0, 0.0
+    for _ in range(n):
+        k1g, k1v = v, -lam * v - c * g
+        k2g = v + h / 2 * k1v
+        k2v = -lam * k2g - c * (g + h / 2 * k1g)
+        k3g = v + h / 2 * k2v
+        k3v = -lam * k3g - c * (g + h / 2 * k2g)
+        k4g = v + h * k3v
+        k4v = -lam * k4g - c * (g + h * k3g)
+        g += h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
+        v += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return g
+
+
+def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
+    params, branches, ts = zip(*oracle_grid(100))
+    powered = decoherence_factors_ode(params, branches, ts)
+    stepped = [stepped_rk4(*point) for point in zip(params, branches, ts)]
+    assert np.max(np.abs(powered - stepped)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma1=st.floats(0.1, 3.0),
+    gamma2=st.floats(0.1, 3.0),
+    theta=st.floats(-1.0, 1.0),
+    log_lam=st.floats(-3.0, 3.0),
+    branch=st.sampled_from(["plus", "minus"]),
+    t_frac=st.floats(0.0, 1.0),
+)
+def test_rk4_propagator_matches_stepped_loop(gamma1, gamma2, theta, log_lam, branch, t_frac):
+    p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
+    t = t_frac * min(20.0, 50.0 / p.lam)
+    assert abs(decoherence_factor_ode(p, branch, t) - stepped_rk4(p, branch, t)) <= 1e-12
+
+
+def test_g_ode_rejects_unbounded_step_counts():
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        decoherence_factor_ode(SYMMETRIC_NO_SGI, "plus", math.inf)
+    with pytest.raises(ValueError, match=r"RK4 oracle needs 1\.000e\+302 steps.* at t=1$"):
+        decoherence_factor_ode(ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300), "plus", 1.0)
+
+
 def test_g_rejects_bad_branch():
     with pytest.raises(ValueError, match="branch"):
         decoherence_factor(SYMMETRIC_NO_SGI, "both", 1.0)
@@ -228,6 +295,20 @@ def test_kraus_completeness_random():
         ks = kraus_set(random_params(rng), rng.uniform(0.0, 20.0))
         acc = sum(k.conj().T @ k for k in ks.ops)
         assert_allclose(acc, np.eye(3), atol=1e-10)
+
+
+@pytest.mark.parametrize("levels", [(0, 1, 2), (1, 2, 0)])
+def test_kraus_tensor_per_draw_params_match_scalar_calls(levels):
+    rng = np.random.default_rng(103)
+    params = [random_params(rng) for _ in range(40)]
+    # include exact degeneracy (q = 0) and exact critical damping (d = 0)
+    params += [SYMMETRIC_NO_SGI, ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=2.0)]
+    ts = rng.uniform(0.0, 50.0, len(params))
+    kraus, g_plus, g_minus = kraus_tensor(params, ts, levels)
+    for i, (p, t) in enumerate(zip(params, ts)):
+        k, gp, gm = kraus_tensor(p, ts[i:i + 1], levels)
+        assert np.max(np.abs(kraus[i] - k[0])) <= 1e-15
+        assert abs(g_plus[i] - gp[0]) <= 1e-15 and abs(g_minus[i] - gm[0]) <= 1e-15
 
 
 def test_kraus_set_rejects_incomplete_triple():

@@ -10,10 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutrit_eur.channel import ChannelParams, decoherence_factor
+from qutrit_eur import experiment
+from qutrit_eur.channel import ChannelParams, apply_channel, apply_product_channel, decoherence_factor, kraus_set
 from qutrit_eur.cli import main
+from qutrit_eur.entropy import eur_sample
 from qutrit_eur.experiment import (
     CSV_HEADER,
+    EXTREMUM_DELTA,
+    NEGATIVITY_ZERO_THRESHOLD,
     PRESET_NAMES,
     SweepConfig,
     SweepRecord,
@@ -24,10 +28,14 @@ from qutrit_eur.experiment import (
     figure_preset,
     local_maxima_indices,
     local_minima_indices,
+    run_self_check,
     run_sweep,
     summarize,
     write_summary,
 )
+from qutrit_eur.states_obs import isotropic_state, max_overlap_c, spin1_observable
+
+from conftest import random_density_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUICK_CHANNEL = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
@@ -138,6 +146,46 @@ def test_local_extrema_find_real_dips():
     v = [1.0, 0.5, 1.0, 2.0, 1.0]
     assert local_minima_indices(v) == [1]
     assert local_maxima_indices(v) == [3]
+
+
+def loop_minima(v, delta=EXTREMUM_DELTA):
+    return [i for i in range(1, len(v) - 1) if v[i] < v[i - 1] - delta and v[i] < v[i + 1] - delta]
+
+
+def loop_maxima(v, delta=EXTREMUM_DELTA):
+    return [i for i in range(1, len(v) - 1) if v[i] > v[i - 1] + delta and v[i] > v[i + 1] + delta]
+
+
+def loop_zeros(ts, neg):
+    shifted = neg - NEGATIVITY_ZERO_THRESHOLD
+    zeros = []
+    for i in range(len(ts) - 1):
+        if shifted[i] * shifted[i + 1] < 0:
+            frac = shifted[i] / (shifted[i] - shifted[i + 1])
+            zeros.append(float(ts[i] + frac * (ts[i + 1] - ts[i])))
+    return tuple(zeros)
+
+
+def extremum_series():
+    rng = np.random.default_rng(107)
+    random = rng.normal(size=500)
+    plateau = np.repeat(rng.uniform(0.0, 2e-6, 60), rng.integers(1, 6, 60))
+    alternating = np.where(np.arange(4800) % 2 == 0, 1e-6 + 1e-9, 1e-6 - 1e-9)
+    return {"random": random, "plateau": plateau, "alternating": alternating, "short": random[:2]}
+
+
+@pytest.mark.parametrize("kind", ["random", "plateau", "alternating", "short"])
+def test_vectorised_extrema_and_zeros_match_loop_form(kind):
+    v = extremum_series()[kind]
+    for got, want in ((local_minima_indices(v), loop_minima(v)), (local_maxima_indices(v), loop_maxima(v))):
+        assert type(got) is list and all(type(i) is int for i in got)
+        assert got == want
+    if len(v) >= 2:
+        ts = np.linspace(0.0, 600.0, len(v))
+        s = summarize([synthetic_record(t, float(u), neg=float(u)) for t, u in zip(ts, v)])
+        assert s.negativity_zeros == loop_zeros(ts, v)
+        minima = loop_minima(v)
+        assert s.period_estimate == (float(np.mean(np.diff(ts[minima]))) if len(minima) >= 2 else None)
 
 
 def test_summarize_monotone_decay():
@@ -290,6 +338,98 @@ def test_check_oracle_small():
 def test_check_inequality_small():
     ok, detail = check_uncertainty_inequality(n_draws=50)
     assert ok, detail
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [lambda: check_cptp(n_draws=20), lambda: check_oracle(n_points=10),
+     lambda: check_uncertainty_inequality(n_draws=20)],
+    ids=["cptp", "oracle", "inequality"],
+)
+def test_suites_return_plain_bool(suite):
+    ok, _ = suite()
+    assert type(ok) is bool
+
+
+def test_run_self_check_returns_plain_bool():
+    assert type(run_self_check(verbose=False)) is bool
+
+
+def capture_draws(monkeypatch):
+    """Record the per-draw arrays the batched suites compute."""
+    captured = []
+    evaluate = experiment._evaluate_draws
+
+    def recording(*args):
+        captured.append(evaluate(*args))
+        return captured[-1]
+
+    monkeypatch.setattr(experiment, "_evaluate_draws", recording)
+    return captured
+
+
+def test_check_cptp_matches_per_draw_reference(monkeypatch):
+    captured = capture_draws(monkeypatch)
+    _, detail = check_cptp(n_draws=50, seed=11)
+    rng = np.random.default_rng(11)
+    want = []
+    for _ in range(50):
+        ks = kraus_set(experiment._random_channel_params(rng), rng.uniform(0.0, 20.0))
+        acc = sum(k.conj().T @ k for k in ks.ops)
+        out = apply_channel(random_density_matrix(rng, 3), ks)
+        want.append((
+            np.max(np.abs(acc - np.eye(3))),
+            abs(np.trace(out).real - 1.0),
+            -np.linalg.eigvalsh((out + out.conj().T) / 2)[0],
+        ))
+    want = np.array(want).T
+    assert np.max(np.abs(np.array(captured[0]) - want)) <= 1e-14
+    worst = want.max(axis=1)
+    assert detail == (
+        f"50 draws: completeness {worst[0]:.2e}, trace drift {worst[1]:.2e}, "
+        f"eigenvalue dip {max(worst[2], 0.0):.2e}"
+    )
+
+
+def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
+    captured = capture_draws(monkeypatch)
+    _, detail = check_uncertainty_inequality(n_draws=50, seed=13)
+    rng = np.random.default_rng(13)
+    c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
+    want = []
+    for _ in range(50):
+        params, k, t = experiment._random_channel_params(rng), rng.uniform(0.0, 1.0), rng.uniform(0.0, 300.0)
+        s = eur_sample(apply_product_channel(isotropic_state(k), kraus_set(params, t)), c)
+        want.append((s.u_l - s.u_b, abs(s.u_l - (s.s_xb + s.s_zb))))
+    want = np.array(want).T
+    assert np.max(np.abs(np.array(captured[0]) - want)) <= 1e-14
+    assert detail == f"50 draws: worst bound margin {want[0].min():.2e}, worst term-sum split {want[1].max():.2e}"
+
+
+@pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
+def test_suite_failure_names_the_draw(monkeypatch, suite):
+    # draw 130 sits in the second block; lam**2 overflows, so its G is not finite
+    draws = []
+    original = experiment._random_channel_params
+
+    def with_one_bad_draw(rng):
+        p = original(rng)
+        draws.append(p)
+        return ChannelParams(p.gamma1, p.gamma2, p.theta, 1e300) if len(draws) == 131 else p
+
+    monkeypatch.setattr(experiment, "_random_channel_params", with_one_bad_draw)
+    with pytest.raises(ValueError) as info:
+        suite(n_draws=200)
+    bad = draws[130]
+    message = str(info.value)
+    assert message.startswith("branch amplitude not finite and real")
+    assert f"(draw 130: ChannelParams(gamma1={bad.gamma1!r}, gamma2={bad.gamma2!r}, theta={bad.theta!r}, lam=1e+300), t=" in message
+
+
+@pytest.mark.parametrize("suite", [check_cptp, check_oracle, check_uncertainty_inequality])
+def test_suites_reject_empty_runs(suite):
+    with pytest.raises(ValueError, match="at least 1 draw"):
+        suite(0)
 
 
 # ---------------------------------------------------------------------------

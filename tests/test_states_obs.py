@@ -49,6 +49,16 @@ def test_isotropic_rejects_out_of_range():
             isotropic_state(bad)
 
 
+def test_isotropic_stack_matches_single_states():
+    ks = np.array([0.0, 0.25, 0.6, 1.0])
+    stack = isotropic_state(ks)
+    assert stack.shape == (4, 9, 9)
+    for k, rho in zip(ks, stack):
+        assert np.array_equal(rho, isotropic_state(float(k)))
+    with pytest.raises(ValueError, match="k must"):
+        isotropic_state(np.array([0.5, 1.1]))
+
+
 # ---------------------------------------------------------------------------
 # spin-1 observables
 # ---------------------------------------------------------------------------
