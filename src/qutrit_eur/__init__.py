@@ -32,14 +32,7 @@ from .experiment import (
     run_sweep,
     summarize,
 )
-from .linalg import (
-    EigenDecomposition,
-    eig_hermitian,
-    kron,
-    partial_trace_a,
-    partial_transpose_a,
-    trace_norm_hermitian,
-)
+from .linalg import partial_trace_a, partial_transpose_a
 from .states_obs import (
     Observable,
     isotropic_state,
@@ -52,7 +45,6 @@ from .states_obs import (
 __all__ = [
     "ChannelParams",
     "DerivedParams",
-    "EigenDecomposition",
     "EurSample",
     "KrausSet",
     "Observable",
@@ -65,7 +57,6 @@ __all__ = [
     "decoherence_factor",
     "decoherence_factor_ode",
     "derive_params",
-    "eig_hermitian",
     "emit_csv",
     "eur_left",
     "eur_right",
@@ -73,7 +64,6 @@ __all__ = [
     "figure_preset",
     "isotropic_state",
     "kraus_set",
-    "kron",
     "max_overlap_c",
     "measure_post_state",
     "negativity",
@@ -84,6 +74,5 @@ __all__ = [
     "run_sweep",
     "spin1_observable",
     "summarize",
-    "trace_norm_hermitian",
     "vn_entropy",
 ]

@@ -47,13 +47,6 @@ from .linalg import require_density_matrix, require_samples
 Branch = Literal["plus", "minus"]
 
 COMPLETENESS_ATOL = 1e-10
-# below this fraction of lam, the branch splitting is treated as exactly
-# critical and the analytic d -> 0 limit of G(t) is used
-_CRITICAL_SPLIT_RTOL = 1e-12
-# rate difference below which the dressed-basis mixing is degenerate
-_DEGENERATE_Q = 1e-12
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 # computational indices of (excited 1, excited 2, ground) per basis convention
 LEVEL_ORDERS = {"kraus-order": (0, 1, 2), "ground-first": (1, 2, 0)}
 
@@ -95,25 +88,26 @@ class DerivedParams:
 
 
 def derive_params(p: ChannelParams) -> DerivedParams:
-    """Dressed rates gamma_+- = (gamma1 + gamma2 +- q)/2 with q set by the SGI cross coupling."""
+    """Dressed rates gamma_+- = (gamma1 + gamma2 +- q)/2 with q set by the SGI cross coupling.
+
+    (a, b) = (cos(pi/4 - half), cos(pi/4 + half)), half = atan2(gamma1 - gamma2, 2c)/2,
+    is the nonnegative plus-branch eigenvector of the decay matrix
+    [[gamma1, c], [c, gamma2]], c = sqrt(gamma1*gamma2)*|theta|: a = b at q = 0,
+    and no digits are lost for small c.
+    """
     # products, not **: float ** raises OverflowError where * gives inf,
     # which the amplitude check then reports as a ValueError
     cross_sq = p.gamma1 * p.gamma2 * (p.theta * p.theta)
     diff = p.gamma1 - p.gamma2
     q = math.sqrt(diff * diff + 4.0 * cross_sq)
-    gamma_plus = (p.gamma1 + p.gamma2 + q) / 2.0
-    gamma_minus = (p.gamma1 + p.gamma2 - q) / 2.0
-    if q < _DEGENERATE_Q:
-        # q -> 0 makes the mixing formulas 0/0; in this regime the two branch
-        # amplitudes coincide, so the channel is independent of the choice as
-        # long as a**2 + b**2 = 1
-        a = b = _SQRT_HALF
-    else:
-        # without SGI q = |gamma1 - gamma2|, and round-off can leave one
-        # radicand a few ulp below 0
-        a = math.sqrt(max(0.0, (q + p.gamma1 - p.gamma2) / (2.0 * q)))
-        b = math.sqrt(max(0.0, (q - p.gamma1 + p.gamma2) / (2.0 * q)))
-    return DerivedParams(q=q, gamma_plus=gamma_plus, gamma_minus=gamma_minus, a=a, b=b)
+    half = math.atan2(diff, 2.0 * math.sqrt(cross_sq)) / 2.0
+    return DerivedParams(
+        q=q,
+        gamma_plus=(p.gamma1 + p.gamma2 + q) / 2.0,
+        gamma_minus=(p.gamma1 + p.gamma2 - q) / 2.0,
+        a=math.cos(math.pi / 4.0 - half),
+        b=math.cos(math.pi / 4.0 + half),
+    )
 
 
 def _branch_rate(p: ChannelParams, branch: Branch) -> float:
@@ -141,30 +135,25 @@ def _require_times(ts: np.ndarray) -> None:
 def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
     """Closed-form branch amplitude G(t), elementwise over broadcast lam, rate and ts.
 
-    Evaluated as a sum of two complex exponentials with nonpositive real
-    exponents, which equals
-    exp(-lam*t/2) * [cosh(d*t/2) + (lam/d)*sinh(d*t/2)],  d = sqrt(lam^2 - 2*lam*rate),
-    but stays finite for large lam*t and handles imaginary d (the
-    oscillatory strong-coupling regime) in the same expression; where d
-    vanishes against lam, its d -> 0 limit is taken instead. A time that
-    is negative or not finite, or lam and rates so large (about 1e154)
-    that the formula overflows, give a ValueError naming the first
-    failing t.
+    G = exp(-lam*t/2) * [cosh(d*t/2) + (lam/d)*sinh(d*t/2)], d = sqrt(lam*(lam - 2*rate)),
+    is evaluated in every regime as exp((d - lam)/2 * t) * (1 + m/2 - (lam/2) * m/d),
+    m = expm1(-d*t), with m/d = -t at d = 0 (critical damping). The exponent's
+    real part is -Re(lam*rate/(d + lam)): never positive, and no cancellation
+    between d and lam. Its imaginary part is Im(d)/2, the half-phase of m, so
+    the imaginary parts cancel at any phase. A negative or non-finite t, or
+    lam and rates so large (about 1e154) that lam*(lam - 2*rate) overflows,
+    give a ValueError naming the first failing t.
     """
     _require_times(ts)
-    # division by d == 0 and overflow give NaN here; np.where drops the
-    # former and the check below reports the latter
+    # overflow of the radicand gives NaN here; the check below reports it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = np.sqrt(np.asarray(lam * lam - 2.0 * lam * rate, dtype=complex))
-        weight = lam / d
-        split = (
-            (1.0 + weight) / 2.0 * np.exp((d - lam) / 2.0 * ts)
-            + (1.0 - weight) / 2.0 * np.exp(-(d + lam) / 2.0 * ts)
-        )
-        # <=, so that d == 0 takes the limit even where 1e-12*lam underflows to 0
-        val = np.where(
-            np.abs(d) <= _CRITICAL_SPLIT_RTOL * lam, np.exp(-lam * ts / 2.0) * (1.0 + lam * ts / 2.0), split
-        )
+        d = np.sqrt(np.asarray(lam * (lam - 2.0 * rate), dtype=complex))
+        # Re(lam*rate/(d + lam)) in factors that cannot underflow: lam/w and
+        # the cosine (d.real + lam)/w both lie in (0, 1]
+        w = np.abs(d + lam)
+        exponent = 0.5j * d.imag - lam / w * rate * ((d.real + lam) / w)
+        m = np.expm1(-d * ts)
+        val = np.exp(exponent * ts) * (1.0 + m / 2.0 - lam / 2.0 * np.where(d == 0, -ts, m / d))
     require_samples(
         np.isfinite(val.real) & (np.abs(val.imag) <= 1e-12), ts,
         lambda i: f"branch amplitude not finite and real: {complex(val[i])!r} for "
@@ -182,13 +171,16 @@ def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
     M(h) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24; n steps are M(h)^n,
     applied to y(0) = (1, 0) by binary powering. The step is t/n with
     n = max(1, ceil(t/h_max)), h_max = min(0.01/lam, 0.01/rate, t/1000),
-    small against every timescale of the equation.
+    small against every timescale of the equation. Where t/1000 underflows
+    to 0, the smallest subnormal stands in for it, which keeps n finite
+    (at most 1000) for every finite t.
     """
     _require_times(ts)
     lam, rate, ts = np.broadcast_arrays(lam, rate, ts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_max = np.minimum(np.minimum(0.01 / lam, np.where(rate > 0, 0.01 / rate, math.inf)), ts / 1000.0)
-        steps = np.where(ts > 0, np.maximum(1.0, np.ceil(ts / h_max)), 1.0)
+    t_part = np.maximum(ts / 1000.0, np.finfo(float).smallest_subnormal)
+    with np.errstate(divide="ignore"):
+        h_max = np.minimum(np.minimum(0.01 / lam, np.where(rate > 0, 0.01 / rate, math.inf)), t_part)
+    steps = np.maximum(1.0, np.ceil(ts / h_max))
     # the powering loop runs once per bit of an int64 step count
     require_samples(
         steps <= 2.0**62, ts, lambda i: f"RK4 oracle needs {steps[i]:.3e} steps for lam={float(lam[i])!r} "

@@ -9,8 +9,6 @@ A stack of matrices carries the sample axis first, (T, n, n); the
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
@@ -102,11 +100,6 @@ def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     return require_density_stack(_square(rho, name)[None], name=name)[0]
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with A as the left factor: out[ia*db+ib, ja*db+jb] = a[ia,ja]*b[ib,jb]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace_a(rho: np.ndarray) -> np.ndarray:
     """Trace out the first qutrit of a 9x9 two-qutrit operator (or a stack of them)."""
     rho = np.asarray(rho, dtype=complex)
@@ -122,27 +115,3 @@ def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"partial_transpose_a expects a 9x9 matrix, got shape {rho.shape}")
     lead = rho.shape[:-2]
     return rho.reshape(lead + (3, 3, 3, 3)).swapaxes(-4, -2).reshape(rho.shape)
-
-
-class EigenDecomposition(NamedTuple):
-    """Real eigenvalues in descending order, paired orthonormal column eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    The input is symmetrized before decomposition so that the solver always
-    sees an exactly Hermitian operator.
-    """
-    m = require_hermitian(m)
-    values, vectors = np.linalg.eigh(m)
-    return EigenDecomposition(values[::-1].copy(), vectors[:, ::-1].copy())
-
-
-def trace_norm_hermitian(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    m = require_hermitian(m)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))

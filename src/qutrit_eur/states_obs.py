@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import eig_hermitian, require_density_matrix
+from .linalg import require_density_matrix, require_hermitian
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _EIGENGAP_MIN = 1e-8
@@ -59,7 +59,8 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 def observable_from_matrix(m: np.ndarray) -> Observable:
     """Build an Observable from a Hermitian matrix, rejecting degenerate spectra."""
-    values, vectors = eig_hermitian(m)
+    values, vectors = np.linalg.eigh(require_hermitian(m))
+    values, vectors = values[::-1], vectors[:, ::-1]
     if np.min(np.abs(np.diff(values))) < _EIGENGAP_MIN:
         raise ValueError(f"observable is degenerate: eigenvalues {values}")
     basis = np.column_stack([_fix_phase(vectors[:, i]) for i in range(vectors.shape[1])])

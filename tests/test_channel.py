@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -15,6 +16,7 @@ from qutrit_eur.channel import (
     apply_product_channel,
     decoherence_factor,
     decoherence_factor_ode,
+    decoherence_factors,
     decoherence_factors_ode,
     derive_params,
     kraus_set,
@@ -22,7 +24,6 @@ from qutrit_eur.channel import (
 )
 from qutrit_eur.experiment import oracle_grid
 from qutrit_eur.entropy import negativity
-from qutrit_eur.linalg import kron
 from qutrit_eur.states_obs import isotropic_state
 
 from conftest import random_density_matrix
@@ -91,6 +92,41 @@ def test_derive_params_invariants_random():
         assert d.q >= 0
         assert d.a**2 + d.b**2 == pytest.approx(1.0, abs=1e-12)
         assert d.gamma_plus + d.gamma_minus == pytest.approx(p.gamma1 + p.gamma2, abs=1e-12)
+
+
+def mixing_mpmath(gamma1, gamma2, theta):
+    """Nonnegative plus-branch eigenvector of the decay matrix at 50 digits."""
+    with mpmath.workdps(50):
+        c = mpmath.sqrt(mpmath.mpf(gamma1) * mpmath.mpf(gamma2)) * abs(mpmath.mpf(theta))
+        values, vectors = mpmath.eigsy(mpmath.matrix([[gamma1, c], [c, gamma2]]))
+        i = 0 if values[0] > values[1] else 1
+        a, b = vectors[0, i], vectors[1, i]
+        return (float(a), float(b)) if a + b > 0 else (float(-a), float(-b))
+
+
+def test_mixing_amplitudes_match_mpmath_eigenvector():
+    rng = np.random.default_rng(107)
+    cases = [(2.0, 1.0, 0.5), (2.0, 0.1, 0.0), (0.1, 2.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, -0.3)]
+    # small |theta| against unequal rates, where b is tiny and easily lost
+    cases += [(2.0, 1.0, s * 10.0**e) for e in range(-15, -2) for s in (1.0, -1.0)]
+    cases += [(2.0, 1.0, 6e-10), (1.0, 2.0, 6e-10)]
+    cases += [(*rng.uniform(0.1, 3.0, 2), rng.uniform(-1.0, 1.0)) for _ in range(100)]
+    for gamma1, gamma2, theta in cases:
+        d = derive_params(ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=1.0))
+        a, b = mixing_mpmath(gamma1, gamma2, theta)
+        assert abs(d.a - a) <= 1e-15 and abs(d.b - b) <= 1e-15, (gamma1, gamma2, theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma1=st.floats(1e-3, 1e3),
+    gamma2=st.floats(1e-3, 1e3),
+    theta=st.floats(-1.0, 1.0),
+)
+def test_mixing_amplitudes_unit_norm(gamma1, gamma2, theta):
+    d = derive_params(ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=1.0))
+    assert d.a >= 0 and d.b >= 0
+    assert abs(d.a * d.a + d.b * d.b - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -193,6 +229,52 @@ def test_g_stays_in_unit_interval():
         assert -1.0 - 1e-12 <= g <= 1.0 + 1e-12
 
 
+def g_mpmath(lam, rate, t):
+    """G(t) at 50 digits from the two-exponential textbook form, its d -> 0 limit at d = 0."""
+    with mpmath.workdps(50):
+        lam, rate, t = mpmath.mpf(lam), mpmath.mpf(rate), mpmath.mpf(t)
+        d = mpmath.sqrt(lam * (lam - 2 * rate))  # imaginary below critical damping
+        if d == 0:
+            return float(mpmath.exp(-lam * t / 2) * (1 + lam * t / 2))
+        g = mpmath.exp(-lam * t / 2) * (mpmath.cosh(d * t / 2) + lam / d * mpmath.sinh(d * t / 2))
+        return float(mpmath.re(g))
+
+
+def test_g_matches_mpmath_near_critical_damping_and_markov_limit():
+    # equal rates without SGI make both branch rates exactly `rate`
+    points = []
+    for rate in (0.3, 1.0, 2.7):
+        for eps in [0.0] + [s * e for e in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 3e-16) for s in (1, -1)]:
+            lam = 2.0 * rate * (1.0 + eps)
+            points += [(rate, lam, lt / lam) for lt in np.concatenate([[0.0], np.logspace(-3, 3, 29)])]
+    for lam in 10.0 ** np.arange(3, 21):
+        points += [(1.0, lam, t) for t in np.linspace(0.0, 10.0, 26)]
+    rates, lams, ts = np.array(points).T
+    params = [ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam) for r, lam in zip(rates, lams)]
+    got = decoherence_factors(params, ["plus"] * len(params), ts)
+    want = np.array([g_mpmath(*point) for point in zip(lams, rates, ts)])
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma1=st.floats(0.1, 3.0),
+    gamma2=st.floats(0.1, 3.0),
+    theta=st.floats(-1.0, 1.0),
+    log_lam=st.floats(-3.0, 3.0),
+    branch=st.sampled_from(["plus", "minus"]),
+    t_frac=st.floats(0.0, 1.0),
+)
+def test_g_properties(gamma1, gamma2, theta, log_lam, branch, t_frac):
+    p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
+    t = t_frac * min(20.0, 50.0 / p.lam)
+    assert decoherence_factor(p, branch, 0.0) == 1.0
+    g = decoherence_factor(p, branch, t)
+    # |G| <= 1 up to the last bit of the rounded result
+    assert abs(g) <= 1.0 + 2.0**-52
+    assert abs(g - decoherence_factor_ode(p, branch, t)) <= 1e-8
+
+
 def test_g_rejects_negative_time():
     with pytest.raises(ValueError, match="nonnegative"):
         decoherence_factor(SYMMETRIC_NO_SGI, "plus", -0.1)
@@ -213,9 +295,7 @@ def stepped_rk4(p, branch, t):
     """The oracle as an explicit four-stage RK4 loop, with the oracle's step rule."""
     lam = p.lam
     rate = getattr(derive_params(p), f"gamma_{branch}")
-    if t == 0:
-        return 1.0
-    h_max = min(0.01 / lam, 0.01 / rate if rate > 0 else math.inf, t / 1000.0)
+    h_max = min(0.01 / lam, 0.01 / rate if rate > 0 else math.inf, max(t / 1000.0, math.ulp(0.0)))
     n = max(1, math.ceil(t / h_max))
     h = t / n
     c = 0.5 * lam * rate
@@ -249,6 +329,8 @@ def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
     branch=st.sampled_from(["plus", "minus"]),
     t_frac=st.floats(0.0, 1.0),
 )
+# t = 1e-322, where t/1000 underflows to 0 in the step rule
+@example(gamma1=1.0, gamma2=1.0, theta=0.0, log_lam=0.0, branch="plus", t_frac=5e-324)
 def test_rk4_propagator_matches_stepped_loop(gamma1, gamma2, theta, log_lam, branch, t_frac):
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
     t = t_frac * min(20.0, 50.0 / p.lam)
@@ -393,8 +475,8 @@ def test_apply_product_channel_factorizes_products():
     ks = kraus_set(random_params(rng), 3.0)
     rho = random_density_matrix(rng, 3)
     sigma = random_density_matrix(rng, 3)
-    joint = apply_product_channel(kron(rho, sigma), ks)
-    assert_allclose(joint, kron(apply_channel(rho, ks), apply_channel(sigma, ks)), atol=1e-12)
+    joint = apply_product_channel(np.kron(rho, sigma), ks)
+    assert_allclose(joint, np.kron(apply_channel(rho, ks), apply_channel(sigma, ks)), atol=1e-12)
 
 
 def test_apply_product_channel_trace_and_hermiticity():

@@ -13,7 +13,6 @@ from qutrit_eur.entropy import (
     negativity,
     vn_entropy,
 )
-from qutrit_eur.linalg import kron
 from qutrit_eur.states_obs import isotropic_state, measure_post_state, spin1_observable
 
 from conftest import random_density_matrix, random_unitary
@@ -103,7 +102,7 @@ def test_conditional_product_additivity():
     rng = np.random.default_rng(137)
     rho = random_density_matrix(rng, 3)
     sigma = random_density_matrix(rng, 3)
-    got = conditional_entropy(kron(rho, sigma))
+    got = conditional_entropy(np.kron(rho, sigma))
     assert got == pytest.approx(vn_entropy(rho), abs=1e-10)
 
 
@@ -146,7 +145,7 @@ def test_eur_right_pure_product():
     rng = np.random.default_rng(139)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     v /= np.linalg.norm(v)
-    rho = kron(np.outer(v, v.conj()), random_density_matrix(rng, 3))
+    rho = np.kron(np.outer(v, v.conj()), random_density_matrix(rng, 3))
     assert eur_right(rho, 0.5) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -176,7 +175,7 @@ def test_negativity_selected_anchors():
 def test_negativity_product_states_vanish():
     rng = np.random.default_rng(149)
     for _ in range(5):
-        rho = kron(random_density_matrix(rng, 3), random_density_matrix(rng, 3))
+        rho = np.kron(random_density_matrix(rng, 3), random_density_matrix(rng, 3))
         assert negativity(rho) == pytest.approx(0.0, abs=1e-12)
 
 

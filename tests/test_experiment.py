@@ -449,6 +449,19 @@ def test_cli_sweep(tmp_path, capsys):
     assert "wrote 4 records" in capsys.readouterr().out
 
 
+def test_cli_sweep_markov_limit_width(tmp_path):
+    # lam = 1e20 >> rate: G(t) = exp(-rate*t/2); the cancelling form of G
+    # once rounded its exponent to 0 and wrote g = 1 at every t
+    out = tmp_path / "markov.csv"
+    assert main([
+        "sweep", "--theta", "0", "--lambda", "1e20", "--k", "1",
+        "--t-max", "10", "--steps", "3", "--out", str(out),
+    ]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert rows[-1]["t_gamma"] == "10"
+    assert rows[-1]["g_plus"] == rows[-1]["g_minus"] == f"{math.exp(-5.0):.12g}"
+
+
 def test_cli_sweep_rejects_bad_value(tmp_path, capsys):
     code = main([
         "sweep", "--theta", "7", "--lambda", "1", "--k", "0",

@@ -1,16 +1,18 @@
-"""Tests for the dense complex linear algebra layer."""
+"""Tests for the dense complex linear algebra layer.
+
+Tensor products are numpy's ``np.kron``; the layout tests below pin the
+convention the package relies on (subsystem A is the left factor,
+r = 3*a + b). The Hermitian eigendecomposition lives in
+``observable_from_matrix``, whose ordering, reconstruction and input check
+are tested here.
+"""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qutrit_eur.linalg import (
-    eig_hermitian,
-    kron,
-    partial_trace_a,
-    partial_transpose_a,
-    trace_norm_hermitian,
-)
+from qutrit_eur.linalg import partial_trace_a, partial_transpose_a
+from qutrit_eur.states_obs import observable_from_matrix
 
 from conftest import random_hermitian, random_unitary
 
@@ -37,11 +39,11 @@ def kron_by_enumeration(a, b):
 
 
 def test_kron_identity():
-    assert_allclose(kron(I3, I3), I9, atol=0)
+    assert_allclose(np.kron(I3, I3), I9, atol=0)
 
 
 def test_kron_diagonal_expansion():
-    got = kron(np.diag([1.0, 0.0, -1.0]), I3)
+    got = np.kron(np.diag([1.0, 0.0, -1.0]), I3)
     assert_allclose(got, np.diag([1, 1, 1, 0, 0, 0, -1, -1, -1]).astype(complex), atol=0)
 
 
@@ -51,7 +53,7 @@ def test_kron_matrix_units_brute_force():
     e21 = np.zeros((3, 3), dtype=complex)
     e21[1, 0] = 1.0
     expected = kron_by_enumeration(e12, e21)
-    got = kron(e12, e21)
+    got = np.kron(e12, e21)
     assert_allclose(got, expected, atol=0)
     # the single nonzero entry sits at row 0*3+1, column 1*3+0
     assert got[1, 3] == 1.0
@@ -63,16 +65,16 @@ def test_kron_random_against_enumeration():
     for _ in range(5):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert_allclose(kron(a, b), kron_by_enumeration(a, b), atol=0)
+        assert_allclose(np.kron(a, b), kron_by_enumeration(a, b), atol=0)
 
 
 def test_kron_associative_bilinear():
     rng = np.random.default_rng(11)
     for _ in range(10):
         a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
+        assert_allclose(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)), atol=1e-12)
         s, t = rng.normal(size=2)
-        assert_allclose(kron(s * a + t * b, c), s * kron(a, c) + t * kron(b, c), atol=1e-12)
+        assert_allclose(np.kron(s * a + t * b, c), s * np.kron(a, c) + t * np.kron(b, c), atol=1e-12)
 
 
 def test_partial_trace_maximally_mixed():
@@ -88,7 +90,7 @@ def test_partial_trace_of_product():
     for _ in range(10):
         a = random_hermitian(rng, 3)
         b = random_hermitian(rng, 3)
-        assert_allclose(partial_trace_a(kron(a, b)), b * np.trace(a), atol=1e-12)
+        assert_allclose(partial_trace_a(np.kron(a, b)), b * np.trace(a), atol=1e-12)
 
 
 def test_partial_trace_preserves_trace():
@@ -110,7 +112,7 @@ def test_partial_transpose_of_product():
     rng = np.random.default_rng(31)
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 3)
-    assert_allclose(partial_transpose_a(kron(a, b)), kron(a.T, b), atol=0)
+    assert_allclose(partial_transpose_a(np.kron(a, b)), np.kron(a.T, b), atol=0)
 
 
 def test_partial_transpose_involution_exact():
@@ -145,14 +147,14 @@ def test_partial_transpose_rejects_wrong_dim():
 
 
 def test_eig_diagonal():
-    values, _ = eig_hermitian(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    values = observable_from_matrix(np.diag([3.0, 1.0, 2.0]).astype(complex)).eigenvalues
     assert_allclose(values, [3.0, 2.0, 1.0], atol=1e-14)
 
 
 def test_eig_spin1_x_spectrum():
     # characteristic polynomial of the spin-1 x matrix is w^3 - w
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
-    values, _ = eig_hermitian(sx)
+    values = observable_from_matrix(sx).eigenvalues
     assert_allclose(values, [1.0, 0.0, -1.0], atol=1e-14)
 
 
@@ -161,7 +163,8 @@ def test_eig_reconstructs_known_diagonal():
     for dim in (3, 9):
         d = np.sort(rng.normal(size=dim))[::-1]
         v = random_unitary(rng, dim)
-        values, vectors = eig_hermitian(v @ np.diag(d) @ v.conj().T)
+        obs = observable_from_matrix(v @ np.diag(d) @ v.conj().T)
+        values, vectors = obs.eigenvalues, obs.eigenbasis
         assert_allclose(values, d, atol=1e-10)
         rebuilt = (vectors * values) @ vectors.conj().T
         assert_allclose(rebuilt, v @ np.diag(d) @ v.conj().T, atol=1e-10)
@@ -172,7 +175,8 @@ def test_eig_invariants_random():
     for dim in (3, 9):
         for _ in range(20):
             m = random_hermitian(rng, dim)
-            values, vectors = eig_hermitian(m)
+            obs = observable_from_matrix(m)
+            values, vectors = obs.eigenvalues, obs.eigenbasis
             assert np.all(np.diff(values) <= 0)
             assert_allclose((vectors * values) @ vectors.conj().T, m, atol=1e-10)
             assert_allclose(vectors.conj().T @ vectors, np.eye(dim), atol=1e-10)
@@ -181,22 +185,4 @@ def test_eig_invariants_random():
 def test_eig_rejects_non_hermitian():
     m = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(m)
-
-
-def test_trace_norm_identity():
-    assert trace_norm_hermitian(I9) == pytest.approx(9.0, abs=1e-12)
-
-
-def test_trace_norm_signed_diagonal():
-    assert trace_norm_hermitian(np.diag([1.0, -2.0, 0.5])) == pytest.approx(3.5, abs=1e-12)
-
-
-def test_trace_norm_partial_transpose_max_entangled():
-    got = trace_norm_hermitian(partial_transpose_a(psi_plus_projector()))
-    assert got == pytest.approx(3.0, abs=1e-10)
-
-
-def test_trace_norm_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        trace_norm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        observable_from_matrix(m)

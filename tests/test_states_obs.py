@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qutrit_eur.linalg import kron, partial_trace_a
+from qutrit_eur.linalg import partial_trace_a
 from qutrit_eur.states_obs import (
     isotropic_state,
     max_overlap_c,
@@ -178,7 +178,7 @@ def test_measure_block_diagonal_in_measurement_basis():
     rho = random_density_matrix(rng, 9)
     out = measure_post_state(rho, obs)
     # off-diagonal blocks between distinct eigenprojectors vanish
-    basis_a = kron(obs.eigenbasis, np.eye(3))
+    basis_a = np.kron(obs.eigenbasis, np.eye(3))
     in_basis = basis_a.conj().T @ out @ basis_a
     for i in range(3):
         for j in range(3):
