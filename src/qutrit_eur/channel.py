@@ -21,8 +21,12 @@ Basis convention: computational index 0 and 1 are the two excited levels,
 index 2 is the ground level. Rates are in units of the bare decay rate
 gamma, times in units of 1/gamma.
 
-The kernels work on a time axis: ``kraus_tensor`` builds the (T, 3, 3, 3)
-Kraus tensor of a whole block of times, ``superoperator`` turns it into
+The kernels work on a time axis: ``dressed_kraus`` builds the Kraus
+tensor of a whole block of times in the dressed basis (plus branch, minus
+branch, ground), where it has five nonzero entries per time, together
+with the real orthogonal frame O that maps the dressed levels to
+computational indices. ``kraus_tensor`` rotates it into the real
+(T, 3, 3, 3) computational tensor O K O^T, ``superoperator`` turns that into
 the local map S_t on vectorised 3x3 operators, and ``evolve_product``
 applies S_t to both qutrits as two batched 9x9 products. The parameters
 broadcast against the times: a sweep passes one ChannelParams for its
@@ -42,7 +46,7 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import require_density_matrix, require_samples
+from .linalg import as_inexact, require_density_matrix, require_samples
 
 Branch = Literal["plus", "minus"]
 
@@ -137,17 +141,24 @@ def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
 
     G = exp(-lam*t/2) * [cosh(d*t/2) + (lam/d)*sinh(d*t/2)], d = sqrt(lam*(lam - 2*rate)),
     is evaluated in every regime as exp((d - lam)/2 * t) * (1 + m/2 - (lam/2) * m/d),
-    m = expm1(-d*t), with m/d = -t at d = 0 (critical damping). The exponent's
-    real part is -Re(lam*rate/(d + lam)): never positive, and no cancellation
-    between d and lam. Its imaginary part is Im(d)/2, the half-phase of m, so
-    the imaginary parts cancel at any phase. A negative or non-finite t, or
-    lam and rates so large (about 1e154) that lam*(lam - 2*rate) overflows,
-    give a ValueError naming the first failing t.
+    m = expm1(-d*t), with m/d = -t at d = 0 (critical damping). d is formed
+    as sqrt(lam) * sqrt(lam - 2*rate), taken as complex, which does not
+    underflow for tiny lam as the product lam*(lam - 2*rate) does. The
+    exponent's real part is -Re(lam*rate/(d + lam)): never positive, and no
+    cancellation between d and lam. Its imaginary part is Im(d)/2, the
+    half-phase of m, so the imaginary parts cancel at any phase. A negative
+    or non-finite t, or lam and rates so large (about 1e154) that
+    lam*(lam - 2*rate) overflows, give a ValueError naming the first
+    failing t; that overflow bounds the accepted widths.
     """
     _require_times(ts)
-    # overflow of the radicand gives NaN here; the check below reports it
+    # an overflowing lam*(lam - 2*rate) gives NaN here; the check below reports it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = np.sqrt(np.asarray(lam * (lam - 2.0 * rate), dtype=complex))
+        d = np.where(
+            np.isfinite(lam * (lam - 2.0 * rate)),
+            np.sqrt(np.asarray(lam, dtype=complex)) * np.sqrt(np.asarray(lam - 2.0 * rate, dtype=complex)),
+            np.nan,
+        )
         # Re(lam*rate/(d + lam)) in factors that cannot underflow: lam/w and
         # the cosine (d.real + lam)/w both lie in (0, 1]
         w = np.abs(d + lam)
@@ -264,8 +275,8 @@ class KrausSet:
 
     @property
     def tensor(self) -> np.ndarray:
-        """The three operators as a (1, 3, 3, 3) Kraus tensor."""
-        return np.asarray(self.ops, dtype=complex)[None]
+        """The three operators as a (1, 3, 3, 3) Kraus tensor, real unless an operator is complex."""
+        return as_inexact(self.ops)[None]
 
 
 def _channel_inputs(p: ChannelParams | Sequence[ChannelParams]) -> tuple:
@@ -276,37 +287,77 @@ def _channel_inputs(p: ChannelParams | Sequence[ChannelParams]) -> tuple:
     return tuple(np.array([_channel_inputs(q) for q in p], dtype=float).reshape(-1, 5).T)
 
 
+# (operator, row, column) of the five nonzero entries of the dressed Kraus
+# tensor: K_1 = diag(G+, G-, 1), K_2 = W+ |g><+|, K_3 = W- |g><-|
+_DRESSED_OPS, _DRESSED_ROWS, _DRESSED_COLS = np.array(
+    [(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 2, 0), (2, 2, 1)]
+).T
+
+
+def dressed_frame(a, b, levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"]) -> np.ndarray:
+    """The real orthogonal O whose columns are the dressed levels in computational indices.
+
+    Column 0 is the plus branch (a, -b) and column 1 the minus branch
+    (b, a) over (excited 1, excited 2); column 2 is the ground level.
+    levels gives the computational indices of (excited 1, excited 2,
+    ground), so a basis convention is a placement of these entries. Floats
+    give one (3, 3) frame, arrays a (T, 3, 3) stack.
+    """
+    e1, e2, g = levels
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    frame = np.zeros(a.shape + (3, 3))
+    frame[..., e1, 0], frame[..., e2, 0] = a, -b
+    frame[..., e1, 1], frame[..., e2, 1] = b, a
+    frame[..., g, 2] = 1.0
+    return frame
+
+
+def dressed_kraus(
+    p: ChannelParams | Sequence[ChannelParams],
+    ts: np.ndarray,
+    levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Kraus tensor in the dressed basis at every time of ts, its frame and both branch amplitudes.
+
+    In the basis (plus branch, minus branch, ground) K_1 = diag(G+, G-, 1)
+    damps each branch by its own amplitude and K_2 = W+|g><+|,
+    K_3 = W-|g><-| feed the decayed population W = sqrt(1 - G^2) of each
+    branch into the ground level: five nonzero entries per time, and
+    sum K^dag K = I holds entry by entry. p is one ChannelParams for the
+    whole axis or a sequence with one per time. Returns the real
+    (T, 3, 3, 3) tensor, the frame O of dressed_frame ((3, 3), or (T, 3, 3)
+    for a sequence), and the arrays G_plus(t), G_minus(t).
+    """
+    lam, rate_plus, rate_minus, a, b = _channel_inputs(p)
+    g_plus, g_minus = _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
+    w_plus, w_minus = (np.sqrt(np.maximum(0.0, 1.0 - g * g)) for g in (g_plus, g_minus))
+    dressed = np.zeros((len(ts), 3, 3, 3))
+    dressed[:, _DRESSED_OPS, _DRESSED_ROWS, _DRESSED_COLS] = np.stack(
+        np.broadcast_arrays(g_plus, g_minus, 1.0, w_plus, w_minus), axis=-1
+    )
+    return dressed, dressed_frame(a, b, levels), g_plus, g_minus
+
+
 def kraus_tensor(
     p: ChannelParams | Sequence[ChannelParams],
     ts: np.ndarray,
     levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kraus operators at every time of ts, with both branch amplitudes.
+    """Kraus operators at every time of ts in computational indices, with both branch amplitudes.
 
-    p is one ChannelParams for the whole axis or a sequence with one per
-    time. Returns the (T, 3, 3, 3) tensor K[t, i] = K_i(t) and the arrays
-    G_plus(t), G_minus(t); check completeness with require_complete.
-    levels gives the computational indices of (excited 1, excited 2,
-    ground), which is how a basis convention relabels the levels.
-
-    K_1 damps and mixes the excited levels through both branch amplitudes
-    and leaves the ground level alone; K_2/K_3 feed the decayed population
-    W = sqrt(1 - G^2) of the plus/minus dressed branch into the ground
-    level. Their ground rows carry the mixing amplitudes (a, -b) and (b, a)
-    themselves, which is what makes sum K^dag K = I hold exactly.
+    p and levels are as for dressed_kraus. Returns the real (T, 3, 3, 3)
+    tensor K[t, i] = O K_i(t) O^T and the arrays G_plus(t), G_minus(t);
+    check completeness with require_complete. The rotation runs over the
+    five nonzero dressed entries only, each times O[:, j] O[:, k]^T, so
+    K_1 carries G+ a^2 + G- b^2 and (G- - G+) a b on the excited levels
+    and K_2/K_3 the ground rows W+ (a, -b) and W- (b, a).
     """
-    lam, rate_plus, rate_minus, a, b = _channel_inputs(p)
-    g_plus, g_minus = _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
-    w_plus, w_minus = (np.sqrt(np.maximum(0.0, 1.0 - g * g)) for g in (g_plus, g_minus))
-    e1, e2, g = levels
-    kraus = np.zeros((len(ts), 3, 3, 3), dtype=complex)
-    kraus[:, 0, g, g] = 1.0
-    kraus[:, 0, e1, e1] = g_plus * (a * a) + g_minus * (b * b)
-    kraus[:, 0, e1, e2] = kraus[:, 0, e2, e1] = g_plus * -(a * b) + g_minus * (a * b)
-    kraus[:, 0, e2, e2] = g_plus * (b * b) + g_minus * (a * a)
-    kraus[:, 1, g, e1], kraus[:, 1, g, e2] = w_plus * a, w_plus * -b
-    kraus[:, 2, g, e1], kraus[:, 2, g, e2] = w_minus * b, w_minus * a
-    return kraus, g_plus, g_minus
+    dressed, frame, g_plus, g_minus = dressed_kraus(p, ts, levels)
+    dressed_levels = frame.swapaxes(-1, -2)  # row j: dressed level j in computational indices
+    outer = dressed_levels[..., _DRESSED_ROWS, :, None] * dressed_levels[..., _DRESSED_COLS, None, :]
+    terms = dressed[:, _DRESSED_OPS, _DRESSED_ROWS, _DRESSED_COLS, None, None] * outer
+    # K_1 holds the first three entries, K_2 and K_3 one each
+    return np.stack([terms[:, 0] + terms[:, 1] + terms[:, 2], terms[:, 3], terms[:, 4]], axis=1), g_plus, g_minus
 
 
 def kraus_set(p: ChannelParams, t: float) -> KrausSet:

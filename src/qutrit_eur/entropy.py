@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    as_inexact,
     partial_trace_a,
     partial_transpose_a,
     require_density_matrix,
@@ -22,11 +23,13 @@ from .linalg import (
     require_hermitian_stack,
     require_samples,
     require_state_spectrum,
+    sector_spectra,
 )
 from .states_obs import conditional_blocks, spin1_observable
 
 BERTA_ATOL = 1e-9
-_NEGATIVITY_FLOOR = -1e-12
+# round-off allowance of the negativity below 0 and above the two-qutrit maximum 1
+_NEGATIVITY_ATOL = 1e-12
 
 
 def _bits(w: np.ndarray) -> np.ndarray:
@@ -45,7 +48,7 @@ def _require_overlap(c: float) -> None:
 
 
 def _two_qutrit_stack(rho_ab: np.ndarray) -> np.ndarray:
-    rho_ab = np.asarray(rho_ab, dtype=complex)
+    rho_ab = as_inexact(rho_ab)
     if rho_ab.shape != (9, 9):
         raise ValueError(f"expected a 9x9 two-qutrit state, got shape {rho_ab.shape}")
     return rho_ab[None]
@@ -71,14 +74,15 @@ def conditional_entropy(rho_ab: np.ndarray) -> float:
 def _entropies(rho_ab: np.ndarray, ts=None) -> tuple[np.ndarray, ...]:
     """S(rho_AB), S(rho_B) and the entropies after measuring Sx or Sz on A.
 
-    rho_ab is a Hermitian (T, 9, 9) stack. The dephased states are block
-    diagonal, so their spectra come from three 3x3 conditional blocks each;
-    only rho_AB needs a 9x9 eigensolve. Every spectrum is checked as a state
+    rho_ab is a Hermitian (T, 9, 9) stack. rho_AB and rho_B are solved
+    sector by sector (sector_spectra). The dephased states are block
+    diagonal in the measurement basis, so their spectra come from three
+    3x3 conditional blocks each. Every spectrum is checked as a state
     (eigenvalue floor, unit trace) on the way.
     """
-    w_ab = np.linalg.eigvalsh(rho_ab)
+    w_ab = sector_spectra(rho_ab)
     require_state_spectrum(w_ab, ts, "rho_ab")
-    w_b = np.linalg.eigvalsh(partial_trace_a(rho_ab))
+    w_b = sector_spectra(partial_trace_a(rho_ab))
     require_state_spectrum(w_b, ts, "rho_b")
     basis = np.hstack([spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis])
     w_xz = np.linalg.eigvalsh(conditional_blocks(rho_ab, basis)).reshape(len(rho_ab), 2, 9)
@@ -88,18 +92,23 @@ def _entropies(rho_ab: np.ndarray, ts=None) -> tuple[np.ndarray, ...]:
 
 
 def _negativities(rho_ab: np.ndarray, ts=None) -> np.ndarray:
-    """(||rho^T_A||_1 - 1) / 2 per state of a Hermitian (T, 9, 9) stack, clamped at zero.
+    """(||rho^T_A||_1 - 1) / 2 per state of a Hermitian (T, 9, 9) stack, clamped to [0, 1].
 
-    The trace norm of the partial transpose is >= 1 for every state, so any
-    dip below -1e-12 signals a broken input rather than round-off.
+    The trace norm of the partial transpose lies in [1, 3] for every
+    two-qutrit state, so a value more than 1e-12 below 0 or above 1
+    signals a broken input rather than round-off.
     """
-    w = np.linalg.eigvalsh(partial_transpose_a(rho_ab))
+    w = sector_spectra(partial_transpose_a(rho_ab))
     raw = (np.sum(np.abs(w), axis=-1) - 1.0) / 2.0
     require_samples(
-        raw >= _NEGATIVITY_FLOOR, ts,
+        raw >= -_NEGATIVITY_ATOL, ts,
         lambda i: f"negativity {raw[i]:.3e} below round-off floor; invalid state",
     )
-    return np.maximum(raw, 0.0)
+    require_samples(
+        raw <= 1.0 + _NEGATIVITY_ATOL, ts,
+        lambda i: f"negativity 1 + {raw[i] - 1.0:.3e} above the two-qutrit maximum 1; invalid state",
+    )
+    return np.clip(raw, 0.0, 1.0)
 
 
 class UncertaintyParts(NamedTuple):
@@ -131,7 +140,7 @@ def eur_right(rho_ab: np.ndarray, c: float) -> float:
 
 
 def negativity(rho_ab: np.ndarray) -> float:
-    """Entanglement negativity (||rho^T_A||_1 - 1) / 2, clamped at zero."""
+    """Entanglement negativity (||rho^T_A||_1 - 1) / 2, clamped to [0, 1]."""
     rho_ab = require_density_matrix(rho_ab, name="rho_ab")
     return float(_negativities(_two_qutrit_stack(rho_ab))[0])
 
@@ -151,7 +160,8 @@ def eur_columns(rho_ab: np.ndarray, c: float, ts=None) -> EurColumns:
 
     Every state is checked on the way, from spectra that are computed
     anyway: Hermiticity within 1e-12, unit trace and the eigenvalue floor
-    of each entropy input, the negativity floor, and u_l >= u_b - 1e-9.
+    of each entropy input, the negativity floor and ceiling, and
+    u_l >= u_b - 1e-9.
     A failing check raises ValueError naming the first failing sample,
     with its time when ts is given.
     """

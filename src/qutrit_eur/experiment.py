@@ -37,8 +37,8 @@ from .channel import (
     superoperator,
 )
 from .entropy import BERTA_ATOL, eur_columns
-from .linalg import SampleError, hermitian_part, require_density_matrix, require_density_stack
-from .states_obs import isotropic_state, max_overlap_c, spin1_observable
+from .linalg import SampleError, hermitian_part, require_density_stack, require_state_spectrum
+from .states_obs import isotropic_spectrum, isotropic_state, max_overlap_c, spin1_observable
 
 BASIS_CONVENTIONS = tuple(LEVEL_ORDERS)
 CSV_HEADER = "t_gamma,u_l,u_b,s_xb,s_zb,negativity,g_plus,g_minus"
@@ -112,12 +112,18 @@ class SweepSummary:
             raise ValueError("u_l_max below u_l_min")
 
 
+def _isotropic_inputs(k, ts=None) -> np.ndarray:
+    """isotropic_state(k), checked as a state (eigenvalue floor, unit trace) from its closed-form spectrum."""
+    require_state_spectrum(np.atleast_2d(isotropic_spectrum(k)), ts, "rho0")
+    return isotropic_state(k)
+
+
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the uncertainty relation on the uniform grid t_i = i*t_max/(steps-1).
 
     A failing check names the first failing t and the sweep parameters.
     """
-    paired = pair_indices(require_density_matrix(isotropic_state(cfg.k), name="rho0"))
+    paired = pair_indices(_isotropic_inputs(cfg.k))
     levels = LEVEL_ORDERS[cfg.basis]
     c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
     records = []
@@ -402,8 +408,9 @@ def _inequality_draws(rng: np.random.Generator, n: int):
 
 def _inequality_block(params, ts, ks):
     c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
-    rho0 = require_density_stack(isotropic_state(ks), ts, "rho0")
-    cols = eur_columns(evolve_product(pair_indices(rho0), superoperator(kraus_tensor(params, ts)[0])), c, ts)
+    kraus = kraus_tensor(params, ts)[0]
+    require_complete(kraus, ts)
+    cols = eur_columns(evolve_product(pair_indices(_isotropic_inputs(ks, ts)), superoperator(kraus)), c, ts)
     return cols.u_l - cols.u_b, np.abs(cols.u_l - (cols.s_xb + cols.s_zb))
 
 

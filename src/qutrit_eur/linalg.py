@@ -1,6 +1,8 @@
-"""Dense complex linear algebra for 3x3 and 9x9 Hermitian problems.
+"""Dense linear algebra for 3x3 and 9x9 Hermitian problems.
 
-Matrices are plain complex numpy arrays. Composite two-qutrit indices
+Matrices are plain numpy arrays, real or complex: every function keeps
+the dtype it is given (integers become float64), so a real state stays
+in real arithmetic and a complex one in complex. Composite two-qutrit indices
 follow r = 3*a + b, with subsystem A the left (most significant) tensor
 factor; every composite operation in this package assumes that layout.
 A stack of matrices carries the sample axis first, (T, n, n); the
@@ -8,6 +10,8 @@ A stack of matrices carries the sample axis first, (T, n, n); the
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +75,55 @@ def require_state_spectrum(w: np.ndarray, ts=None, name: str = "rho") -> None:
     )
 
 
+@lru_cache(maxsize=64)
+def _sectors(key: bytes, n: int) -> tuple[np.ndarray, ...]:
+    """Sectors of the n x n boolean pattern in key: one (count, size) index array per size.
+
+    A sector is a connected component of the pattern read as a graph;
+    the boolean closure of the pattern finds them, and sizes come in
+    ascending order.
+    """
+    reach = np.frombuffer(key, dtype=bool).reshape(n, n) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(np.int64) @ reach) > 0
+    sectors = []
+    for i in range(n):
+        if not any(i in sector for sector in sectors):
+            sectors.append(np.flatnonzero(reach[i]))
+    sizes = sorted({len(sector) for sector in sectors})
+    return tuple(np.array([sector for sector in sectors if len(sector) == size]) for size in sizes)
+
+
+def sector_spectra(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every matrix of a Hermitian (T, n, n) stack, sector by sector.
+
+    The exact zero pattern of a matrix splits its indices into sectors
+    that no nonzero entry connects, and its spectrum is the union of the
+    sector spectra. The matrices of one pattern are solved together, with
+    one batched eigvalsh per sector size; 1x1 sectors are read off the
+    diagonal. A matrix without zero entries is one n-sector. A matrix
+    gets the same arithmetic whatever else is in the stack, so a sample
+    of a block and the same state alone give identical eigenvalues. Rows
+    come back in sector order, not sorted.
+    """
+    n = m.shape[-1]
+    nonzero = m != 0
+    nonzero |= nonzero.swapaxes(-1, -2)
+    w = np.empty(m.shape[:-1])
+    todo = np.ones(len(m), dtype=bool)
+    while todo.any():
+        pattern = nonzero[np.argmax(todo)]
+        rows = todo & (nonzero == pattern).all(axis=(-2, -1))
+        todo &= ~rows
+        sub = m[rows]
+        w[rows] = np.concatenate([
+            sub[:, idx[:, 0], idx[:, 0]].real if idx.shape[1] == 1
+            else np.linalg.eigvalsh(sub[:, idx[:, :, None], idx[:, None, :]]).reshape(len(sub), -1)
+            for idx in _sectors(pattern.tobytes(), n)
+        ], axis=1)
+    return w
+
+
 def require_density_stack(rho: np.ndarray, ts=None, name: str = "rho") -> np.ndarray:
     """Validate a (T, n, n) stack of density matrices and return its Hermitian part."""
     rho = require_hermitian_stack(rho, ts, name)
@@ -78,8 +131,14 @@ def require_density_stack(rho: np.ndarray, ts=None, name: str = "rho") -> np.nda
     return rho
 
 
+def as_inexact(m) -> np.ndarray:
+    """m as a float64 or complex128 array, whichever holds it."""
+    m = np.asarray(m)
+    return m.astype(np.result_type(m, np.float64), copy=False)
+
+
 def _square(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = as_inexact(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -102,7 +161,7 @@ def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 
 def partial_trace_a(rho: np.ndarray) -> np.ndarray:
     """Trace out the first qutrit of a 9x9 two-qutrit operator (or a stack of them)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = as_inexact(rho)
     if rho.shape[-2:] != (9, 9):
         raise ValueError(f"partial_trace_a expects a 9x9 matrix, got shape {rho.shape}")
     return rho.reshape(rho.shape[:-2] + (3, 3, 3, 3)).trace(axis1=-4, axis2=-2)
@@ -110,7 +169,7 @@ def partial_trace_a(rho: np.ndarray) -> np.ndarray:
 
 def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
     """Transpose the first-qutrit indices of a 9x9 operator (or a stack): out[3i+k,3j+l] = rho[3j+k,3i+l]."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = as_inexact(rho)
     if rho.shape[-2:] != (9, 9):
         raise ValueError(f"partial_transpose_a expects a 9x9 matrix, got shape {rho.shape}")
     lead = rho.shape[:-2]

@@ -20,20 +20,33 @@ _PHASE_EPS = 1e-8
 
 
 def _psi_plus() -> np.ndarray:
-    """The maximally entangled two-qutrit ket (|00> + |11> + |22>)/sqrt(3)."""
-    psi = np.zeros(9, dtype=complex)
+    """The maximally entangled two-qutrit ket (|00> + |11> + |22>)/sqrt(3), real."""
+    psi = np.zeros(9)
     psi[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
     return psi
 
 
-def isotropic_state(k) -> np.ndarray:
-    """Isotropic two-qutrit state (1-k)/9 * I + k |psi+><psi+|; an array of k gives a stack of them."""
+def _mixing(k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if not np.all((0.0 <= k) & (k <= 1.0)):
         raise ValueError(f"k must lie in [0, 1], got {k}")
-    k = k[..., None, None]
+    return k
+
+
+def isotropic_state(k) -> np.ndarray:
+    """Isotropic two-qutrit state (1-k)/9 * I + k |psi+><psi+|; an array of k gives a stack of them.
+
+    The state is real, so it comes back as float64.
+    """
+    k = _mixing(k)[..., None, None]
     psi = _psi_plus()
-    return (1.0 - k) / 9.0 * np.eye(9, dtype=complex) + k * np.outer(psi, psi.conj())
+    return (1.0 - k) / 9.0 * np.eye(9) + k * np.outer(psi, psi)
+
+
+def isotropic_spectrum(k) -> np.ndarray:
+    """Eigenvalues of isotropic_state(k) in closed form: (1-k)/9 eight times, then (1+8k)/9."""
+    k = _mixing(k)[..., None]
+    return np.concatenate([np.repeat((1.0 - k) / 9.0, 8, axis=-1), (1.0 + 8.0 * k) / 9.0], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,20 +80,29 @@ def observable_from_matrix(m: np.ndarray) -> Observable:
     return Observable(matrix=np.asarray(m, dtype=complex), eigenvalues=values, eigenbasis=basis)
 
 
+# the spin-1 x and z operators (hbar = 1) and their eigenbases in closed form,
+# eigenvalues (1, 0, -1), each vector's first nonvanishing component positive
+_SPIN1 = {
+    "z": (np.diag([1.0, 0.0, -1.0]), np.eye(3)),
+    "x": (
+        _SQRT_HALF * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+        np.array([[0.5, _SQRT_HALF, 0.5], [_SQRT_HALF, 0.0, -_SQRT_HALF], [0.5, -_SQRT_HALF, 0.5]]),
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def spin1_observable(axis: str) -> Observable:
     """Standard spin-1 axis operator (hbar = 1) with its eigenbasis.
 
     S_z = diag(1, 0, -1); S_x couples neighbouring m-levels with 1/sqrt(2).
-    Both have the nondegenerate spectrum (1, 0, -1).
+    Both have the nondegenerate spectrum (1, 0, -1), and both eigenbases
+    are real constants.
     """
-    if axis == "z":
-        m = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    elif axis == "x":
-        m = _SQRT_HALF * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-    else:
+    if axis not in _SPIN1:
         raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
-    return observable_from_matrix(m)
+    matrix, basis = _SPIN1[axis]
+    return Observable(matrix=matrix, eigenvalues=np.array([1.0, 0.0, -1.0]), eigenbasis=basis)
 
 
 def max_overlap_c(r: Observable, q: Observable) -> float:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qutrit_eur.channel import (
+    LEVEL_ORDERS,
     ChannelParams,
     KrausSet,
     apply_channel,
@@ -19,8 +20,10 @@ from qutrit_eur.channel import (
     decoherence_factors,
     decoherence_factors_ode,
     derive_params,
+    dressed_kraus,
     kraus_set,
     kraus_tensor,
+    require_complete,
 )
 from qutrit_eur.experiment import oracle_grid
 from qutrit_eur.entropy import negativity
@@ -291,6 +294,40 @@ def test_g_overflow_raises_value_error_naming_inputs():
         kraus_set(SYMMETRIC_NO_SGI, math.inf)
 
 
+def g_mpmath_wide(lam, rate, t):
+    """G(t) at 50 digits for any exponent range, away from d = 0.
+
+    The two-exponential form with d - lam = -2*lam*rate/(d + lam) and
+    1 - lam/d = (d - lam)/d, so no digits cancel between d and lam.
+    """
+    with mpmath.workdps(50):
+        lam, rate, t = mpmath.mpf(lam), mpmath.mpf(rate), mpmath.mpf(t)
+        d = mpmath.sqrt(lam) * mpmath.sqrt(lam - 2 * rate)
+        shrink = -2 * lam * rate / (d + lam)
+        g = ((1 + lam / d) * mpmath.exp(shrink * t / 2) + shrink / d * mpmath.exp(-(d + lam) * t / 2)) / 2
+        return float(mpmath.re(g))
+
+
+def test_g_tiny_width_matches_mpmath():
+    # lam*(lam - 2*rate) underflows for every point here; as one product it
+    # read d = 0 and gave G = exp(-lam*t/2)*(1 + lam*t/2), e.g. 6 at lam = 1e-170,
+    # rate 0, t = 1e171. Equal rates without SGI make both branch rates r; full
+    # SGI on equal rates makes the minus branch rate exactly 0.
+    points = []
+    for lam in (1e-170, 1e-200, 1e-300):
+        branches = [(ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=lam), "minus")]
+        branches += [(ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam), "plus") for r in (1e-3 * lam, 0.45 * lam)]
+        for p, branch in branches:
+            points += [(p, branch, x / lam) for x in (0.0, 0.5, 3.0, 10.0, 40.0)]
+    params, branches, ts = zip(*points)
+    got = decoherence_factors(params, branches, ts)
+    rates = [getattr(derive_params(p), f"gamma_{branch}") for p, branch in zip(params, branches)]
+    assert rates[0] == 0.0
+    want = np.array([g_mpmath_wide(p.lam, rate, t) for p, rate, t in zip(params, rates, ts)])
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.all(got[np.array(rates) == 0.0] == 1.0)
+
+
 def stepped_rk4(p, branch, t):
     """The oracle as an explicit four-stage RK4 loop, with the oracle's step rule."""
     lam = p.lam
@@ -391,6 +428,26 @@ def test_kraus_tensor_per_draw_params_match_scalar_calls(levels):
         k, gp, gm = kraus_tensor(p, ts[i:i + 1], levels)
         assert np.max(np.abs(kraus[i] - k[0])) <= 1e-15
         assert abs(g_plus[i] - gp[0]) <= 1e-15 and abs(g_minus[i] - gm[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("basis", list(LEVEL_ORDERS))
+def test_dressed_kraus_rotates_into_kraus_tensor(basis):
+    rng = np.random.default_rng(109)
+    params = [random_params(rng) for _ in range(30)] + [SYMMETRIC_NO_SGI, SYMMETRIC_FULL_SGI]
+    ts = rng.uniform(0.0, 50.0, len(params))
+    dressed, frame, g_plus, g_minus = dressed_kraus(params, ts, LEVEL_ORDERS[basis])
+    assert dressed.dtype == frame.dtype == np.float64
+    # K_1 = diag(G+, G-, 1), K_2 = W+|g><+|, K_3 = W-|g><-|: five entries per time
+    assert np.all(np.count_nonzero(dressed, axis=(1, 2, 3)) <= 5)
+    assert np.array_equal(dressed[:, 0], np.array([np.diag([gp, gm, 1.0]) for gp, gm in zip(g_plus, g_minus)]))
+    require_complete(dressed, ts)
+    assert np.max(np.abs(frame @ frame.swapaxes(1, 2) - np.eye(3))) <= 1e-15
+    kraus = kraus_tensor(params, ts, LEVEL_ORDERS[basis])[0]
+    rotated = frame[:, None] @ dressed @ frame[:, None].swapaxes(-1, -2)
+    assert kraus.dtype == np.float64
+    assert np.max(np.abs(kraus - rotated)) <= 1e-15
+    # the ground level of the basis convention is the third column of O
+    assert np.all(frame[:, LEVEL_ORDERS[basis][2], 2] == 1.0)
 
 
 def test_kraus_set_rejects_incomplete_triple():

@@ -7,6 +7,7 @@ from qutrit_eur.channel import ChannelParams, apply_product_channel, kraus_set
 from qutrit_eur.entropy import (
     EurSample,
     conditional_entropy,
+    eur_columns,
     eur_left,
     eur_right,
     eur_sample,
@@ -177,6 +178,29 @@ def test_negativity_product_states_vanish():
     for _ in range(5):
         rho = np.kron(random_density_matrix(rng, 3), random_density_matrix(rng, 3))
         assert negativity(rho) == pytest.approx(0.0, abs=1e-12)
+
+
+def max_entangled_overshoot(eps):
+    """(1+eps)|psi+><psi+| - eps/8 (I - |psi+><psi+|): unit trace, eigenvalue -eps/8, negativity 1 + 1.5*eps."""
+    pure = isotropic_state(1.0)
+    return (1.0 + eps) * pure - eps / 8.0 * (np.eye(9) - pure)
+
+
+def test_negativity_clamped_to_one():
+    # the k = 1 isotropic state reads 1 + O(1e-15) before the clamp
+    assert negativity(isotropic_state(1.0)) <= 1.0
+    ts = np.array([0.0, 1.0])
+    cols = eur_columns(np.array([isotropic_state(1.0), max_entangled_overshoot(2e-13)]), 0.5, ts)
+    assert np.array_equal(cols.negativity, [1.0, 1.0])
+
+
+def test_negativity_above_one_names_the_sample():
+    ts = np.array([0.0, 2.5, 5.0])
+    stack = np.array([isotropic_state(1.0), isotropic_state(1.0), max_entangled_overshoot(4e-10)])
+    with pytest.raises(ValueError, match=r"above the two-qutrit maximum 1.* at t=5$"):
+        eur_columns(stack, 0.5, ts)
+    with pytest.raises(ValueError, match="above the two-qutrit maximum"):
+        negativity(max_entangled_overshoot(4e-10))
 
 
 # ---------------------------------------------------------------------------

@@ -462,6 +462,20 @@ def test_cli_sweep_markov_limit_width(tmp_path):
     assert rows[-1]["g_plus"] == rows[-1]["g_minus"] == f"{math.exp(-5.0):.12g}"
 
 
+def test_cli_sweep_tiny_width(tmp_path):
+    # lam*(lam - 2*rate) underflows at lam = 1e-170; as one product it made
+    # the minus branch (rate 0, true G = 1) read G = 1 + lam*t/2, and the
+    # sweep stopped with "Kraus completeness violated: 5.625"
+    out = tmp_path / "tiny.csv"
+    assert main([
+        "sweep", "--theta", "1", "--lambda", "1e-170", "--k", "1",
+        "--t-max", "1e171", "--steps", "3", "--out", str(out),
+    ]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [row["t_gamma"] for row in rows] == ["0", "5e+170", "1e+171"]
+    assert all(float(row["g_minus"]) == 1.0 for row in rows)
+
+
 def test_cli_sweep_rejects_bad_value(tmp_path, capsys):
     code = main([
         "sweep", "--theta", "7", "--lambda", "1", "--k", "0",

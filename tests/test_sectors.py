@@ -1,0 +1,136 @@
+"""Sector structure of evolved isotropic states, real arithmetic, and sweep properties.
+
+In the dressed frame O of the damping channel (plus branch, minus branch,
+ground) each local map is covariant under one U(1) phase per branch, and
+the isotropic input is invariant under O (x) O. So rho_AB is one 3x3
+sector {++, --, gg} plus six diagonal entries, and its partial transpose
+three diagonal entries plus three 2x2 blocks. The sweep evolves in
+computational indices, where O mixes the two excited levels and only the
+common excitation phase survives: rho_AB splits into sectors of sizes
+5, 2 and 2, its partial transpose 1, 4 and 4.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qutrit_eur.channel import (
+    LEVEL_ORDERS,
+    ChannelParams,
+    dressed_kraus,
+    evolve_product,
+    kraus_tensor,
+    pair_indices,
+    superoperator,
+)
+from qutrit_eur.entropy import eur_columns
+from qutrit_eur.experiment import BASIS_CONVENTIONS, SweepConfig, run_sweep
+from qutrit_eur.linalg import _sectors, partial_trace_a, partial_transpose_a, sector_spectra
+from qutrit_eur.states_obs import conditional_blocks, isotropic_state, spin1_observable
+
+# unequal rates with partial SGI: both mixing amplitudes are nonzero and a != b
+MIXED = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
+TS = np.linspace(0.0, 600.0, 128)
+
+
+def sector_sizes(stack):
+    """Sorted sector sizes of the zero pattern of a (T, n, n) stack, taken as the union over T."""
+    nonzero = (stack != 0).any(axis=0)
+    nonzero |= nonzero.T
+    return sorted(idx.shape[1] for idx in _sectors(nonzero.tobytes(), len(nonzero)) for _ in idx)
+
+
+def evolved(kraus, k=0.6):
+    return evolve_product(pair_indices(isotropic_state(k)), superoperator(kraus))
+
+
+@pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
+def test_dressed_frame_block_sectors(basis):
+    dressed, frame, _, _ = dressed_kraus(MIXED, TS, LEVEL_ORDERS[basis])
+    rho_d = evolved(dressed)
+    assert sector_sizes(rho_d) == [1] * 6 + [3]
+    assert sector_sizes(partial_transpose_a(rho_d)) == [1] * 3 + [2] * 3
+    assert sector_sizes(partial_trace_a(rho_d)) == [1] * 3
+    # the dressed block is the computational one seen in the frame O (x) O
+    rho = evolved(kraus_tensor(MIXED, TS, LEVEL_ORDERS[basis])[0])
+    both = np.kron(frame, frame)
+    assert np.max(np.abs(both @ rho_d @ both.T - rho)) <= 1e-15
+    for dressed_stack, stack in ((rho_d, rho), (partial_transpose_a(rho_d), partial_transpose_a(rho))):
+        w = np.sort(sector_spectra(dressed_stack), axis=1)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(stack))) <= 1e-13
+
+
+@pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
+def test_computational_block_sectors(basis):
+    rho = evolved(kraus_tensor(MIXED, TS, LEVEL_ORDERS[basis])[0])
+    assert sector_sizes(rho) == [2, 2, 5]
+    assert sector_sizes(partial_transpose_a(rho)) == [1, 4, 4]
+    assert sector_sizes(partial_trace_a(rho)) == [1, 2]
+    # at t = 0 the state is the isotropic input itself: {00, 11, 22} and six 1x1
+    assert sector_sizes(rho[:1]) == [1] * 6 + [3]
+
+
+def test_sweep_kernels_stay_real():
+    kraus = kraus_tensor(MIXED, TS)[0]
+    rho = evolved(kraus)
+    basis = np.hstack([spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis])
+    for array in (kraus, superoperator(kraus), rho, partial_transpose_a(rho), conditional_blocks(rho, basis)):
+        assert array.dtype == np.float64
+    assert all(col.dtype == np.float64 for col in eur_columns(rho, 0.5, TS))
+
+
+def test_complex_state_keeps_complex_arithmetic():
+    rho = evolved(kraus_tensor(MIXED, TS)[0]).astype(complex)
+    assert partial_transpose_a(rho).dtype == partial_trace_a(rho).dtype == np.complex128
+    real = eur_columns(rho.real, 0.5, TS)
+    cplx = eur_columns(rho, 0.5, TS)
+    for a, b in zip(real, cplx):
+        assert np.max(np.abs(a - b)) <= 1e-13
+
+
+def records_array(cfg):
+    return np.array([dataclasses.astuple(r) for r in run_sweep(cfg)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma1=st.floats(0.1, 3.0),
+    gamma2=st.floats(0.1, 3.0),
+    theta=st.floats(-1.0, 1.0),
+    log_lam=st.floats(-3.0, 3.0),
+    k=st.floats(0.0, 1.0),
+    basis=st.sampled_from(BASIS_CONVENTIONS),
+    t_max=st.floats(0.1, 600.0),
+    steps=st.integers(2, 64),
+)
+def test_sweep_bound_and_negativity_range(gamma1, gamma2, theta, log_lam, k, basis, t_max, steps):
+    cfg = SweepConfig(
+        channel=ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam),
+        k=k, t_max=t_max, steps=steps, basis=basis,
+    )
+    rows = records_array(cfg)
+    assert np.all(np.isfinite(rows))
+    _, u_l, u_b, _, _, neg = rows[:, :6].T
+    assert np.all(u_l >= u_b - 1e-9)
+    assert np.all((0.0 <= neg) & (neg <= 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rate=st.floats(0.1, 3.0),
+    theta=st.floats(-1.0, 1.0),
+    log_lam=st.floats(-3.0, 3.0),
+    k=st.floats(0.0, 1.0),
+    t_max=st.floats(0.1, 600.0),
+    steps=st.integers(2, 64),
+)
+def test_sweep_basis_invariant_for_equal_rates(rate, theta, log_lam, k, t_max, steps):
+    cfg = SweepConfig(
+        channel=ChannelParams(gamma1=rate, gamma2=rate, theta=theta, lam=10.0**log_lam),
+        k=k, t_max=t_max, steps=steps,
+    )
+    ground_first = dataclasses.replace(cfg, basis="ground-first")
+    assert np.max(np.abs(records_array(cfg) - records_array(ground_first))) <= 1e-12

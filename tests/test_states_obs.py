@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from qutrit_eur.linalg import partial_trace_a
 from qutrit_eur.states_obs import (
+    isotropic_spectrum,
     isotropic_state,
     max_overlap_c,
     measure_post_state,
@@ -41,6 +42,21 @@ def test_isotropic_spectrum():
     w = np.sort(np.linalg.eigvalsh(isotropic_state(k)))
     assert_allclose(w[:8], np.full(8, (1 - k) / 9), atol=1e-12)
     assert w[8] == pytest.approx((1 - k) / 9 + k, abs=1e-12)
+
+
+def test_isotropic_closed_form_spectrum_matches_eigvalsh():
+    ks = np.linspace(0.0, 1.0, 101)
+    want = np.linalg.eigvalsh(isotropic_state(ks))
+    got = np.sort(isotropic_spectrum(ks), axis=-1)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.array_equal(isotropic_spectrum(0.4), isotropic_spectrum(np.array([0.4]))[0])
+    with pytest.raises(ValueError, match="k must"):
+        isotropic_spectrum(1.5)
+
+
+def test_isotropic_state_is_real():
+    assert isotropic_state(0.4).dtype == np.float64
+    assert isotropic_state(np.array([0.0, 1.0])).dtype == np.float64
 
 
 def test_isotropic_rejects_out_of_range():
