@@ -105,10 +105,13 @@ def derive_params(p: ChannelParams) -> DerivedParams:
     diff = p.gamma1 - p.gamma2
     q = math.sqrt(diff * diff + 4.0 * cross_sq)
     half = math.atan2(diff, 2.0 * math.sqrt(cross_sq)) / 2.0
+    gamma_plus = (p.gamma1 + p.gamma2 + q) / 2.0
     return DerivedParams(
         q=q,
-        gamma_plus=(p.gamma1 + p.gamma2 + q) / 2.0,
-        gamma_minus=(p.gamma1 + p.gamma2 - q) / 2.0,
+        gamma_plus=gamma_plus,
+        # the determinant over gamma_plus: (gamma1 + gamma2 - q)/2 cancels when
+        # one rate dwarfs the other, and can even come out negative
+        gamma_minus=p.gamma1 * p.gamma2 * ((1.0 - p.theta) * (1.0 + p.theta)) / gamma_plus,
         a=math.cos(math.pi / 4.0 - half),
         b=math.cos(math.pi / 4.0 + half),
     )
@@ -147,18 +150,13 @@ def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
     exponent's real part is -Re(lam*rate/(d + lam)): never positive, and no
     cancellation between d and lam. Its imaginary part is Im(d)/2, the
     half-phase of m, so the imaginary parts cancel at any phase. A negative
-    or non-finite t, or lam and rates so large (about 1e154) that
-    lam*(lam - 2*rate) overflows, give a ValueError naming the first
-    failing t; that overflow bounds the accepted widths.
+    or non-finite t, or a width so large (about 9e307) that d + lam
+    overflows, give a ValueError naming the first failing t; that overflow
+    bounds the accepted widths.
     """
     _require_times(ts)
-    # an overflowing lam*(lam - 2*rate) gives NaN here; the check below reports it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = np.where(
-            np.isfinite(lam * (lam - 2.0 * rate)),
-            np.sqrt(np.asarray(lam, dtype=complex)) * np.sqrt(np.asarray(lam - 2.0 * rate, dtype=complex)),
-            np.nan,
-        )
+        d = np.sqrt(np.asarray(lam, dtype=complex)) * np.sqrt(np.asarray(lam - 2.0 * rate, dtype=complex))
         # Re(lam*rate/(d + lam)) in factors that cannot underflow: lam/w and
         # the cosine (d.real + lam)/w both lie in (0, 1]
         w = np.abs(d + lam)

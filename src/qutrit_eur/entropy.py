@@ -189,14 +189,8 @@ class EurSample:
     s_zb: float
     negativity: float
 
-    def __post_init__(self):
-        if self.u_l < self.u_b - BERTA_ATOL:
-            raise ValueError(
-                f"uncertainty sum {self.u_l!r} below its lower bound {self.u_b!r}"
-            )
-
 
 def eur_sample(rho_ab: np.ndarray, c: float) -> EurSample:
-    """Evaluate both sides of the uncertainty relation plus negativity; the T = 1 case of eur_columns."""
+    """Evaluate both sides of the uncertainty relation plus negativity; the T = 1 case of eur_columns, checks included."""
     cols = eur_columns(_two_qutrit_stack(rho_ab), c)
     return EurSample(*(float(col[0]) for col in cols))

@@ -143,22 +143,22 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     return records
 
 
-def local_minima_indices(values, delta: float = EXTREMUM_DELTA) -> list[int]:
-    """Interior indices dipping at least delta below both neighbours.
+def local_minima_indices(values) -> list[int]:
+    """Interior indices dipping at least EXTREMUM_DELTA (1e-9) below both neighbours.
 
     The dead band rejects the 1e-16-level round-off ripple of fully decayed
     flat stretches while keeping every physically resolved dip.
     """
     v = np.asarray(values, dtype=float)
     mid = v[1:-1]
-    return (np.flatnonzero((mid < v[:-2] - delta) & (mid < v[2:] - delta)) + 1).tolist()
+    return (np.flatnonzero((mid < v[:-2] - EXTREMUM_DELTA) & (mid < v[2:] - EXTREMUM_DELTA)) + 1).tolist()
 
 
-def local_maxima_indices(values, delta: float = EXTREMUM_DELTA) -> list[int]:
-    """Interior indices rising at least delta above both neighbours."""
+def local_maxima_indices(values) -> list[int]:
+    """Interior indices rising at least EXTREMUM_DELTA above both neighbours."""
     v = np.asarray(values, dtype=float)
     mid = v[1:-1]
-    return (np.flatnonzero((mid > v[:-2] + delta) & (mid > v[2:] + delta)) + 1).tolist()
+    return (np.flatnonzero((mid > v[:-2] + EXTREMUM_DELTA) & (mid > v[2:] + EXTREMUM_DELTA)) + 1).tolist()
 
 
 def summarize(records: list[SweepRecord]) -> SweepSummary:
@@ -431,7 +431,7 @@ def check_uncertainty_inequality(n_draws: int = 1000, seed: int = 20240812) -> t
     return ok, detail
 
 
-def run_self_check(verbose: bool = True) -> bool:
+def run_self_check() -> bool:
     """Run the CPTP, oracle, and inequality suites; print one line per suite."""
     t0 = time.perf_counter()
     results = [
@@ -440,8 +440,7 @@ def run_self_check(verbose: bool = True) -> bool:
         ("inequality", *check_uncertainty_inequality()),
     ]
     all_ok = all(ok for _, ok, _ in results)
-    if verbose:
-        for name, ok, detail in results:
-            print(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        print(f"self-check {'passed' if all_ok else 'FAILED'} in {time.perf_counter() - t0:.1f}s")
+    for name, ok, detail in results:
+        print(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    print(f"self-check {'passed' if all_ok else 'FAILED'} in {time.perf_counter() - t0:.1f}s")
     return all_ok

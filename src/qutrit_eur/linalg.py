@@ -47,12 +47,12 @@ def require_samples(ok: np.ndarray, ts, describe) -> None:
     raise SampleError(f"{describe(i)}{where}", i)
 
 
-def require_hermitian_stack(m: np.ndarray, ts=None, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Check entrywise Hermiticity of a (T, n, n) stack within atol and return its Hermitian part."""
+def require_hermitian_stack(m: np.ndarray, ts=None, name: str = "matrix") -> np.ndarray:
+    """Check entrywise Hermiticity of a (T, n, n) stack within 1e-12 and return its Hermitian part."""
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     require_samples(
-        dev <= atol, ts,
-        lambda i: f"{name} is not Hermitian: max|M - M^dagger| = {dev[i]:.3e} > {atol:.0e}",
+        dev <= HERMITIAN_ATOL, ts,
+        lambda i: f"{name} is not Hermitian: max|M - M^dagger| = {dev[i]:.3e} > {HERMITIAN_ATOL:.0e}",
     )
     return hermitian_part(m)
 
@@ -144,9 +144,9 @@ def _square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def require_hermitian(m: np.ndarray, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Check entrywise Hermiticity within atol and return the Hermitian part."""
-    return require_hermitian_stack(_square(m, name)[None], name=name, atol=atol)[0]
+def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Check entrywise Hermiticity within 1e-12 and return the Hermitian part."""
+    return require_hermitian_stack(_square(m, name)[None], name=name)[0]
 
 
 def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Two-qutrit initial states, spin-1 observables, and projective measurement.
+"""Two-qutrit initial states, spin-1 observables, and the conditional blocks of a measurement.
 
 The isotropic family interpolates between the maximally mixed state (k=0)
 and the maximally entangled pure state (k=1). Measurements act on
@@ -12,11 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import require_density_matrix, require_hermitian
-
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-_EIGENGAP_MIN = 1e-8
-_PHASE_EPS = 1e-8
 
 
 def _psi_plus() -> np.ndarray:
@@ -51,33 +47,11 @@ def isotropic_spectrum(k) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator with nondegenerate spectrum and phase-fixed eigenbasis.
-
-    eigenvalues are descending; eigenbasis columns are the matching unit
-    eigenvectors, each scaled so its first nonvanishing component is real
-    and positive.
-    """
+    """Hermitian operator with its eigenvalues and, as eigenbasis columns, the matching unit eigenvectors."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    for c in v:
-        if abs(c) > _PHASE_EPS:
-            return v * (c.conjugate() / abs(c))
-    raise ValueError("cannot phase-fix a zero vector")
-
-
-def observable_from_matrix(m: np.ndarray) -> Observable:
-    """Build an Observable from a Hermitian matrix, rejecting degenerate spectra."""
-    values, vectors = np.linalg.eigh(require_hermitian(m))
-    values, vectors = values[::-1], vectors[:, ::-1]
-    if np.min(np.abs(np.diff(values))) < _EIGENGAP_MIN:
-        raise ValueError(f"observable is degenerate: eigenvalues {values}")
-    basis = np.column_stack([_fix_phase(vectors[:, i]) for i in range(vectors.shape[1])])
-    return Observable(matrix=np.asarray(m, dtype=complex), eigenvalues=values, eigenbasis=basis)
 
 
 # the spin-1 x and z operators (hbar = 1) and their eigenbases in closed form,
@@ -128,18 +102,3 @@ def conditional_blocks(rho_ab: np.ndarray, basis: np.ndarray) -> np.ndarray:
     by_b = np.moveaxis(rho_ab.reshape(lead + (3, 3, 3, 3)), (-4, -2), (-2, -1))
     blocks = (by_b.reshape(lead + (9, 9)) @ weights).reshape(lead + (3, 3, n))
     return np.moveaxis(blocks, -1, -3)
-
-
-def measure_post_state(rho_ab: np.ndarray, obs: Observable) -> np.ndarray:
-    """Dephase subsystem A of a two-qutrit state in the observable's eigenbasis.
-
-    Returns sum_i (P_i (x) I) rho (P_i (x) I) over the rank-1 eigenprojectors
-    P_i. The B marginal is unchanged; the map is trace preserving and
-    idempotent.
-    """
-    rho_ab = require_density_matrix(rho_ab, name="rho_ab")
-    if rho_ab.shape != (9, 9):
-        raise ValueError(f"measure_post_state expects a 9x9 state, got shape {rho_ab.shape}")
-    v = obs.eigenbasis
-    blocks = conditional_blocks(rho_ab, v)
-    return np.einsum("ai,ci,ibd->abcd", v, v.conj(), blocks).reshape(9, 9)

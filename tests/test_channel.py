@@ -87,6 +87,20 @@ def test_derive_params_no_sgi_unequal_rates():
     assert d.gamma_minus == pytest.approx(0.1, abs=1e-14)
 
 
+def test_derive_params_minus_rate_without_cancellation():
+    # (gamma1 + gamma2 - q)/2 cancels when one rate dwarfs the other: at
+    # theta = 1 it read -2 here (true 0), and the minus branch's G grew
+    # until G*G overflowed in a sweep to t = 486
+    gamma1, gamma2 = 5.0, 2.9433575681425316e16
+    for theta in (1.0, -0.5, 0.0, 0.999):
+        d = derive_params(ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=2.0))
+        with mpmath.workdps(50):
+            g1, g2, th = mpmath.mpf(gamma1), mpmath.mpf(gamma2), mpmath.mpf(theta)
+            want = (g1 + g2 - mpmath.sqrt((g1 - g2) ** 2 + 4 * g1 * g2 * th**2)) / 2
+        # at theta = 1 the true rate is 0, and this asks for exactly 0
+        assert d.gamma_minus == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+
 def test_derive_params_invariants_random():
     rng = np.random.default_rng(53)
     for _ in range(200):
@@ -286,9 +300,9 @@ def test_g_rejects_negative_time():
 
 
 def test_g_overflow_raises_value_error_naming_inputs():
-    # lam**2 overflows to inf, so the closed form yields NaN already at t = 0
-    p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300)
-    with pytest.raises(ValueError, match=r"not finite and real.*lam=1e\+300.* at t=0$"):
+    # d + lam overflows to inf, so the closed form yields NaN already at t = 0
+    p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e308)
+    with pytest.raises(ValueError, match=r"not finite and real.*lam=1e\+308.* at t=0$"):
         decoherence_factor(p, "plus", 0.0)
     with pytest.raises(ValueError, match=r"t must be finite and nonnegative.* at t=inf$"):
         kraus_set(SYMMETRIC_NO_SGI, math.inf)
@@ -326,6 +340,23 @@ def test_g_tiny_width_matches_mpmath():
     want = np.array([g_mpmath_wide(p.lam, rate, t) for p, rate, t in zip(params, rates, ts)])
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.all(got[np.array(rates) == 0.0] == 1.0)
+
+
+def test_g_huge_width_matches_mpmath():
+    # lam*(lam - 2*rate) overflows for every point here, which once bounded
+    # the widths near 1e154; d = sqrt(lam)*sqrt(lam - 2*rate) does not, and
+    # G tends to the Markov limit exp(-rate*t/2)
+    points = [
+        (ChannelParams(gamma1=rate, gamma2=rate, theta=0.0, lam=lam), "plus", t)
+        for lam in (1e154, 1e200, 1e300, 5e307)
+        for rate in (0.5, 1.0, 2.0)
+        for t in (1e-300, 0.1, 1.0, 10.0)
+    ]
+    params, branches, ts = zip(*points)
+    got = decoherence_factors(params, branches, ts)
+    want = np.array([g_mpmath_wide(p.lam, p.gamma1, t) for p, t in zip(params, ts)])
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert abs(decoherence_factor(params[-1], "plus", 10.0) - math.exp(-10.0)) <= 1e-15
 
 
 def stepped_rk4(p, branch, t):

@@ -189,7 +189,7 @@ def test_batched_completeness_check_names_the_corrupted_sample():
 
 def test_sweep_failure_names_time_and_parameters():
     cfg = SweepConfig(
-        channel=ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300), k=1.0, t_max=10.0, steps=4,
+        channel=ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e308), k=1.0, t_max=10.0, steps=4,
     )
-    with pytest.raises(ValueError, match=r"at t=0 \(sweep gamma1=1 gamma2=1 theta=0 lambda=1e\+300 k=1"):
+    with pytest.raises(ValueError, match=r"at t=0 \(sweep gamma1=1 gamma2=1 theta=0 lambda=1e\+308 k=1"):
         run_sweep(cfg)

@@ -5,7 +5,6 @@ import pytest
 
 from qutrit_eur.channel import ChannelParams, apply_product_channel, kraus_set
 from qutrit_eur.entropy import (
-    EurSample,
     conditional_entropy,
     eur_columns,
     eur_left,
@@ -14,7 +13,7 @@ from qutrit_eur.entropy import (
     negativity,
     vn_entropy,
 )
-from qutrit_eur.states_obs import isotropic_state, measure_post_state, spin1_observable
+from qutrit_eur.states_obs import conditional_blocks, isotropic_state, spin1_observable
 
 from conftest import random_density_matrix, random_unitary
 
@@ -78,12 +77,16 @@ def test_vn_unitarily_invariant():
 
 
 def test_measurement_never_decreases_entropy():
+    # the measured state is block diagonal in the measurement basis, so its
+    # spectrum is the union of the conditional-block spectra
     rng = np.random.default_rng(131)
-    for axis in ("x", "z"):
+    for basis in (spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis, random_unitary(rng, 3)):
         for _ in range(10):
             rho = random_density_matrix(rng, 9)
-            measured = measure_post_state(rho, spin1_observable(axis))
-            assert vn_entropy(measured) >= vn_entropy(rho) - 1e-10
+            w = np.linalg.eigvalsh(conditional_blocks(rho, basis)).ravel()
+            assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+            w = w[w > 0.0]
+            assert -np.sum(w * np.log2(w)) >= vn_entropy(rho) - 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +214,6 @@ def test_negativity_above_one_names_the_sample():
 def test_eur_sample_terms_sum_exactly():
     s = eur_sample(isotropic_state(0.3), 0.5)
     assert s.u_l == s.s_xb + s.s_zb
-
-
-def test_eur_sample_rejects_bound_violation():
-    with pytest.raises(ValueError, match="lower bound"):
-        EurSample(u_l=0.0, u_b=1.0, s_xb=0.0, s_zb=0.0, negativity=0.0)
 
 
 def test_bound_holds_on_random_evolved_states():

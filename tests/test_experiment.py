@@ -1,6 +1,8 @@
 """Tests for the sweep engine, summaries, presets, CSV output, and CLI."""
 
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qutrit_eur import experiment
 from qutrit_eur.channel import ChannelParams, apply_channel, apply_product_channel, decoherence_factor, kraus_set
@@ -351,8 +355,9 @@ def test_suites_return_plain_bool(suite):
     assert type(ok) is bool
 
 
-def test_run_self_check_returns_plain_bool():
-    assert type(run_self_check(verbose=False)) is bool
+def test_run_self_check_returns_plain_bool(capsys):
+    assert type(run_self_check()) is bool
+    assert capsys.readouterr().out.count("[PASS]") == 3
 
 
 def capture_draws(monkeypatch):
@@ -408,14 +413,14 @@ def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
 
 @pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
 def test_suite_failure_names_the_draw(monkeypatch, suite):
-    # draw 130 sits in the second block; lam**2 overflows, so its G is not finite
+    # draw 130 sits in the second block; d + lam overflows, so its G is not finite
     draws = []
     original = experiment._random_channel_params
 
     def with_one_bad_draw(rng):
         p = original(rng)
         draws.append(p)
-        return ChannelParams(p.gamma1, p.gamma2, p.theta, 1e300) if len(draws) == 131 else p
+        return ChannelParams(p.gamma1, p.gamma2, p.theta, 1e308) if len(draws) == 131 else p
 
     monkeypatch.setattr(experiment, "_random_channel_params", with_one_bad_draw)
     with pytest.raises(ValueError) as info:
@@ -423,7 +428,7 @@ def test_suite_failure_names_the_draw(monkeypatch, suite):
     bad = draws[130]
     message = str(info.value)
     assert message.startswith("branch amplitude not finite and real")
-    assert f"(draw 130: ChannelParams(gamma1={bad.gamma1!r}, gamma2={bad.gamma2!r}, theta={bad.theta!r}, lam=1e+300), t=" in message
+    assert f"(draw 130: ChannelParams(gamma1={bad.gamma1!r}, gamma2={bad.gamma2!r}, theta={bad.theta!r}, lam=1e+308), t=" in message
 
 
 @pytest.mark.parametrize("suite", [check_cptp, check_oracle, check_uncertainty_inequality])
@@ -450,16 +455,18 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 def test_cli_sweep_markov_limit_width(tmp_path):
-    # lam = 1e20 >> rate: G(t) = exp(-rate*t/2); the cancelling form of G
-    # once rounded its exponent to 0 and wrote g = 1 at every t
-    out = tmp_path / "markov.csv"
-    assert main([
-        "sweep", "--theta", "0", "--lambda", "1e20", "--k", "1",
-        "--t-max", "10", "--steps", "3", "--out", str(out),
-    ]) == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
-    assert rows[-1]["t_gamma"] == "10"
-    assert rows[-1]["g_plus"] == rows[-1]["g_minus"] == f"{math.exp(-5.0):.12g}"
+    # lam >> rate: G(t) = exp(-rate*t/2). At 1e20 the cancelling form of G
+    # once rounded its exponent to 0 and wrote g = 1 at every t; at 1e300
+    # lam*(lam - 2*rate) overflowed and the sweep stopped at t = 0
+    for lam in ("1e20", "1e300"):
+        out = tmp_path / f"markov_{lam}.csv"
+        assert main([
+            "sweep", "--theta", "0", "--lambda", lam, "--k", "1",
+            "--t-max", "10", "--steps", "3", "--out", str(out),
+        ]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert rows[-1]["t_gamma"] == "10"
+        assert rows[-1]["g_plus"] == rows[-1]["g_minus"] == f"{math.exp(-5.0):.12g}"
 
 
 def test_cli_sweep_tiny_width(tmp_path):
@@ -495,7 +502,7 @@ def test_cli_sweep_rejects_bad_value(tmp_path, capsys):
         # the grid point 2 * 1e308 / 3 overflows
         (["--t-max", "1e308", "--lambda", "0.001"], "t_max = 1e+308 overflows the grid"),
         (["--t-max", "10", "--lambda", "inf"], "lam must be positive and finite"),
-        (["--t-max", "10", "--lambda", "1e300"], "not finite and real"),
+        (["--t-max", "10", "--lambda", "1e308"], "not finite and real"),
     ],
 )
 def test_cli_extreme_input_fails_cleanly(tmp_path, args, needle, optimize):
@@ -508,9 +515,52 @@ def test_cli_extreme_input_fails_cleanly(tmp_path, args, needle, optimize):
     assert proc.stderr.startswith("error:"), proc.stderr
     assert needle in proc.stderr
     assert "Traceback" not in proc.stderr
-    if "1e300" in args:
+    if args[-2:] == ["--lambda", "1e308"]:
         # failures inside the sweep name the failing sample and the sweep parameters
         assert " at t=" in proc.stderr and "(sweep gamma1=1 gamma2=1 theta=0" in proc.stderr
+
+
+def typical_or_any(typical):
+    """A value from the typical range, or any finite float."""
+    return st.one_of(typical, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma1=typical_or_any(st.floats(0.01, 10.0)),
+    gamma2=typical_or_any(st.floats(0.01, 10.0)),
+    theta=typical_or_any(st.floats(-1.0, 1.0)),
+    lam=typical_or_any(st.floats(1e-3, 1e3)),
+    k=typical_or_any(st.floats(0.0, 1.0)),
+    t_max=st.one_of(st.floats(0.0, 1e3), st.floats(-1e308, 1e308)),
+    steps=st.integers(2, 8),
+    basis=st.sampled_from(["kraus-order", "ground-first"]),
+)
+# a minus-branch rate that cancelled to about -2 made G*G overflow
+@example(gamma1=5.0, gamma2=2.9433575681425316e16, theta=1.0, lam=2.0, k=0.0, t_max=486.0, steps=2, basis="kraus-order")
+def test_cli_fuzz_writes_finite_csv_or_one_error_line(tmp_path_factory, gamma1, gamma2, theta, lam, k, t_max, steps, basis):
+    # every finite argv either writes a finite CSV or fails with one error line;
+    # any other exception, or a RuntimeWarning, escapes main and fails the test
+    out = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    out.unlink(missing_ok=True)
+    options = {
+        "gamma1": repr(gamma1), "gamma2": repr(gamma2), "theta": repr(theta), "lambda": repr(lam),
+        "k": repr(k), "t-max": repr(t_max), "steps": str(steps), "basis": basis, "out": str(out),
+    }
+    # --name=value, because argparse reads "--theta -1e-05" as an option whose value is missing
+    argv = ["sweep", *(f"--{name}={value}" for name, value in options.items())]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    if code == 0:
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == steps
+        assert np.isfinite(np.array([row.split(",") for row in rows], dtype=float)).all()
+    else:
+        assert code == 1
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not out.exists()
 
 
 def test_cli_figure_runs_preset(tmp_path):

@@ -1,10 +1,9 @@
-"""Tests for the dense complex linear algebra layer.
+"""Tests for the linear algebra layer: partial trace and transpose, sector spectra.
 
-Tensor products are numpy's ``np.kron``; the layout tests below pin the
-convention the package relies on (subsystem A is the left factor,
-r = 3*a + b). The Hermitian eigendecomposition lives in
-``observable_from_matrix``, whose ordering, reconstruction and input check
-are tested here.
+The package forms no tensor products. The tests build product operators
+with numpy's ``np.kron``, and the layout tests below pin that its index
+order is the package's convention (subsystem A is the left factor,
+r = 3*a + b).
 """
 
 import numpy as np
@@ -12,9 +11,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qutrit_eur.linalg import partial_trace_a, partial_transpose_a, sector_spectra
-from qutrit_eur.states_obs import observable_from_matrix
 
-from conftest import random_density_matrix, random_hermitian, random_unitary
+from conftest import random_density_matrix, random_hermitian
 
 I3 = np.eye(3, dtype=complex)
 I9 = np.eye(9, dtype=complex)
@@ -144,48 +142,6 @@ def test_partial_transpose_max_entangled_spectrum():
 def test_partial_transpose_rejects_wrong_dim():
     with pytest.raises(ValueError, match="9x9"):
         partial_transpose_a(np.eye(4))
-
-
-def test_eig_diagonal():
-    values = observable_from_matrix(np.diag([3.0, 1.0, 2.0]).astype(complex)).eigenvalues
-    assert_allclose(values, [3.0, 2.0, 1.0], atol=1e-14)
-
-
-def test_eig_spin1_x_spectrum():
-    # characteristic polynomial of the spin-1 x matrix is w^3 - w
-    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
-    values = observable_from_matrix(sx).eigenvalues
-    assert_allclose(values, [1.0, 0.0, -1.0], atol=1e-14)
-
-
-def test_eig_reconstructs_known_diagonal():
-    rng = np.random.default_rng(43)
-    for dim in (3, 9):
-        d = np.sort(rng.normal(size=dim))[::-1]
-        v = random_unitary(rng, dim)
-        obs = observable_from_matrix(v @ np.diag(d) @ v.conj().T)
-        values, vectors = obs.eigenvalues, obs.eigenbasis
-        assert_allclose(values, d, atol=1e-10)
-        rebuilt = (vectors * values) @ vectors.conj().T
-        assert_allclose(rebuilt, v @ np.diag(d) @ v.conj().T, atol=1e-10)
-
-
-def test_eig_invariants_random():
-    rng = np.random.default_rng(47)
-    for dim in (3, 9):
-        for _ in range(20):
-            m = random_hermitian(rng, dim)
-            obs = observable_from_matrix(m)
-            values, vectors = obs.eigenvalues, obs.eigenbasis
-            assert np.all(np.diff(values) <= 0)
-            assert_allclose((vectors * values) @ vectors.conj().T, m, atol=1e-10)
-            assert_allclose(vectors.conj().T @ vectors, np.eye(dim), atol=1e-10)
-
-
-def test_eig_rejects_non_hermitian():
-    m = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(ValueError, match="Hermitian"):
-        observable_from_matrix(m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for initial states, spin-1 observables, and projective measurement."""
+"""Tests for initial states, spin-1 observables, and the conditional blocks of a measurement."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,15 @@ from numpy.testing import assert_allclose
 
 from qutrit_eur.linalg import partial_trace_a
 from qutrit_eur.states_obs import (
+    Observable,
+    conditional_blocks,
     isotropic_spectrum,
     isotropic_state,
     max_overlap_c,
-    measure_post_state,
-    observable_from_matrix,
     spin1_observable,
 )
 
-from conftest import random_density_matrix, random_hermitian
+from conftest import random_density_matrix, random_unitary
 
 I9 = np.eye(9, dtype=complex)
 
@@ -113,11 +113,6 @@ def test_spin1_rejects_unknown_axis():
         spin1_observable("y")
 
 
-def test_observable_rejects_degenerate_matrix():
-    with pytest.raises(ValueError, match="degenerate"):
-        observable_from_matrix(np.eye(3, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # complementarity constant
 # ---------------------------------------------------------------------------
@@ -139,70 +134,76 @@ def test_max_overlap_mutually_unbiased_bases():
     # every overlap is exactly 1/3
     omega = np.exp(2j * np.pi / 3)
     fourier = np.array([[omega ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3)
-    m = fourier @ np.diag([1.0, 0.0, -1.0]) @ fourier.conj().T
-    obs = observable_from_matrix(m)
+    eigenvalues = np.array([1.0, 0.0, -1.0])
+    obs = Observable(matrix=fourier @ np.diag(eigenvalues) @ fourier.conj().T, eigenvalues=eigenvalues, eigenbasis=fourier)
     assert max_overlap_c(obs, spin1_observable("z")) == pytest.approx(1 / 3, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# projective measurement
+# projective measurement: the conditional states of B
 # ---------------------------------------------------------------------------
 
 
+def kron_blocks(rho, basis):
+    """(<v_i| (x) I) rho (|v_i> (x) I) for every column v_i, from an explicit np.kron projector."""
+    blocks = []
+    for i in range(basis.shape[1]):
+        p = np.kron(basis[:, [i]], np.eye(3))  # the 9x3 map |v_i> (x) I
+        blocks.append(p.conj().T @ rho @ p)
+    return np.array(blocks)
+
+
+def measurement_bases(rng):
+    """The spin-1 x and z eigenbases and three random complex orthonormal bases."""
+    return [spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis] + [
+        random_unitary(rng, 3) for _ in range(3)
+    ]
+
+
 def test_measure_leaves_diagonal_state_unchanged():
+    # measuring z on a diagonal state: the blocks are its diagonal 3x3 blocks
     rho = np.diag([0.3, 0.1, 0.05, 0.15, 0.05, 0.05, 0.1, 0.1, 0.1]).astype(complex)
-    out = measure_post_state(rho, spin1_observable("z"))
-    assert_allclose(out, rho, atol=1e-14)
+    blocks = conditional_blocks(rho, spin1_observable("z").eigenbasis)
+    assert_allclose(blocks, [rho[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] for i in range(3)], atol=1e-15)
 
 
 def test_measure_max_entangled_in_z_gives_classical_correlations():
-    expected = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        expected[3 * i + i, 3 * i + i] = 1.0 / 3.0
-    out = measure_post_state(isotropic_state(1.0), spin1_observable("z"))
-    assert_allclose(out, expected, atol=1e-14)
+    # outcome i leaves B in |i><i| with probability 1/3
+    blocks = conditional_blocks(isotropic_state(1.0), spin1_observable("z").eigenbasis)
+    assert_allclose(blocks, [np.diag(np.eye(3)[i]) / 3.0 for i in range(3)], atol=1e-15)
 
 
 def test_measure_maximally_mixed_fixed_point():
     for axis in ("x", "z"):
-        assert_allclose(measure_post_state(I9 / 9, spin1_observable(axis)), I9 / 9, atol=1e-14)
+        blocks = conditional_blocks(I9 / 9, spin1_observable(axis).eigenbasis)
+        assert_allclose(blocks, np.broadcast_to(np.eye(3) / 9, (3, 3, 3)), atol=1e-15)
 
 
 def test_measure_idempotent():
+    # the measured state sum_i |v_i><v_i| (x) block_i gives the same blocks again
     rng = np.random.default_rng(103)
-    for axis in ("x", "z"):
-        obs = spin1_observable(axis)
-        rho = random_density_matrix(rng, 9)
-        once = measure_post_state(rho, obs)
-        twice = measure_post_state(once, obs)
-        assert_allclose(twice, once, atol=1e-12)
+    for basis in measurement_bases(rng):
+        blocks = conditional_blocks(random_density_matrix(rng, 9), basis)
+        measured = sum(np.kron(np.outer(v, v.conj()), b) for v, b in zip(basis.T, blocks))
+        assert_allclose(conditional_blocks(measured, basis), blocks, atol=1e-15)
 
 
 def test_measure_preserves_trace_and_b_marginal():
     rng = np.random.default_rng(107)
-    for _ in range(10):
-        rho = random_density_matrix(rng, 9)
-        obs = observable_from_matrix(random_hermitian(rng, 3))
-        out = measure_post_state(rho, obs)
-        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-        assert_allclose(partial_trace_a(out), partial_trace_a(rho), atol=1e-12)
+    for _ in range(4):
+        for basis in measurement_bases(rng):
+            rho = random_density_matrix(rng, 9)
+            total = conditional_blocks(rho, basis).sum(axis=0)
+            assert_allclose(total, partial_trace_a(rho), atol=1e-15)
+            assert np.trace(total).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_measure_block_diagonal_in_measurement_basis():
+    # block i is the diagonal block (i, i) of rho written in the basis v_i (x) e_b
     rng = np.random.default_rng(109)
-    obs = spin1_observable("x")
-    rho = random_density_matrix(rng, 9)
-    out = measure_post_state(rho, obs)
-    # off-diagonal blocks between distinct eigenprojectors vanish
-    basis_a = np.kron(obs.eigenbasis, np.eye(3))
-    in_basis = basis_a.conj().T @ out @ basis_a
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                block = in_basis[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
-                assert np.max(np.abs(block)) <= 1e-12
-
-
-def test_measure_rejects_invalid_state():
-    with pytest.raises(ValueError, match="trace"):
-        measure_post_state(I9, spin1_observable("z"))
+    for basis in measurement_bases(rng):
+        stack = np.array([random_density_matrix(rng, 9) for _ in range(4)])
+        got = conditional_blocks(stack, basis)
+        assert got.shape == (4, 3, 3, 3)
+        for rho, blocks in zip(stack, got):
+            assert_allclose(blocks, kron_blocks(rho, basis), atol=1e-15)
