@@ -96,22 +96,32 @@ def derive_params(p: ChannelParams) -> DerivedParams:
 
     (a, b) = (cos(pi/4 - half), cos(pi/4 + half)), half = atan2(gamma1 - gamma2, 2c)/2,
     is the nonnegative plus-branch eigenvector of the decay matrix
-    [[gamma1, c], [c, gamma2]], c = sqrt(gamma1*gamma2)*|theta|: a = b at q = 0,
-    and no digits are lost for small c.
+    [[gamma1, c], [c, gamma2]], c = sqrt(gamma1)*sqrt(gamma2)*|theta|: a = b at q = 0.
+    A small b (or a) is the cosine of an argument near pi/2, whose rounding
+    leaves an absolute error of about 1e-16, so below that it keeps no
+    relative digits. No intermediate exceeds gamma_plus, so both rates are
+    finite whenever gamma_plus is; a gamma_plus beyond the float range
+    raises ValueError naming the gammas.
     """
-    # products, not **: float ** raises OverflowError where * gives inf,
-    # which the amplitude check then reports as a ValueError
-    cross_sq = p.gamma1 * p.gamma2 * (p.theta * p.theta)
+    lo, hi = sorted((p.gamma1, p.gamma2))
+    cross = math.sqrt(p.gamma1) * math.sqrt(p.gamma2) * abs(p.theta)
     diff = p.gamma1 - p.gamma2
-    q = math.sqrt(diff * diff + 4.0 * cross_sq)
-    half = math.atan2(diff, 2.0 * math.sqrt(cross_sq)) / 2.0
-    gamma_plus = (p.gamma1 + p.gamma2 + q) / 2.0
+    q = math.hypot(diff, 2.0 * cross)
+    # hi + (q - |diff|)/2 = (gamma1 + gamma2 + q)/2, never below hi
+    gamma_plus = hi + (q - abs(diff)) / 2.0
+    if gamma_plus == math.inf:
+        raise ValueError(
+            f"branch rate gamma_plus = (gamma1 + gamma2 + q)/2 exceeds the float range for "
+            f"gamma1={p.gamma1!r}, gamma2={p.gamma2!r}, theta={p.theta!r}"
+        )
+    half = math.atan2(diff, 2.0 * cross) / 2.0
     return DerivedParams(
         q=q,
         gamma_plus=gamma_plus,
         # the determinant over gamma_plus: (gamma1 + gamma2 - q)/2 cancels when
-        # one rate dwarfs the other, and can even come out negative
-        gamma_minus=p.gamma1 * p.gamma2 * ((1.0 - p.theta) * (1.0 + p.theta)) / gamma_plus,
+        # one rate dwarfs the other, and can even come out negative; hi/gamma_plus
+        # lies in [1/2, 1]
+        gamma_minus=lo * (hi / gamma_plus) * ((1.0 - p.theta) * (1.0 + p.theta)),
         a=math.cos(math.pi / 4.0 - half),
         b=math.cos(math.pi / 4.0 + half),
     )

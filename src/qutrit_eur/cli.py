@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .channel import ChannelParams
@@ -29,6 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run one sweep with explicit parameters")
+    # read "-" followed by a digit, or by "." and a digit, as a number: argparse on
+    # Python 3.10 and 3.11 takes only the -1 and -1.5 forms, so "--theta -1e-05"
+    # read -1e-05 as an option and exited 2
+    sweep._negative_number_matcher = re.compile(r"-\.?\d")
     sweep.add_argument("--gamma1", type=float, default=1.0, help="decay rate of the first excited level")
     sweep.add_argument("--gamma2", type=float, default=1.0, help="decay rate of the second excited level")
     sweep.add_argument("--theta", type=float, required=True, help="SGI alignment parameter in [-1, 1]")

@@ -1,10 +1,11 @@
-"""Von Neumann entropy, memory-assisted uncertainty, and negativity.
+"""Conditional entropies of the uncertainty game, its lower bound, and negativity.
 
 All entropies are in bits. The uncertainty game measures the spin-1 x and
 z components of qutrit A while qutrit B serves as quantum memory: the
 measured uncertainty S(Sx|B) + S(Sz|B) is bounded below by
 log2(1/c) + S(A|B), where c is the maximum squared overlap between the
-two measurement eigenbases.
+two measurement eigenbases. The measured pair is fixed, so c and the
+bound offset log2(1/c) are derived from it once, here.
 """
 
 from __future__ import annotations
@@ -18,14 +19,18 @@ from .linalg import (
     as_inexact,
     partial_trace_a,
     partial_transpose_a,
-    require_density_matrix,
-    require_hermitian,
     require_hermitian_stack,
     require_samples,
     require_state_spectrum,
     sector_spectra,
 )
-from .states_obs import conditional_blocks, spin1_observable
+from .states_obs import conditional_blocks, max_overlap_c, spin1_observable
+
+# the measured pair, and its two eigenbases side by side as (3, 6) columns
+_MEASURED = (spin1_observable("x"), spin1_observable("z"))
+_MEASURED_BASES = np.hstack([obs.eigenbasis for obs in _MEASURED])
+# log2(1/c) of the measured pair, the state-independent part of the bound
+BOUND_OFFSET = float(np.log2(1.0 / max_overlap_c(*_MEASURED)))
 
 BERTA_ATOL = 1e-9
 # round-off allowance of the negativity below 0 and above the two-qutrit maximum 1
@@ -42,33 +47,11 @@ def _bits(w: np.ndarray) -> np.ndarray:
     return -np.sum(safe * np.log2(safe), axis=-1)
 
 
-def _require_overlap(c: float) -> None:
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"c must lie in (0, 1], got {c}")
-
-
 def _two_qutrit_stack(rho_ab: np.ndarray) -> np.ndarray:
     rho_ab = as_inexact(rho_ab)
     if rho_ab.shape != (9, 9):
         raise ValueError(f"expected a 9x9 two-qutrit state, got shape {rho_ab.shape}")
     return rho_ab[None]
-
-
-def vn_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy -sum(w * log2(w)) in bits, with 0*log(0) = 0.
-
-    Eigenvalues in [-1e-10, 0) are round-off from channel application and
-    are clamped to zero; anything more negative is rejected.
-    """
-    rho = require_hermitian(rho, name="rho")
-    w = np.linalg.eigvalsh(rho[None])
-    require_state_spectrum(w, name="rho")
-    return float(_bits(w)[0])
-
-
-def conditional_entropy(rho_ab: np.ndarray) -> float:
-    """S(A|B) = S(rho_AB) - S(rho_B); negative values certify entanglement."""
-    return vn_entropy(rho_ab) - vn_entropy(partial_trace_a(rho_ab))
 
 
 def _entropies(rho_ab: np.ndarray, ts=None) -> tuple[np.ndarray, ...]:
@@ -84,8 +67,7 @@ def _entropies(rho_ab: np.ndarray, ts=None) -> tuple[np.ndarray, ...]:
     require_state_spectrum(w_ab, ts, "rho_ab")
     w_b = sector_spectra(partial_trace_a(rho_ab))
     require_state_spectrum(w_b, ts, "rho_b")
-    basis = np.hstack([spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis])
-    w_xz = np.linalg.eigvalsh(conditional_blocks(rho_ab, basis)).reshape(len(rho_ab), 2, 9)
+    w_xz = np.linalg.eigvalsh(conditional_blocks(rho_ab, _MEASURED_BASES)).reshape(len(rho_ab), 2, 9)
     require_state_spectrum(w_xz[:, 0], ts, "Sx-measured state")
     require_state_spectrum(w_xz[:, 1], ts, "Sz-measured state")
     return _bits(w_ab), _bits(w_b), _bits(w_xz[:, 0]), _bits(w_xz[:, 1])
@@ -111,40 +93,6 @@ def _negativities(rho_ab: np.ndarray, ts=None) -> np.ndarray:
     return np.clip(raw, 0.0, 1.0)
 
 
-class UncertaintyParts(NamedTuple):
-    """Measured uncertainty sum and its two conditional-entropy terms."""
-
-    u_l: float
-    s_xb: float
-    s_zb: float
-
-
-def eur_left(rho_ab: np.ndarray) -> UncertaintyParts:
-    """Left side of the uncertainty relation: S(Sx|B) + S(Sz|B).
-
-    Each term is the conditional entropy of the post-measurement state;
-    the B marginal is measurement invariant, so S(rho_B) is computed once
-    from the input.
-    """
-    rho = require_hermitian_stack(_two_qutrit_stack(rho_ab), name="rho_ab")
-    _, s_b, s_x, s_z = _entropies(rho)
-    s_xb = float(s_x[0] - s_b[0])
-    s_zb = float(s_z[0] - s_b[0])
-    return UncertaintyParts(u_l=s_xb + s_zb, s_xb=s_xb, s_zb=s_zb)
-
-
-def eur_right(rho_ab: np.ndarray, c: float) -> float:
-    """Memory-assisted lower bound log2(1/c) + S(A|B)."""
-    _require_overlap(c)
-    return float(np.log2(1.0 / c)) + conditional_entropy(rho_ab)
-
-
-def negativity(rho_ab: np.ndarray) -> float:
-    """Entanglement negativity (||rho^T_A||_1 - 1) / 2, clamped to [0, 1]."""
-    rho_ab = require_density_matrix(rho_ab, name="rho_ab")
-    return float(_negativities(_two_qutrit_stack(rho_ab))[0])
-
-
 class EurColumns(NamedTuple):
     """Both sides of the uncertainty relation and the negativity, one entry per state."""
 
@@ -155,23 +103,23 @@ class EurColumns(NamedTuple):
     negativity: np.ndarray
 
 
-def eur_columns(rho_ab: np.ndarray, c: float, ts=None) -> EurColumns:
+def eur_columns(rho_ab: np.ndarray, ts=None) -> EurColumns:
     """Evaluate the uncertainty relation and the negativity on a (T, 9, 9) stack of states.
 
-    Every state is checked on the way, from spectra that are computed
-    anyway: Hermiticity within 1e-12, unit trace and the eigenvalue floor
-    of each entropy input, the negativity floor and ceiling, and
-    u_l >= u_b - 1e-9.
+    The bound is u_b = BOUND_OFFSET + S(A|B), with the offset log2(1/c)
+    of the measured x/z pair. Every state is checked on the way, from
+    spectra that are computed anyway: Hermiticity within 1e-12, unit trace
+    and the eigenvalue floor of each entropy input, the negativity floor
+    and ceiling, and u_l >= u_b - 1e-9.
     A failing check raises ValueError naming the first failing sample,
     with its time when ts is given.
     """
-    _require_overlap(c)
     rho_ab = require_hermitian_stack(rho_ab, ts, "rho_ab")
     s_ab, s_b, s_x, s_z = _entropies(rho_ab, ts)
     s_xb = s_x - s_b
     s_zb = s_z - s_b
     u_l = s_xb + s_zb
-    u_b = float(np.log2(1.0 / c)) + (s_ab - s_b)
+    u_b = BOUND_OFFSET + (s_ab - s_b)
     require_samples(
         u_l >= u_b - BERTA_ATOL, ts,
         lambda i: f"uncertainty sum {float(u_l[i])!r} below its lower bound {float(u_b[i])!r}",
@@ -190,7 +138,7 @@ class EurSample:
     negativity: float
 
 
-def eur_sample(rho_ab: np.ndarray, c: float) -> EurSample:
+def eur_sample(rho_ab: np.ndarray) -> EurSample:
     """Evaluate both sides of the uncertainty relation plus negativity; the T = 1 case of eur_columns, checks included."""
-    cols = eur_columns(_two_qutrit_stack(rho_ab), c)
+    cols = eur_columns(_two_qutrit_stack(rho_ab))
     return EurSample(*(float(col[0]) for col in cols))

@@ -38,7 +38,7 @@ from .channel import (
 )
 from .entropy import BERTA_ATOL, eur_columns
 from .linalg import SampleError, hermitian_part, require_density_stack, require_state_spectrum
-from .states_obs import isotropic_spectrum, isotropic_state, max_overlap_c, spin1_observable
+from .states_obs import isotropic_spectrum, isotropic_state
 
 BASIS_CONVENTIONS = tuple(LEVEL_ORDERS)
 CSV_HEADER = "t_gamma,u_l,u_b,s_xb,s_zb,negativity,g_plus,g_minus"
@@ -125,14 +125,13 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """
     paired = pair_indices(_isotropic_inputs(cfg.k))
     levels = LEVEL_ORDERS[cfg.basis]
-    c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
     records = []
     for start in range(0, cfg.steps, _BLOCK):
         ts = np.arange(start, min(start + _BLOCK, cfg.steps)) * cfg.t_max / (cfg.steps - 1)
         try:
             kraus, g_plus, g_minus = kraus_tensor(cfg.channel, ts, levels)
             require_complete(kraus, ts)
-            cols = eur_columns(evolve_product(paired, superoperator(kraus)), c, ts)
+            cols = eur_columns(evolve_product(paired, superoperator(kraus)), ts)
         except ValueError as exc:
             raise ValueError(f"{exc} (sweep {canonical_params(cfg)})") from exc
         records.extend(map(
@@ -407,10 +406,9 @@ def _inequality_draws(rng: np.random.Generator, n: int):
 
 
 def _inequality_block(params, ts, ks):
-    c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
     kraus = kraus_tensor(params, ts)[0]
     require_complete(kraus, ts)
-    cols = eur_columns(evolve_product(pair_indices(_isotropic_inputs(ks, ts)), superoperator(kraus)), c, ts)
+    cols = eur_columns(evolve_product(pair_indices(_isotropic_inputs(ks, ts)), superoperator(kraus)), ts)
     return cols.u_l - cols.u_b, np.abs(cols.u_l - (cols.s_xb + cols.s_zb))
 
 

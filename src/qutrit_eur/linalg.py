@@ -144,11 +144,6 @@ def _square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check entrywise Hermiticity within 1e-12 and return the Hermitian part."""
-    return require_hermitian_stack(_square(m, name)[None], name=name)[0]
-
-
 def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Validate a density matrix (Hermitian, eigenvalues >= -1e-10, unit trace).
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qutrit_eur.channel import ChannelParams, decoherence_factor
-from qutrit_eur.entropy import eur_left, eur_right, negativity
+from qutrit_eur.entropy import eur_sample
 from qutrit_eur.experiment import (
     SweepConfig,
     check_cptp,
@@ -49,12 +49,12 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_exact_anchors_at_t0():
-    assert eur_left(isotropic_state(0.0)).u_l == pytest.approx(2 * LOG2_3, abs=1e-9)
-    assert eur_left(isotropic_state(1.0)).u_l == pytest.approx(0.0, abs=1e-9)
-    assert eur_right(isotropic_state(1.0), 0.5) == pytest.approx(1.0 - LOG2_3, abs=1e-9)
+    assert eur_sample(isotropic_state(0.0)).u_l == pytest.approx(2 * LOG2_3, abs=1e-9)
+    assert eur_sample(isotropic_state(1.0)).u_l == pytest.approx(0.0, abs=1e-9)
+    assert eur_sample(isotropic_state(1.0)).u_b == pytest.approx(1.0 - LOG2_3, abs=1e-9)
     for k in np.linspace(0.0, 1.0, 11):
         expected = max(0.0, (4 * k - 1) / 3)
-        assert negativity(isotropic_state(k)) == pytest.approx(expected, abs=1e-10)
+        assert eur_sample(isotropic_state(k)).negativity == pytest.approx(expected, abs=1e-10)
     print("[PASS] criterion 3: t=0 anchors (uncertainty sums, bound, negativity grid)")
 
 

@@ -26,7 +26,7 @@ from qutrit_eur.channel import (
     require_complete,
 )
 from qutrit_eur.experiment import oracle_grid
-from qutrit_eur.entropy import negativity
+from qutrit_eur.entropy import eur_sample
 from qutrit_eur.states_obs import isotropic_state
 
 from conftest import random_density_matrix
@@ -99,6 +99,33 @@ def test_derive_params_minus_rate_without_cancellation():
             want = (g1 + g2 - mpmath.sqrt((g1 - g2) ** 2 + 4 * g1 * g2 * th**2)) / 2
         # at theta = 1 the true rate is 0, and this asks for exactly 0
         assert d.gamma_minus == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+
+def test_derive_params_huge_rates_match_mpmath():
+    # (gamma1 - gamma2)**2 and gamma1*gamma2*theta**2 overflowed above about
+    # 1.3e154 and gamma1 + gamma2 + q near 9e307, so the rates read inf or nan
+    rng = np.random.default_rng(59)
+    cases = [(6.3e169, 0.99999, 0.99999), (1e300, 1e300, 1.0), (1e300, 1e-300, 0.5), (1e-300, 1e300, -0.7),
+             (1e308, 1e308, 0.5), (1.7e308, 1.0, 0.0), (1e300, 3e299, 0.0)]
+    cases += [(10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300), rng.uniform(-1, 1)) for _ in range(100)]
+    cases += [(10.0 ** e, rng.uniform(0.1, 3.0), rng.uniform(-1, 1)) for e in rng.uniform(150, 300, 50)]
+    for gamma1, gamma2, theta in cases:
+        d = derive_params(ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=1.0))
+        with mpmath.workdps(50):
+            g1, g2, th = mpmath.mpf(gamma1), mpmath.mpf(gamma2), mpmath.mpf(theta)
+            q = mpmath.sqrt((g1 - g2) ** 2 + 4 * g1 * g2 * th**2)
+            plus = (g1 + g2 + q) / 2
+            # the determinant over plus: (g1 + g2 - q)/2 would cancel even at 50 digits
+            want = (q, plus, g1 * g2 * (1 - th**2) / plus)
+        got = (d.q, d.gamma_plus, d.gamma_minus)
+        assert got == pytest.approx(tuple(map(float, want)), rel=1e-15, abs=0.0), (gamma1, gamma2, theta)
+        a, b = mixing_mpmath(gamma1, gamma2, theta)
+        assert abs(d.a - a) <= 1e-15 and abs(d.b - b) <= 1e-15, (gamma1, gamma2, theta)
+
+
+def test_derive_params_names_an_unrepresentable_rate():
+    with pytest.raises(ValueError, match=r"gamma_plus .* gamma1=1e\+308, gamma2=1e\+308, theta=1.0$"):
+        derive_params(ChannelParams(gamma1=1e308, gamma2=1e308, theta=1.0, lam=1.0))
 
 
 def test_derive_params_invariants_random():
@@ -584,7 +611,7 @@ def test_entanglement_death_at_amplitude_zero_and_revival():
     rho0 = isotropic_state(1.0)
 
     def neg_at(t):
-        return negativity(apply_product_channel(rho0, kraus_set(p, t)))
+        return eur_sample(apply_product_channel(rho0, kraus_set(p, t))).negativity
 
     lo, hi = 65.0, 80.0
     assert decoherence_factor(p, "plus", lo) > 0 > decoherence_factor(p, "plus", hi)

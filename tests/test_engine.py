@@ -3,8 +3,9 @@
 The reference below is the original per-sample algorithm written out with
 np.kron: scalar closed-form G(t), the Kraus triple permuted by an explicit
 matrix for the ground-first basis, the product channel as a nine-term sum
-over K_i (x) K_j, measurement by 9x9 projectors and full 9x9 spectra for
-every entropy. It shares no kernel with the engine.
+over K_i (x) K_j, then conftest.reference_eur: measurement by 9x9
+projectors and full 9x9 spectra for every entropy. It shares no kernel
+with the engine.
 """
 
 import cmath
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from qutrit_eur import entropy
 from qutrit_eur.channel import (
     ChannelParams,
     apply_product_channel,
@@ -26,11 +28,12 @@ from qutrit_eur.channel import (
 )
 from qutrit_eur.entropy import eur_columns, eur_sample
 from qutrit_eur.experiment import SweepConfig, run_sweep
-from qutrit_eur.states_obs import isotropic_state, max_overlap_c, spin1_observable
+from qutrit_eur.states_obs import isotropic_state
+
+from conftest import reference_eur
 
 COLUMNS = ("t_gamma", "u_l", "u_b", "s_xb", "s_zb", "negativity", "g_plus", "g_minus")
 GROUND_FIRST = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
-SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2.0)
 MONOTONE_LAM, OSCILLATORY_LAM = 5.0, 0.01
 
 
@@ -42,20 +45,6 @@ def reference_g(lam, rate, t):
         (1.0 + lam / d) * cmath.exp((d - lam) * t / 2.0)
         + (1.0 - lam / d) * cmath.exp(-(d + lam) * t / 2.0)
     )).real
-
-
-def reference_entropy(rho):
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log2(w)))
-
-
-def reference_dephased(rho, basis):
-    out = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        proj = np.kron(np.outer(basis[:, i], basis[:, i].conj()), np.eye(3))
-        out += proj @ rho @ proj
-    return out
 
 
 def reference_row(cfg, t):
@@ -77,16 +66,7 @@ def reference_row(cfg, t):
         for kj in ops:
             kij = np.kron(ki, kj)
             rho += kij @ rho0 @ kij.conj().T
-    x_basis = np.linalg.eigh(SX)[1]
-    z_basis = np.eye(3, dtype=complex)
-    c = float(np.max(np.abs(x_basis.conj().T @ z_basis) ** 2))
-    s_b = reference_entropy(rho.reshape(3, 3, 3, 3).trace(axis1=0, axis2=2))
-    s_xb = reference_entropy(reference_dephased(rho, x_basis)) - s_b
-    s_zb = reference_entropy(reference_dephased(rho, z_basis)) - s_b
-    u_b = math.log2(1.0 / c) + reference_entropy(rho) - s_b
-    pt = rho.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
-    neg = max(0.0, (float(np.sum(np.abs(np.linalg.eigvalsh(pt)))) - 1.0) / 2.0)
-    return (t, s_xb + s_zb, u_b, s_xb, s_zb, neg, gp, gm)
+    return (t, *reference_eur(rho), gp, gm)
 
 
 def assert_sweep_matches_reference(cfg):
@@ -128,10 +108,9 @@ def test_scalar_functions_reproduce_sweep_rows():
     )
     records = run_sweep(cfg)
     rho0 = isotropic_state(cfg.k)
-    c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
     for i in (0, 1, 127, 128, 200, 299):
         r = records[i]
-        s = eur_sample(apply_product_channel(rho0, kraus_set(cfg.channel, r.t_gamma)), c)
+        s = eur_sample(apply_product_channel(rho0, kraus_set(cfg.channel, r.t_gamma)))
         assert (s.u_l, s.u_b, s.s_xb, s.s_zb, s.negativity) == (r.u_l, r.u_b, r.s_xb, r.s_zb, r.negativity)
 
 
@@ -164,18 +143,19 @@ def negative_eigenvalue(rho):
 def test_batched_state_checks_name_the_corrupted_sample(corrupt, message):
     ts = np.linspace(0.0, 60.0, 7)
     _, rho = evolved_block(ts)
-    eur_columns(rho, 0.5, ts)
+    eur_columns(rho, ts)
     corrupt(rho[4])
     with pytest.raises(ValueError, match=f"{message}.* at t=40$"):
-        eur_columns(rho, 0.5, ts)
+        eur_columns(rho, ts)
 
 
-def test_batched_bound_check_names_the_first_sample():
+def test_batched_bound_check_names_the_first_sample(monkeypatch):
     ts = np.linspace(0.0, 60.0, 7)
     _, rho = evolved_block(ts)
-    # a wrong overlap constant raises the bound above every sample
+    # the offset of an overlap c = 0.01 raises the bound above every sample
+    monkeypatch.setattr(entropy, "BOUND_OFFSET", float(np.log2(1.0 / 0.01)))
     with pytest.raises(ValueError, match="below its lower bound.* at t=0$"):
-        eur_columns(rho, 0.01, ts)
+        eur_columns(rho, ts)
 
 
 def test_batched_completeness_check_names_the_corrupted_sample():

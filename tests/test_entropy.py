@@ -1,21 +1,19 @@
-"""Tests for entropies, the uncertainty relation, and negativity."""
+"""Tests for entropies, the uncertainty relation, and negativity.
+
+eur_sample is the single-state evaluation: the conditional entropy
+S(A|B) is read as u_b - BOUND_OFFSET, and a dense reference written
+with full spectra and kron projectors (conftest.reference_eur) checks all
+five fields.
+"""
 
 import numpy as np
 import pytest
 
 from qutrit_eur.channel import ChannelParams, apply_product_channel, kraus_set
-from qutrit_eur.entropy import (
-    conditional_entropy,
-    eur_columns,
-    eur_left,
-    eur_right,
-    eur_sample,
-    negativity,
-    vn_entropy,
-)
+from qutrit_eur.entropy import BOUND_OFFSET, eur_columns, eur_sample
 from qutrit_eur.states_obs import conditional_blocks, isotropic_state, spin1_observable
 
-from conftest import random_density_matrix, random_unitary
+from conftest import random_density_matrix, random_unitary, reference_entropy, reference_eur
 
 I9 = np.eye(9, dtype=complex)
 LOG2_3 = np.log2(3.0)
@@ -35,45 +33,61 @@ def isotropic_u_l_analytic(k):
     return 2.0 * (s_measured - LOG2_3)
 
 
+def conditional(rho):
+    """S(A|B) = S(rho_AB) - S(rho_B), read off the bound of eur_sample."""
+    return eur_sample(rho).u_b - BOUND_OFFSET
+
+
+def random_pure_state(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
 # ---------------------------------------------------------------------------
-# von Neumann entropy
+# entropies of the state and its marginal
 # ---------------------------------------------------------------------------
 
 
 def test_vn_pure_state_is_zero():
-    rng = np.random.default_rng(113)
-    v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    v /= np.linalg.norm(v)
-    assert vn_entropy(np.outer(v, v.conj())) == pytest.approx(0.0, abs=1e-12)
+    # S(rho_AB) = 0, so S(A|B) = -S(rho_B)
+    rho = random_pure_state(np.random.default_rng(113), 9)
+    rho_b = rho.reshape(3, 3, 3, 3).trace(axis1=0, axis2=2)
+    assert conditional(rho) == pytest.approx(-reference_entropy(rho_b), abs=1e-12)
 
 
 def test_vn_maximally_mixed():
-    assert vn_entropy(I9 / 9) == pytest.approx(np.log2(9.0), abs=1e-12)
+    assert conditional(I9 / 9) + LOG2_3 == pytest.approx(np.log2(9.0), abs=1e-12)
 
 
 def test_vn_isotropic_from_spectrum():
+    # the marginal of an isotropic state is maximally mixed, S(rho_B) = log2(3)
     k = 0.4
     a, b = (1 - k) / 9, (1 - k) / 9 + k
     expected = -(8 * a * np.log2(a) + b * np.log2(b))
-    assert vn_entropy(isotropic_state(k)) == pytest.approx(expected, abs=1e-12)
+    assert conditional(isotropic_state(k)) + LOG2_3 == pytest.approx(expected, abs=1e-12)
 
 
 def test_vn_rejects_negative_eigenvalue():
     with pytest.raises(ValueError, match="eigenvalue"):
-        vn_entropy(np.diag([1.2, -0.2, 0.0]).astype(complex))
+        eur_sample(np.diag([1.2, -0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex))
 
 
 def test_vn_rejects_wrong_trace():
     with pytest.raises(ValueError, match="trace"):
-        vn_entropy(np.diag([1.0, 1.0, 0.0]).astype(complex))
+        eur_sample(np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex))
 
 
 def test_vn_unitarily_invariant():
+    # local unitaries keep S(rho_AB) and S(rho_B); one on B alone keeps the measured entropies too
     rng = np.random.default_rng(127)
     for _ in range(10):
         rho = random_density_matrix(rng, 9)
-        v = random_unitary(rng, 9)
-        assert vn_entropy(v @ rho @ v.conj().T) == pytest.approx(vn_entropy(rho), abs=1e-10)
+        v = np.kron(random_unitary(rng, 3), random_unitary(rng, 3))
+        assert conditional(v @ rho @ v.conj().T) == pytest.approx(conditional(rho), abs=1e-10)
+        w = np.kron(np.eye(3), random_unitary(rng, 3))
+        moved, s = eur_sample(w @ rho @ w.conj().T), eur_sample(rho)
+        assert (moved.u_l, moved.s_xb, moved.s_zb) == pytest.approx((s.u_l, s.s_xb, s.s_zb), abs=1e-10)
 
 
 def test_measurement_never_decreases_entropy():
@@ -86,7 +100,7 @@ def test_measurement_never_decreases_entropy():
             w = np.linalg.eigvalsh(conditional_blocks(rho, basis)).ravel()
             assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
             w = w[w > 0.0]
-            assert -np.sum(w * np.log2(w)) >= vn_entropy(rho) - 1e-10
+            assert -np.sum(w * np.log2(w)) >= reference_entropy(rho) - 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +109,19 @@ def test_measurement_never_decreases_entropy():
 
 
 def test_conditional_max_entangled():
-    assert conditional_entropy(isotropic_state(1.0)) == pytest.approx(-LOG2_3, abs=1e-10)
+    assert conditional(isotropic_state(1.0)) == pytest.approx(-LOG2_3, abs=1e-10)
 
 
 def test_conditional_maximally_mixed():
-    assert conditional_entropy(I9 / 9) == pytest.approx(LOG2_3, abs=1e-12)
+    assert conditional(I9 / 9) == pytest.approx(LOG2_3, abs=1e-12)
 
 
 def test_conditional_product_additivity():
     rng = np.random.default_rng(137)
     rho = random_density_matrix(rng, 3)
     sigma = random_density_matrix(rng, 3)
-    got = conditional_entropy(np.kron(rho, sigma))
-    assert got == pytest.approx(vn_entropy(rho), abs=1e-10)
+    got = conditional(np.kron(rho, sigma))
+    assert got == pytest.approx(reference_entropy(rho), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -116,33 +130,33 @@ def test_conditional_product_additivity():
 
 
 def test_eur_left_max_entangled_is_zero():
-    parts = eur_left(isotropic_state(1.0))
+    parts = eur_sample(isotropic_state(1.0))
     assert parts.u_l == pytest.approx(0.0, abs=1e-9)
 
 
 def test_eur_left_maximally_mixed():
-    parts = eur_left(isotropic_state(0.0))
+    parts = eur_sample(isotropic_state(0.0))
     assert parts.u_l == pytest.approx(2 * LOG2_3, abs=1e-10)
     assert parts.s_xb == pytest.approx(LOG2_3, abs=1e-10)
     assert parts.s_zb == pytest.approx(LOG2_3, abs=1e-10)
 
 
 def test_eur_left_isotropic_regression_anchor():
-    parts = eur_left(isotropic_state(0.6))
+    parts = eur_sample(isotropic_state(0.6))
     assert parts.u_l == pytest.approx(U_L_ISOTROPIC_06, abs=1e-9)
     assert parts.u_l == pytest.approx(isotropic_u_l_analytic(0.6), abs=1e-9)
-    assert parts.u_l >= eur_right(isotropic_state(0.6), 0.5) - 1e-9
+    assert parts.u_l >= parts.u_b - 1e-9
 
 
 def test_eur_left_matches_analytic_on_k_grid():
     for k in (0.0, 0.25, 0.5, 0.75, 1.0):
-        parts = eur_left(isotropic_state(k))
+        parts = eur_sample(isotropic_state(k))
         assert parts.u_l == pytest.approx(isotropic_u_l_analytic(k), abs=1e-9)
 
 
 def test_eur_right_values():
-    assert eur_right(isotropic_state(1.0), 0.5) == pytest.approx(1.0 - LOG2_3, abs=1e-10)
-    assert eur_right(isotropic_state(0.0), 0.5) == pytest.approx(1.0 + LOG2_3, abs=1e-12)
+    assert eur_sample(isotropic_state(1.0)).u_b == pytest.approx(1.0 - LOG2_3, abs=1e-10)
+    assert eur_sample(isotropic_state(0.0)).u_b == pytest.approx(1.0 + LOG2_3, abs=1e-12)
 
 
 def test_eur_right_pure_product():
@@ -150,13 +164,7 @@ def test_eur_right_pure_product():
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     v /= np.linalg.norm(v)
     rho = np.kron(np.outer(v, v.conj()), random_density_matrix(rng, 3))
-    assert eur_right(rho, 0.5) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_eur_right_rejects_bad_overlap():
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match="c must"):
-            eur_right(I9 / 9, bad)
+    assert eur_sample(rho).u_b == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +175,20 @@ def test_eur_right_rejects_bad_overlap():
 def test_negativity_isotropic_formula():
     for k in np.linspace(0.0, 1.0, 11):
         expected = max(0.0, (4 * k - 1) / 3)
-        assert negativity(isotropic_state(k)) == pytest.approx(expected, abs=1e-10)
+        assert eur_sample(isotropic_state(k)).negativity == pytest.approx(expected, abs=1e-10)
 
 
 def test_negativity_selected_anchors():
-    assert negativity(isotropic_state(1.0)) == pytest.approx(1.0, abs=1e-10)
-    assert negativity(isotropic_state(0.4)) == pytest.approx(0.2, abs=1e-10)
-    assert negativity(isotropic_state(0.25)) == pytest.approx(0.0, abs=1e-10)
+    assert eur_sample(isotropic_state(1.0)).negativity == pytest.approx(1.0, abs=1e-10)
+    assert eur_sample(isotropic_state(0.4)).negativity == pytest.approx(0.2, abs=1e-10)
+    assert eur_sample(isotropic_state(0.25)).negativity == pytest.approx(0.0, abs=1e-10)
 
 
 def test_negativity_product_states_vanish():
     rng = np.random.default_rng(149)
     for _ in range(5):
         rho = np.kron(random_density_matrix(rng, 3), random_density_matrix(rng, 3))
-        assert negativity(rho) == pytest.approx(0.0, abs=1e-12)
+        assert eur_sample(rho).negativity == pytest.approx(0.0, abs=1e-12)
 
 
 def max_entangled_overshoot(eps):
@@ -191,9 +199,9 @@ def max_entangled_overshoot(eps):
 
 def test_negativity_clamped_to_one():
     # the k = 1 isotropic state reads 1 + O(1e-15) before the clamp
-    assert negativity(isotropic_state(1.0)) <= 1.0
+    assert eur_sample(isotropic_state(1.0)).negativity <= 1.0
     ts = np.array([0.0, 1.0])
-    cols = eur_columns(np.array([isotropic_state(1.0), max_entangled_overshoot(2e-13)]), 0.5, ts)
+    cols = eur_columns(np.array([isotropic_state(1.0), max_entangled_overshoot(2e-13)]), ts)
     assert np.array_equal(cols.negativity, [1.0, 1.0])
 
 
@@ -201,9 +209,9 @@ def test_negativity_above_one_names_the_sample():
     ts = np.array([0.0, 2.5, 5.0])
     stack = np.array([isotropic_state(1.0), isotropic_state(1.0), max_entangled_overshoot(4e-10)])
     with pytest.raises(ValueError, match=r"above the two-qutrit maximum 1.* at t=5$"):
-        eur_columns(stack, 0.5, ts)
+        eur_columns(stack, ts)
     with pytest.raises(ValueError, match="above the two-qutrit maximum"):
-        negativity(max_entangled_overshoot(4e-10))
+        eur_sample(max_entangled_overshoot(4e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +220,7 @@ def test_negativity_above_one_names_the_sample():
 
 
 def test_eur_sample_terms_sum_exactly():
-    s = eur_sample(isotropic_state(0.3), 0.5)
+    s = eur_sample(isotropic_state(0.3))
     assert s.u_l == s.s_xb + s.s_zb
 
 
@@ -229,7 +237,7 @@ def test_bound_holds_on_random_evolved_states():
             isotropic_state(rng.uniform(0.0, 1.0)),
             kraus_set(params, rng.uniform(0.0, 300.0)),
         )
-        s = eur_sample(rho, 0.5)
+        s = eur_sample(rho)
         assert s.u_l >= s.u_b - 1e-9
         assert s.u_l == s.s_xb + s.s_zb
 
@@ -239,4 +247,19 @@ def test_u_l_of_maximally_mixed_is_channel_independent_at_t0():
         for lam in (0.001, 1.0, 1000.0):
             params = ChannelParams(gamma1=1.0, gamma2=1.0, theta=theta, lam=lam)
             rho = apply_product_channel(isotropic_state(0.0), kraus_set(params, 0.0))
-            assert eur_left(rho).u_l == pytest.approx(2 * LOG2_3, abs=1e-10)
+            assert eur_sample(rho).u_l == pytest.approx(2 * LOG2_3, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "pure", "product"])
+def test_eur_sample_matches_dense_reference(kind):
+    rng = np.random.default_rng({"full-rank": 157, "pure": 163, "product": 167}[kind])
+    for _ in range(20):
+        if kind == "full-rank":
+            rho = random_density_matrix(rng, 9)
+        elif kind == "pure":
+            rho = random_pure_state(rng, 9)
+        else:
+            rho = np.kron(random_density_matrix(rng, 3), random_density_matrix(rng, 3))
+        s = eur_sample(rho)
+        got = (s.u_l, s.u_b, s.s_xb, s.s_zb, s.negativity)
+        assert got == pytest.approx(reference_eur(rho), abs=1e-12, rel=0.0)

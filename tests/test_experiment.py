@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qutrit_eur import experiment
 from qutrit_eur.channel import ChannelParams, apply_channel, apply_product_channel, decoherence_factor, kraus_set
-from qutrit_eur.cli import main
+from qutrit_eur.cli import build_parser, main
 from qutrit_eur.entropy import eur_sample
 from qutrit_eur.experiment import (
     CSV_HEADER,
@@ -37,7 +37,7 @@ from qutrit_eur.experiment import (
     summarize,
     write_summary,
 )
-from qutrit_eur.states_obs import isotropic_state, max_overlap_c, spin1_observable
+from qutrit_eur.states_obs import isotropic_state
 
 from conftest import random_density_matrix
 
@@ -400,11 +400,10 @@ def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
     captured = capture_draws(monkeypatch)
     _, detail = check_uncertainty_inequality(n_draws=50, seed=13)
     rng = np.random.default_rng(13)
-    c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
     want = []
     for _ in range(50):
         params, k, t = experiment._random_channel_params(rng), rng.uniform(0.0, 1.0), rng.uniform(0.0, 300.0)
-        s = eur_sample(apply_product_channel(isotropic_state(k), kraus_set(params, t)), c)
+        s = eur_sample(apply_product_channel(isotropic_state(k), kraus_set(params, t)))
         want.append((s.u_l - s.u_b, abs(s.u_l - (s.s_xb + s.s_zb))))
     want = np.array(want).T
     assert np.max(np.abs(np.array(captured[0]) - want)) <= 1e-14
@@ -483,6 +482,38 @@ def test_cli_sweep_tiny_width(tmp_path):
     assert all(float(row["g_minus"]) == 1.0 for row in rows)
 
 
+def test_cli_sweep_huge_rate(tmp_path):
+    # gamma1 - gamma2 squared overflowed in derive_params above about 1.3e154,
+    # and the sweep stopped at t = 0 blaming the branch amplitude
+    out = tmp_path / "huge.csv"
+    assert main([
+        "sweep", "--gamma1", "6.3e169", "--gamma2", "0.99999", "--theta", "0.99999", "--lambda", "3.8e15",
+        "--k", "0.6", "--t-max", "10", "--steps", "5", "--out", str(out),
+    ]) == 0
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 5
+    assert np.isfinite(np.array([row.split(",") for row in rows], dtype=float)).all()
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-2.5e+16", "-0.5"])
+def test_cli_reads_negative_values_after_a_space(tmp_path, value):
+    # argparse on Python 3.10 and 3.11 took "-1e-05" after a space for an
+    # option, and "--theta -1e-05" exited 2 with "expected one argument"
+    rest = ["--lambda", "1", "--k", "1", "--t-max", "1", "--steps", "3", "--out", str(tmp_path / "x.csv")]
+    for given_as in (["--theta", value, "--gamma2", value], [f"--theta={value}", f"--gamma2={value}"]):
+        args = build_parser().parse_args(["sweep", *given_as, *rest])
+        assert args.theta == args.gamma2 == float(value)
+    # the value reaches the parameter checks: -2.5e+16 is out of range, the others run
+    assert main(["sweep", "--theta", value, *rest]) == (1 if value == "-2.5e+16" else 0)
+
+
+def test_cli_unknown_option_exits_2(tmp_path):
+    rest = ["--lambda", "1", "--k", "1", "--t-max", "1", "--steps", "3", "--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--theta", "-1e-05", "--bogus", "-1e-05", *rest])
+    assert exc.value.code == 2
+
+
 def test_cli_sweep_rejects_bad_value(tmp_path, capsys):
     code = main([
         "sweep", "--theta", "7", "--lambda", "1", "--k", "0",
@@ -547,8 +578,7 @@ def test_cli_fuzz_writes_finite_csv_or_one_error_line(tmp_path_factory, gamma1, 
         "gamma1": repr(gamma1), "gamma2": repr(gamma2), "theta": repr(theta), "lambda": repr(lam),
         "k": repr(k), "t-max": repr(t_max), "steps": str(steps), "basis": basis, "out": str(out),
     }
-    # --name=value, because argparse reads "--theta -1e-05" as an option whose value is missing
-    argv = ["sweep", *(f"--{name}={value}" for name, value in options.items())]
+    argv = ["sweep", *(part for name, value in options.items() for part in (f"--{name}", value))]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)

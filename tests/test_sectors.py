@@ -79,14 +79,14 @@ def test_sweep_kernels_stay_real():
     basis = np.hstack([spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis])
     for array in (kraus, superoperator(kraus), rho, partial_transpose_a(rho), conditional_blocks(rho, basis)):
         assert array.dtype == np.float64
-    assert all(col.dtype == np.float64 for col in eur_columns(rho, 0.5, TS))
+    assert all(col.dtype == np.float64 for col in eur_columns(rho, TS))
 
 
 def test_complex_state_keeps_complex_arithmetic():
     rho = evolved(kraus_tensor(MIXED, TS)[0]).astype(complex)
     assert partial_transpose_a(rho).dtype == partial_trace_a(rho).dtype == np.complex128
-    real = eur_columns(rho.real, 0.5, TS)
-    cplx = eur_columns(rho, 0.5, TS)
+    real = eur_columns(rho.real, TS)
+    cplx = eur_columns(rho, TS)
     for a, b in zip(real, cplx):
         assert np.max(np.abs(a - b)) <= 1e-13
 
