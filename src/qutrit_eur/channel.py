@@ -31,10 +31,11 @@ the local map S_t on vectorised 3x3 operators, and ``evolve_product``
 applies S_t to both qutrits as two batched 9x9 products. The parameters
 broadcast against the times: a sweep passes one ChannelParams for its
 whole grid, a batch of independent draws one per time. The branch
-amplitude and its RK4 oracle are elementwise in the same way. The
-single-time functions (``decoherence_factor``, ``decoherence_factor_ode``,
-``kraus_set``, ``apply_channel``, ``apply_product_channel``) are the
-T = 1 case of the same kernels.
+amplitude and its RK4 oracle are elementwise in the same way, so one
+amplitude is a one-point call. ``kraus_set`` is the T = 1 slice of
+``kraus_tensor``, a real (3, 3, 3) array, and ``apply_channel`` and
+``apply_product_channel`` apply any complete (3, 3, 3) triple through the
+same superoperator kernels.
 """
 
 from __future__ import annotations
@@ -127,18 +128,13 @@ def derive_params(p: ChannelParams) -> DerivedParams:
     )
 
 
-def _branch_rate(p: ChannelParams, branch: Branch) -> float:
-    d = derive_params(p)
-    if branch == "plus":
-        return d.gamma_plus
-    if branch == "minus":
-        return d.gamma_minus
-    raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-
-
 def _branch_inputs(params: Sequence[ChannelParams], branches: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:
     """Per-point spectral width and branch rate, as two arrays."""
-    rows = [(p.lam, _branch_rate(p, b)) for p, b in zip(params, branches, strict=True)]
+    rows = []
+    for p, branch in zip(params, branches, strict=True):
+        if branch not in ("plus", "minus"):
+            raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+        rows.append((p.lam, getattr(derive_params(p), f"gamma_{branch}")))
     lam, rate = np.array(rows, dtype=float).reshape(-1, 2).T
     return lam, rate
 
@@ -223,10 +219,6 @@ def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
     return y[..., 0, 0]
 
 
-def _times(t) -> np.ndarray:
-    return np.array([t], dtype=float)
-
-
 def decoherence_factors(params: Sequence[ChannelParams], branches: Sequence[Branch], ts) -> np.ndarray:
     """Closed-form decoherence amplitudes, one per (params, branch, t) point."""
     return _g_closed(*_branch_inputs(params, branches), np.asarray(ts, dtype=float))
@@ -235,20 +227,6 @@ def decoherence_factors(params: Sequence[ChannelParams], branches: Sequence[Bran
 def decoherence_factors_ode(params: Sequence[ChannelParams], branches: Sequence[Branch], ts) -> np.ndarray:
     """RK4 oracle amplitudes, one per (params, branch, t) point; independent of the closed form."""
     return _g_rk4(*_branch_inputs(params, branches), np.asarray(ts, dtype=float))
-
-
-def decoherence_factor(p: ChannelParams, branch: Branch, t: float) -> float:
-    """Decoherence amplitude of one dressed decay branch at time t (in [-1, 1])."""
-    return float(_g_closed(p.lam, _branch_rate(p, branch), _times(t))[0])
-
-
-def decoherence_factor_ode(p: ChannelParams, branch: Branch, t: float) -> float:
-    """Branch amplitude by fixed-step RK4 integration of its damped-oscillator equation.
-
-    Independent numerical oracle for decoherence_factor; the T = 1 case of
-    decoherence_factors_ode.
-    """
-    return float(decoherence_factors_ode([p], [branch], [t])[0])
 
 
 def require_complete(kraus: np.ndarray, ts=None) -> np.ndarray:
@@ -263,28 +241,6 @@ def require_complete(kraus: np.ndarray, ts=None) -> np.ndarray:
         lambda i: f"Kraus completeness violated: max|sum K^dag K - I| = {dev[i]:.3e}",
     )
     return dev
-
-
-@dataclass(frozen=True, eq=False)
-class KrausSet:
-    """The three Kraus operators of the damping channel at one fixed time."""
-
-    k1: np.ndarray
-    k2: np.ndarray
-    k3: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        require_complete(self.tensor, _times(self.t))
-
-    @property
-    def ops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.k1, self.k2, self.k3)
-
-    @property
-    def tensor(self) -> np.ndarray:
-        """The three operators as a (1, 3, 3, 3) Kraus tensor, real unless an operator is complex."""
-        return as_inexact(self.ops)[None]
 
 
 def _channel_inputs(p: ChannelParams | Sequence[ChannelParams]) -> tuple:
@@ -368,10 +324,12 @@ def kraus_tensor(
     return np.stack([terms[:, 0] + terms[:, 1] + terms[:, 2], terms[:, 3], terms[:, 4]], axis=1), g_plus, g_minus
 
 
-def kraus_set(p: ChannelParams, t: float) -> KrausSet:
-    """Kraus triple at time t, checked for completeness; the T = 1 case of kraus_tensor."""
-    k = kraus_tensor(p, _times(t))[0][0]
-    return KrausSet(k1=k[0], k2=k[1], k3=k[2], t=t)
+def kraus_set(p: ChannelParams, t: float) -> np.ndarray:
+    """Real (3, 3, 3) Kraus triple at time t, checked for completeness; the T = 1 case of kraus_tensor."""
+    ts = np.array([t], dtype=float)
+    kraus = kraus_tensor(p, ts)[0]
+    require_complete(kraus, ts)
+    return kraus[0]
 
 
 def pair_indices(m: np.ndarray) -> np.ndarray:
@@ -409,22 +367,26 @@ def evolve_single(rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
     return (sup @ rho.reshape(-1, 9, 1)).reshape(-1, 3, 3)
 
 
-def apply_channel(rho: np.ndarray, ks: KrausSet) -> np.ndarray:
+def _checked_superoperator(kraus) -> np.ndarray:
+    """The (1, 9, 9) superoperator of a (3, 3, 3) Kraus triple, real or complex, checked for completeness."""
+    kraus = as_inexact(kraus)
+    if kraus.shape != (3, 3, 3):
+        raise ValueError(f"kraus must be a (3, 3, 3) array of three 3x3 operators, got shape {kraus.shape}")
+    require_complete(kraus[None])
+    return superoperator(kraus[None])
+
+
+def apply_channel(rho: np.ndarray, kraus) -> np.ndarray:
     """Evolve a single-qutrit density matrix: rho -> sum_i K_i rho K_i^dagger."""
-    rho = require_density_matrix(rho)
-    if rho.shape != (3, 3):
-        raise ValueError(f"apply_channel expects a 3x3 state, got shape {rho.shape}")
-    return evolve_single(rho[None], superoperator(ks.tensor))[0]
+    return evolve_single(require_density_matrix(rho, 3)[None], _checked_superoperator(kraus))[0]
 
 
-def apply_product_channel(rho_ab: np.ndarray, ks: KrausSet) -> np.ndarray:
+def apply_product_channel(rho_ab: np.ndarray, kraus) -> np.ndarray:
     """Evolve a two-qutrit state with the same local channel on each side.
 
     Both qutrits couple to independent, identical reservoirs, so the joint
     map is the nine-term sum over K_i (x) K_j, applied here as the T = 1
     case of evolve_product.
     """
-    rho_ab = require_density_matrix(rho_ab, name="rho_ab")
-    if rho_ab.shape != (9, 9):
-        raise ValueError(f"apply_product_channel expects a 9x9 state, got shape {rho_ab.shape}")
-    return evolve_product(pair_indices(rho_ab), superoperator(ks.tensor))[0]
+    rho_ab = require_density_matrix(rho_ab, 9, name="rho_ab")
+    return evolve_product(pair_indices(rho_ab), _checked_superoperator(kraus))[0]

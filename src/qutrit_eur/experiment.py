@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -71,8 +72,10 @@ class SweepConfig:
             raise ValueError(f"k must lie in [0, 1], got {self.k}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be at least 2, got {self.steps}")
+        # numbers.Integral admits numpy integers; a float such as 4.0 would
+        # pass the comparisons and fail later, inside np.arange and range
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 2:
+            raise ValueError(f"steps must be an integer of at least 2, got {self.steps!r}")
         if not math.isfinite(self.t_max * (self.steps - 1)):
             # the grid t_i = i*t_max/(steps-1) forms i*t_max first
             raise ValueError(f"t_max = {self.t_max} overflows the grid of {self.steps} steps")

@@ -137,21 +137,19 @@ def as_inexact(m) -> np.ndarray:
     return m.astype(np.result_type(m, np.float64), copy=False)
 
 
-def _square(m: np.ndarray, name: str) -> np.ndarray:
-    m = as_inexact(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    return m
+def require_density_matrix(rho: np.ndarray, n: int, name: str = "rho") -> np.ndarray:
+    """Validate an n x n density matrix (Hermitian, eigenvalues >= -1e-10, unit trace).
 
-
-def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix (Hermitian, eigenvalues >= -1e-10, unit trace).
-
-    Returns the Hermitian part so downstream numerics start from a clean
-    operator; round-off from repeated channel application accumulates
-    asymmetry of order 1e-15. The one-matrix case of require_density_stack.
+    The shape is checked first, so a wrong-shape input fails before any
+    eigensolve. Returns the Hermitian part so downstream numerics start
+    from a clean operator; round-off from repeated channel application
+    accumulates asymmetry of order 1e-15. The one-matrix case of
+    require_density_stack.
     """
-    return require_density_stack(_square(rho, name)[None], name=name)[0]
+    rho = as_inexact(rho)
+    if rho.shape != (n, n):
+        raise ValueError(f"{name} must be a {n}x{n} matrix, got shape {rho.shape}")
+    return require_density_stack(rho[None], name=name)[0]
 
 
 def partial_trace_a(rho: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The twelve preset sweeps behind criteria 6-8 are computed once in a
-session fixture.
+lines. The twelve preset sweeps behind criteria 6-8 and 10 are computed
+once in a session fixture.
 
 Criterion 8c (oscillation-count monotonicity across the fig4 spectral-width
 ladder) fails by model arithmetic and is expected red; see its docstring.
@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qutrit_eur.channel import ChannelParams, decoherence_factor
+from qutrit_eur.channel import ChannelParams, decoherence_factors
 from qutrit_eur.entropy import eur_sample
 from qutrit_eur.experiment import (
     SweepConfig,
@@ -70,7 +70,7 @@ def test_criterion_5_decoherence_free_branch():
     for lam in (0.001, 0.01, 1.0, 1000.0):
         p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=lam)
         for t in np.linspace(0.0, 600.0, 121):
-            worst = max(worst, abs(decoherence_factor(p, "minus", t) - 1.0))
+            worst = max(worst, abs(decoherence_factors([p], ["minus"], [t])[0] - 1.0))
     assert worst <= 1e-12
     print(f"[PASS] criterion 5: undamped branch stays at 1 (worst dev {worst:.2e})")
 
@@ -179,6 +179,52 @@ def test_criterion_8c_minima_count_monotone_in_width(preset_sweeps):
         f"minima counts {counts} are not nondecreasing toward smaller width"
     )
     print("[PASS] criterion 8c: minima count nondecreasing")
+
+
+def peak_and_mean(records):
+    """Peak and time mean of the uncertainty sum; the grid is uniform, so the sample mean is the time mean."""
+    u_l = np.array([r.u_l for r in records])
+    return u_l.max(), u_l.mean()
+
+
+def test_criterion_10a_memory_lowers_uncertainty(preset_sweeps):
+    """More initial entanglement with the memory (larger k) lowers u_l, with and without SGI.
+
+    The abstract says the quantum memory reduces the uncertainty without
+    naming a statistic, so both readings are checked: the peak of u_l over
+    the window and its time mean. Each falls strictly along the k ladder
+    0, 0.4, 0.6, 1 of fig2 (no SGI) and of fig3 (SGI); the claim holds
+    under both statistics, so neither is picked to make it pass.
+    """
+    sweeps, _ = preset_sweeps
+    for fig in ("fig2", "fig3"):
+        peaks, means = zip(*(peak_and_mean(sweeps[f"{fig}{panel}"]) for panel in "abcd"))
+        assert all(a > b for a, b in zip(peaks, peaks[1:])), f"{fig} peaks {peaks}"
+        assert all(a > b for a, b in zip(means, means[1:])), f"{fig} means {means}"
+        print(
+            f"[PASS] criterion 10a: {fig} peaks {' > '.join(f'{v:.3f}' for v in peaks)}, "
+            f"means {' > '.join(f'{v:.3f}' for v in means)}"
+        )
+
+
+def test_criterion_10c_memory_and_sgi_together_lowest(preset_sweeps):
+    """Maximal entanglement and maximal SGI together (fig3d) give the lowest u_l of the eight panels.
+
+    The abstract says memory and SGI together reduce the uncertainty most,
+    without naming a statistic, so both readings are checked: fig3d has
+    the lowest peak and the lowest time mean of u_l among fig2a-d and
+    fig3a-d. The claim holds under both statistics, so neither is picked
+    to make it pass.
+    """
+    sweeps, _ = preset_sweeps
+    stats = {f"fig{fig}{panel}": peak_and_mean(sweeps[f"fig{fig}{panel}"]) for fig in "23" for panel in "abcd"}
+    lowest_peak = min(stats, key=lambda name: stats[name][0])
+    lowest_mean = min(stats, key=lambda name: stats[name][1])
+    assert lowest_peak == lowest_mean == "fig3d", f"lowest peak {lowest_peak}, lowest mean {lowest_mean}"
+    print(
+        f"[PASS] criterion 10c: fig3d lowest of eight panels "
+        f"(peak {stats['fig3d'][0]:.3f}, mean {stats['fig3d'][1]:.3f})"
+    )
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -12,11 +12,8 @@ from numpy.testing import assert_allclose
 from qutrit_eur.channel import (
     LEVEL_ORDERS,
     ChannelParams,
-    KrausSet,
     apply_channel,
     apply_product_channel,
-    decoherence_factor,
-    decoherence_factor_ode,
     decoherence_factors,
     decoherence_factors_ode,
     derive_params,
@@ -202,7 +199,7 @@ def test_g_is_one_at_t0():
     for _ in range(20):
         p = random_params(rng)
         for branch in ("plus", "minus"):
-            assert decoherence_factor(p, branch, 0.0) == pytest.approx(1.0, abs=1e-14)
+            assert decoherence_factors([p], [branch], [0.0])[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_g_decoherence_free_branch():
@@ -210,7 +207,7 @@ def test_g_decoherence_free_branch():
     for lam in (0.001, 1.0, 1000.0):
         p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=lam)
         for t in (0.0, 0.5, 7.0, 140.0, 600.0):
-            assert decoherence_factor(p, "minus", t) == pytest.approx(1.0, abs=1e-12)
+            assert decoherence_factors([p], ["minus"], [t])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_g_matches_ode_oracle():
@@ -219,20 +216,20 @@ def test_g_matches_ode_oracle():
         p = random_params(rng)
         branch = "plus" if rng.uniform() < 0.5 else "minus"
         t = rng.uniform(0.0, min(20.0, 50.0 / p.lam))
-        closed = decoherence_factor(p, branch, t)
-        integrated = decoherence_factor_ode(p, branch, t)
+        closed = decoherence_factors([p], [branch], [t])[0]
+        integrated = decoherence_factors_ode([p], [branch], [t])[0]
         assert closed == pytest.approx(integrated, abs=1e-8)
 
 
 def test_g_ode_initial_condition():
     p = SYMMETRIC_NO_SGI
-    assert decoherence_factor_ode(p, "plus", 0.0) == 1.0
+    assert decoherence_factors_ode([p], ["plus"], [0.0])[0] == 1.0
 
 
 def test_g_matches_ode_near_first_zero():
     # slow-reservoir amplitude close to its first zero crossing
-    closed = decoherence_factor(SYMMETRIC_NO_SGI, "plus", 70.2)
-    integrated = decoherence_factor_ode(SYMMETRIC_NO_SGI, "plus", 70.2)
+    closed = decoherence_factors([SYMMETRIC_NO_SGI], ["plus"], [70.2])[0]
+    integrated = decoherence_factors_ode([SYMMETRIC_NO_SGI], ["plus"], [70.2])[0]
     assert closed == pytest.approx(integrated, abs=1e-8)
 
 
@@ -240,7 +237,7 @@ def test_g_ode_markovian_envelope():
     # for lam >> rate the amplitude follows exp(-rate*t/2) within 1%
     p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1000.0)
     for t in (1.0, 3.0, 5.0):
-        g = decoherence_factor_ode(p, "plus", t)
+        g = decoherence_factors_ode([p], ["plus"], [t])[0]
         assert g / math.exp(-t / 2.0) == pytest.approx(1.0, abs=0.01)
 
 
@@ -251,16 +248,16 @@ def test_g_continuous_across_critical_width():
         rate = derive_params(ChannelParams(g1, g2, theta, 1.0)).gamma_plus
         lam_c = 2.0 * rate
         for t in (0.5, 2.0, 10.0):
-            below = decoherence_factor(ChannelParams(g1, g2, theta, lam_c * (1 - 1e-6)), "plus", t)
-            above = decoherence_factor(ChannelParams(g1, g2, theta, lam_c * (1 + 1e-6)), "plus", t)
-            at = decoherence_factor(ChannelParams(g1, g2, theta, lam_c), "plus", t)
+            below = decoherence_factors([ChannelParams(g1, g2, theta, lam_c * (1 - 1e-6))], ["plus"], [t])[0]
+            above = decoherence_factors([ChannelParams(g1, g2, theta, lam_c * (1 + 1e-6))], ["plus"], [t])[0]
+            at = decoherence_factors([ChannelParams(g1, g2, theta, lam_c)], ["plus"], [t])[0]
             assert abs(below - above) <= 1e-5
             assert abs(at - below) <= 1e-5
 
 
 def test_g_markovian_monotone_decay():
     p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1000.0)
-    values = [decoherence_factor(p, "plus", t) for t in np.linspace(0.0, 5.0, 200)]
+    values = [decoherence_factors([p], ["plus"], [t])[0] for t in np.linspace(0.0, 5.0, 200)]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -269,7 +266,7 @@ def test_g_stays_in_unit_interval():
     for _ in range(200):
         p = random_params(rng)
         t = rng.uniform(0.0, 100.0)
-        g = decoherence_factor(p, "plus" if rng.uniform() < 0.5 else "minus", t)
+        g = decoherence_factors([p], ["plus" if rng.uniform() < 0.5 else "minus"], [t])[0]
         assert -1.0 - 1e-12 <= g <= 1.0 + 1e-12
 
 
@@ -312,25 +309,25 @@ def test_g_matches_mpmath_near_critical_damping_and_markov_limit():
 def test_g_properties(gamma1, gamma2, theta, log_lam, branch, t_frac):
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
     t = t_frac * min(20.0, 50.0 / p.lam)
-    assert decoherence_factor(p, branch, 0.0) == 1.0
-    g = decoherence_factor(p, branch, t)
+    assert decoherence_factors([p], [branch], [0.0])[0] == 1.0
+    g = decoherence_factors([p], [branch], [t])[0]
     # |G| <= 1 up to the last bit of the rounded result
     assert abs(g) <= 1.0 + 2.0**-52
-    assert abs(g - decoherence_factor_ode(p, branch, t)) <= 1e-8
+    assert abs(g - decoherence_factors_ode([p], [branch], [t])[0]) <= 1e-8
 
 
 def test_g_rejects_negative_time():
     with pytest.raises(ValueError, match="nonnegative"):
-        decoherence_factor(SYMMETRIC_NO_SGI, "plus", -0.1)
+        decoherence_factors([SYMMETRIC_NO_SGI], ["plus"], [-0.1])
     with pytest.raises(ValueError, match="nonnegative"):
-        decoherence_factor_ode(SYMMETRIC_NO_SGI, "plus", -0.1)
+        decoherence_factors_ode([SYMMETRIC_NO_SGI], ["plus"], [-0.1])
 
 
 def test_g_overflow_raises_value_error_naming_inputs():
     # d + lam overflows to inf, so the closed form yields NaN already at t = 0
     p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e308)
     with pytest.raises(ValueError, match=r"not finite and real.*lam=1e\+308.* at t=0$"):
-        decoherence_factor(p, "plus", 0.0)
+        decoherence_factors([p], ["plus"], [0.0])
     with pytest.raises(ValueError, match=r"t must be finite and nonnegative.* at t=inf$"):
         kraus_set(SYMMETRIC_NO_SGI, math.inf)
 
@@ -383,7 +380,7 @@ def test_g_huge_width_matches_mpmath():
     got = decoherence_factors(params, branches, ts)
     want = np.array([g_mpmath_wide(p.lam, p.gamma1, t) for p, t in zip(params, ts)])
     assert np.max(np.abs(got - want)) <= 1e-15
-    assert abs(decoherence_factor(params[-1], "plus", 10.0) - math.exp(-10.0)) <= 1e-15
+    assert abs(decoherence_factors([params[-1]], ["plus"], [10.0])[0] - math.exp(-10.0)) <= 1e-15
 
 
 def stepped_rk4(p, branch, t):
@@ -429,19 +426,27 @@ def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
 def test_rk4_propagator_matches_stepped_loop(gamma1, gamma2, theta, log_lam, branch, t_frac):
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
     t = t_frac * min(20.0, 50.0 / p.lam)
-    assert abs(decoherence_factor_ode(p, branch, t) - stepped_rk4(p, branch, t)) <= 1e-12
+    assert abs(decoherence_factors_ode([p], [branch], [t])[0] - stepped_rk4(p, branch, t)) <= 1e-12
 
 
 def test_g_ode_rejects_unbounded_step_counts():
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        decoherence_factor_ode(SYMMETRIC_NO_SGI, "plus", math.inf)
+        decoherence_factors_ode([SYMMETRIC_NO_SGI], ["plus"], [math.inf])
     with pytest.raises(ValueError, match=r"RK4 oracle needs 1\.000e\+302 steps.* at t=1$"):
-        decoherence_factor_ode(ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300), "plus", 1.0)
+        decoherence_factors_ode([ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300)], ["plus"], [1.0])
 
 
 def test_g_rejects_bad_branch():
     with pytest.raises(ValueError, match="branch"):
-        decoherence_factor(SYMMETRIC_NO_SGI, "both", 1.0)
+        decoherence_factors([SYMMETRIC_NO_SGI], ["both"], [1.0])
+
+
+@pytest.mark.parametrize("factors", [decoherence_factors, decoherence_factors_ode])
+def test_g_rejects_mismatched_lengths(factors):
+    with pytest.raises(ValueError):
+        factors([SYMMETRIC_NO_SGI] * 2, ["plus"], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        factors([SYMMETRIC_NO_SGI] * 2, ["plus", "minus"], [1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -451,26 +456,27 @@ def test_g_rejects_bad_branch():
 
 def test_kraus_identity_at_t0():
     ks = kraus_set(SYMMETRIC_FULL_SGI, 0.0)
-    assert_allclose(ks.k1, np.eye(3), atol=1e-14)
-    assert_allclose(ks.k2, 0, atol=1e-14)
-    assert_allclose(ks.k3, 0, atol=1e-14)
+    assert ks.shape == (3, 3, 3) and ks.dtype == np.float64
+    assert_allclose(ks[0], np.eye(3), atol=1e-14)
+    assert_allclose(ks[1], 0, atol=1e-14)
+    assert_allclose(ks[2], 0, atol=1e-14)
 
 
 def test_kraus_symmetric_no_sgi_is_diagonal():
     p = SYMMETRIC_NO_SGI
     t = 35.0
-    g = decoherence_factor(p, "plus", t)
+    g = decoherence_factors([p], ["plus"], [t])[0]
     ks = kraus_set(p, t)
-    assert ks.k1[0, 1] == 0
-    assert ks.k1[1, 0] == 0
-    assert_allclose(np.diagonal(ks.k1), [g, g, 1.0], atol=1e-14)
+    assert ks[0, 0, 1] == 0
+    assert ks[0, 1, 0] == 0
+    assert_allclose(np.diagonal(ks[0]), [g, g, 1.0], atol=1e-14)
 
 
 def test_kraus_completeness_random():
     rng = np.random.default_rng(71)
     for _ in range(100):
         ks = kraus_set(random_params(rng), rng.uniform(0.0, 20.0))
-        acc = sum(k.conj().T @ k for k in ks.ops)
+        acc = sum(k.conj().T @ k for k in ks)
         assert_allclose(acc, np.eye(3), atol=1e-10)
 
 
@@ -508,25 +514,19 @@ def test_dressed_kraus_rotates_into_kraus_tensor(basis):
     assert np.all(frame[:, LEVEL_ORDERS[basis][2], 2] == 1.0)
 
 
-def test_kraus_set_rejects_incomplete_triple():
-    with pytest.raises(ValueError, match="completeness"):
-        KrausSet(k1=np.eye(3, dtype=complex) * 0.9, k2=np.zeros((3, 3)), k3=np.zeros((3, 3)), t=0.0)
-
-
 def test_degenerate_mixing_choice_does_not_change_channel():
     # at q = 0 both branch amplitudes coincide, so any orthonormal (a, b)
     # pair yields the same map; compare the canonical choice with (1, 0)
     p = SYMMETRIC_NO_SGI
     t = 50.0
-    g = decoherence_factor(p, "plus", t)
+    g = decoherence_factors([p], ["plus"], [t])[0]
     w = math.sqrt(1.0 - g * g)
     ks = kraus_set(p, t)
-    alt = KrausSet(
-        k1=ks.k1,
-        k2=w * np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex),
-        k3=w * np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex),
-        t=t,
-    )
+    alt = np.array([
+        ks[0],
+        w * np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex),
+        w * np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex),
+    ])
     rng = np.random.default_rng(73)
     for _ in range(5):
         rho = random_density_matrix(rng, 3)
@@ -556,7 +556,7 @@ def test_apply_channel_population_transfer_matches_oracle():
     # an initially excited level decays to the ground level as G(t)^2
     p = SYMMETRIC_NO_SGI
     t = 140.0
-    g = decoherence_factor_ode(p, "plus", t)
+    g = decoherence_factors_ode([p], ["plus"], [t])[0]
     out = apply_channel(EXCITED_1, kraus_set(p, t))
     expected = g * g * EXCITED_1 + (1.0 - g * g) * GROUND
     assert_allclose(out, expected, atol=1e-8)
@@ -568,6 +568,46 @@ def test_apply_channel_rejects_invalid_state():
         apply_channel(np.eye(3, dtype=complex), ks)
     with pytest.raises(ValueError, match="eigenvalue"):
         apply_channel(np.diag([1.5, -0.5, 0.0]).astype(complex), ks)
+
+
+# incomplete triples: the identity damped to 0.9, real and complex, and a
+# complex unitary beside a second identity (sum K^dag K = 2I)
+INCOMPLETE_KRAUS = [
+    np.array([0.9 * np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))]),
+    np.array([0.9 * np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))], dtype=complex),
+    np.array([np.diag([1j, 1.0, 1.0]), np.eye(3), np.zeros((3, 3))]),
+]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(2, 3, 3), (9, 3), (3, 3, 3, 1)])
+def test_apply_rejects_wrong_shape_kraus(shape, dtype):
+    kraus = np.zeros(shape, dtype=dtype)
+    with pytest.raises(ValueError, match=r"\(3, 3, 3\)"):
+        apply_channel(GROUND, kraus)
+    with pytest.raises(ValueError, match=r"\(3, 3, 3\)"):
+        apply_product_channel(isotropic_state(0.5), kraus)
+
+
+@pytest.mark.parametrize("kraus", INCOMPLETE_KRAUS, ids=["real", "complex", "complex-unitary"])
+def test_apply_rejects_incomplete_kraus(kraus):
+    with pytest.raises(ValueError, match="completeness"):
+        apply_channel(GROUND, kraus)
+    with pytest.raises(ValueError, match="completeness"):
+        apply_product_channel(isotropic_state(0.5), kraus)
+
+
+def test_apply_checks_state_shape_before_any_eigensolve(monkeypatch):
+    ks = kraus_set(SYMMETRIC_NO_SGI, 1.0)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigvalsh ran before the shape check")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    with pytest.raises(ValueError, match=r"rho must be a 3x3 matrix, got shape \(9, 9\)"):
+        apply_channel(isotropic_state(0.5), ks)
+    with pytest.raises(ValueError, match=r"rho_ab must be a 9x9 matrix, got shape \(3, 3\)"):
+        apply_product_channel(GROUND, ks)
 
 
 def test_apply_channel_preserves_state_validity():
@@ -614,10 +654,10 @@ def test_entanglement_death_at_amplitude_zero_and_revival():
         return eur_sample(apply_product_channel(rho0, kraus_set(p, t))).negativity
 
     lo, hi = 65.0, 80.0
-    assert decoherence_factor(p, "plus", lo) > 0 > decoherence_factor(p, "plus", hi)
+    assert decoherence_factors([p], ["plus"], [lo])[0] > 0 > decoherence_factors([p], ["plus"], [hi])[0]
     for _ in range(60):
         mid = (lo + hi) / 2
-        if decoherence_factor(p, "plus", mid) > 0:
+        if decoherence_factors([p], ["plus"], [mid])[0] > 0:
             lo = mid
         else:
             hi = mid

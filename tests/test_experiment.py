@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutrit_eur import experiment
-from qutrit_eur.channel import ChannelParams, apply_channel, apply_product_channel, decoherence_factor, kraus_set
+from qutrit_eur.channel import ChannelParams, apply_channel, apply_product_channel, decoherence_factors, kraus_set
 from qutrit_eur.cli import build_parser, main
 from qutrit_eur.entropy import eur_sample
 from qutrit_eur.experiment import (
@@ -74,11 +74,17 @@ def synthetic_record(t, u_l, neg=0.0):
         (dict(t_max=math.nan), "t_max"),
         (dict(k=math.nan), "k"),
         (dict(t_max=1e308, steps=3), "t_max"),
+        (dict(steps=4.0), "steps"),
+        (dict(steps=2.5), "steps"),
     ],
 )
 def test_config_rejects_bad_field(overrides, field):
     with pytest.raises(ValueError, match=field):
         quick_config(**overrides)
+
+
+def test_config_accepts_numpy_integer_steps():
+    assert len(run_sweep(quick_config(steps=np.int64(4)))) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +125,8 @@ def test_sweep_records_satisfy_invariants():
 def test_sweep_records_branch_amplitudes():
     cfg = quick_config(steps=5, t_max=200.0)
     for r in run_sweep(cfg):
-        assert r.g_plus == decoherence_factor(cfg.channel, "plus", r.t_gamma)
-        assert r.g_minus == decoherence_factor(cfg.channel, "minus", r.t_gamma)
+        assert r.g_plus == decoherence_factors([cfg.channel], ["plus"], [r.t_gamma])[0]
+        assert r.g_minus == decoherence_factors([cfg.channel], ["minus"], [r.t_gamma])[0]
 
 
 def test_sweep_basis_conventions_agree_at_t0():
@@ -380,7 +386,7 @@ def test_check_cptp_matches_per_draw_reference(monkeypatch):
     want = []
     for _ in range(50):
         ks = kraus_set(experiment._random_channel_params(rng), rng.uniform(0.0, 20.0))
-        acc = sum(k.conj().T @ k for k in ks.ops)
+        acc = sum(k.conj().T @ k for k in ks)
         out = apply_channel(random_density_matrix(rng, 3), ks)
         want.append((
             np.max(np.abs(acc - np.eye(3))),
