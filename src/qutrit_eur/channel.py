@@ -25,17 +25,20 @@ The kernels work on a time axis: ``dressed_kraus`` builds the Kraus
 tensor of a whole block of times in the dressed basis (plus branch, minus
 branch, ground), where it has five nonzero entries per time, together
 with the real orthogonal frame O that maps the dressed levels to
-computational indices. ``kraus_tensor`` rotates it into the real
-(T, 3, 3, 3) computational tensor O K O^T, ``superoperator`` turns that into
-the local map S_t on vectorised 3x3 operators, and ``evolve_product``
-applies S_t to both qutrits as two batched 9x9 products. The parameters
-broadcast against the times: a sweep passes one ChannelParams for its
-whole grid, a batch of independent draws one per time. The branch
-amplitude and its RK4 oracle are elementwise in the same way, so one
-amplitude is a one-point call. ``kraus_set`` is the T = 1 slice of
-``kraus_tensor``, a real (3, 3, 3) array, and ``apply_channel`` and
-``apply_product_channel`` apply any complete (3, 3, 3) triple through the
-same superoperator kernels.
+computational indices. ``superoperator`` turns a Kraus tensor into the
+local map S_t on vectorised 3x3 operators, and ``evolve_product`` applies
+S_t to both qutrits as two batched 9x9 products. The sweep and the
+inequality suite apply the dressed tensor itself: their isotropic input is
+invariant under O (x) O, so they evolve in the dressed frame and hand O to
+the measurement. ``kraus_tensor`` rotates the dressed tensor into the real
+(T, 3, 3, 3) computational tensor O K O^T, for ``kraus_set`` and the CPTP
+suite, whose inputs are arbitrary states. The parameters broadcast against
+the times: a sweep passes one ChannelParams for its whole grid, a batch of
+independent draws one per time. The branch amplitude and its RK4 oracle
+are elementwise in the same way, so one amplitude is a one-point call.
+``kraus_set`` is the T = 1 slice of ``kraus_tensor``, a real (3, 3, 3)
+array, and ``apply_channel`` and ``apply_product_channel`` apply any
+complete (3, 3, 3) triple through the same superoperator kernels.
 """
 
 from __future__ import annotations
@@ -54,6 +57,21 @@ Branch = Literal["plus", "minus"]
 COMPLETENESS_ATOL = 1e-10
 # computational indices of (excited 1, excited 2, ground) per basis convention
 LEVEL_ORDERS = {"kraus-order": (0, 1, 2), "ground-first": (1, 2, 0)}
+_REAL_SCALARS = (int, float, np.integer, np.floating)
+
+
+def require_real_fields(obj, *names: str) -> None:
+    """Raise ValueError naming the first of obj's fields that is not a real scalar.
+
+    Python and numpy floats and integers pass. A string, None, a complex
+    number or an array (even one of length 1) is rejected before any
+    range check compares it, and so is a Fraction or Decimal, which
+    numpy would carry as an object array.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, _REAL_SCALARS):
+            raise ValueError(f"{name} must be a real number (an int or a float), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +84,7 @@ class ChannelParams:
     lam: float
 
     def __post_init__(self):
+        require_real_fields(self, "gamma1", "gamma2", "theta", "lam")
         if not 0 < self.gamma1 < math.inf:
             raise ValueError(f"gamma1 must be positive and finite, got {self.gamma1}")
         if not 0 < self.gamma2 < math.inf:

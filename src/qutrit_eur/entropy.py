@@ -6,6 +6,12 @@ measured uncertainty S(Sx|B) + S(Sz|B) is bounded below by
 log2(1/c) + S(A|B), where c is the maximum squared overlap between the
 two measurement eigenbases. The measured pair is fixed, so c and the
 bound offset log2(1/c) are derived from it once, here.
+
+A stack of states may come in a real orthogonal local frame O (x) O, as
+the sweep's states do in the dressed frame of the channel. The spectra of
+the state, of its partial transpose and of the memory's marginal are the
+same in any such frame, so only the measured vectors change: the x and z
+eigenvectors v are measured as u = O^T v.
 """
 
 from __future__ import annotations
@@ -54,20 +60,22 @@ def _two_qutrit_stack(rho_ab: np.ndarray) -> np.ndarray:
     return rho_ab[None]
 
 
-def _entropies(rho_ab: np.ndarray, ts=None) -> tuple[np.ndarray, ...]:
+def _entropies(rho_ab: np.ndarray, ts=None, frame=None) -> tuple[np.ndarray, ...]:
     """S(rho_AB), S(rho_B) and the entropies after measuring Sx or Sz on A.
 
-    rho_ab is a Hermitian (T, 9, 9) stack. rho_AB and rho_B are solved
-    sector by sector (sector_spectra). The dephased states are block
-    diagonal in the measurement basis, so their spectra come from three
-    3x3 conditional blocks each. Every spectrum is checked as a state
-    (eigenvalue floor, unit trace) on the way.
+    rho_ab is a Hermitian (T, 9, 9) stack, seen in the frame of eur_columns.
+    rho_AB and rho_B are solved sector by sector (sector_spectra). The
+    dephased states are block diagonal in the measurement basis, so their
+    spectra come from three 3x3 conditional blocks each, measured along
+    u = O^T v. Every spectrum is checked as a state (eigenvalue floor,
+    unit trace) on the way.
     """
     w_ab = sector_spectra(rho_ab)
     require_state_spectrum(w_ab, ts, "rho_ab")
     w_b = sector_spectra(partial_trace_a(rho_ab))
     require_state_spectrum(w_b, ts, "rho_b")
-    w_xz = np.linalg.eigvalsh(conditional_blocks(rho_ab, _MEASURED_BASES)).reshape(len(rho_ab), 2, 9)
+    bases = _MEASURED_BASES if frame is None else np.swapaxes(frame, -1, -2) @ _MEASURED_BASES
+    w_xz = np.linalg.eigvalsh(conditional_blocks(rho_ab, bases)).reshape(len(rho_ab), 2, 9)
     require_state_spectrum(w_xz[:, 0], ts, "Sx-measured state")
     require_state_spectrum(w_xz[:, 1], ts, "Sz-measured state")
     return _bits(w_ab), _bits(w_b), _bits(w_xz[:, 0]), _bits(w_xz[:, 1])
@@ -103,7 +111,7 @@ class EurColumns(NamedTuple):
     negativity: np.ndarray
 
 
-def eur_columns(rho_ab: np.ndarray, ts=None) -> EurColumns:
+def eur_columns(rho_ab: np.ndarray, ts=None, frame=None) -> EurColumns:
     """Evaluate the uncertainty relation and the negativity on a (T, 9, 9) stack of states.
 
     The bound is u_b = BOUND_OFFSET + S(A|B), with the offset log2(1/c)
@@ -113,9 +121,16 @@ def eur_columns(rho_ab: np.ndarray, ts=None) -> EurColumns:
     and ceiling, and u_l >= u_b - 1e-9.
     A failing check raises ValueError naming the first failing sample,
     with its time when ts is given.
+
+    frame is a real orthogonal O, one (3, 3) for the whole stack or a
+    (T, 3, 3) stack with one per state; None is the identity. rho_ab then
+    holds the states in the frame O (x) O: the state that is measured is
+    (O (x) O) rho_ab (O (x) O)^T. The spectra of rho_AB, of its partial
+    transpose and of rho_B do not change under a real orthogonal local
+    frame, so only the measured x/z vectors v rotate, to u = O^T v.
     """
     rho_ab = require_hermitian_stack(rho_ab, ts, "rho_ab")
-    s_ab, s_b, s_x, s_z = _entropies(rho_ab, ts)
+    s_ab, s_b, s_x, s_z = _entropies(rho_ab, ts, frame)
     s_xb = s_x - s_b
     s_zb = s_z - s_b
     u_l = s_xb + s_zb

@@ -4,7 +4,13 @@ A sweep evolves one isotropic initial state through the product damping
 channel on a uniform time grid and records both sides of the uncertainty
 relation, the negativity, and the two branch amplitudes at every sample.
 The grid is processed in fixed blocks of samples, each through the array
-kernels of the channel and entropy modules.
+kernels of the channel and entropy modules. A block evolves in the dressed
+frame O of the channel (plus branch, minus branch, ground), which leaves
+the isotropic input unchanged; there rho_AB splits into one 3x3 sector and
+six 1x1 ones, its partial transpose into three 1x1 and three 2x2, and
+rho_B is diagonal, so no eigensolve is larger than 3x3. The x/z
+measurement runs along u = O^T v. The inequality suite does the same
+with one frame per draw.
 
 The fig2*/fig3*/fig4* presets pin the parameter sets behind the reference
 curves this package reproduces. The printed spectral width of the
@@ -30,11 +36,13 @@ from .channel import (
     ChannelParams,
     decoherence_factors,
     decoherence_factors_ode,
+    dressed_kraus,
     evolve_product,
     evolve_single,
     kraus_tensor,
     pair_indices,
     require_complete,
+    require_real_fields,
     superoperator,
 )
 from .entropy import BERTA_ATOL, eur_columns
@@ -68,6 +76,7 @@ class SweepConfig:
     basis: str = "kraus-order"
 
     def __post_init__(self):
+        require_real_fields(self, "k", "t_max")
         if not 0.0 <= self.k <= 1.0:
             raise ValueError(f"k must lie in [0, 1], got {self.k}")
         if not 0 < self.t_max < math.inf:
@@ -124,7 +133,9 @@ def _isotropic_inputs(k, ts=None) -> np.ndarray:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the uncertainty relation on the uniform grid t_i = i*t_max/(steps-1).
 
-    A failing check names the first failing t and the sweep parameters.
+    Each block evolves in the dressed frame and is measured along the
+    rotated x/z vectors (module docstring). A failing check names the
+    first failing t and the sweep parameters.
     """
     paired = pair_indices(_isotropic_inputs(cfg.k))
     levels = LEVEL_ORDERS[cfg.basis]
@@ -132,9 +143,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     for start in range(0, cfg.steps, _BLOCK):
         ts = np.arange(start, min(start + _BLOCK, cfg.steps)) * cfg.t_max / (cfg.steps - 1)
         try:
-            kraus, g_plus, g_minus = kraus_tensor(cfg.channel, ts, levels)
-            require_complete(kraus, ts)
-            cols = eur_columns(evolve_product(paired, superoperator(kraus)), ts)
+            dressed, frame, g_plus, g_minus = dressed_kraus(cfg.channel, ts, levels)
+            require_complete(dressed, ts)
+            cols = eur_columns(evolve_product(paired, superoperator(dressed)), ts, frame)
         except ValueError as exc:
             raise ValueError(f"{exc} (sweep {canonical_params(cfg)})") from exc
         records.extend(map(
@@ -409,9 +420,9 @@ def _inequality_draws(rng: np.random.Generator, n: int):
 
 
 def _inequality_block(params, ts, ks):
-    kraus = kraus_tensor(params, ts)[0]
-    require_complete(kraus, ts)
-    cols = eur_columns(evolve_product(pair_indices(_isotropic_inputs(ks, ts)), superoperator(kraus)), ts)
+    dressed, frames, _, _ = dressed_kraus(params, ts)
+    require_complete(dressed, ts)
+    cols = eur_columns(evolve_product(pair_indices(_isotropic_inputs(ks, ts)), superoperator(dressed)), ts, frames)
     return cols.u_l - cols.u_b, np.abs(cols.u_l - (cols.s_xb + cols.s_zb))
 
 

@@ -89,15 +89,15 @@ def conditional_blocks(rho_ab: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Unnormalised states of B conditioned on measuring A in an orthonormal basis.
 
     rho_ab is a (..., 9, 9) stack and basis a (3, n) array of column
-    vectors v_i. Block i is (<v_i| (x) I) rho (|v_i> (x) I), a 3x3 operator
-    on B whose trace is the probability of outcome i; the result has shape
-    (..., n, 3, 3). The dephased state sum_i |v_i><v_i| (x) block_i is block
-    diagonal in the measurement basis, so its spectrum is the union of the
-    block spectra.
+    vectors v_i, or a (..., 3, n) stack with one basis per state. Block i
+    is (<v_i| (x) I) rho (|v_i> (x) I), a 3x3 operator on B whose trace is
+    the probability of outcome i; the result has shape (..., n, 3, 3). The
+    dephased state sum_i |v_i><v_i| (x) block_i is block diagonal in the
+    measurement basis, so its spectrum is the union of the block spectra.
     """
     lead = rho_ab.shape[:-2]
-    n = basis.shape[1]
-    weights = (basis.conj()[:, None, :] * basis[None, :, :]).reshape(9, n)
+    n = basis.shape[-1]
+    weights = (basis.conj()[..., :, None, :] * basis[..., None, :, :]).reshape(basis.shape[:-2] + (9, n))
     # rho[a, b, c, d] -> rows (b, d), columns (a, c), contracted with the weights
     by_b = np.moveaxis(rho_ab.reshape(lead + (3, 3, 3, 3)), (-4, -2), (-2, -1))
     blocks = (by_b.reshape(lead + (9, 9)) @ weights).reshape(lead + (3, 3, n))

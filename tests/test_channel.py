@@ -182,11 +182,23 @@ def test_mixing_amplitudes_unit_norm(gamma1, gamma2, theta):
         (dict(gamma1=1.0, gamma2=1.0, theta=math.nan, lam=1.0), "theta"),
         (dict(gamma1=1.0, gamma2=1.0, theta=0.0, lam=math.inf), "lam"),
         (dict(gamma1=1.0, gamma2=1.0, theta=0.0, lam=math.nan), "lam"),
+        (dict(gamma1="1", gamma2=1.0, theta=0.0, lam=1.0), "gamma1"),
+        (dict(gamma1=1.0, gamma2=None, theta=0.0, lam=1.0), "gamma2"),
+        (dict(gamma1=1.0, gamma2=1.0, theta=None, lam=1.0), "theta"),
+        (dict(gamma1=1.0, gamma2=1.0, theta=0.0, lam=np.array([1.0, 2.0])), "lam"),
+        (dict(gamma1=np.array([0.5]), gamma2=1.0, theta=0.0, lam=1.0), "gamma1"),
+        (dict(gamma1=1.0, gamma2=1.0, theta=0.5 + 0j, lam=1.0), "theta"),
+        (dict(gamma1=1.0, gamma2=1.0, theta=0.0, lam=np.complex128(1.0)), "lam"),
     ],
 )
 def test_channel_params_validation(kwargs, field):
     with pytest.raises(ValueError, match=field):
         ChannelParams(**kwargs)
+
+
+def test_channel_params_accept_numpy_real_scalars():
+    p = ChannelParams(gamma1=np.float32(1.5), gamma2=np.int64(1), theta=np.float64(0.5), lam=2)
+    assert derive_params(p) == derive_params(ChannelParams(gamma1=1.5, gamma2=1.0, theta=0.5, lam=2.0))
 
 
 # ---------------------------------------------------------------------------

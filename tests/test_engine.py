@@ -102,6 +102,8 @@ def test_sweep_with_ragged_last_block_matches_dense_reference():
 
 
 def test_scalar_functions_reproduce_sweep_rows():
+    # the sweep evolves in the dressed frame and eur_sample in computational
+    # indices, so the two agree at round-off, not bit for bit
     cfg = SweepConfig(
         channel=ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=OSCILLATORY_LAM),
         k=0.6, t_max=600.0, steps=300,
@@ -111,7 +113,8 @@ def test_scalar_functions_reproduce_sweep_rows():
     for i in (0, 1, 127, 128, 200, 299):
         r = records[i]
         s = eur_sample(apply_product_channel(rho0, kraus_set(cfg.channel, r.t_gamma)))
-        assert (s.u_l, s.u_b, s.s_xb, s.s_zb, s.negativity) == (r.u_l, r.u_b, r.s_xb, r.s_zb, r.negativity)
+        got = np.array([s.u_l, s.u_b, s.s_xb, s.s_zb, s.negativity])
+        assert np.max(np.abs(got - [r.u_l, r.u_b, r.s_xb, r.s_zb, r.negativity])) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,16 @@ def synthetic_record(t, u_l, neg=0.0):
         (dict(t_max=1e308, steps=3), "t_max"),
         (dict(steps=4.0), "steps"),
         (dict(steps=2.5), "steps"),
+        (dict(k="1"), "k"),
+        (dict(k=None), "k"),
+        (dict(k=np.array([1.0, 0.5])), "k"),
+        (dict(k=np.array([0.5])), "k"),
+        (dict(k=0.5 + 0j), "k"),
+        (dict(t_max="1"), "t_max"),
+        (dict(t_max=None), "t_max"),
+        (dict(t_max=np.array([1.0, 2.0])), "t_max"),
+        (dict(t_max=np.array([0.5])), "t_max"),
+        (dict(t_max=1 + 1j), "t_max"),
     ],
 )
 def test_config_rejects_bad_field(overrides, field):
@@ -85,6 +95,11 @@ def test_config_rejects_bad_field(overrides, field):
 
 def test_config_accepts_numpy_integer_steps():
     assert len(run_sweep(quick_config(steps=np.int64(4)))) == 4
+
+
+def test_config_accepts_numpy_real_scalars():
+    cfg = quick_config(k=np.float32(0.5), t_max=np.int64(10))
+    assert run_sweep(cfg) == run_sweep(quick_config(k=0.5, t_max=10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +427,8 @@ def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
         s = eur_sample(apply_product_channel(isotropic_state(k), kraus_set(params, t)))
         want.append((s.u_l - s.u_b, abs(s.u_l - (s.s_xb + s.s_zb))))
     want = np.array(want).T
-    assert np.max(np.abs(np.array(captured[0]) - want)) <= 1e-14
+    # the suite evolves in the dressed frame, eur_sample in computational indices
+    assert np.max(np.abs(np.array(captured[0]) - want)) <= 1e-13
     assert detail == f"50 draws: worst bound margin {want[0].min():.2e}, worst term-sum split {want[1].max():.2e}"
 
 
