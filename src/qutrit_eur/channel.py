@@ -27,17 +27,17 @@ branch, ground), where it has five nonzero entries per time, together
 with the real orthogonal frame O that maps the dressed levels to
 computational indices. ``superoperator`` turns a Kraus tensor into the
 local map S_t on vectorised 3x3 operators, and ``evolve_product`` applies
-S_t to both qutrits as two batched 9x9 products. The sweep and the
-inequality suite apply the dressed tensor itself: their isotropic input is
-invariant under O (x) O, so they evolve in the dressed frame and hand O to
-the measurement. ``kraus_tensor`` rotates the dressed tensor into the real
-(T, 3, 3, 3) computational tensor O K O^T, for ``kraus_set`` and the CPTP
-suite, whose inputs are arbitrary states. The parameters broadcast against
-the times: a sweep passes one ChannelParams for its whole grid, a batch of
-independent draws one per time. The branch amplitude and its RK4 oracle
-are elementwise in the same way, so one amplitude is a one-point call.
-``kraus_set`` is the T = 1 slice of ``kraus_tensor``, a real (3, 3, 3)
-array, and ``apply_channel`` and ``apply_product_channel`` apply any
+S_t to both qutrits as two batched 9x9 products. Every channel path
+applies the dressed tensor itself. The isotropic input of the sweep and
+the inequality suite is invariant under O (x) O, so they evolve it as it
+is and hand O to the measurement; the CPTP suite rotates each of its
+arbitrary inputs once, O^T rho O, and trace and spectrum do not depend on
+the frame. The parameters broadcast against the times: a sweep passes one
+ChannelParams for its whole grid, a batch of independent draws one per
+time. The branch amplitude and its RK4 oracle are elementwise in the same
+way, so one amplitude is a one-point call. ``kraus_set`` rotates the
+T = 1 dressed tensor into the real (3, 3, 3) computational triple
+O K O^T, and ``apply_channel`` and ``apply_product_channel`` apply any
 complete (3, 3, 3) triple through the same superoperator kernels.
 """
 
@@ -147,17 +147,6 @@ def derive_params(p: ChannelParams) -> DerivedParams:
     )
 
 
-def _branch_inputs(params: Sequence[ChannelParams], branches: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point spectral width and branch rate, as two arrays."""
-    rows = []
-    for p, branch in zip(params, branches, strict=True):
-        if branch not in ("plus", "minus"):
-            raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-        rows.append((p.lam, getattr(derive_params(p), f"gamma_{branch}")))
-    lam, rate = np.array(rows, dtype=float).reshape(-1, 2).T
-    return lam, rate
-
-
 def _require_times(ts: np.ndarray) -> None:
     require_samples(
         (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
@@ -238,14 +227,37 @@ def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
     return y[..., 0, 0]
 
 
+def _channel_inputs(p: ChannelParams | Sequence[ChannelParams]) -> tuple:
+    """lam, gamma_plus, gamma_minus, a, b: floats for one ChannelParams, arrays for a sequence."""
+    single = isinstance(p, ChannelParams)
+    rows = []
+    for q in [p] if single else p:
+        d = derive_params(q)
+        rows.append((q.lam, d.gamma_plus, d.gamma_minus, d.a, d.b))
+    if single:
+        return rows[0]
+    return tuple(np.array(rows, dtype=float).reshape(-1, 5).T)
+
+
+def _branch_rates(params: Sequence[ChannelParams], branches: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point spectral width and the rate of the named branch, as two arrays."""
+    if isinstance(params, ChannelParams) or len(params) != len(branches):
+        raise ValueError(f"params must be a sequence of one ChannelParams per branch, for {len(branches)} branches")
+    for branch in branches:
+        if branch not in ("plus", "minus"):
+            raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    lam, rate_plus, rate_minus, _, _ = _channel_inputs(params)
+    return lam, np.where([branch == "plus" for branch in branches], rate_plus, rate_minus)
+
+
 def decoherence_factors(params: Sequence[ChannelParams], branches: Sequence[Branch], ts) -> np.ndarray:
     """Closed-form decoherence amplitudes, one per (params, branch, t) point."""
-    return _g_closed(*_branch_inputs(params, branches), np.asarray(ts, dtype=float))
+    return _g_closed(*_branch_rates(params, branches), np.asarray(ts, dtype=float))
 
 
 def decoherence_factors_ode(params: Sequence[ChannelParams], branches: Sequence[Branch], ts) -> np.ndarray:
     """RK4 oracle amplitudes, one per (params, branch, t) point; independent of the closed form."""
-    return _g_rk4(*_branch_inputs(params, branches), np.asarray(ts, dtype=float))
+    return _g_rk4(*_branch_rates(params, branches), np.asarray(ts, dtype=float))
 
 
 def require_complete(kraus: np.ndarray, ts=None) -> np.ndarray:
@@ -260,14 +272,6 @@ def require_complete(kraus: np.ndarray, ts=None) -> np.ndarray:
         lambda i: f"Kraus completeness violated: max|sum K^dag K - I| = {dev[i]:.3e}",
     )
     return dev
-
-
-def _channel_inputs(p: ChannelParams | Sequence[ChannelParams]) -> tuple:
-    """lam, gamma_plus, gamma_minus, a, b: floats for one ChannelParams, arrays for a sequence."""
-    if isinstance(p, ChannelParams):
-        d = derive_params(p)
-        return p.lam, d.gamma_plus, d.gamma_minus, d.a, d.b
-    return tuple(np.array([_channel_inputs(q) for q in p], dtype=float).reshape(-1, 5).T)
 
 
 # (operator, row, column) of the five nonzero entries of the dressed Kraus
@@ -321,34 +325,19 @@ def dressed_kraus(
     return dressed, dressed_frame(a, b, levels), g_plus, g_minus
 
 
-def kraus_tensor(
-    p: ChannelParams | Sequence[ChannelParams],
-    ts: np.ndarray,
-    levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kraus operators at every time of ts in computational indices, with both branch amplitudes.
-
-    p and levels are as for dressed_kraus. Returns the real (T, 3, 3, 3)
-    tensor K[t, i] = O K_i(t) O^T and the arrays G_plus(t), G_minus(t);
-    check completeness with require_complete. The rotation runs over the
-    five nonzero dressed entries only, each times O[:, j] O[:, k]^T, so
-    K_1 carries G+ a^2 + G- b^2 and (G- - G+) a b on the excited levels
-    and K_2/K_3 the ground rows W+ (a, -b) and W- (b, a).
-    """
-    dressed, frame, g_plus, g_minus = dressed_kraus(p, ts, levels)
-    dressed_levels = frame.swapaxes(-1, -2)  # row j: dressed level j in computational indices
-    outer = dressed_levels[..., _DRESSED_ROWS, :, None] * dressed_levels[..., _DRESSED_COLS, None, :]
-    terms = dressed[:, _DRESSED_OPS, _DRESSED_ROWS, _DRESSED_COLS, None, None] * outer
-    # K_1 holds the first three entries, K_2 and K_3 one each
-    return np.stack([terms[:, 0] + terms[:, 1] + terms[:, 2], terms[:, 3], terms[:, 4]], axis=1), g_plus, g_minus
-
-
 def kraus_set(p: ChannelParams, t: float) -> np.ndarray:
-    """Real (3, 3, 3) Kraus triple at time t, checked for completeness; the T = 1 case of kraus_tensor."""
+    """Real (3, 3, 3) Kraus triple O K(t) O^T at time t in computational indices, checked for completeness.
+
+    K_1 carries G+ a^2 + G- b^2 and (G- - G+) a b on the excited levels,
+    K_2 and K_3 the ground rows W+ (a, -b) and W- (b, a).
+    """
     ts = np.array([t], dtype=float)
-    kraus = kraus_tensor(p, ts)[0]
-    require_complete(kraus, ts)
-    return kraus[0]
+    dressed, frame, _, _ = dressed_kraus(p, ts)
+    # one einsum, not O @ K @ O^T: a fused multiply-add would leave round-off
+    # of 1e-17 where the rotation cancels to an exact 0
+    kraus = np.einsum("ij,kjl,ml->kim", frame, dressed[0], frame)
+    require_complete(kraus[None], ts)
+    return kraus
 
 
 def pair_indices(m: np.ndarray) -> np.ndarray:

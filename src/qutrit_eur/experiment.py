@@ -39,7 +39,6 @@ from .channel import (
     dressed_kraus,
     evolve_product,
     evolve_single,
-    kraus_tensor,
     pair_indices,
     require_complete,
     require_real_fields,
@@ -76,6 +75,8 @@ class SweepConfig:
     basis: str = "kraus-order"
 
     def __post_init__(self):
+        if not isinstance(self.channel, ChannelParams):
+            raise ValueError(f"channel must be a ChannelParams, got {self.channel!r}")
         require_real_fields(self, "k", "t_max")
         if not 0.0 <= self.k <= 1.0:
             raise ValueError(f"k must lie in [0, 1], got {self.k}")
@@ -349,9 +350,11 @@ def _cptp_draws(rng: np.random.Generator, n: int):
 
 
 def _cptp_block(params, ts, factors):
-    kraus = kraus_tensor(params, ts)[0]
-    complete = require_complete(kraus, ts)
-    out = evolve_single(require_density_stack(_density_matrices(factors), ts), superoperator(kraus))
+    dressed, frames = dressed_kraus(params, ts)[:2]
+    complete = require_complete(dressed, ts)
+    rho = require_density_stack(_density_matrices(factors), ts)
+    # each input once into its dressed frame: trace and spectrum do not depend on it
+    out = evolve_single(frames.swapaxes(1, 2) @ rho @ frames, superoperator(dressed))
     trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
     dip = -np.linalg.eigvalsh(hermitian_part(out))[:, 0]
     return complete, trace, dip

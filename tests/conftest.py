@@ -1,4 +1,4 @@
-"""Shared fixtures, random-matrix helpers, and a dense reference for the uncertainty relation."""
+"""Shared fixtures, random-matrix helpers, the closed-form Kraus triple, and a dense reference for the uncertainty relation."""
 
 import math
 import time
@@ -24,6 +24,29 @@ def random_unitary(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(x)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def computational_kraus(a, b, g_plus, g_minus, levels=(0, 1, 2)):
+    """The Kraus triple in computational indices, written entry by entry from its closed form.
+
+    K_1 carries G+ a^2 + G- b^2, G+ b^2 + G- a^2 and (G- - G+) a b on the
+    excited levels and 1 on the ground level; K_2 and K_3 carry the ground
+    rows W+ (a, -b) and W- (b, a), W = sqrt(1 - G^2). levels gives the
+    computational indices of (excited 1, excited 2, ground). No frame
+    rotation is involved, so every entry the map leaves empty is an exact 0.
+    Scalar amplitudes give one (3, 3, 3) triple, arrays a (T, 3, 3, 3) stack.
+    """
+    g_plus, g_minus = np.asarray(g_plus, dtype=float), np.asarray(g_minus, dtype=float)
+    w_plus, w_minus = (np.sqrt(np.maximum(0.0, 1.0 - g * g)) for g in (g_plus, g_minus))
+    e1, e2, g = levels
+    kraus = np.zeros(g_plus.shape + (3, 3, 3))
+    kraus[..., 0, e1, e1] = g_plus * a * a + g_minus * b * b
+    kraus[..., 0, e2, e2] = g_plus * b * b + g_minus * a * a
+    kraus[..., 0, e1, e2] = kraus[..., 0, e2, e1] = (g_minus - g_plus) * a * b
+    kraus[..., 0, g, g] = 1.0
+    kraus[..., 1, g, e1], kraus[..., 1, g, e2] = w_plus * a, -w_plus * b
+    kraus[..., 2, g, e1], kraus[..., 2, g, e2] = w_minus * b, w_minus * a
+    return kraus
 
 
 SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2.0)

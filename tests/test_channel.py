@@ -19,14 +19,13 @@ from qutrit_eur.channel import (
     derive_params,
     dressed_kraus,
     kraus_set,
-    kraus_tensor,
     require_complete,
 )
 from qutrit_eur.experiment import oracle_grid
 from qutrit_eur.entropy import eur_sample
 from qutrit_eur.states_obs import isotropic_state
 
-from conftest import random_density_matrix
+from conftest import computational_kraus, random_density_matrix
 
 SYMMETRIC_NO_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
 SYMMETRIC_FULL_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=0.001)
@@ -457,6 +456,8 @@ def test_g_rejects_bad_branch():
 def test_g_rejects_mismatched_lengths(factors):
     with pytest.raises(ValueError):
         factors([SYMMETRIC_NO_SGI] * 2, ["plus"], [1.0, 2.0])
+    with pytest.raises(ValueError, match="sequence of one ChannelParams per branch"):
+        factors(SYMMETRIC_NO_SGI, ["plus"], [1.0])
     with pytest.raises(ValueError):
         factors([SYMMETRIC_NO_SGI] * 2, ["plus", "minus"], [1.0, 2.0, 3.0])
 
@@ -493,21 +494,22 @@ def test_kraus_completeness_random():
 
 
 @pytest.mark.parametrize("levels", [(0, 1, 2), (1, 2, 0)])
-def test_kraus_tensor_per_draw_params_match_scalar_calls(levels):
+def test_dressed_kraus_per_draw_params_match_single_calls(levels):
     rng = np.random.default_rng(103)
     params = [random_params(rng) for _ in range(40)]
     # include exact degeneracy (q = 0) and exact critical damping (d = 0)
     params += [SYMMETRIC_NO_SGI, ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=2.0)]
     ts = rng.uniform(0.0, 50.0, len(params))
-    kraus, g_plus, g_minus = kraus_tensor(params, ts, levels)
+    dressed, frames, g_plus, g_minus = dressed_kraus(params, ts, levels)
     for i, (p, t) in enumerate(zip(params, ts)):
-        k, gp, gm = kraus_tensor(p, ts[i:i + 1], levels)
-        assert np.max(np.abs(kraus[i] - k[0])) <= 1e-15
+        d, frame, gp, gm = dressed_kraus(p, ts[i:i + 1], levels)
+        assert np.max(np.abs(dressed[i] - d[0])) <= 1e-15
+        assert np.max(np.abs(frames[i] - frame)) <= 1e-15
         assert abs(g_plus[i] - gp[0]) <= 1e-15 and abs(g_minus[i] - gm[0]) <= 1e-15
 
 
 @pytest.mark.parametrize("basis", list(LEVEL_ORDERS))
-def test_dressed_kraus_rotates_into_kraus_tensor(basis):
+def test_dressed_kraus_rotates_into_the_computational_triple(basis):
     rng = np.random.default_rng(109)
     params = [random_params(rng) for _ in range(30)] + [SYMMETRIC_NO_SGI, SYMMETRIC_FULL_SGI]
     ts = rng.uniform(0.0, 50.0, len(params))
@@ -518,12 +520,23 @@ def test_dressed_kraus_rotates_into_kraus_tensor(basis):
     assert np.array_equal(dressed[:, 0], np.array([np.diag([gp, gm, 1.0]) for gp, gm in zip(g_plus, g_minus)]))
     require_complete(dressed, ts)
     assert np.max(np.abs(frame @ frame.swapaxes(1, 2) - np.eye(3))) <= 1e-15
-    kraus = kraus_tensor(params, ts, LEVEL_ORDERS[basis])[0]
+    a, b = np.array([(derive_params(p).a, derive_params(p).b) for p in params]).T
+    want = computational_kraus(a, b, g_plus, g_minus, LEVEL_ORDERS[basis])
     rotated = frame[:, None] @ dressed @ frame[:, None].swapaxes(-1, -2)
-    assert kraus.dtype == np.float64
-    assert np.max(np.abs(kraus - rotated)) <= 1e-15
+    assert np.max(np.abs(rotated - want)) <= 1e-15
     # the ground level of the basis convention is the third column of O
     assert np.all(frame[:, LEVEL_ORDERS[basis][2], 2] == 1.0)
+
+
+def test_kraus_set_matches_the_computational_triple():
+    rng = np.random.default_rng(109)
+    params = [random_params(rng) for _ in range(30)] + [SYMMETRIC_NO_SGI, SYMMETRIC_FULL_SGI]
+    for p, t in zip(params, rng.uniform(0.0, 50.0, len(params))):
+        kraus = kraus_set(p, t)
+        d = derive_params(p)
+        g_plus, g_minus = decoherence_factors([p, p], ["plus", "minus"], [t, t])
+        assert kraus.dtype == np.float64
+        assert np.max(np.abs(kraus - computational_kraus(d.a, d.b, g_plus, g_minus))) <= 1e-15
 
 
 def test_degenerate_mixing_choice_does_not_change_channel():

@@ -1,8 +1,9 @@
 """The batched sweep engine against a dense per-sample reference.
 
 The reference below is the original per-sample algorithm written out with
-np.kron: scalar closed-form G(t), the Kraus triple permuted by an explicit
-matrix for the ground-first basis, the product channel as a nine-term sum
+np.kron: scalar closed-form G(t), the Kraus triple written entry by entry
+(conftest.computational_kraus) at explicit level indices for each basis
+convention, the product channel as a nine-term sum
 over K_i (x) K_j, then conftest.reference_eur: measurement by 9x9
 projectors and full 9x9 spectra for every entropy. It shares no kernel
 with the engine.
@@ -19,9 +20,9 @@ from qutrit_eur.channel import (
     ChannelParams,
     apply_product_channel,
     derive_params,
+    dressed_kraus,
     evolve_product,
     kraus_set,
-    kraus_tensor,
     pair_indices,
     require_complete,
     superoperator,
@@ -30,10 +31,11 @@ from qutrit_eur.entropy import eur_columns, eur_sample
 from qutrit_eur.experiment import SweepConfig, run_sweep
 from qutrit_eur.states_obs import isotropic_state
 
-from conftest import reference_eur
+from conftest import computational_kraus, reference_eur
 
 COLUMNS = ("t_gamma", "u_l", "u_b", "s_xb", "s_zb", "negativity", "g_plus", "g_minus")
-GROUND_FIRST = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
+# computational indices of (excited 1, excited 2, ground) per basis convention
+REFERENCE_LEVELS = {"kraus-order": (0, 1, 2), "ground-first": (1, 2, 0)}
 MONOTONE_LAM, OSCILLATORY_LAM = 5.0, 0.01
 
 
@@ -52,14 +54,7 @@ def reference_row(cfg, t):
     d = derive_params(p)
     gp = reference_g(p.lam, d.gamma_plus, t)
     gm = reference_g(p.lam, d.gamma_minus, t)
-    a, b = d.a, d.b
-    off = (gm - gp) * a * b
-    k1 = np.array([[gp * a * a + gm * b * b, off, 0], [off, gp * b * b + gm * a * a, 0], [0, 0, 1]], dtype=complex)
-    k2 = math.sqrt(max(0.0, 1.0 - gp * gp)) * np.array([[0, 0, 0], [0, 0, 0], [a, -b, 0]], dtype=complex)
-    k3 = math.sqrt(max(0.0, 1.0 - gm * gm)) * np.array([[0, 0, 0], [0, 0, 0], [b, a, 0]], dtype=complex)
-    ops = [k1, k2, k3]
-    if cfg.basis == "ground-first":
-        ops = [GROUND_FIRST @ k @ GROUND_FIRST.T for k in ops]
+    ops = computational_kraus(d.a, d.b, gp, gm, REFERENCE_LEVELS[cfg.basis])
     rho0 = isotropic_state(cfg.k)
     rho = np.zeros((9, 9), dtype=complex)
     for ki in ops:
@@ -123,8 +118,8 @@ def test_scalar_functions_reproduce_sweep_rows():
 
 
 def evolved_block(ts):
-    kraus, _, _ = kraus_tensor(ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), ts)
-    return kraus, evolve_product(pair_indices(isotropic_state(0.8)), superoperator(kraus))
+    dressed = dressed_kraus(ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), ts)[0]
+    return dressed, evolve_product(pair_indices(isotropic_state(0.8)), superoperator(dressed))
 
 
 def not_hermitian(rho):

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from qutrit_eur.channel import (
     LEVEL_ORDERS,
     ChannelParams,
+    derive_params,
     dressed_kraus,
     evolve_product,
-    kraus_tensor,
     pair_indices,
     superoperator,
 )
@@ -32,7 +32,7 @@ from qutrit_eur.experiment import BASIS_CONVENTIONS, SweepConfig, check_uncertai
 from qutrit_eur.linalg import _sectors, partial_trace_a, partial_transpose_a, sector_spectra
 from qutrit_eur.states_obs import conditional_blocks, isotropic_state, spin1_observable
 
-from conftest import random_density_matrix
+from conftest import computational_kraus, random_density_matrix
 
 # unequal rates with partial SGI: both mixing amplitudes are nonzero and a != b
 MIXED = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
@@ -50,6 +50,13 @@ def evolved(kraus, k=0.6):
     return evolve_product(pair_indices(isotropic_state(k)), superoperator(kraus))
 
 
+def computational_block(levels=LEVEL_ORDERS["kraus-order"]):
+    """The Kraus triple of MIXED at every time of TS in computational indices, from its closed form."""
+    _, _, g_plus, g_minus = dressed_kraus(MIXED, TS)
+    d = derive_params(MIXED)
+    return computational_kraus(d.a, d.b, g_plus, g_minus, levels)
+
+
 @pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
 def test_dressed_frame_block_sectors(basis):
     dressed, frame, _, _ = dressed_kraus(MIXED, TS, LEVEL_ORDERS[basis])
@@ -58,7 +65,7 @@ def test_dressed_frame_block_sectors(basis):
     assert sector_sizes(partial_transpose_a(rho_d)) == [1] * 3 + [2] * 3
     assert sector_sizes(partial_trace_a(rho_d)) == [1] * 3
     # the dressed block is the computational one seen in the frame O (x) O
-    rho = evolved(kraus_tensor(MIXED, TS, LEVEL_ORDERS[basis])[0])
+    rho = evolved(computational_block(LEVEL_ORDERS[basis]))
     both = np.kron(frame, frame)
     assert np.max(np.abs(both @ rho_d @ both.T - rho)) <= 1e-15
     for dressed_stack, stack in ((rho_d, rho), (partial_transpose_a(rho_d), partial_transpose_a(rho))):
@@ -68,7 +75,7 @@ def test_dressed_frame_block_sectors(basis):
 
 @pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
 def test_computational_block_sectors(basis):
-    rho = evolved(kraus_tensor(MIXED, TS, LEVEL_ORDERS[basis])[0])
+    rho = evolved(computational_block(LEVEL_ORDERS[basis]))
     assert sector_sizes(rho) == [2, 2, 5]
     assert sector_sizes(partial_transpose_a(rho)) == [1, 4, 4]
     assert sector_sizes(partial_trace_a(rho)) == [1, 2]
@@ -86,7 +93,7 @@ def test_sweep_kernels_stay_real():
 
 
 def test_complex_state_keeps_complex_arithmetic():
-    rho = evolved(kraus_tensor(MIXED, TS)[0]).astype(complex)
+    rho = evolved(computational_block()).astype(complex)
     assert partial_transpose_a(rho).dtype == partial_trace_a(rho).dtype == np.complex128
     real = eur_columns(rho.real, TS)
     cplx = eur_columns(rho, TS)
