@@ -34,8 +34,9 @@ is and hand O to the measurement; the CPTP suite rotates each of its
 arbitrary inputs once, O^T rho O, and trace and spectrum do not depend on
 the frame. The parameters broadcast against the times: a sweep passes one
 ChannelParams for its whole grid, a batch of independent draws one per
-time. The branch amplitude and its RK4 oracle are elementwise in the same
-way, so one amplitude is a one-point call. ``kraus_set`` rotates the
+time. ``decoherence_factors`` and its RK4 oracle ``decoherence_factors_ode``
+take the parameters the same way and return both branch amplitudes
+(G_plus, G_minus) at every time. ``kraus_set`` rotates the
 T = 1 dressed tensor into the real (3, 3, 3) computational triple
 O K O^T, and ``apply_channel`` and ``apply_product_channel`` apply any
 complete (3, 3, 3) triple through the same superoperator kernels.
@@ -46,13 +47,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .linalg import as_inexact, require_density_matrix, require_samples
-
-Branch = Literal["plus", "minus"]
 
 COMPLETENESS_ATOL = 1e-10
 # computational indices of (excited 1, excited 2, ground) per basis convention
@@ -227,37 +225,36 @@ def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
     return y[..., 0, 0]
 
 
-def _channel_inputs(p: ChannelParams | Sequence[ChannelParams]) -> tuple:
-    """lam, gamma_plus, gamma_minus, a, b: floats for one ChannelParams, arrays for a sequence."""
-    single = isinstance(p, ChannelParams)
+def _channel_inputs(p: ChannelParams | Sequence[ChannelParams], ts: np.ndarray) -> tuple:
+    """lam, gamma_plus, gamma_minus, a, b: floats for one ChannelParams, arrays for a sequence.
+
+    A sequence holds one ChannelParams per time of ts; any other length is
+    a ValueError naming both lengths.
+    """
+    if isinstance(p, ChannelParams):
+        d = derive_params(p)
+        return p.lam, d.gamma_plus, d.gamma_minus, d.a, d.b
+    if len(p) != len(ts):
+        raise ValueError(f"params must be one ChannelParams or one per time: got {len(p)} params for {len(ts)} times")
     rows = []
-    for q in [p] if single else p:
+    for q in p:
         d = derive_params(q)
         rows.append((q.lam, d.gamma_plus, d.gamma_minus, d.a, d.b))
-    if single:
-        return rows[0]
     return tuple(np.array(rows, dtype=float).reshape(-1, 5).T)
 
 
-def _branch_rates(params: Sequence[ChannelParams], branches: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point spectral width and the rate of the named branch, as two arrays."""
-    if isinstance(params, ChannelParams) or len(params) != len(branches):
-        raise ValueError(f"params must be a sequence of one ChannelParams per branch, for {len(branches)} branches")
-    for branch in branches:
-        if branch not in ("plus", "minus"):
-            raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    lam, rate_plus, rate_minus, _, _ = _channel_inputs(params)
-    return lam, np.where([branch == "plus" for branch in branches], rate_plus, rate_minus)
+def decoherence_factors(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form branch amplitudes (G_plus, G_minus) at every time of ts, p as for dressed_kraus."""
+    ts = np.asarray(ts, dtype=float)
+    lam, rate_plus, rate_minus, _, _ = _channel_inputs(p, ts)
+    return _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
 
 
-def decoherence_factors(params: Sequence[ChannelParams], branches: Sequence[Branch], ts) -> np.ndarray:
-    """Closed-form decoherence amplitudes, one per (params, branch, t) point."""
-    return _g_closed(*_branch_rates(params, branches), np.asarray(ts, dtype=float))
-
-
-def decoherence_factors_ode(params: Sequence[ChannelParams], branches: Sequence[Branch], ts) -> np.ndarray:
-    """RK4 oracle amplitudes, one per (params, branch, t) point; independent of the closed form."""
-    return _g_rk4(*_branch_rates(params, branches), np.asarray(ts, dtype=float))
+def decoherence_factors_ode(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 oracle amplitudes (G_plus, G_minus) at every time of ts; independent of the closed form."""
+    ts = np.asarray(ts, dtype=float)
+    lam, rate_plus, rate_minus, _, _ = _channel_inputs(p, ts)
+    return _g_rk4(lam, rate_plus, ts), _g_rk4(lam, rate_minus, ts)
 
 
 def require_complete(kraus: np.ndarray, ts=None) -> np.ndarray:
@@ -315,7 +312,7 @@ def dressed_kraus(
     (T, 3, 3, 3) tensor, the frame O of dressed_frame ((3, 3), or (T, 3, 3)
     for a sequence), and the arrays G_plus(t), G_minus(t).
     """
-    lam, rate_plus, rate_minus, a, b = _channel_inputs(p)
+    lam, rate_plus, rate_minus, a, b = _channel_inputs(p, ts)
     g_plus, g_minus = _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
     w_plus, w_minus = (np.sqrt(np.maximum(0.0, 1.0 - g * g)) for g in (g_plus, g_minus))
     dressed = np.zeros((len(ts), 3, 3, 3))

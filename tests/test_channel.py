@@ -209,47 +209,44 @@ def test_g_is_one_at_t0():
     rng = np.random.default_rng(59)
     for _ in range(20):
         p = random_params(rng)
-        for branch in ("plus", "minus"):
-            assert decoherence_factors([p], [branch], [0.0])[0] == pytest.approx(1.0, abs=1e-14)
+        for g in decoherence_factors(p, [0.0]):
+            assert g[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_g_decoherence_free_branch():
     # maximal SGI with equal rates leaves the minus branch undamped
     for lam in (0.001, 1.0, 1000.0):
         p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=lam)
-        for t in (0.0, 0.5, 7.0, 140.0, 600.0):
-            assert decoherence_factors([p], ["minus"], [t])[0] == pytest.approx(1.0, abs=1e-12)
+        g_minus = decoherence_factors(p, [0.0, 0.5, 7.0, 140.0, 600.0])[1]
+        assert np.max(np.abs(g_minus - 1.0)) <= 1e-12
 
 
 def test_g_matches_ode_oracle():
     rng = np.random.default_rng(61)
     for _ in range(25):
         p = random_params(rng)
-        branch = "plus" if rng.uniform() < 0.5 else "minus"
         t = rng.uniform(0.0, min(20.0, 50.0 / p.lam))
-        closed = decoherence_factors([p], [branch], [t])[0]
-        integrated = decoherence_factors_ode([p], [branch], [t])[0]
-        assert closed == pytest.approx(integrated, abs=1e-8)
+        closed, integrated = decoherence_factors(p, [t]), decoherence_factors_ode(p, [t])
+        assert np.max(np.abs(np.subtract(closed, integrated))) <= 1e-8
 
 
 def test_g_ode_initial_condition():
-    p = SYMMETRIC_NO_SGI
-    assert decoherence_factors_ode([p], ["plus"], [0.0])[0] == 1.0
+    assert all(g[0] == 1.0 for g in decoherence_factors_ode(SYMMETRIC_NO_SGI, [0.0]))
 
 
 def test_g_matches_ode_near_first_zero():
     # slow-reservoir amplitude close to its first zero crossing
-    closed = decoherence_factors([SYMMETRIC_NO_SGI], ["plus"], [70.2])[0]
-    integrated = decoherence_factors_ode([SYMMETRIC_NO_SGI], ["plus"], [70.2])[0]
-    assert closed == pytest.approx(integrated, abs=1e-8)
+    closed = decoherence_factors(SYMMETRIC_NO_SGI, [70.2])
+    integrated = decoherence_factors_ode(SYMMETRIC_NO_SGI, [70.2])
+    assert np.max(np.abs(np.subtract(closed, integrated))) <= 1e-8
 
 
 def test_g_ode_markovian_envelope():
     # for lam >> rate the amplitude follows exp(-rate*t/2) within 1%
     p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1000.0)
-    for t in (1.0, 3.0, 5.0):
-        g = decoherence_factors_ode([p], ["plus"], [t])[0]
-        assert g / math.exp(-t / 2.0) == pytest.approx(1.0, abs=0.01)
+    ts = np.array([1.0, 3.0, 5.0])
+    for g in decoherence_factors_ode(p, ts):
+        assert np.max(np.abs(g / np.exp(-ts / 2.0) - 1.0)) <= 0.01
 
 
 def test_g_continuous_across_critical_width():
@@ -258,27 +255,25 @@ def test_g_continuous_across_critical_width():
         g1, g2, theta = rate_pair
         rate = derive_params(ChannelParams(g1, g2, theta, 1.0)).gamma_plus
         lam_c = 2.0 * rate
-        for t in (0.5, 2.0, 10.0):
-            below = decoherence_factors([ChannelParams(g1, g2, theta, lam_c * (1 - 1e-6))], ["plus"], [t])[0]
-            above = decoherence_factors([ChannelParams(g1, g2, theta, lam_c * (1 + 1e-6))], ["plus"], [t])[0]
-            at = decoherence_factors([ChannelParams(g1, g2, theta, lam_c)], ["plus"], [t])[0]
-            assert abs(below - above) <= 1e-5
-            assert abs(at - below) <= 1e-5
+        below, above, at = (
+            decoherence_factors(ChannelParams(g1, g2, theta, lam), [0.5, 2.0, 10.0])[0]
+            for lam in (lam_c * (1 - 1e-6), lam_c * (1 + 1e-6), lam_c)
+        )
+        assert np.max(np.abs(below - above)) <= 1e-5
+        assert np.max(np.abs(at - below)) <= 1e-5
 
 
 def test_g_markovian_monotone_decay():
     p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1000.0)
-    values = [decoherence_factors([p], ["plus"], [t])[0] for t in np.linspace(0.0, 5.0, 200)]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+    for values in decoherence_factors(p, np.linspace(0.0, 5.0, 200)):
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_g_stays_in_unit_interval():
     rng = np.random.default_rng(67)
-    for _ in range(200):
-        p = random_params(rng)
-        t = rng.uniform(0.0, 100.0)
-        g = decoherence_factors([p], ["plus" if rng.uniform() < 0.5 else "minus"], [t])[0]
-        assert -1.0 - 1e-12 <= g <= 1.0 + 1e-12
+    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 100.0)) for _ in range(200)])
+    for g in decoherence_factors(params, ts):
+        assert np.all(np.abs(g) <= 1.0 + 1e-12)
 
 
 def g_mpmath(lam, rate, t):
@@ -303,7 +298,8 @@ def test_g_matches_mpmath_near_critical_damping_and_markov_limit():
         points += [(1.0, lam, t) for t in np.linspace(0.0, 10.0, 26)]
     rates, lams, ts = np.array(points).T
     params = [ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam) for r, lam in zip(rates, lams)]
-    got = decoherence_factors(params, ["plus"] * len(params), ts)
+    # both branches, each at rate `rate`
+    got = np.array(decoherence_factors(params, ts))
     want = np.array([g_mpmath(*point) for point in zip(lams, rates, ts)])
     assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -314,31 +310,30 @@ def test_g_matches_mpmath_near_critical_damping_and_markov_limit():
     gamma2=st.floats(0.1, 3.0),
     theta=st.floats(-1.0, 1.0),
     log_lam=st.floats(-3.0, 3.0),
-    branch=st.sampled_from(["plus", "minus"]),
     t_frac=st.floats(0.0, 1.0),
 )
-def test_g_properties(gamma1, gamma2, theta, log_lam, branch, t_frac):
+def test_g_properties(gamma1, gamma2, theta, log_lam, t_frac):
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
     t = t_frac * min(20.0, 50.0 / p.lam)
-    assert decoherence_factors([p], [branch], [0.0])[0] == 1.0
-    g = decoherence_factors([p], [branch], [t])[0]
+    assert all(g[0] == 1.0 for g in decoherence_factors(p, [0.0]))
+    g = np.array(decoherence_factors(p, [t]))
     # |G| <= 1 up to the last bit of the rounded result
-    assert abs(g) <= 1.0 + 2.0**-52
-    assert abs(g - decoherence_factors_ode([p], [branch], [t])[0]) <= 1e-8
+    assert np.all(np.abs(g) <= 1.0 + 2.0**-52)
+    assert np.max(np.abs(g - decoherence_factors_ode(p, [t]))) <= 1e-8
 
 
 def test_g_rejects_negative_time():
     with pytest.raises(ValueError, match="nonnegative"):
-        decoherence_factors([SYMMETRIC_NO_SGI], ["plus"], [-0.1])
+        decoherence_factors(SYMMETRIC_NO_SGI, [-0.1])
     with pytest.raises(ValueError, match="nonnegative"):
-        decoherence_factors_ode([SYMMETRIC_NO_SGI], ["plus"], [-0.1])
+        decoherence_factors_ode(SYMMETRIC_NO_SGI, [-0.1])
 
 
 def test_g_overflow_raises_value_error_naming_inputs():
     # d + lam overflows to inf, so the closed form yields NaN already at t = 0
     p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e308)
     with pytest.raises(ValueError, match=r"not finite and real.*lam=1e\+308.* at t=0$"):
-        decoherence_factors([p], ["plus"], [0.0])
+        decoherence_factors(p, [0.0])
     with pytest.raises(ValueError, match=r"t must be finite and nonnegative.* at t=inf$"):
         kraus_set(SYMMETRIC_NO_SGI, math.inf)
 
@@ -360,17 +355,17 @@ def g_mpmath_wide(lam, rate, t):
 def test_g_tiny_width_matches_mpmath():
     # lam*(lam - 2*rate) underflows for every point here; as one product it
     # read d = 0 and gave G = exp(-lam*t/2)*(1 + lam*t/2), e.g. 6 at lam = 1e-170,
-    # rate 0, t = 1e171. Equal rates without SGI make both branch rates r; full
-    # SGI on equal rates makes the minus branch rate exactly 0.
+    # rate 0, t = 1e171. The minus branch is checked: equal rates without SGI
+    # make both branch rates r, full SGI on equal rates makes the minus
+    # branch rate exactly 0.
     points = []
     for lam in (1e-170, 1e-200, 1e-300):
-        branches = [(ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=lam), "minus")]
-        branches += [(ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam), "plus") for r in (1e-3 * lam, 0.45 * lam)]
-        for p, branch in branches:
-            points += [(p, branch, x / lam) for x in (0.0, 0.5, 3.0, 10.0, 40.0)]
-    params, branches, ts = zip(*points)
-    got = decoherence_factors(params, branches, ts)
-    rates = [getattr(derive_params(p), f"gamma_{branch}") for p, branch in zip(params, branches)]
+        params = [ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=lam)]
+        params += [ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam) for r in (1e-3 * lam, 0.45 * lam)]
+        points += [(p, x / lam) for p in params for x in (0.0, 0.5, 3.0, 10.0, 40.0)]
+    params, ts = zip(*points)
+    got = decoherence_factors(params, ts)[1]
+    rates = [derive_params(p).gamma_minus for p in params]
     assert rates[0] == 0.0
     want = np.array([g_mpmath_wide(p.lam, rate, t) for p, rate, t in zip(params, rates, ts)])
     assert np.max(np.abs(got - want)) <= 1e-14
@@ -382,22 +377,26 @@ def test_g_huge_width_matches_mpmath():
     # the widths near 1e154; d = sqrt(lam)*sqrt(lam - 2*rate) does not, and
     # G tends to the Markov limit exp(-rate*t/2)
     points = [
-        (ChannelParams(gamma1=rate, gamma2=rate, theta=0.0, lam=lam), "plus", t)
+        (ChannelParams(gamma1=rate, gamma2=rate, theta=0.0, lam=lam), t)
         for lam in (1e154, 1e200, 1e300, 5e307)
         for rate in (0.5, 1.0, 2.0)
         for t in (1e-300, 0.1, 1.0, 10.0)
     ]
-    params, branches, ts = zip(*points)
-    got = decoherence_factors(params, branches, ts)
+    params, ts = zip(*points)
+    # both branches, each at rate gamma1
+    got = np.array(decoherence_factors(params, ts))
     want = np.array([g_mpmath_wide(p.lam, p.gamma1, t) for p, t in zip(params, ts)])
     assert np.max(np.abs(got - want)) <= 1e-15
-    assert abs(decoherence_factors([params[-1]], ["plus"], [10.0])[0] - math.exp(-10.0)) <= 1e-15
+    assert np.max(np.abs(np.array(decoherence_factors(params[-1], [10.0])) - math.exp(-10.0))) <= 1e-15
 
 
-def stepped_rk4(p, branch, t):
+def branch_rates(p):
+    d = derive_params(p)
+    return d.gamma_plus, d.gamma_minus
+
+
+def stepped_rk4(lam, rate, t):
     """The oracle as an explicit four-stage RK4 loop, with the oracle's step rule."""
-    lam = p.lam
-    rate = getattr(derive_params(p), f"gamma_{branch}")
     h_max = min(0.01 / lam, 0.01 / rate if rate > 0 else math.inf, max(t / 1000.0, math.ulp(0.0)))
     n = max(1, math.ceil(t / h_max))
     h = t / n
@@ -417,10 +416,10 @@ def stepped_rk4(p, branch, t):
 
 
 def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
-    params, branches, ts = zip(*oracle_grid(100))
-    powered = decoherence_factors_ode(params, branches, ts)
-    stepped = [stepped_rk4(*point) for point in zip(params, branches, ts)]
-    assert np.max(np.abs(powered - stepped)) <= 1e-12
+    params, ts = zip(*oracle_grid(100))
+    powered = np.array(decoherence_factors_ode(params, ts))
+    stepped = [[stepped_rk4(p.lam, rate, t) for rate in branch_rates(p)] for p, t in zip(params, ts)]
+    assert np.max(np.abs(powered.T - stepped)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -429,37 +428,32 @@ def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
     gamma2=st.floats(0.1, 3.0),
     theta=st.floats(-1.0, 1.0),
     log_lam=st.floats(-3.0, 3.0),
-    branch=st.sampled_from(["plus", "minus"]),
     t_frac=st.floats(0.0, 1.0),
 )
 # t = 1e-322, where t/1000 underflows to 0 in the step rule
-@example(gamma1=1.0, gamma2=1.0, theta=0.0, log_lam=0.0, branch="plus", t_frac=5e-324)
-def test_rk4_propagator_matches_stepped_loop(gamma1, gamma2, theta, log_lam, branch, t_frac):
+@example(gamma1=1.0, gamma2=1.0, theta=0.0, log_lam=0.0, t_frac=5e-324)
+def test_rk4_propagator_matches_stepped_loop(gamma1, gamma2, theta, log_lam, t_frac):
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
     t = t_frac * min(20.0, 50.0 / p.lam)
-    assert abs(decoherence_factors_ode([p], [branch], [t])[0] - stepped_rk4(p, branch, t)) <= 1e-12
+    for g, rate in zip(decoherence_factors_ode(p, [t]), branch_rates(p)):
+        assert abs(g[0] - stepped_rk4(p.lam, rate, t)) <= 1e-12
 
 
 def test_g_ode_rejects_unbounded_step_counts():
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        decoherence_factors_ode([SYMMETRIC_NO_SGI], ["plus"], [math.inf])
+        decoherence_factors_ode(SYMMETRIC_NO_SGI, [math.inf])
     with pytest.raises(ValueError, match=r"RK4 oracle needs 1\.000e\+302 steps.* at t=1$"):
-        decoherence_factors_ode([ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300)], ["plus"], [1.0])
+        decoherence_factors_ode(ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300), [1.0])
 
 
-def test_g_rejects_bad_branch():
-    with pytest.raises(ValueError, match="branch"):
-        decoherence_factors([SYMMETRIC_NO_SGI], ["both"], [1.0])
-
-
-@pytest.mark.parametrize("factors", [decoherence_factors, decoherence_factors_ode])
+@pytest.mark.parametrize("factors", [decoherence_factors, decoherence_factors_ode, dressed_kraus])
 def test_g_rejects_mismatched_lengths(factors):
-    with pytest.raises(ValueError):
-        factors([SYMMETRIC_NO_SGI] * 2, ["plus"], [1.0, 2.0])
-    with pytest.raises(ValueError, match="sequence of one ChannelParams per branch"):
-        factors(SYMMETRIC_NO_SGI, ["plus"], [1.0])
-    with pytest.raises(ValueError):
-        factors([SYMMETRIC_NO_SGI] * 2, ["plus", "minus"], [1.0, 2.0, 3.0])
+    three_times = np.array([1.0, 2.0, 3.0])
+    for n in (0, 1, 2, 4):
+        with pytest.raises(ValueError, match=f"got {n} params for 3 times"):
+            factors([SYMMETRIC_NO_SGI] * n, three_times)
+    # one ChannelParams covers any time axis
+    assert len(factors(SYMMETRIC_NO_SGI, three_times)[-1]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +472,7 @@ def test_kraus_identity_at_t0():
 def test_kraus_symmetric_no_sgi_is_diagonal():
     p = SYMMETRIC_NO_SGI
     t = 35.0
-    g = decoherence_factors([p], ["plus"], [t])[0]
+    g = decoherence_factors(p, [t])[0][0]
     ks = kraus_set(p, t)
     assert ks[0, 0, 1] == 0
     assert ks[0, 1, 0] == 0
@@ -534,7 +528,7 @@ def test_kraus_set_matches_the_computational_triple():
     for p, t in zip(params, rng.uniform(0.0, 50.0, len(params))):
         kraus = kraus_set(p, t)
         d = derive_params(p)
-        g_plus, g_minus = decoherence_factors([p, p], ["plus", "minus"], [t, t])
+        (g_plus,), (g_minus,) = decoherence_factors(p, [t])
         assert kraus.dtype == np.float64
         assert np.max(np.abs(kraus - computational_kraus(d.a, d.b, g_plus, g_minus))) <= 1e-15
 
@@ -544,7 +538,7 @@ def test_degenerate_mixing_choice_does_not_change_channel():
     # pair yields the same map; compare the canonical choice with (1, 0)
     p = SYMMETRIC_NO_SGI
     t = 50.0
-    g = decoherence_factors([p], ["plus"], [t])[0]
+    g = decoherence_factors(p, [t])[0][0]
     w = math.sqrt(1.0 - g * g)
     ks = kraus_set(p, t)
     alt = np.array([
@@ -581,7 +575,7 @@ def test_apply_channel_population_transfer_matches_oracle():
     # an initially excited level decays to the ground level as G(t)^2
     p = SYMMETRIC_NO_SGI
     t = 140.0
-    g = decoherence_factors_ode([p], ["plus"], [t])[0]
+    g = decoherence_factors_ode(p, [t])[0][0]
     out = apply_channel(EXCITED_1, kraus_set(p, t))
     expected = g * g * EXCITED_1 + (1.0 - g * g) * GROUND
     assert_allclose(out, expected, atol=1e-8)
@@ -678,11 +672,14 @@ def test_entanglement_death_at_amplitude_zero_and_revival():
     def neg_at(t):
         return eur_sample(apply_product_channel(rho0, kraus_set(p, t))).negativity
 
+    def g_at(t):
+        return decoherence_factors(p, [t])[0][0]
+
     lo, hi = 65.0, 80.0
-    assert decoherence_factors([p], ["plus"], [lo])[0] > 0 > decoherence_factors([p], ["plus"], [hi])[0]
+    assert g_at(lo) > 0 > g_at(hi)
     for _ in range(60):
         mid = (lo + hi) / 2
-        if decoherence_factors([p], ["plus"], [mid])[0] > 0:
+        if g_at(mid) > 0:
             lo = mid
         else:
             hi = mid

@@ -143,8 +143,8 @@ def test_sweep_records_satisfy_invariants():
 def test_sweep_records_branch_amplitudes():
     cfg = quick_config(steps=5, t_max=200.0)
     for r in run_sweep(cfg):
-        assert r.g_plus == decoherence_factors([cfg.channel], ["plus"], [r.t_gamma])[0]
-        assert r.g_minus == decoherence_factors([cfg.channel], ["minus"], [r.t_gamma])[0]
+        (g_plus,), (g_minus,) = decoherence_factors(cfg.channel, [r.t_gamma])
+        assert (r.g_plus, r.g_minus) == (g_plus, g_minus)
 
 
 def test_sweep_basis_conventions_agree_at_t0():
@@ -363,6 +363,22 @@ def test_check_oracle_small():
     assert ok, detail
 
 
+@pytest.mark.parametrize("branch", [0, 1], ids=["plus", "minus"])
+def test_check_oracle_compares_both_branches(monkeypatch, branch):
+    # one RK4 amplitude off by 1e-6 at grid point 0; 20 points are a single block
+    original = experiment.decoherence_factors_ode
+
+    def one_branch_off(params, ts):
+        amplitudes = [g.copy() for g in original(params, ts)]
+        amplitudes[branch][0] += 1e-6
+        return tuple(amplitudes)
+
+    monkeypatch.setattr(experiment, "decoherence_factors_ode", one_branch_off)
+    ok, detail = check_oracle(n_points=20)
+    assert not ok
+    assert detail.endswith("worst |closed - integrated| = 1.00e-06")
+
+
 def test_check_inequality_small():
     ok, detail = check_uncertainty_inequality(n_draws=50)
     assert ok, detail
@@ -455,7 +471,11 @@ def test_suite_failure_names_the_draw(monkeypatch, suite):
     bad = draws[130]
     message = str(info.value)
     assert message.startswith("branch amplitude not finite and real")
-    assert f"(draw 130: ChannelParams(gamma1={bad.gamma1!r}, gamma2={bad.gamma2!r}, theta={bad.theta!r}, lam=1e+308), t=" in message
+    assert message.endswith(
+        f" (draw 130: ChannelParams(gamma1={bad.gamma1!r}, gamma2={bad.gamma2!r}, theta={bad.theta!r}, lam=1e+308))"
+    )
+    # the check names the time of the draw, and only once
+    assert message.count("t=") == 1
 
 
 @pytest.mark.parametrize("suite", [check_cptp, check_oracle, check_uncertainty_inequality])
