@@ -25,21 +25,24 @@ The kernels work on a time axis: ``dressed_kraus`` builds the Kraus
 tensor of a whole block of times in the dressed basis (plus branch, minus
 branch, ground), where it has five nonzero entries per time, together
 with the real orthogonal frame O that maps the dressed levels to
-computational indices. ``superoperator`` turns a Kraus tensor into the
-local map S_t on vectorised 3x3 operators, and ``evolve_product`` applies
-S_t to both qutrits as two batched 9x9 products. Every channel path
-applies the dressed tensor itself. The isotropic input of the sweep and
-the inequality suite is invariant under O (x) O, so they evolve it as it
-is and hand O to the measurement; the CPTP suite rotates each of its
-arbitrary inputs once, O^T rho O, and trace and spectrum do not depend on
-the frame. The parameters broadcast against the times: a sweep passes one
-ChannelParams for its whole grid, a batch of independent draws one per
-time. ``decoherence_factors`` and its RK4 oracle ``decoherence_factors_ode``
+computational indices. ``evolve_product`` and ``evolve_single`` take
+states in their ordinary layout, one state or one per time, with a
+(T, 3, 3, 3) Kraus tensor; inside, the tensor becomes the local map S_t
+on vectorised 3x3 operators, applied to both qutrits of a pair as two
+batched 9x9 products. Every channel path applies the dressed tensor
+itself. The isotropic input of the sweep and the inequality suite is
+invariant under O (x) O, so they evolve it as it is and hand O to the
+measurement; the CPTP suite rotates each of its arbitrary inputs once,
+O^T rho O, and trace and spectrum do not depend on the frame. The
+parameters broadcast against the times: a sweep passes one ChannelParams
+for its whole grid, a batch of independent draws one per time.
+``decoherence_factors`` and its RK4 oracle ``decoherence_factors_ode``
 take the parameters the same way and return both branch amplitudes
-(G_plus, G_minus) at every time. ``kraus_set`` rotates the
-T = 1 dressed tensor into the real (3, 3, 3) computational triple
-O K O^T, and ``apply_channel`` and ``apply_product_channel`` apply any
-complete (3, 3, 3) triple through the same superoperator kernels.
+(G_plus, G_minus) at every time. The times are checked once, with the
+parameters: one-dimensional, finite and nonnegative. ``kraus_set``
+rotates the T = 1 dressed tensor into the real (3, 3, 3) computational
+triple O K O^T, and ``apply_channel`` and ``apply_product_channel`` apply
+any complete (3, 3, 3) triple as the T = 1 case of the evolve kernels.
 """
 
 from __future__ import annotations
@@ -145,12 +148,6 @@ def derive_params(p: ChannelParams) -> DerivedParams:
     )
 
 
-def _require_times(ts: np.ndarray) -> None:
-    require_samples(
-        (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
-    )
-
-
 def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
     """Closed-form branch amplitude G(t), elementwise over broadcast lam, rate and ts.
 
@@ -161,12 +158,11 @@ def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
     underflow for tiny lam as the product lam*(lam - 2*rate) does. The
     exponent's real part is -Re(lam*rate/(d + lam)): never positive, and no
     cancellation between d and lam. Its imaginary part is Im(d)/2, the
-    half-phase of m, so the imaginary parts cancel at any phase. A negative
-    or non-finite t, or a width so large (about 9e307) that d + lam
-    overflows, give a ValueError naming the first failing t; that overflow
-    bounds the accepted widths.
+    half-phase of m, so the imaginary parts cancel at any phase. The times
+    come checked from _channel_inputs. A width so large (about 9e307) that
+    d + lam overflows gives a ValueError naming the first failing t; that
+    overflow bounds the accepted widths.
     """
-    _require_times(ts)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = np.sqrt(np.asarray(lam, dtype=complex)) * np.sqrt(np.asarray(lam - 2.0 * rate, dtype=complex))
         # Re(lam*rate/(d + lam)) in factors that cannot underflow: lam/w and
@@ -196,7 +192,6 @@ def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
     to 0, the smallest subnormal stands in for it, which keeps n finite
     (at most 1000) for every finite t.
     """
-    _require_times(ts)
     lam, rate, ts = np.broadcast_arrays(lam, rate, ts)
     t_part = np.maximum(ts / 1000.0, np.finfo(float).smallest_subnormal)
     with np.errstate(divide="ignore"):
@@ -225,35 +220,40 @@ def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
     return y[..., 0, 0]
 
 
-def _channel_inputs(p: ChannelParams | Sequence[ChannelParams], ts: np.ndarray) -> tuple:
-    """lam, gamma_plus, gamma_minus, a, b: floats for one ChannelParams, arrays for a sequence.
+def _channel_inputs(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple:
+    """The checked times, then lam, gamma_plus, gamma_minus, a, b: floats for one ChannelParams, arrays for a sequence.
 
-    A sequence holds one ChannelParams per time of ts; any other length is
-    a ValueError naming both lengths.
+    ts must be one-dimensional, with every time finite and nonnegative; a
+    sequence p holds one ChannelParams per time. Anything else is a
+    ValueError naming the shape, the first failing t, or both lengths.
     """
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"ts must be a one-dimensional array of times, got shape {ts.shape}")
+    require_samples(
+        (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
+    )
     if isinstance(p, ChannelParams):
         d = derive_params(p)
-        return p.lam, d.gamma_plus, d.gamma_minus, d.a, d.b
+        return ts, p.lam, d.gamma_plus, d.gamma_minus, d.a, d.b
     if len(p) != len(ts):
         raise ValueError(f"params must be one ChannelParams or one per time: got {len(p)} params for {len(ts)} times")
     rows = []
     for q in p:
         d = derive_params(q)
         rows.append((q.lam, d.gamma_plus, d.gamma_minus, d.a, d.b))
-    return tuple(np.array(rows, dtype=float).reshape(-1, 5).T)
+    return (ts, *np.array(rows, dtype=float).reshape(-1, 5).T)
 
 
 def decoherence_factors(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form branch amplitudes (G_plus, G_minus) at every time of ts, p as for dressed_kraus."""
-    ts = np.asarray(ts, dtype=float)
-    lam, rate_plus, rate_minus, _, _ = _channel_inputs(p, ts)
+    ts, lam, rate_plus, rate_minus, _, _ = _channel_inputs(p, ts)
     return _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
 
 
 def decoherence_factors_ode(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple[np.ndarray, np.ndarray]:
     """RK4 oracle amplitudes (G_plus, G_minus) at every time of ts; independent of the closed form."""
-    ts = np.asarray(ts, dtype=float)
-    lam, rate_plus, rate_minus, _, _ = _channel_inputs(p, ts)
+    ts, lam, rate_plus, rate_minus, _, _ = _channel_inputs(p, ts)
     return _g_rk4(lam, rate_plus, ts), _g_rk4(lam, rate_minus, ts)
 
 
@@ -308,11 +308,12 @@ def dressed_kraus(
     K_3 = W-|g><-| feed the decayed population W = sqrt(1 - G^2) of each
     branch into the ground level: five nonzero entries per time, and
     sum K^dag K = I holds entry by entry. p is one ChannelParams for the
-    whole axis or a sequence with one per time. Returns the real
-    (T, 3, 3, 3) tensor, the frame O of dressed_frame ((3, 3), or (T, 3, 3)
-    for a sequence), and the arrays G_plus(t), G_minus(t).
+    whole axis or a sequence with one per time; _channel_inputs checks p
+    and ts. Returns the real (T, 3, 3, 3) tensor, the frame O of
+    dressed_frame ((3, 3), or (T, 3, 3) for a sequence), and the arrays
+    G_plus(t), G_minus(t).
     """
-    lam, rate_plus, rate_minus, a, b = _channel_inputs(p, ts)
+    ts, lam, rate_plus, rate_minus, a, b = _channel_inputs(p, ts)
     g_plus, g_minus = _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
     w_plus, w_minus = (np.sqrt(np.maximum(0.0, 1.0 - g * g)) for g in (g_plus, g_minus))
     dressed = np.zeros((len(ts), 3, 3, 3))
@@ -337,7 +338,7 @@ def kraus_set(p: ChannelParams, t: float) -> np.ndarray:
     return kraus
 
 
-def pair_indices(m: np.ndarray) -> np.ndarray:
+def _pair_indices(m: np.ndarray) -> np.ndarray:
     """Reorder 9x9 operators (or a stack) from [(x, y), (X, Y)] to [(x, X), (y, Y)].
 
     The map is its own inverse. It turns a two-qutrit state into the form
@@ -347,43 +348,45 @@ def pair_indices(m: np.ndarray) -> np.ndarray:
     return m.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(m.shape)
 
 
-def superoperator(kraus: np.ndarray) -> np.ndarray:
+def _superoperator(kraus: np.ndarray) -> np.ndarray:
     """Local superoperators S[t, (a, A), (c, C)] = sum_i K_i[a, c] conj(K_i[A, C]).
 
     S_t maps a vectorised 3x3 operator rho[c, C] to the channel output
     sum_i K_i rho K_i^dagger, entry (a, A).
     """
     flat = kraus.reshape(len(kraus), 3, 9)
-    return pair_indices(flat.swapaxes(1, 2) @ flat.conj())
+    return _pair_indices(flat.swapaxes(1, 2) @ flat.conj())
 
 
-def evolve_product(paired_rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
+def evolve_product(rho_ab: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """Both qutrits through their own copy of the channel: (T, 9, 9) evolved states.
 
-    paired_rho is the initial state (or a stack) after pair_indices, sup
-    the (T, 9, 9) superoperators; in paired form the product channel is
+    rho_ab is one 9x9 state, evolved at every time, or a (T, 9, 9) stack
+    with one state per time; kraus is the (T, 3, 3, 3) Kraus tensor. With
+    both states paired by _pair_indices the product channel is
     S_t @ R @ S_t^T, two batched 9x9 products.
     """
-    return pair_indices(sup @ paired_rho @ sup.swapaxes(1, 2))
+    sup = _superoperator(kraus)
+    return _pair_indices(sup @ _pair_indices(rho_ab) @ sup.swapaxes(1, 2))
 
 
-def evolve_single(rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """One qutrit per superoperator: (T, 3, 3) states through the (T, 9, 9) S_t, giving (T, 3, 3)."""
-    return (sup @ rho.reshape(-1, 9, 1)).reshape(-1, 3, 3)
+def evolve_single(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """One qutrit per time: one 3x3 state or a (T, 3, 3) stack through the (T, 3, 3, 3) tensor, giving (T, 3, 3)."""
+    return (_superoperator(kraus) @ rho.reshape(-1, 9, 1)).reshape(-1, 3, 3)
 
 
-def _checked_superoperator(kraus) -> np.ndarray:
-    """The (1, 9, 9) superoperator of a (3, 3, 3) Kraus triple, real or complex, checked for completeness."""
+def _checked_kraus(kraus) -> np.ndarray:
+    """A (3, 3, 3) Kraus triple, real or complex, checked for completeness, as the (1, 3, 3, 3) tensor of one time."""
     kraus = as_inexact(kraus)
     if kraus.shape != (3, 3, 3):
         raise ValueError(f"kraus must be a (3, 3, 3) array of three 3x3 operators, got shape {kraus.shape}")
     require_complete(kraus[None])
-    return superoperator(kraus[None])
+    return kraus[None]
 
 
 def apply_channel(rho: np.ndarray, kraus) -> np.ndarray:
     """Evolve a single-qutrit density matrix: rho -> sum_i K_i rho K_i^dagger."""
-    return evolve_single(require_density_matrix(rho, 3)[None], _checked_superoperator(kraus))[0]
+    return evolve_single(require_density_matrix(rho, 3), _checked_kraus(kraus))[0]
 
 
 def apply_product_channel(rho_ab: np.ndarray, kraus) -> np.ndarray:
@@ -393,5 +396,4 @@ def apply_product_channel(rho_ab: np.ndarray, kraus) -> np.ndarray:
     map is the nine-term sum over K_i (x) K_j, applied here as the T = 1
     case of evolve_product.
     """
-    rho_ab = require_density_matrix(rho_ab, 9, name="rho_ab")
-    return evolve_product(pair_indices(rho_ab), _checked_superoperator(kraus))[0]
+    return evolve_product(require_density_matrix(rho_ab, 9, name="rho_ab"), _checked_kraus(kraus))[0]

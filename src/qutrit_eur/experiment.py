@@ -10,7 +10,10 @@ the isotropic input unchanged; there rho_AB splits into one 3x3 sector and
 six 1x1 ones, its partial transpose into three 1x1 and three 2x2, and
 rho_B is diagonal, so no eigensolve is larger than 3x3. The x/z
 measurement runs along u = O^T v. The inequality suite does the same
-with one frame per draw.
+with one frame per draw. Both pass states and the dressed Kraus tensor
+straight to the channel's evolve kernels, and neither checks the
+isotropic input again: SweepConfig and isotropic_state accept only k in
+[0, 1], where its closed-form spectrum is that of a state.
 
 The fig2*/fig3*/fig4* presets pin the parameter sets behind the reference
 curves this package reproduces. The printed spectral width of the
@@ -39,14 +42,12 @@ from .channel import (
     dressed_kraus,
     evolve_product,
     evolve_single,
-    pair_indices,
     require_complete,
     require_real_fields,
-    superoperator,
 )
 from .entropy import BERTA_ATOL, eur_columns
-from .linalg import SampleError, hermitian_part, require_density_stack, require_state_spectrum
-from .states_obs import isotropic_spectrum, isotropic_state
+from .linalg import SampleError, hermitian_part, require_density_stack
+from .states_obs import isotropic_state
 
 BASIS_CONVENTIONS = tuple(LEVEL_ORDERS)
 CSV_HEADER = "t_gamma,u_l,u_b,s_xb,s_zb,negativity,g_plus,g_minus"
@@ -125,12 +126,6 @@ class SweepSummary:
             raise ValueError("u_l_max below u_l_min")
 
 
-def _isotropic_inputs(k, ts=None) -> np.ndarray:
-    """isotropic_state(k), checked as a state (eigenvalue floor, unit trace) from its closed-form spectrum."""
-    require_state_spectrum(np.atleast_2d(isotropic_spectrum(k)), ts, "rho0")
-    return isotropic_state(k)
-
-
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the uncertainty relation on the uniform grid t_i = i*t_max/(steps-1).
 
@@ -138,7 +133,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     rotated x/z vectors (module docstring). A failing check names the
     first failing t and the sweep parameters.
     """
-    paired = pair_indices(_isotropic_inputs(cfg.k))
+    rho0 = isotropic_state(cfg.k)
     levels = LEVEL_ORDERS[cfg.basis]
     records = []
     for start in range(0, cfg.steps, _BLOCK):
@@ -146,7 +141,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         try:
             dressed, frame, g_plus, g_minus = dressed_kraus(cfg.channel, ts, levels)
             require_complete(dressed, ts)
-            cols = eur_columns(evolve_product(paired, superoperator(dressed)), ts, frame)
+            cols = eur_columns(evolve_product(rho0, dressed), ts, frame)
         except ValueError as exc:
             raise ValueError(f"{exc} (sweep {canonical_params(cfg)})") from exc
         records.extend(map(
@@ -166,13 +161,6 @@ def local_minima_indices(values) -> list[int]:
     v = np.asarray(values, dtype=float)
     mid = v[1:-1]
     return (np.flatnonzero((mid < v[:-2] - EXTREMUM_DELTA) & (mid < v[2:] - EXTREMUM_DELTA)) + 1).tolist()
-
-
-def local_maxima_indices(values) -> list[int]:
-    """Interior indices rising at least EXTREMUM_DELTA above both neighbours."""
-    v = np.asarray(values, dtype=float)
-    mid = v[1:-1]
-    return (np.flatnonzero((mid > v[:-2] + EXTREMUM_DELTA) & (mid > v[2:] + EXTREMUM_DELTA)) + 1).tolist()
 
 
 def summarize(records: list[SweepRecord]) -> SweepSummary:
@@ -352,7 +340,7 @@ def _cptp_block(params, ts, factors):
     complete = require_complete(dressed, ts)
     rho = require_density_stack(_density_matrices(factors), ts)
     # each input once into its dressed frame: trace and spectrum do not depend on it
-    out = evolve_single(frames.swapaxes(1, 2) @ rho @ frames, superoperator(dressed))
+    out = evolve_single(frames.swapaxes(1, 2) @ rho @ frames, dressed)
     trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
     dip = -np.linalg.eigvalsh(hermitian_part(out))[:, 0]
     return complete, trace, dip
@@ -420,7 +408,7 @@ def _inequality_draws(rng: np.random.Generator, n: int):
 def _inequality_block(params, ts, ks):
     dressed, frames, _, _ = dressed_kraus(params, ts)
     require_complete(dressed, ts)
-    cols = eur_columns(evolve_product(pair_indices(_isotropic_inputs(ks, ts)), superoperator(dressed)), ts, frames)
+    cols = eur_columns(evolve_product(isotropic_state(ks), dressed), ts, frames)
     return cols.u_l - cols.u_b, np.abs(cols.u_l - (cols.s_xb + cols.s_zb))
 
 

@@ -1,8 +1,10 @@
 """Two-qutrit initial states, spin-1 observables, and the conditional blocks of a measurement.
 
 The isotropic family interpolates between the maximally mixed state (k=0)
-and the maximally entangled pure state (k=1). Measurements act on
-subsystem A, the left tensor factor; the memory qutrit B is untouched.
+and the maximally entangled pure state (k=1); its spectrum, (1-k)/9 eight
+times and (1+8k)/9 once, is that of a state for every accepted k.
+Measurements act on subsystem A, the left tensor factor; the memory
+qutrit B is untouched.
 """
 
 from __future__ import annotations
@@ -22,27 +24,18 @@ def _psi_plus() -> np.ndarray:
     return psi
 
 
-def _mixing(k) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    if not np.all((0.0 <= k) & (k <= 1.0)):
-        raise ValueError(f"k must lie in [0, 1], got {k}")
-    return k
-
-
 def isotropic_state(k) -> np.ndarray:
     """Isotropic two-qutrit state (1-k)/9 * I + k |psi+><psi+|; an array of k gives a stack of them.
 
-    The state is real, so it comes back as float64.
+    The state is real, so it comes back as float64. Any k outside [0, 1]
+    is a ValueError.
     """
-    k = _mixing(k)[..., None, None]
+    k = np.asarray(k, dtype=float)
+    if not np.all((0.0 <= k) & (k <= 1.0)):
+        raise ValueError(f"k must lie in [0, 1], got {k}")
+    k = k[..., None, None]
     psi = _psi_plus()
     return (1.0 - k) / 9.0 * np.eye(9) + k * np.outer(psi, psi)
-
-
-def isotropic_spectrum(k) -> np.ndarray:
-    """Eigenvalues of isotropic_state(k) in closed form: (1-k)/9 eight times, then (1+8k)/9."""
-    k = _mixing(k)[..., None]
-    return np.concatenate([np.repeat((1.0 - k) / 9.0, 8, axis=-1), (1.0 + 8.0 * k) / 9.0], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

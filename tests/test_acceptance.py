@@ -20,7 +20,6 @@ from qutrit_eur.experiment import (
     check_cptp,
     check_oracle,
     emit_csv,
-    local_maxima_indices,
     local_minima_indices,
     run_sweep,
     summarize,
@@ -103,7 +102,8 @@ def first_beta_region_minimum(records):
     the window between the second and third interior maxima.
     """
     u_l = [r.u_l for r in records]
-    maxima = local_maxima_indices(u_l)
+    # maxima of u_l are the minima of -u_l; negation is exact
+    maxima = local_minima_indices([-u for u in u_l])
     assert len(maxima) >= 3, "need at least three uncertainty maxima"
     lo, hi = maxima[1], maxima[2]
     return min(u_l[lo : hi + 1])

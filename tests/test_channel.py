@@ -1,6 +1,7 @@
 """Tests for the V-type damping channel and its decoherence amplitudes."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -18,6 +19,8 @@ from qutrit_eur.channel import (
     decoherence_factors_ode,
     derive_params,
     dressed_kraus,
+    evolve_product,
+    evolve_single,
     kraus_set,
     require_complete,
 )
@@ -25,7 +28,7 @@ from qutrit_eur.experiment import oracle_grid
 from qutrit_eur.entropy import eur_sample
 from qutrit_eur.states_obs import isotropic_state
 
-from conftest import computational_kraus, random_density_matrix
+from conftest import computational_kraus, random_density_matrix, random_unitary
 
 SYMMETRIC_NO_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
 SYMMETRIC_FULL_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=0.001)
@@ -452,6 +455,11 @@ def test_g_rejects_mismatched_lengths(factors):
     for n in (0, 1, 2, 4):
         with pytest.raises(ValueError, match=f"got {n} params for 3 times"):
             factors([SYMMETRIC_NO_SGI] * n, three_times)
+    # a time axis is one-dimensional, for one ChannelParams and for a sequence
+    for ts in (-1.0, 1.0, np.array([[1.0]])):
+        for p in (SYMMETRIC_NO_SGI, [SYMMETRIC_NO_SGI]):
+            with pytest.raises(ValueError, match=rf"one-dimensional.*got shape {re.escape(str(np.shape(ts)))}$"):
+                factors(p, ts)
     # one ChannelParams covers any time axis
     assert len(factors(SYMMETRIC_NO_SGI, three_times)[-1]) == 3
 
@@ -660,6 +668,30 @@ def test_apply_product_channel_trace_and_hermiticity():
         out = apply_product_channel(random_density_matrix(rng, 9), ks)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+
+
+def random_complete_kraus(rng):
+    """A random complex Kraus triple: the three 3x3 row blocks of a 9x3 isometry."""
+    return random_unitary(rng, 9)[:, :3].reshape(3, 3, 3)
+
+
+def test_evolve_kernels_on_a_stack_match_the_dense_kraus_sums():
+    rng = np.random.default_rng(109)
+    kraus = np.array([random_complete_kraus(rng) for _ in range(3)])
+    assert np.max(require_complete(kraus)) <= 1e-14
+    pairs = np.array([random_density_matrix(rng, 9) for _ in range(3)])
+    one_pair = random_density_matrix(rng, 9)
+    for states, out in ((pairs, evolve_product(pairs, kraus)), ([one_pair] * 3, evolve_product(one_pair, kraus))):
+        assert out.shape == (3, 9, 9)
+        for rho, ops, got in zip(states, kraus, out):
+            want = sum(np.kron(ki, kj) @ rho @ np.kron(ki, kj).conj().T for ki in ops for kj in ops)
+            assert np.max(np.abs(got - want)) <= 1e-12
+    singles = np.array([random_density_matrix(rng, 3) for _ in range(3)])
+    one_single = random_density_matrix(rng, 3)
+    for states, out in ((singles, evolve_single(singles, kraus)), ([one_single] * 3, evolve_single(one_single, kraus))):
+        assert out.shape == (3, 3, 3)
+        for rho, ops, got in zip(states, kraus, out):
+            assert np.max(np.abs(got - sum(k @ rho @ k.conj().T for k in ops))) <= 1e-12
 
 
 def test_entanglement_death_at_amplitude_zero_and_revival():

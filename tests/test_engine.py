@@ -23,9 +23,7 @@ from qutrit_eur.channel import (
     dressed_kraus,
     evolve_product,
     kraus_set,
-    pair_indices,
     require_complete,
-    superoperator,
 )
 from qutrit_eur.entropy import eur_columns, eur_sample
 from qutrit_eur.experiment import SweepConfig, run_sweep
@@ -119,7 +117,7 @@ def test_scalar_functions_reproduce_sweep_rows():
 
 def evolved_block(ts):
     dressed = dressed_kraus(ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), ts)[0]
-    return dressed, evolve_product(pair_indices(isotropic_state(0.8)), superoperator(dressed))
+    return dressed, evolve_product(isotropic_state(0.8), dressed)
 
 
 def not_hermitian(rho):

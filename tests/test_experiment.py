@@ -30,7 +30,6 @@ from qutrit_eur.experiment import (
     check_uncertainty_inequality,
     emit_csv,
     figure_preset,
-    local_maxima_indices,
     local_minima_indices,
     run_self_check,
     run_sweep,
@@ -167,13 +166,14 @@ def test_sweep_ground_first_runs_and_validates():
 def test_local_extrema_reject_round_off_ripple():
     flat = [1.5, 1.5 + 2e-16, 1.5 - 2e-16, 1.5, 1.5 + 1e-16, 1.5]
     assert local_minima_indices(flat) == []
-    assert local_maxima_indices(flat) == []
+    assert local_minima_indices([-x for x in flat]) == []
 
 
 def test_local_extrema_find_real_dips():
     v = [1.0, 0.5, 1.0, 2.0, 1.0]
     assert local_minima_indices(v) == [1]
-    assert local_maxima_indices(v) == [3]
+    # maxima are the minima of the negated series
+    assert local_minima_indices([-x for x in v]) == [3]
 
 
 def loop_minima(v, delta=EXTREMUM_DELTA):
@@ -205,7 +205,7 @@ def extremum_series():
 @pytest.mark.parametrize("kind", ["random", "plateau", "alternating", "short"])
 def test_vectorised_extrema_and_zeros_match_loop_form(kind):
     v = extremum_series()[kind]
-    for got, want in ((local_minima_indices(v), loop_minima(v)), (local_maxima_indices(v), loop_maxima(v))):
+    for got, want in ((local_minima_indices(v), loop_minima(v)), (local_minima_indices(-v), loop_maxima(v))):
         assert type(got) is list and all(type(i) is int for i in got)
         assert got == want
     if len(v) >= 2:

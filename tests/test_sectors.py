@@ -24,8 +24,6 @@ from qutrit_eur.channel import (
     derive_params,
     dressed_kraus,
     evolve_product,
-    pair_indices,
-    superoperator,
 )
 from qutrit_eur.entropy import eur_columns
 from qutrit_eur.experiment import BASIS_CONVENTIONS, SweepConfig, check_uncertainty_inequality, run_sweep
@@ -47,7 +45,7 @@ def sector_sizes(stack):
 
 
 def evolved(kraus, k=0.6):
-    return evolve_product(pair_indices(isotropic_state(k)), superoperator(kraus))
+    return evolve_product(isotropic_state(k), kraus)
 
 
 def computational_block(levels=LEVEL_ORDERS["kraus-order"]):
@@ -87,7 +85,7 @@ def test_sweep_kernels_stay_real():
     dressed, frame, _, _ = dressed_kraus(MIXED, TS)
     rho = evolved(dressed)
     basis = frame.T @ np.hstack([spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis])
-    for array in (dressed, superoperator(dressed), rho, partial_transpose_a(rho), conditional_blocks(rho, basis)):
+    for array in (dressed, rho, partial_transpose_a(rho), conditional_blocks(rho, basis)):
         assert array.dtype == np.float64
     assert all(col.dtype == np.float64 for col in eur_columns(rho, TS, frame))
 

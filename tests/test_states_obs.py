@@ -8,7 +8,6 @@ from qutrit_eur.linalg import partial_trace_a
 from qutrit_eur.states_obs import (
     Observable,
     conditional_blocks,
-    isotropic_spectrum,
     isotropic_state,
     max_overlap_c,
     spin1_observable,
@@ -45,13 +44,14 @@ def test_isotropic_spectrum():
 
 
 def test_isotropic_closed_form_spectrum_matches_eigvalsh():
-    ks = np.linspace(0.0, 1.0, 101)
-    want = np.linalg.eigvalsh(isotropic_state(ks))
-    got = np.sort(isotropic_spectrum(ks), axis=-1)
-    assert np.max(np.abs(got - want)) <= 1e-15
-    assert np.array_equal(isotropic_spectrum(0.4), isotropic_spectrum(np.array([0.4]))[0])
-    with pytest.raises(ValueError, match="k must"):
-        isotropic_spectrum(1.5)
+    # (1-k)/9 on the eight directions orthogonal to psi+ and (1+8k)/9 along
+    # it: a state for every accepted k, which is why the engine does not
+    # check it again
+    ks = np.linspace(0.0, 1.0, 101)[:, None]
+    closed_form = np.hstack([np.repeat((1.0 - ks) / 9.0, 8, axis=1), (1.0 + 8.0 * ks) / 9.0])
+    assert np.max(np.abs(closed_form - np.linalg.eigvalsh(isotropic_state(ks[:, 0])))) <= 1e-15
+    assert closed_form.min() >= 0.0
+    assert np.max(np.abs(closed_form.sum(axis=1) - 1.0)) <= 1e-15
 
 
 def test_isotropic_state_is_real():
