@@ -35,7 +35,10 @@ invariant under O (x) O, so they evolve it as it is and hand O to the
 measurement; the CPTP suite rotates each of its arbitrary inputs once,
 O^T rho O, and trace and spectrum do not depend on the frame. The
 parameters broadcast against the times: a sweep passes one ChannelParams
-for its whole grid, a batch of independent draws one per time.
+for its whole grid, a batch of independent draws one per time. Their
+rates and mixing amplitudes come from one array derivation over the
+field columns, in one numpy pass for a whole batch; one ChannelParams,
+and derive_params, are its one-element case.
 ``decoherence_factors`` and its RK4 oracle ``decoherence_factors_ode``
 take the parameters the same way and return both branch amplitudes
 (G_plus, G_minus) at every time. The times are checked once, with the
@@ -112,6 +115,39 @@ class DerivedParams:
     b: float
 
 
+def _derive(gamma1: np.ndarray, gamma2: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """q, gamma_plus, gamma_minus, a, b of derive_params, elementwise over float arrays of the fields.
+
+    A gamma_plus beyond the float range is a SampleError naming the gammas
+    of the first such element.
+    """
+    with np.errstate(over="ignore"):
+        lo, hi = np.minimum(gamma1, gamma2), np.maximum(gamma1, gamma2)
+        # |theta| scales c down before 2*c is formed, so 2*c overflows only
+        # where gamma_plus does
+        cross = np.sqrt(gamma1) * np.sqrt(gamma2) * np.abs(theta)
+        diff = gamma1 - gamma2
+        q = np.hypot(diff, 2.0 * cross)
+        # hi + (q - |diff|)/2 = (gamma1 + gamma2 + q)/2, never below hi
+        gamma_plus = hi + (q - np.abs(diff)) / 2.0
+    require_samples(
+        gamma_plus < math.inf, None,
+        lambda i: f"branch rate gamma_plus = (gamma1 + gamma2 + q)/2 exceeds the float range for "
+                  f"gamma1={float(gamma1[i])!r}, gamma2={float(gamma2[i])!r}, theta={float(theta[i])!r}",
+    )
+    half = np.arctan2(diff, 2.0 * cross) / 2.0
+    # the determinant over gamma_plus: (gamma1 + gamma2 - q)/2 cancels when
+    # one rate dwarfs the other, and can even come out negative; hi/gamma_plus
+    # lies in [1/2, 1]
+    gamma_minus = lo * (hi / gamma_plus) * ((1.0 - theta) * (1.0 + theta))
+    return q, gamma_plus, gamma_minus, np.cos(math.pi / 4.0 - half), np.cos(math.pi / 4.0 + half)
+
+
+def _field_columns(params: Sequence[ChannelParams]) -> np.ndarray:
+    """The (4, N) float columns gamma1, gamma2, theta, lam of a sequence of ChannelParams."""
+    return np.array([(p.gamma1, p.gamma2, p.theta, p.lam) for p in params], dtype=float).reshape(-1, 4).T
+
+
 def derive_params(p: ChannelParams) -> DerivedParams:
     """Dressed rates gamma_+- = (gamma1 + gamma2 +- q)/2 with q set by the SGI cross coupling.
 
@@ -122,30 +158,11 @@ def derive_params(p: ChannelParams) -> DerivedParams:
     leaves an absolute error of about 1e-16, so below that it keeps no
     relative digits. No intermediate exceeds gamma_plus, so both rates are
     finite whenever gamma_plus is; a gamma_plus beyond the float range
-    raises ValueError naming the gammas.
+    raises ValueError naming the gammas. This is the one-element case of
+    the array derivation that every channel path uses.
     """
-    lo, hi = sorted((p.gamma1, p.gamma2))
-    cross = math.sqrt(p.gamma1) * math.sqrt(p.gamma2) * abs(p.theta)
-    diff = p.gamma1 - p.gamma2
-    q = math.hypot(diff, 2.0 * cross)
-    # hi + (q - |diff|)/2 = (gamma1 + gamma2 + q)/2, never below hi
-    gamma_plus = hi + (q - abs(diff)) / 2.0
-    if gamma_plus == math.inf:
-        raise ValueError(
-            f"branch rate gamma_plus = (gamma1 + gamma2 + q)/2 exceeds the float range for "
-            f"gamma1={p.gamma1!r}, gamma2={p.gamma2!r}, theta={p.theta!r}"
-        )
-    half = math.atan2(diff, 2.0 * cross) / 2.0
-    return DerivedParams(
-        q=q,
-        gamma_plus=gamma_plus,
-        # the determinant over gamma_plus: (gamma1 + gamma2 - q)/2 cancels when
-        # one rate dwarfs the other, and can even come out negative; hi/gamma_plus
-        # lies in [1/2, 1]
-        gamma_minus=lo * (hi / gamma_plus) * ((1.0 - p.theta) * (1.0 + p.theta)),
-        a=math.cos(math.pi / 4.0 - half),
-        b=math.cos(math.pi / 4.0 + half),
-    )
+    gamma1, gamma2, theta, _ = _field_columns([p])
+    return DerivedParams(*(float(column[0]) for column in _derive(gamma1, gamma2, theta)))
 
 
 def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
@@ -233,16 +250,12 @@ def _channel_inputs(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple:
     require_samples(
         (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
     )
-    if isinstance(p, ChannelParams):
-        d = derive_params(p)
-        return ts, p.lam, d.gamma_plus, d.gamma_minus, d.a, d.b
-    if len(p) != len(ts):
+    single = isinstance(p, ChannelParams)
+    if not single and len(p) != len(ts):
         raise ValueError(f"params must be one ChannelParams or one per time: got {len(p)} params for {len(ts)} times")
-    rows = []
-    for q in p:
-        d = derive_params(q)
-        rows.append((q.lam, d.gamma_plus, d.gamma_minus, d.a, d.b))
-    return (ts, *np.array(rows, dtype=float).reshape(-1, 5).T)
+    gamma1, gamma2, theta, lam = _field_columns([p] if single else p)
+    columns = (lam, *_derive(gamma1, gamma2, theta)[1:])
+    return (ts, *(column[0] for column in columns)) if single else (ts, *columns)
 
 
 def decoherence_factors(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ lam = 1000 instead. Which reading was used is recorded in the CSV header.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import time
@@ -284,55 +283,72 @@ def write_summary(summary: SweepSummary, destination) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _random_factor(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """The draws behind one random density matrix, X with rho = X X^dagger / tr(X X^dagger)."""
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
 def _density_matrices(x: np.ndarray) -> np.ndarray:
     """Density matrices X X^dagger / tr(X X^dagger) from a (T, n, n) stack of factors."""
     rho = x @ x.conj().swapaxes(-1, -2)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def _random_channel_params(rng: np.random.Generator) -> ChannelParams:
-    return ChannelParams(
-        gamma1=rng.uniform(0.1, 3.0),
-        gamma2=rng.uniform(0.1, 3.0),
-        theta=rng.uniform(-1.0, 1.0),
-        lam=10.0 ** rng.uniform(-3.0, 3.0),
-    )
+# [low, high) of each uniform a suite's draw takes: gamma1, gamma2, theta, the
+# exponent e of lam = 10**e, then t (CPTP) or k and t (inequality)
+_CPTP_LOW, _CPTP_HIGH = np.array([0.1, 0.1, -1.0, -3.0, 0.0]), np.array([3.0, 3.0, 1.0, 3.0, 20.0])
+_INEQUALITY_LOW = np.array([0.1, 0.1, -1.0, -3.0, 0.0, 0.0])
+_INEQUALITY_HIGH = np.array([3.0, 3.0, 1.0, 3.0, 1.0, 300.0])
 
 
-def _evaluate_draws(evaluate, draws) -> list[np.ndarray]:
-    """Evaluate (params, t, *inputs) draws in _BLOCK-sized batches.
+def _block_sizes(n: int):
+    """The lengths of the _BLOCK-sized blocks that n draws are taken in."""
+    return (min(_BLOCK, n - start) for start in range(0, n, _BLOCK))
 
-    draws is consumed one block at a time, so random draws are taken in
-    the order the iterator yields them. evaluate(params, ts, *inputs) gets
-    a list of ChannelParams and one array per further field, and returns a
-    tuple of per-draw arrays; these come back joined over all blocks. A
-    failing per-sample check, whose message already names its time, is
-    re-raised naming the draw index and its parameters.
+
+def _channel_params(draws: np.ndarray) -> list[ChannelParams]:
+    """One ChannelParams per row of scaled uniform draws (gamma1, gamma2, theta, e), lam = 10**e."""
+    # the power in Python floats, as 10.0 ** rng.uniform(-3.0, 3.0) takes it
+    return [ChannelParams(g1, g2, theta, 10.0 ** e) for g1, g2, theta, e in draws.tolist()]
+
+
+def _evaluate_draws(evaluate, blocks) -> list[np.ndarray]:
+    """Evaluate blocks (params, ts, *inputs) of at most _BLOCK draws each.
+
+    params holds one ChannelParams per draw, and ts and each further input
+    one entry per draw along their first axis. blocks is consumed one at
+    a time, so a suite takes its random draws block by block.
+    evaluate(params, ts, *inputs) returns a tuple of per-draw arrays;
+    these come back joined over all blocks. A failing per-sample check,
+    whose message already names its time, is re-raised naming the draw
+    index and its parameters.
     """
-    draws = iter(draws)
     outputs = []
     start = 0
-    while block := list(itertools.islice(draws, _BLOCK)):
-        params, ts, *inputs = zip(*block)
-        ts = np.array(ts)
+    for params, ts, *inputs in blocks:
         try:
-            outputs.append(evaluate(list(params), ts, *map(np.array, inputs)))
+            outputs.append(evaluate(params, ts, *inputs))
         except SampleError as exc:
             raise ValueError(f"{exc} (draw {start + exc.index}: {params[exc.index]})") from exc
-        start += len(block)
+        start += len(ts)
     if not outputs:
         raise ValueError("a check suite needs at least 1 draw")
     return [np.concatenate(column) for column in zip(*outputs)]
 
 
-def _cptp_draws(rng: np.random.Generator, n: int):
-    for _ in range(n):
-        yield _random_channel_params(rng), rng.uniform(0.0, 20.0), _random_factor(rng, 3)
+def _cptp_blocks(rng: np.random.Generator, n: int):
+    """The CPTP suite's draws in blocks of (params, ts, factors).
+
+    Each draw takes five uniforms from the generator, gamma1, gamma2,
+    theta, the exponent of lam and t, then 18 standard normals: the real,
+    then the imaginary parts of the 3x3 factor X of its input state. One
+    rng.random and one rng.standard_normal call fill each draw, and the
+    block is scaled to the ranges at once, low + (high - low) * u as
+    rng.uniform forms it, so a seed gives the same draws as one scalar
+    call per number.
+    """
+    for m in _block_sizes(n):
+        u, z = np.empty((m, 5)), np.empty((m, 2, 3, 3))
+        for i in range(m):
+            rng.random(out=u[i])
+            rng.standard_normal(out=z[i])
+        u = _CPTP_LOW + (_CPTP_HIGH - _CPTP_LOW) * u
+        yield _channel_params(u[:, :4]), u[:, 4], z[:, 0] + 1j * z[:, 1]
 
 
 def _cptp_block(params, ts, factors):
@@ -350,10 +366,12 @@ def check_cptp(n_draws: int = 1000, seed: int = 20240811) -> tuple[bool, str]:
     """Completeness and state validity of the channel over random parameter draws.
 
     Each draw takes its parameters, then t, then a random input state from
-    the generator; the draws are evaluated in batches.
+    the generator (_cptp_blocks): one call per field group and draw, scaled
+    once per block, the same draws for a seed as one call per number. The
+    draws are evaluated in blocks.
     """
     rng = np.random.default_rng(seed)
-    complete, trace, dip = _evaluate_draws(_cptp_block, _cptp_draws(rng, n_draws))
+    complete, trace, dip = _evaluate_draws(_cptp_block, _cptp_blocks(rng, n_draws))
     worst_complete, worst_trace, worst_eig = float(complete.max()), float(trace.max()), float(max(dip.max(), 0.0))
     ok = worst_complete <= 1e-10 and worst_trace <= 1e-12 and worst_eig <= 1e-10
     detail = (
@@ -393,16 +411,26 @@ def _oracle_block(params, ts):
 
 def check_oracle(n_points: int = 100) -> tuple[bool, str]:
     """Agreement of both closed-form branch amplitudes with their RK4 oracle."""
-    (diff,) = _evaluate_draws(_oracle_block, oracle_grid(n_points))
+    points = oracle_grid(n_points)
+    blocks = (zip(*points[start:start + _BLOCK]) for start in range(0, len(points), _BLOCK))
+    (diff,) = _evaluate_draws(_oracle_block, blocks)
     worst = float(diff.max())
     ok = worst <= 1e-8
     return ok, f"{n_points} grid points: worst |closed - integrated| = {worst:.2e}"
 
 
-def _inequality_draws(rng: np.random.Generator, n: int):
-    for _ in range(n):
-        params, k = _random_channel_params(rng), rng.uniform(0.0, 1.0)
-        yield params, rng.uniform(0.0, 300.0), k
+def _inequality_blocks(rng: np.random.Generator, n: int):
+    """The inequality suite's draws in blocks of (params, ts, ks).
+
+    Each draw takes six uniforms from the generator: gamma1, gamma2,
+    theta, the exponent of lam, k and t. A block is one
+    rng.uniform(low, high, size=(m, 6)) call, which takes them in that
+    order, draw after draw, by the same arithmetic as one scalar call per
+    number, so a seed gives the same draws.
+    """
+    for m in _block_sizes(n):
+        u = rng.uniform(_INEQUALITY_LOW, _INEQUALITY_HIGH, size=(m, 6))
+        yield _channel_params(u[:, :4]), u[:, 5], u[:, 4]
 
 
 def _inequality_block(params, ts, ks):
@@ -415,11 +443,12 @@ def _inequality_block(params, ts, ks):
 def check_uncertainty_inequality(n_draws: int = 1000, seed: int = 20240812) -> tuple[bool, str]:
     """Lower-bound inequality on randomly evolved isotropic states.
 
-    Each draw takes its parameters, then k, then t from the generator; the
-    draws are evaluated in batches.
+    Each draw takes its parameters, then k, then t from the generator
+    (_inequality_blocks): one call per block of draws, the same draws for a
+    seed as one call per number. The draws are evaluated in blocks.
     """
     rng = np.random.default_rng(seed)
-    margin, split = _evaluate_draws(_inequality_block, _inequality_draws(rng, n_draws))
+    margin, split = _evaluate_draws(_inequality_block, _inequality_blocks(rng, n_draws))
     worst_margin, worst_split = float(margin.min()), float(split.max())
     ok = worst_margin >= -BERTA_ATOL and worst_split <= 1e-12
     detail = (

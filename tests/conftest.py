@@ -1,4 +1,4 @@
-"""Shared fixtures, random-matrix helpers, the closed-form Kraus triple, and a dense reference for the uncertainty relation."""
+"""Shared fixtures, random-matrix helpers, the check suites' draws by scalar calls, the closed-form Kraus triple, and a dense reference for the uncertainty relation."""
 
 import math
 import time
@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from qutrit_eur.channel import ChannelParams
 from qutrit_eur.experiment import PRESET_NAMES, figure_preset, run_sweep
 
 
@@ -24,6 +25,38 @@ def random_unitary(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(x)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_params(rng):
+    """One random ChannelParams by four scalar draws: gamma1, gamma2, theta, then the exponent of lam."""
+    return ChannelParams(
+        gamma1=rng.uniform(0.1, 3.0),
+        gamma2=rng.uniform(0.1, 3.0),
+        theta=rng.uniform(-1.0, 1.0),
+        lam=10.0 ** rng.uniform(-3.0, 3.0),
+    )
+
+
+def reference_cptp_draws(rng, n):
+    """The CPTP suite's n draws (params, t, X), one scalar call per number.
+
+    Per draw: the parameters, t, then the real and the imaginary parts of
+    the 3x3 factor X of the input state.
+    """
+    draws = []
+    for _ in range(n):
+        params, t = random_params(rng), rng.uniform(0.0, 20.0)
+        draws.append((params, t, rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))))
+    return draws
+
+
+def reference_inequality_draws(rng, n):
+    """The inequality suite's n draws (params, t, k), one scalar call per number: the parameters, k, then t."""
+    draws = []
+    for _ in range(n):
+        params, k = random_params(rng), rng.uniform(0.0, 1.0)
+        draws.append((params, rng.uniform(0.0, 300.0), k))
+    return draws
 
 
 def computational_kraus(a, b, g_plus, g_minus, levels=(0, 1, 2)):

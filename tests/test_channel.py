@@ -28,22 +28,13 @@ from qutrit_eur.experiment import oracle_grid
 from qutrit_eur.entropy import eur_sample
 from qutrit_eur.states_obs import isotropic_state
 
-from conftest import computational_kraus, random_density_matrix, random_unitary
+from conftest import computational_kraus, random_density_matrix, random_params, random_unitary
 
 SYMMETRIC_NO_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
 SYMMETRIC_FULL_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=0.001)
 
 GROUND = np.diag([0.0, 0.0, 1.0]).astype(complex)
 EXCITED_1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-
-
-def random_params(rng):
-    return ChannelParams(
-        gamma1=rng.uniform(0.1, 3.0),
-        gamma2=rng.uniform(0.1, 3.0),
-        theta=rng.uniform(-1.0, 1.0),
-        lam=10.0 ** rng.uniform(-3.0, 3.0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +91,15 @@ def test_derive_params_minus_rate_without_cancellation():
         assert d.gamma_minus == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
+# (gamma1, gamma2, theta) where (gamma1 - gamma2)**2 and gamma1*gamma2*theta**2
+# would overflow (above about 1.3e154), and so would gamma1 + gamma2 + q (near 9e307)
+HUGE_RATES = [(6.3e169, 0.99999, 0.99999), (1e300, 1e300, 1.0), (1e300, 1e-300, 0.5), (1e-300, 1e300, -0.7),
+              (1e308, 1e308, 0.5), (1.7e308, 1.0, 0.0), (1e300, 3e299, 0.0)]
+
+
 def test_derive_params_huge_rates_match_mpmath():
-    # (gamma1 - gamma2)**2 and gamma1*gamma2*theta**2 overflowed above about
-    # 1.3e154 and gamma1 + gamma2 + q near 9e307, so the rates read inf or nan
     rng = np.random.default_rng(59)
-    cases = [(6.3e169, 0.99999, 0.99999), (1e300, 1e300, 1.0), (1e300, 1e-300, 0.5), (1e-300, 1e300, -0.7),
-             (1e308, 1e308, 0.5), (1.7e308, 1.0, 0.0), (1e300, 3e299, 0.0)]
+    cases = list(HUGE_RATES)
     cases += [(10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300), rng.uniform(-1, 1)) for _ in range(100)]
     cases += [(10.0 ** e, rng.uniform(0.1, 3.0), rng.uniform(-1, 1)) for e in rng.uniform(150, 300, 50)]
     for gamma1, gamma2, theta in cases:
@@ -123,8 +117,14 @@ def test_derive_params_huge_rates_match_mpmath():
 
 
 def test_derive_params_names_an_unrepresentable_rate():
-    with pytest.raises(ValueError, match=r"gamma_plus .* gamma1=1e\+308, gamma2=1e\+308, theta=1.0$"):
-        derive_params(ChannelParams(gamma1=1e308, gamma2=1e308, theta=1.0, lam=1.0))
+    bad = ChannelParams(gamma1=1e308, gamma2=1e308, theta=1.0, lam=1.0)
+    match = r"gamma_plus .* gamma1=1e\+308, gamma2=1e\+308, theta=1.0$"
+    with pytest.raises(ValueError, match=match):
+        derive_params(bad)
+    # among valid draws, the one pass over a sequence names it too
+    for kernel in (dressed_kraus, decoherence_factors, decoherence_factors_ode):
+        with pytest.raises(ValueError, match=match):
+            kernel([SYMMETRIC_NO_SGI, bad, SYMMETRIC_FULL_SGI], [0.0, 1.0, 2.0])
 
 
 def test_derive_params_invariants_random():
@@ -501,6 +501,9 @@ def test_dressed_kraus_per_draw_params_match_single_calls(levels):
     params = [random_params(rng) for _ in range(40)]
     # include exact degeneracy (q = 0) and exact critical damping (d = 0)
     params += [SYMMETRIC_NO_SGI, ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=2.0)]
+    # the mpmath-checked huge rates; above about 4.5e307 a rate overflows lam - 2*rate in G
+    fits = [max(g1, g2) <= 1e300 for g1, g2, _ in HUGE_RATES]
+    params += [ChannelParams(g1, g2, theta, 1.0) for (g1, g2, theta), ok in zip(HUGE_RATES, fits) if ok]
     ts = rng.uniform(0.0, 50.0, len(params))
     dressed, frames, g_plus, g_minus = dressed_kraus(params, ts, levels)
     for i, (p, t) in enumerate(zip(params, ts)):
@@ -508,6 +511,14 @@ def test_dressed_kraus_per_draw_params_match_single_calls(levels):
         assert np.max(np.abs(dressed[i] - d[0])) <= 1e-15
         assert np.max(np.abs(frames[i] - frame)) <= 1e-15
         assert abs(g_plus[i] - gp[0]) <= 1e-15 and abs(g_minus[i] - gm[0]) <= 1e-15
+    # there both paths fail naming the same derived rate
+    for g1, g2, theta in (case for case, ok in zip(HUGE_RATES, fits) if not ok):
+        p = ChannelParams(g1, g2, theta, 1.0)
+        with pytest.raises(ValueError, match="branch rate") as single:
+            dressed_kraus(p, ts[:1], levels)
+        with pytest.raises(ValueError) as batch:
+            dressed_kraus([*params, p], np.append(ts, ts[0]), levels)
+        assert str(batch.value) == str(single.value)
 
 
 @pytest.mark.parametrize("basis", list(LEVEL_ORDERS))

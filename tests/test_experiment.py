@@ -38,7 +38,7 @@ from qutrit_eur.experiment import (
 )
 from qutrit_eur.states_obs import isotropic_state
 
-from conftest import random_density_matrix
+from conftest import reference_cptp_draws, reference_inequality_draws
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUICK_CHANNEL = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
@@ -416,12 +416,12 @@ def capture_draws(monkeypatch):
 def test_check_cptp_matches_per_draw_reference(monkeypatch):
     captured = capture_draws(monkeypatch)
     _, detail = check_cptp(n_draws=50, seed=11)
-    rng = np.random.default_rng(11)
     want = []
-    for _ in range(50):
-        ks = kraus_set(experiment._random_channel_params(rng), rng.uniform(0.0, 20.0))
+    for params, t, x in reference_cptp_draws(np.random.default_rng(11), 50):
+        ks = kraus_set(params, t)
         acc = sum(k.conj().T @ k for k in ks)
-        out = apply_channel(random_density_matrix(rng, 3), ks)
+        rho = x @ x.conj().T
+        out = apply_channel(rho / np.trace(rho).real, ks)
         want.append((
             np.max(np.abs(acc - np.eye(3))),
             abs(np.trace(out).real - 1.0),
@@ -442,10 +442,8 @@ def test_check_cptp_matches_per_draw_reference(monkeypatch):
 def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
     captured = capture_draws(monkeypatch)
     _, detail = check_uncertainty_inequality(n_draws=50, seed=13)
-    rng = np.random.default_rng(13)
     want = []
-    for _ in range(50):
-        params, k, t = experiment._random_channel_params(rng), rng.uniform(0.0, 1.0), rng.uniform(0.0, 300.0)
+    for params, t, k in reference_inequality_draws(np.random.default_rng(13), 50):
         s = eur_sample(apply_product_channel(isotropic_state(k), kraus_set(params, t)))
         want.append((s.u_l - s.u_b, abs(s.u_l - (s.s_xb + s.s_zb))))
     want = np.array(want).T
@@ -454,28 +452,70 @@ def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
     assert detail == f"50 draws: worst bound margin {want[0].min():.2e}, worst term-sum split {want[1].max():.2e}"
 
 
+def field_bytes(draws):
+    """The parameters, then every further field of per-draw tuples, as raw float64 bytes."""
+    params, *fields = zip(*draws)
+    columns = [[(p.gamma1, p.gamma2, p.theta, p.lam) for p in params]] + [list(field) for field in fields]
+    return [np.asarray(column).tobytes() for column in columns]
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize(
+    "blocks, reference",
+    [(experiment._cptp_blocks, reference_cptp_draws), (experiment._inequality_blocks, reference_inequality_draws)],
+    ids=["cptp", "inequality"],
+)
+def test_block_draws_equal_the_scalar_calls(blocks, reference, seed):
+    for n in (1, 127, 128, 129, 1000):
+        drawn = [draw for block in blocks(np.random.default_rng(seed), n) for draw in zip(*block)]
+        assert field_bytes(drawn) == field_bytes(reference(np.random.default_rng(seed), n)), n
+
+
+def patch_draw(monkeypatch, index, bad):
+    """Replace the params of draw number index by bad(params) as its block is drawn; returns every draw's params."""
+    drawn = []
+    original = experiment._channel_params
+
+    def with_one_bad_draw(draws):
+        params = original(draws)
+        i = index - len(drawn)
+        if 0 <= i < len(params):
+            params[i] = bad(params[i])
+        drawn.extend(params)
+        return params
+
+    monkeypatch.setattr(experiment, "_channel_params", with_one_bad_draw)
+    return drawn
+
+
 @pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
 def test_suite_failure_names_the_draw(monkeypatch, suite):
     # draw 130 sits in the second block; d + lam overflows, so its G is not finite
-    draws = []
-    original = experiment._random_channel_params
-
-    def with_one_bad_draw(rng):
-        p = original(rng)
-        draws.append(p)
-        return ChannelParams(p.gamma1, p.gamma2, p.theta, 1e308) if len(draws) == 131 else p
-
-    monkeypatch.setattr(experiment, "_random_channel_params", with_one_bad_draw)
+    drawn = patch_draw(monkeypatch, 130, lambda p: ChannelParams(p.gamma1, p.gamma2, p.theta, 1e308))
     with pytest.raises(ValueError) as info:
         suite(n_draws=200)
-    bad = draws[130]
+    bad = drawn[130]
     message = str(info.value)
     assert message.startswith("branch amplitude not finite and real")
     assert message.endswith(
         f" (draw 130: ChannelParams(gamma1={bad.gamma1!r}, gamma2={bad.gamma2!r}, theta={bad.theta!r}, lam=1e+308))"
     )
+    assert "np.float64(" not in message
     # the check names the time of the draw, and only once
     assert message.count("t=") == 1
+
+
+@pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
+def test_suite_names_the_draw_of_an_unrepresentable_rate(monkeypatch, suite):
+    # the block's rates are derived in one pass; the one rate beyond the float range is named with its draw
+    patch_draw(monkeypatch, 130, lambda p: ChannelParams(gamma1=1e308, gamma2=1e308, theta=1.0, lam=1.0))
+    with pytest.raises(ValueError) as info:
+        suite(n_draws=200)
+    assert str(info.value) == (
+        "branch rate gamma_plus = (gamma1 + gamma2 + q)/2 exceeds the float range for "
+        "gamma1=1e+308, gamma2=1e+308, theta=1.0 "
+        "(draw 130: ChannelParams(gamma1=1e+308, gamma2=1e+308, theta=1.0, lam=1.0))"
+    )
 
 
 @pytest.mark.parametrize("suite", [check_cptp, check_oracle, check_uncertainty_inequality])
