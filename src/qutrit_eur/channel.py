@@ -21,21 +21,20 @@ Basis convention: computational index 0 and 1 are the two excited levels,
 index 2 is the ground level. Rates are in units of the bare decay rate
 gamma, times in units of 1/gamma.
 
-The kernels work on a time axis: ``dressed_kraus`` builds the Kraus
-tensor of a whole block of times in the dressed basis (plus branch, minus
-branch, ground), where it has five nonzero entries per time, together
-with the real orthogonal frame O that maps the dressed levels to
-computational indices. ``evolve_product`` and ``evolve_single`` take
-states in their ordinary layout, one state or one per time, with a
-(T, 3, 3, 3) Kraus tensor; inside, the tensor becomes the local map S_t
-on vectorised 3x3 operators, applied to both qutrits of a pair as two
-batched 9x9 products. Every channel path applies the dressed tensor
-itself. The isotropic input of the sweep and the inequality suite is
-invariant under O (x) O, so they evolve it as it is and hand O to the
-measurement; the CPTP suite rotates each of its arbitrary inputs once,
-O^T rho O, and trace and spectrum do not depend on the frame. The
-parameters broadcast against the times: a sweep passes one ChannelParams
-for its whole grid, a batch of independent draws one per time. Their
+The kernels work on a time axis: ``dressed_amplitudes`` gives both branch
+amplitudes of a whole block of times with the real orthogonal frame O
+that maps the dressed levels (plus branch, minus branch, ground) to
+computational indices, and ``dressed_kraus`` adds the Kraus tensor in
+that basis, five nonzero entries per time. The sweep and the inequality
+suite need only the amplitudes and O: the evolved isotropic state is
+closed form in them (entropy.evolved_isotropic_columns), so no state is
+evolved on their path. ``evolve_single`` takes one 3x3 state or one per
+time with a (T, 3, 3, 3) Kraus tensor; inside, the tensor becomes the
+local map S_t on vectorised 3x3 operators. The CPTP suite rotates each
+of its arbitrary inputs once, O^T rho O, and applies the dressed tensor
+itself; trace and spectrum do not depend on the frame. The parameters
+broadcast against the times: a sweep passes one ChannelParams for its
+whole grid, a batch of independent draws one per time. Their
 rates and mixing amplitudes come from one array derivation over the
 field columns, in one numpy pass for a whole batch; one ChannelParams,
 and derive_params, are its one-element case.
@@ -44,8 +43,9 @@ take the parameters the same way and return both branch amplitudes
 (G_plus, G_minus) at every time. The times are checked once, with the
 parameters: one-dimensional, finite and nonnegative. ``kraus_set``
 rotates the T = 1 dressed tensor into the real (3, 3, 3) computational
-triple O K O^T, and ``apply_channel`` and ``apply_product_channel`` apply
-any complete (3, 3, 3) triple as the T = 1 case of the evolve kernels.
+triple O K O^T. ``apply_channel`` applies any complete (3, 3, 3) triple
+as the T = 1 case of evolve_single, and ``apply_product_channel`` applies
+it to both qutrits of a 9x9 state as two 9x9 products with the same S.
 """
 
 from __future__ import annotations
@@ -260,8 +260,7 @@ def _channel_inputs(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple:
 
 def decoherence_factors(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form branch amplitudes (G_plus, G_minus) at every time of ts, p as for dressed_kraus."""
-    ts, lam, rate_plus, rate_minus, _, _ = _channel_inputs(p, ts)
-    return _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
+    return dressed_amplitudes(p, ts)[1:]
 
 
 def decoherence_factors_ode(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple[np.ndarray, np.ndarray]:
@@ -270,18 +269,22 @@ def decoherence_factors_ode(p: ChannelParams | Sequence[ChannelParams], ts) -> t
     return _g_rk4(lam, rate_plus, ts), _g_rk4(lam, rate_minus, ts)
 
 
+def require_completeness(dev: np.ndarray, ts=None) -> np.ndarray:
+    """Check per-time completeness deviations max|sum K^dag K - I| against 1e-10 and return them."""
+    require_samples(
+        dev <= COMPLETENESS_ATOL, ts,
+        lambda i: f"Kraus completeness violated: max|sum K^dag K - I| = {dev[i]:.3e}",
+    )
+    return dev
+
+
 def require_complete(kraus: np.ndarray, ts=None) -> np.ndarray:
     """Check sum_i K_i^dagger K_i = I for every time of a (T, 3, 3, 3) Kraus tensor.
 
     Returns the deviation max|sum K^dag K - I| of every time.
     """
     acc = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
-    dev = np.abs(acc - np.eye(3)).max(axis=(-2, -1))
-    require_samples(
-        dev <= COMPLETENESS_ATOL, ts,
-        lambda i: f"Kraus completeness violated: max|sum K^dag K - I| = {dev[i]:.3e}",
-    )
-    return dev
+    return require_completeness(np.abs(acc - np.eye(3)).max(axis=(-2, -1)), ts)
 
 
 # (operator, row, column) of the five nonzero entries of the dressed Kraus
@@ -309,6 +312,21 @@ def dressed_frame(a, b, levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order
     return frame
 
 
+def dressed_amplitudes(
+    p: ChannelParams | Sequence[ChannelParams],
+    ts: np.ndarray,
+    levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame O of dressed_frame and both branch amplitudes G_plus(t), G_minus(t): dressed_kraus without its tensor.
+
+    p is one ChannelParams for the whole axis or a sequence with one per
+    time; _channel_inputs checks p and ts. The frame is (3, 3), or
+    (T, 3, 3) for a sequence.
+    """
+    ts, lam, rate_plus, rate_minus, a, b = _channel_inputs(p, ts)
+    return dressed_frame(a, b, levels), _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
+
+
 def dressed_kraus(
     p: ChannelParams | Sequence[ChannelParams],
     ts: np.ndarray,
@@ -320,20 +338,17 @@ def dressed_kraus(
     damps each branch by its own amplitude and K_2 = W+|g><+|,
     K_3 = W-|g><-| feed the decayed population W = sqrt(1 - G^2) of each
     branch into the ground level: five nonzero entries per time, and
-    sum K^dag K = I holds entry by entry. p is one ChannelParams for the
-    whole axis or a sequence with one per time; _channel_inputs checks p
-    and ts. Returns the real (T, 3, 3, 3) tensor, the frame O of
-    dressed_frame ((3, 3), or (T, 3, 3) for a sequence), and the arrays
-    G_plus(t), G_minus(t).
+    sum K^dag K = I holds entry by entry. p and ts are as for
+    dressed_amplitudes. Returns the real (T, 3, 3, 3) tensor, then the
+    frame and the amplitudes of dressed_amplitudes.
     """
-    ts, lam, rate_plus, rate_minus, a, b = _channel_inputs(p, ts)
-    g_plus, g_minus = _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
+    frame, g_plus, g_minus = dressed_amplitudes(p, ts, levels)
     w_plus, w_minus = (np.sqrt(np.maximum(0.0, 1.0 - g * g)) for g in (g_plus, g_minus))
-    dressed = np.zeros((len(ts), 3, 3, 3))
+    dressed = np.zeros((len(g_plus), 3, 3, 3))
     dressed[:, _DRESSED_OPS, _DRESSED_ROWS, _DRESSED_COLS] = np.stack(
         np.broadcast_arrays(g_plus, g_minus, 1.0, w_plus, w_minus), axis=-1
     )
-    return dressed, dressed_frame(a, b, levels), g_plus, g_minus
+    return dressed, frame, g_plus, g_minus
 
 
 def kraus_set(p: ChannelParams, t: float) -> np.ndarray:
@@ -371,18 +386,6 @@ def _superoperator(kraus: np.ndarray) -> np.ndarray:
     return _pair_indices(flat.swapaxes(1, 2) @ flat.conj())
 
 
-def evolve_product(rho_ab: np.ndarray, kraus: np.ndarray) -> np.ndarray:
-    """Both qutrits through their own copy of the channel: (T, 9, 9) evolved states.
-
-    rho_ab is one 9x9 state, evolved at every time, or a (T, 9, 9) stack
-    with one state per time; kraus is the (T, 3, 3, 3) Kraus tensor. With
-    both states paired by _pair_indices the product channel is
-    S_t @ R @ S_t^T, two batched 9x9 products.
-    """
-    sup = _superoperator(kraus)
-    return _pair_indices(sup @ _pair_indices(rho_ab) @ sup.swapaxes(1, 2))
-
-
 def evolve_single(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """One qutrit per time: one 3x3 state or a (T, 3, 3) stack through the (T, 3, 3, 3) tensor, giving (T, 3, 3)."""
     return (_superoperator(kraus) @ rho.reshape(-1, 9, 1)).reshape(-1, 3, 3)
@@ -406,7 +409,9 @@ def apply_product_channel(rho_ab: np.ndarray, kraus) -> np.ndarray:
     """Evolve a two-qutrit state with the same local channel on each side.
 
     Both qutrits couple to independent, identical reservoirs, so the joint
-    map is the nine-term sum over K_i (x) K_j, applied here as the T = 1
-    case of evolve_product.
+    map is the nine-term sum over K_i (x) K_j. With both states paired by
+    _pair_indices it is S @ R @ S^T, two 9x9 products.
     """
-    return evolve_product(require_density_matrix(rho_ab, 9, name="rho_ab"), _checked_kraus(kraus))[0]
+    rho_ab = require_density_matrix(rho_ab, 9, name="rho_ab")
+    sup = _superoperator(_checked_kraus(kraus))[0]
+    return _pair_indices(sup @ _pair_indices(rho_ab) @ sup.T)

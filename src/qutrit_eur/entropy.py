@@ -7,11 +7,13 @@ log2(1/c) + S(A|B), where c is the maximum squared overlap between the
 two measurement eigenbases. The measured pair is fixed, so c and the
 bound offset log2(1/c) are derived from it once, here.
 
-A stack of states may come in a real orthogonal local frame O (x) O, as
-the sweep's states do in the dressed frame of the channel. The spectra of
-the state, of its partial transpose and of the memory's marginal are the
-same in any such frame, so only the measured vectors change: the x and z
-eigenvectors v are measured as u = O^T v.
+Two kernels give the same columns and end in the same checks.
+eur_columns takes any (T, 9, 9) stack of states. evolved_isotropic_columns
+takes the isotropic input through the product damping channel, the one
+family that sweeps and the inequality suite evaluate, and reads every
+spectrum off the closed-form entries of the evolved state in the dressed
+frame O of the channel; the x and z eigenvectors v are measured there as
+u = O^T v.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import require_completeness
 from .linalg import (
     as_inexact,
     partial_trace_a,
@@ -28,7 +31,6 @@ from .linalg import (
     require_hermitian_stack,
     require_samples,
     require_state_spectrum,
-    sector_spectra,
 )
 from .states_obs import conditional_blocks, max_overlap_c, spin1_observable
 
@@ -60,47 +62,6 @@ def _two_qutrit_stack(rho_ab: np.ndarray) -> np.ndarray:
     return rho_ab[None]
 
 
-def _entropies(rho_ab: np.ndarray, ts=None, frame=None) -> tuple[np.ndarray, ...]:
-    """S(rho_AB), S(rho_B) and the entropies after measuring Sx or Sz on A.
-
-    rho_ab is a Hermitian (T, 9, 9) stack, seen in the frame of eur_columns.
-    rho_AB and rho_B are solved sector by sector (sector_spectra). The
-    dephased states are block diagonal in the measurement basis, so their
-    spectra come from three 3x3 conditional blocks each, measured along
-    u = O^T v. Every spectrum is checked as a state (eigenvalue floor,
-    unit trace) on the way.
-    """
-    w_ab = sector_spectra(rho_ab)
-    require_state_spectrum(w_ab, ts, "rho_ab")
-    w_b = sector_spectra(partial_trace_a(rho_ab))
-    require_state_spectrum(w_b, ts, "rho_b")
-    bases = _MEASURED_BASES if frame is None else np.swapaxes(frame, -1, -2) @ _MEASURED_BASES
-    w_xz = np.linalg.eigvalsh(conditional_blocks(rho_ab, bases)).reshape(len(rho_ab), 2, 9)
-    require_state_spectrum(w_xz[:, 0], ts, "Sx-measured state")
-    require_state_spectrum(w_xz[:, 1], ts, "Sz-measured state")
-    return _bits(w_ab), _bits(w_b), _bits(w_xz[:, 0]), _bits(w_xz[:, 1])
-
-
-def _negativities(rho_ab: np.ndarray, ts=None) -> np.ndarray:
-    """(||rho^T_A||_1 - 1) / 2 per state of a Hermitian (T, 9, 9) stack, clamped to [0, 1].
-
-    The trace norm of the partial transpose lies in [1, 3] for every
-    two-qutrit state, so a value more than 1e-12 below 0 or above 1
-    signals a broken input rather than round-off.
-    """
-    w = sector_spectra(partial_transpose_a(rho_ab))
-    raw = (np.sum(np.abs(w), axis=-1) - 1.0) / 2.0
-    require_samples(
-        raw >= -_NEGATIVITY_ATOL, ts,
-        lambda i: f"negativity {raw[i]:.3e} below round-off floor; invalid state",
-    )
-    require_samples(
-        raw <= 1.0 + _NEGATIVITY_ATOL, ts,
-        lambda i: f"negativity 1 + {raw[i] - 1.0:.3e} above the two-qutrit maximum 1; invalid state",
-    )
-    return np.clip(raw, 0.0, 1.0)
-
-
 class EurColumns(NamedTuple):
     """Both sides of the uncertainty relation and the negativity, one entry per state."""
 
@@ -111,35 +72,114 @@ class EurColumns(NamedTuple):
     negativity: np.ndarray
 
 
-def eur_columns(rho_ab: np.ndarray, ts=None, frame=None) -> EurColumns:
-    """Evaluate the uncertainty relation and the negativity on a (T, 9, 9) stack of states.
+def _checked_columns(w_ab, w_b, w_xz, w_pt, ts) -> EurColumns:
+    """EurColumns from the (T, n) spectra of rho_AB, rho_B, the two measured states (T, 2, 9) and the partial transpose.
 
-    The bound is u_b = BOUND_OFFSET + S(A|B), with the offset log2(1/c)
-    of the measured x/z pair. Every state is checked on the way, from
-    spectra that are computed anyway: Hermiticity within 1e-12, unit trace
-    and the eigenvalue floor of each entropy input, the negativity floor
-    and ceiling, and u_l >= u_b - 1e-9.
-    A failing check raises ValueError naming the first failing sample,
-    with its time when ts is given.
-
-    frame is a real orthogonal O, one (3, 3) for the whole stack or a
-    (T, 3, 3) stack with one per state; None is the identity. rho_ab then
-    holds the states in the frame O (x) O: the state that is measured is
-    (O (x) O) rho_ab (O (x) O)^T. The spectra of rho_AB, of its partial
-    transpose and of rho_B do not change under a real orthogonal local
-    frame, so only the measured x/z vectors v rotate, to u = O^T v.
+    Every spectrum of a state is checked on the way (eigenvalue floor,
+    unit trace), then u_l >= u_b - 1e-9, then the raw negativity
+    (||rho^T_A||_1 - 1) / 2: its trace norm lies in [1, 3] for every
+    two-qutrit state, so a value more than 1e-12 below 0 or above 1
+    signals a broken input rather than round-off. The negativity comes
+    back clamped to [0, 1].
     """
-    rho_ab = require_hermitian_stack(rho_ab, ts, "rho_ab")
-    s_ab, s_b, s_x, s_z = _entropies(rho_ab, ts, frame)
-    s_xb = s_x - s_b
-    s_zb = s_z - s_b
+    named = (w_ab, "rho_ab"), (w_b, "rho_b"), (w_xz[:, 0], "Sx-measured state"), (w_xz[:, 1], "Sz-measured state")
+    for w, name in named:
+        require_state_spectrum(w, ts, name)
+    s_b = _bits(w_b)
+    s_xb = _bits(w_xz[:, 0]) - s_b
+    s_zb = _bits(w_xz[:, 1]) - s_b
     u_l = s_xb + s_zb
-    u_b = BOUND_OFFSET + (s_ab - s_b)
+    u_b = BOUND_OFFSET + (_bits(w_ab) - s_b)
     require_samples(
         u_l >= u_b - BERTA_ATOL, ts,
         lambda i: f"uncertainty sum {float(u_l[i])!r} below its lower bound {float(u_b[i])!r}",
     )
-    return EurColumns(u_l=u_l, u_b=u_b, s_xb=s_xb, s_zb=s_zb, negativity=_negativities(rho_ab, ts))
+    raw = (np.sum(np.abs(w_pt), axis=-1) - 1.0) / 2.0
+    require_samples(
+        raw >= -_NEGATIVITY_ATOL, ts,
+        lambda i: f"negativity {raw[i]:.3e} below round-off floor; invalid state",
+    )
+    require_samples(
+        raw <= 1.0 + _NEGATIVITY_ATOL, ts,
+        lambda i: f"negativity 1 + {raw[i] - 1.0:.3e} above the two-qutrit maximum 1; invalid state",
+    )
+    return EurColumns(u_l=u_l, u_b=u_b, s_xb=s_xb, s_zb=s_zb, negativity=np.clip(raw, 0.0, 1.0))
+
+
+def eur_columns(rho_ab: np.ndarray, ts=None) -> EurColumns:
+    """Evaluate the uncertainty relation and the negativity on a (T, 9, 9) stack of states.
+
+    The bound is u_b = BOUND_OFFSET + S(A|B), with the offset log2(1/c)
+    of the measured x/z pair. The spectra of rho_AB, rho_B and the partial
+    transpose are plain eigvalsh; each dephased state is block diagonal in
+    the measurement basis, so its spectrum comes from three 3x3
+    conditional blocks. Every state is checked on the way, from spectra
+    that are computed anyway: Hermiticity within 1e-12, then the checks of
+    _checked_columns. A failing check raises ValueError naming the first
+    failing sample, with its time when ts is given.
+    """
+    rho_ab = require_hermitian_stack(rho_ab, ts, "rho_ab")
+    w_xz = np.linalg.eigvalsh(conditional_blocks(rho_ab, _MEASURED_BASES)).reshape(len(rho_ab), 2, 9)
+    return _checked_columns(
+        np.linalg.eigvalsh(rho_ab), np.linalg.eigvalsh(partial_trace_a(rho_ab)), w_xz,
+        np.linalg.eigvalsh(partial_transpose_a(rho_ab)), ts,
+    )
+
+
+# the off-diagonal (a, b) of the 3x3 population table, and the pairs i < j
+# whose coherence couples |ij> and |ji> in the partial transpose
+_OFF_ROWS, _OFF_COLS = np.nonzero(~np.eye(3, dtype=bool))
+_PAIR_ROWS, _PAIR_COLS = np.triu_indices(3, 1)
+_DIAG = np.arange(3)
+
+
+def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
+    """EurColumns of the isotropic state of mixing k through the product damping channel, in closed form.
+
+    The isotropic input is invariant under O (x) O, and in the dressed
+    frame O the local map is Phi(X) = K1 X K1 + (W+^2 X_++ + W-^2 X_--) |g><g|,
+    K1 = diag(g), g = (G+, G-, 1). The evolved state has the populations
+    D[a, b] = (1-k)/9 n_a n_b + k/3 (P^T P)[a, b], P[i, a] being the
+    populations of Phi(|i><i|) and n = Phi(I) their column sums, and its
+    only coherences are C[i, j] = (k/3) g_i^2 g_j^2 between |ii> and |jj>.
+    So rho_AB is the 3x3 sector {|ii>} plus the six D[a, b], a != b; rho_B
+    the column sums of D; the partial transpose the three D[a, a] plus the
+    2x2 sectors {|ij>, |ji>}; and each measured state three 3x3 blocks
+    diag(sum_a u_a^2 D[a, b]) + (u u^T) o C along u = O^T v. No 9x9 state
+    is formed. Input and map are the same on A and B, so D is symmetric
+    and each 2x2 sector [[D_ij, C_ij], [C_ij, D_ij]] has the eigenvalues
+    D_ij +- C_ij.
+
+    g_plus and g_minus are (T,) arrays, k a scalar or one per time, frame
+    one (3, 3) O or a (T, 3, 3) stack. Completeness is checked as
+    G+-^2 - 1 <= 1e-10, which is the deviation max|sum K^dag K - I| of the
+    dressed tensor: W = sqrt(max(0, 1 - G^2)) clamps to 0 and would hide
+    any |G| > 1. The other checks are those of _checked_columns; each
+    names the first failing t.
+    """
+    g2 = np.stack(np.broadcast_arrays(g_plus * g_plus, g_minus * g_minus, 1.0), axis=-1)
+    require_completeness(np.maximum(0.0, g2.max(axis=-1) - 1.0), ts)
+    k = np.asarray(k, dtype=float)[..., None, None]
+    # P[i, a], the populations of Phi(|i><i|): each branch keeps G^2 and feeds W^2 to ground
+    images = g2[:, :, None] * np.eye(3)
+    images[:, :2, 2] = np.maximum(0.0, 1.0 - g2[:, :2])
+    n = images.sum(axis=1)
+    pops = (1.0 - k) / 9.0 * n[:, :, None] * n[:, None, :] + k / 3.0 * (images.swapaxes(1, 2) @ images)
+    coh = k / 3.0 * g2[:, :, None] * g2[:, None, :]
+
+    sector = coh.copy()
+    sector[:, _DIAG, _DIAG] = pops[:, _DIAG, _DIAG]
+    w_ab = np.concatenate([np.linalg.eigvalsh(sector), pops[:, _OFF_ROWS, _OFF_COLS]], axis=1)
+
+    pair_pops, pair_coh = pops[:, _PAIR_ROWS, _PAIR_COLS], coh[:, _PAIR_ROWS, _PAIR_COLS]
+    w_pt = np.concatenate([pops[:, _DIAG, _DIAG], pair_pops + pair_coh, pair_pops - pair_coh], axis=1)
+
+    # the measured vectors u = O^T v as rows, (..., 6, 3)
+    u = _MEASURED_BASES.T @ frame
+    blocks = u[..., :, None] * u[..., None, :] * coh[:, None]
+    blocks[..., _DIAG, _DIAG] = (u * u) @ pops
+    w_xz = np.linalg.eigvalsh(blocks).reshape(len(g2), 2, 9)
+    return _checked_columns(w_ab, pops.sum(axis=1), w_xz, w_pt, ts)
 
 
 @dataclass(frozen=True)

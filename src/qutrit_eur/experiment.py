@@ -4,16 +4,15 @@ A sweep evolves one isotropic initial state through the product damping
 channel on a uniform time grid and records both sides of the uncertainty
 relation, the negativity, and the two branch amplitudes at every sample.
 The grid is processed in fixed blocks of samples, each through the array
-kernels of the channel and entropy modules. A block evolves in the dressed
-frame O of the channel (plus branch, minus branch, ground), which leaves
-the isotropic input unchanged; there rho_AB splits into one 3x3 sector and
-six 1x1 ones, its partial transpose into three 1x1 and three 2x2, and
-rho_B is diagonal, so no eigensolve is larger than 3x3. The x/z
-measurement runs along u = O^T v. The inequality suite does the same
-with one frame per draw. Both pass states and the dressed Kraus tensor
-straight to the channel's evolve kernels, and neither checks the
-isotropic input again: SweepConfig and isotropic_state accept only k in
-[0, 1], where its closed-form spectrum is that of a state.
+kernels of the channel and entropy modules. A block takes the branch
+amplitudes and the dressed frame O of the channel (plus branch, minus
+branch, ground), which leaves the isotropic input unchanged; there the
+evolved state is closed form in (G+^2, G-^2, k), and
+entropy.evolved_isotropic_columns reads every spectrum off its entries,
+with no 9x9 state and no eigensolve larger than 3x3. The x/z measurement
+runs along u = O^T v. The inequality suite does the same with one frame
+per draw. Neither checks k again: SweepConfig accepts only k in [0, 1],
+and the suite draws it there.
 
 The fig2*/fig3*/fig4* presets pin the parameter sets behind the reference
 curves this package reproduces. The printed spectral width of the
@@ -38,15 +37,14 @@ from .channel import (
     ChannelParams,
     decoherence_factors,
     decoherence_factors_ode,
+    dressed_amplitudes,
     dressed_kraus,
-    evolve_product,
     evolve_single,
     require_complete,
     require_real_fields,
 )
-from .entropy import BERTA_ATOL, eur_columns
+from .entropy import BERTA_ATOL, evolved_isotropic_columns
 from .linalg import SampleError, hermitian_part, require_density_stack
-from .states_obs import isotropic_state
 
 BASIS_CONVENTIONS = tuple(LEVEL_ORDERS)
 CSV_HEADER = "t_gamma,u_l,u_b,s_xb,s_zb,negativity,g_plus,g_minus"
@@ -128,19 +126,17 @@ class SweepSummary:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the uncertainty relation on the uniform grid t_i = i*t_max/(steps-1).
 
-    Each block evolves in the dressed frame and is measured along the
-    rotated x/z vectors (module docstring). A failing check names the
-    first failing t and the sweep parameters.
+    Each block is evaluated in closed form in the dressed frame and
+    measured along the rotated x/z vectors (module docstring). A failing
+    check names the first failing t and the sweep parameters.
     """
-    rho0 = isotropic_state(cfg.k)
     levels = LEVEL_ORDERS[cfg.basis]
     records = []
     for start in range(0, cfg.steps, _BLOCK):
         ts = np.arange(start, min(start + _BLOCK, cfg.steps)) * cfg.t_max / (cfg.steps - 1)
         try:
-            dressed, frame, g_plus, g_minus = dressed_kraus(cfg.channel, ts, levels)
-            require_complete(dressed, ts)
-            cols = eur_columns(evolve_product(rho0, dressed), ts, frame)
+            frame, g_plus, g_minus = dressed_amplitudes(cfg.channel, ts, levels)
+            cols = evolved_isotropic_columns(g_plus, g_minus, cfg.k, frame, ts)
         except ValueError as exc:
             raise ValueError(f"{exc} (sweep {canonical_params(cfg)})") from exc
         records.extend(map(
@@ -396,7 +392,7 @@ def oracle_grid(n_points: int = 100) -> list[tuple[ChannelParams, float]]:
     per_lam = math.ceil(n_points / len(lams))
     points = []
     for i in range(n_points):
-        lam = lams[i // per_lam]
+        lam = float(lams[i // per_lam])
         g1, g2 = gammas[i % len(gammas)]
         params = ChannelParams(gamma1=g1, gamma2=g2, theta=thetas[i % len(thetas)], lam=lam)
         points.append((params, min(20.0, 50.0 / lam) * (i % per_lam + 1) / per_lam))
@@ -434,9 +430,8 @@ def _inequality_blocks(rng: np.random.Generator, n: int):
 
 
 def _inequality_block(params, ts, ks):
-    dressed, frames, _, _ = dressed_kraus(params, ts)
-    require_complete(dressed, ts)
-    cols = eur_columns(evolve_product(isotropic_state(ks), dressed), ts, frames)
+    frames, g_plus, g_minus = dressed_amplitudes(params, ts)
+    cols = evolved_isotropic_columns(g_plus, g_minus, ks, frames, ts)
     return cols.u_l - cols.u_b, np.abs(cols.u_l - (cols.s_xb + cols.s_zb))
 
 

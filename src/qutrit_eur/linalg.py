@@ -6,12 +6,11 @@ in real arithmetic and a complex one in complex. Composite two-qutrit indices
 follow r = 3*a + b, with subsystem A the left (most significant) tensor
 factor; every composite operation in this package assumes that layout.
 A stack of matrices carries the sample axis first, (T, n, n); the
-``require_*`` checks on stacks name the first failing sample.
+``require_*`` checks on stacks name the first failing sample, and
+require_state_spectrum checks eigenvalue rows however they were found.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,55 +72,6 @@ def require_state_spectrum(w: np.ndarray, ts=None, name: str = "rho") -> None:
         np.abs(tr - 1.0) <= TRACE_ATOL, ts,
         lambda i: f"{name} must have unit trace, got {float(tr[i])!r}",
     )
-
-
-@lru_cache(maxsize=64)
-def _sectors(key: bytes, n: int) -> tuple[np.ndarray, ...]:
-    """Sectors of the n x n boolean pattern in key: one (count, size) index array per size.
-
-    A sector is a connected component of the pattern read as a graph;
-    the boolean closure of the pattern finds them, and sizes come in
-    ascending order.
-    """
-    reach = np.frombuffer(key, dtype=bool).reshape(n, n) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):
-        reach = (reach.astype(np.int64) @ reach) > 0
-    sectors = []
-    for i in range(n):
-        if not any(i in sector for sector in sectors):
-            sectors.append(np.flatnonzero(reach[i]))
-    sizes = sorted({len(sector) for sector in sectors})
-    return tuple(np.array([sector for sector in sectors if len(sector) == size]) for size in sizes)
-
-
-def sector_spectra(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of every matrix of a Hermitian (T, n, n) stack, sector by sector.
-
-    The exact zero pattern of a matrix splits its indices into sectors
-    that no nonzero entry connects, and its spectrum is the union of the
-    sector spectra. The matrices of one pattern are solved together, with
-    one batched eigvalsh per sector size; 1x1 sectors are read off the
-    diagonal. A matrix without zero entries is one n-sector. A matrix
-    gets the same arithmetic whatever else is in the stack, so a sample
-    of a block and the same state alone give identical eigenvalues. Rows
-    come back in sector order, not sorted.
-    """
-    n = m.shape[-1]
-    nonzero = m != 0
-    nonzero |= nonzero.swapaxes(-1, -2)
-    w = np.empty(m.shape[:-1])
-    todo = np.ones(len(m), dtype=bool)
-    while todo.any():
-        pattern = nonzero[np.argmax(todo)]
-        rows = todo & (nonzero == pattern).all(axis=(-2, -1))
-        todo &= ~rows
-        sub = m[rows]
-        w[rows] = np.concatenate([
-            sub[:, idx[:, 0], idx[:, 0]].real if idx.shape[1] == 1
-            else np.linalg.eigvalsh(sub[:, idx[:, :, None], idx[:, None, :]]).reshape(len(sub), -1)
-            for idx in _sectors(pattern.tobytes(), n)
-        ], axis=1)
-    return w
 
 
 def require_density_stack(rho: np.ndarray, ts=None, name: str = "rho") -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the V-type damping channel and its decoherence amplitudes."""
 
+import dataclasses
 import math
 import re
 
@@ -19,7 +20,6 @@ from qutrit_eur.channel import (
     decoherence_factors_ode,
     derive_params,
     dressed_kraus,
-    evolve_product,
     evolve_single,
     kraus_set,
     require_complete,
@@ -420,6 +420,10 @@ def stepped_rk4(lam, rate, t):
 
 def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
     params, ts = zip(*oracle_grid(100))
+    # plain floats, so a failing point prints as the random suites' draws do
+    fields = [getattr(p, f.name) for p in params for f in dataclasses.fields(p)]
+    assert all(type(x) is float for x in fields + list(ts))
+    assert not any("np.float64(" in repr(point) for point in zip(params, ts))
     powered = np.array(decoherence_factors_ode(params, ts))
     stepped = [[stepped_rk4(p.lam, rate, t) for rate in branch_rates(p)] for p, t in zip(params, ts)]
     assert np.max(np.abs(powered.T - stepped)) <= 1e-12
@@ -690,13 +694,10 @@ def test_evolve_kernels_on_a_stack_match_the_dense_kraus_sums():
     rng = np.random.default_rng(109)
     kraus = np.array([random_complete_kraus(rng) for _ in range(3)])
     assert np.max(require_complete(kraus)) <= 1e-14
-    pairs = np.array([random_density_matrix(rng, 9) for _ in range(3)])
-    one_pair = random_density_matrix(rng, 9)
-    for states, out in ((pairs, evolve_product(pairs, kraus)), ([one_pair] * 3, evolve_product(one_pair, kraus))):
-        assert out.shape == (3, 9, 9)
-        for rho, ops, got in zip(states, kraus, out):
-            want = sum(np.kron(ki, kj) @ rho @ np.kron(ki, kj).conj().T for ki in ops for kj in ops)
-            assert np.max(np.abs(got - want)) <= 1e-12
+    for ops in kraus:
+        rho = random_density_matrix(rng, 9)
+        want = sum(np.kron(ki, kj) @ rho @ np.kron(ki, kj).conj().T for ki in ops for kj in ops)
+        assert np.max(np.abs(apply_product_channel(rho, ops) - want)) <= 1e-12
     singles = np.array([random_density_matrix(rng, 3) for _ in range(3)])
     one_single = random_density_matrix(rng, 3)
     for states, out in ((singles, evolve_single(singles, kraus)), ([one_single] * 3, evolve_single(one_single, kraus))):

@@ -14,19 +14,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qutrit_eur import entropy
+from qutrit_eur import channel, entropy
 from qutrit_eur.channel import (
+    LEVEL_ORDERS,
     ChannelParams,
     apply_product_channel,
     derive_params,
+    dressed_amplitudes,
     dressed_kraus,
-    evolve_product,
     kraus_set,
     require_complete,
 )
-from qutrit_eur.entropy import eur_columns, eur_sample
-from qutrit_eur.experiment import SweepConfig, run_sweep
+from qutrit_eur.entropy import eur_columns, eur_sample, evolved_isotropic_columns
+from qutrit_eur.experiment import SweepConfig, check_uncertainty_inequality, run_sweep
 from qutrit_eur.states_obs import isotropic_state
 
 from conftest import computational_kraus, reference_eur
@@ -115,9 +118,31 @@ def test_scalar_functions_reproduce_sweep_rows():
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma1=st.floats(0.1, 3.0),
+    gamma2=st.floats(0.1, 3.0),
+    theta=st.floats(-1.0, 1.0),
+    log_lam=st.floats(-3.0, 3.0),
+    k=st.floats(0.0, 1.0),
+    t=st.floats(0.0, 300.0),
+    basis=st.sampled_from(tuple(REFERENCE_LEVELS)),
+)
+def test_closed_form_kernel_matches_dense_reference(gamma1, gamma2, theta, log_lam, k, t, basis):
+    p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
+    ts = np.array([t])
+    frame, g_plus, g_minus = dressed_amplitudes(p, ts, LEVEL_ORDERS[basis])
+    got = evolved_isotropic_columns(g_plus, g_minus, k, frame, ts)
+    # kraus_set is in kraus-order indices: entry i of the basis reads kraus-order index source[i]
+    source = np.argsort(REFERENCE_LEVELS[basis])
+    ops = kraus_set(p, t)[:, source][:, :, source]
+    want = reference_eur(apply_product_channel(isotropic_state(k), ops))
+    assert np.max(np.abs(np.ravel(got) - want)) <= 1e-12
+
+
 def evolved_block(ts):
     dressed = dressed_kraus(ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), ts)[0]
-    return dressed, evolve_product(isotropic_state(0.8), dressed)
+    return dressed, np.array([apply_product_channel(isotropic_state(0.8), ops) for ops in dressed])
 
 
 def not_hermitian(rho):
@@ -169,3 +194,30 @@ def test_sweep_failure_names_time_and_parameters():
     )
     with pytest.raises(ValueError, match=r"at t=0 \(sweep gamma1=1 gamma2=1 theta=0 lambda=1e\+308 k=1"):
         run_sweep(cfg)
+
+
+def amplitude_above_one(monkeypatch):
+    """Make every branch amplitude 1 + 1e-9 at position 5 of each block: G^2 - 1 = 2e-9."""
+    g_closed = channel._g_closed
+
+    def bumped(lam, rate, ts):
+        g = g_closed(lam, rate, ts)
+        g[5] = 1.0 + 1e-9
+        return g
+
+    monkeypatch.setattr(channel, "_g_closed", bumped)
+
+
+def test_sweep_completeness_check_names_time_and_parameters(monkeypatch):
+    amplitude_above_one(monkeypatch)
+    cfg = SweepConfig(channel=ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), k=0.8, t_max=80.0, steps=9)
+    with pytest.raises(ValueError, match=r"^Kraus completeness violated: max\|sum K\^dag K - I\| = 2\.000e-09 "
+                                         r"at t=50 \(sweep gamma1=1\.5 gamma2=0\.5"):
+        run_sweep(cfg)
+
+
+def test_inequality_suite_completeness_check_names_the_draw(monkeypatch):
+    amplitude_above_one(monkeypatch)
+    with pytest.raises(ValueError, match=r"^Kraus completeness violated: max\|sum K\^dag K - I\| = 2\.000e-09 "
+                                         r"at t=[^ ]+ \(draw 5: ChannelParams\(gamma1="):
+        check_uncertainty_inequality(n_draws=20)

@@ -1,4 +1,4 @@
-"""Tests for the linear algebra layer: partial trace and transpose, sector spectra.
+"""Tests for the linear algebra layer: partial trace and transpose.
 
 The package forms no tensor products. The tests build product operators
 with numpy's ``np.kron``, and the layout tests below pin that its index
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qutrit_eur.linalg import partial_trace_a, partial_transpose_a, sector_spectra
+from qutrit_eur.linalg import partial_trace_a, partial_transpose_a
 
 from conftest import random_density_matrix, random_hermitian
 
@@ -143,41 +143,3 @@ def test_partial_transpose_rejects_wrong_dim():
     with pytest.raises(ValueError, match="9x9"):
         partial_transpose_a(np.eye(4))
 
-
-# ---------------------------------------------------------------------------
-# sector-by-sector spectra
-# ---------------------------------------------------------------------------
-
-
-def test_sector_spectra_dense_state_is_one_sector_matching_eigvalsh():
-    rng = np.random.default_rng(211)
-    stack = np.array([random_density_matrix(rng, 9) for _ in range(20)])
-    assert np.iscomplexobj(stack) and np.all(stack != 0)
-    w = sector_spectra(stack)
-    assert w.shape == (20, 9)
-    assert np.max(np.abs(np.sort(w, axis=1) - np.linalg.eigvalsh(stack))) <= 1e-13
-
-
-def test_sector_spectra_splits_by_exact_zero_pattern():
-    rng = np.random.default_rng(223)
-    # sectors {0, 3}, {1}, {2, 4, 5} after a random relabelling
-    blocks = np.zeros((6, 6))
-    for sector in ([0, 3], [1], [2, 4, 5]):
-        h = random_hermitian(rng, len(sector)).real
-        blocks[np.ix_(sector, sector)] = h
-    perm = rng.permutation(6)
-    stack = np.array([blocks[np.ix_(perm, perm)], 2.0 * blocks[np.ix_(perm, perm)]])
-    w = sector_spectra(stack)
-    assert w.dtype == np.float64
-    assert np.max(np.abs(np.sort(w, axis=1) - np.linalg.eigvalsh(stack))) <= 1e-13
-
-
-def test_sector_spectra_of_a_sample_do_not_depend_on_the_rest_of_the_stack():
-    rng = np.random.default_rng(227)
-    dense = random_density_matrix(rng, 9)
-    sparse = np.diag(rng.uniform(size=9))
-    sparse[0, 4] = sparse[4, 0] = 0.01
-    stack = np.array([dense, sparse, dense.conj(), sparse])
-    w = sector_spectra(stack)
-    for i, m in enumerate(stack):
-        assert np.array_equal(w[i], sector_spectra(m[None])[0])

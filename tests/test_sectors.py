@@ -1,14 +1,14 @@
-"""Sector structure of evolved isotropic states, real arithmetic, and sweep properties.
+"""Closed-form structure of evolved isotropic states, real arithmetic, and sweep properties.
 
 In the dressed frame O of the damping channel (plus branch, minus branch,
-ground) each local map is covariant under one U(1) phase per branch, and
-the isotropic input is invariant under O (x) O. So rho_AB is one 3x3
-sector {++, --, gg} plus six diagonal entries, its partial transpose
-three diagonal entries plus three 2x2 blocks, and rho_B is diagonal. The
-sweep and the inequality suite evolve in that frame and measure along
-u = O^T v. In computational indices O mixes the two excited levels and
-only the common excitation phase survives: rho_AB splits into sectors of
-sizes 5, 2 and 2, its partial transpose 1, 4 and 4.
+ground) the local map is Phi(X) = K1 X K1 + (W+^2 X_++ + W-^2 X_--) |g><g|
+with K1 = diag(g), g = (G+, G-, 1), and the isotropic input is invariant
+under O (x) O. So the evolved state has the populations
+D[a, b] = (1-k)/9 n_a n_b + k/3 (P^T P)[a, b] on its diagonal, with P the
+images of the diagonal units and n = Phi(I), and its only coherences are
+C[i, j] = (k/3) g_i^2 g_j^2 between |ii> and |jj>. Every other entry is an
+exact 0. The sweep and the inequality suite read every spectrum off D and
+C (entropy.evolved_isotropic_columns) and measure along u = O^T v.
 """
 
 import dataclasses
@@ -21,31 +21,35 @@ from hypothesis import strategies as st
 from qutrit_eur.channel import (
     LEVEL_ORDERS,
     ChannelParams,
+    apply_product_channel,
     derive_params,
     dressed_kraus,
-    evolve_product,
 )
-from qutrit_eur.entropy import eur_columns
-from qutrit_eur.experiment import BASIS_CONVENTIONS, SweepConfig, check_uncertainty_inequality, run_sweep
-from qutrit_eur.linalg import _sectors, partial_trace_a, partial_transpose_a, sector_spectra
+from qutrit_eur.entropy import eur_columns, evolved_isotropic_columns
+from qutrit_eur.experiment import (
+    BASIS_CONVENTIONS,
+    PRESET_NAMES,
+    SweepConfig,
+    check_uncertainty_inequality,
+    figure_preset,
+    run_sweep,
+)
+from qutrit_eur.linalg import partial_trace_a, partial_transpose_a
 from qutrit_eur.states_obs import conditional_blocks, isotropic_state, spin1_observable
 
-from conftest import computational_kraus, random_density_matrix
+from conftest import computational_kraus
 
 # unequal rates with partial SGI: both mixing amplitudes are nonzero and a != b
 MIXED = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
 TS = np.linspace(0.0, 600.0, 128)
-
-
-def sector_sizes(stack):
-    """Sorted sector sizes of the zero pattern of a (T, n, n) stack, taken as the union over T."""
-    nonzero = (stack != 0).any(axis=0)
-    nonzero |= nonzero.T
-    return sorted(idx.shape[1] for idx in _sectors(nonzero.tobytes(), len(nonzero)) for _ in idx)
+# rows (a, b) and columns (a', b') of the entries D and C may occupy
+_A, _B, _A2, _B2 = np.indices((3, 3, 3, 3))
+SUPPORT = (((_A == _A2) & (_B == _B2)) | ((_A == _B) & (_A2 == _B2))).reshape(9, 9)
 
 
 def evolved(kraus, k=0.6):
-    return evolve_product(isotropic_state(k), kraus)
+    """The isotropic state through the product channel of each (3, 3, 3) triple of a stack."""
+    return np.array([apply_product_channel(isotropic_state(k), ops) for ops in kraus])
 
 
 def computational_block(levels=LEVEL_ORDERS["kraus-order"]):
@@ -55,39 +59,49 @@ def computational_block(levels=LEVEL_ORDERS["kraus-order"]):
     return computational_kraus(d.a, d.b, g_plus, g_minus, levels)
 
 
+def closed_form(g_plus, g_minus, k):
+    """The (T, 9, 9) evolved isotropic state in the dressed frame, written from D and C alone."""
+    g2 = np.stack([g_plus**2, g_minus**2, np.ones_like(g_plus)], axis=1)
+    # P[i, a]: population a of Phi(|i><i|); each excited branch i feeds 1 - G_i^2 to ground
+    images = np.zeros(g2.shape + (3,))
+    for i in range(3):
+        images[:, i, i] = g2[:, i]
+    images[:, :2, 2] += 1.0 - g2[:, :2]
+    n = images.sum(axis=1)
+    pops = (1.0 - k) / 9.0 * np.einsum("ta,tb->tab", n, n) + k / 3.0 * np.einsum("tia,tib->tab", images, images)
+    rho = np.zeros((len(g2), 9, 9))
+    for a in range(3):
+        for b in range(3):
+            rho[:, 3 * a + b, 3 * a + b] = pops[:, a, b]
+            if a != b:
+                rho[:, 4 * a, 4 * b] = k / 3.0 * g2[:, a] * g2[:, b]
+    return rho
+
+
+def assert_closed_form(rho, g_plus, g_minus, k):
+    """rho equals the closed form entry by entry, and is an exact 0 off the support of D and C."""
+    assert np.max(np.abs(rho - closed_form(g_plus, g_minus, k))) <= 1e-15
+    assert np.all(rho[:, ~SUPPORT] == 0.0)
+
+
 @pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
 def test_dressed_frame_block_sectors(basis):
-    dressed, frame, _, _ = dressed_kraus(MIXED, TS, LEVEL_ORDERS[basis])
+    dressed, frame, g_plus, g_minus = dressed_kraus(MIXED, TS, LEVEL_ORDERS[basis])
     rho_d = evolved(dressed)
-    assert sector_sizes(rho_d) == [1] * 6 + [3]
-    assert sector_sizes(partial_transpose_a(rho_d)) == [1] * 3 + [2] * 3
-    assert sector_sizes(partial_trace_a(rho_d)) == [1] * 3
+    assert_closed_form(rho_d, g_plus, g_minus, 0.6)
     # the dressed block is the computational one seen in the frame O (x) O
     rho = evolved(computational_block(LEVEL_ORDERS[basis]))
     both = np.kron(frame, frame)
     assert np.max(np.abs(both @ rho_d @ both.T - rho)) <= 1e-15
-    for dressed_stack, stack in ((rho_d, rho), (partial_transpose_a(rho_d), partial_transpose_a(rho))):
-        w = np.sort(sector_spectra(dressed_stack), axis=1)
-        assert np.max(np.abs(w - np.linalg.eigvalsh(stack))) <= 1e-13
-
-
-@pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
-def test_computational_block_sectors(basis):
-    rho = evolved(computational_block(LEVEL_ORDERS[basis]))
-    assert sector_sizes(rho) == [2, 2, 5]
-    assert sector_sizes(partial_transpose_a(rho)) == [1, 4, 4]
-    assert sector_sizes(partial_trace_a(rho)) == [1, 2]
-    # at t = 0 the state is the isotropic input itself: {00, 11, 22} and six 1x1
-    assert sector_sizes(rho[:1]) == [1] * 6 + [3]
 
 
 def test_sweep_kernels_stay_real():
-    dressed, frame, _, _ = dressed_kraus(MIXED, TS)
+    dressed, frame, g_plus, g_minus = dressed_kraus(MIXED, TS)
     rho = evolved(dressed)
     basis = frame.T @ np.hstack([spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis])
     for array in (dressed, rho, partial_transpose_a(rho), conditional_blocks(rho, basis)):
         assert array.dtype == np.float64
-    assert all(col.dtype == np.float64 for col in eur_columns(rho, TS, frame))
+    assert all(col.dtype == np.float64 for col in evolved_isotropic_columns(g_plus, g_minus, 0.6, frame, TS))
 
 
 def test_complex_state_keeps_complex_arithmetic():
@@ -109,54 +123,31 @@ def test_complex_state_keeps_complex_arithmetic():
     basis=st.sampled_from(BASIS_CONVENTIONS),
 )
 def test_dressed_frame_sector_sizes(gamma1, gamma2, theta, log_lam, k, basis):
-    # the sizes come from the physics, not from an index table in the engine
+    # the structure comes from the physics, not from an index table in the engine
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
-    rho = evolved(dressed_kraus(p, TS, LEVEL_ORDERS[basis])[0], k)
-    assert sector_sizes(rho) == [1] * 6 + [3]
-    assert sector_sizes(partial_transpose_a(rho)) == [1] * 3 + [2] * 3
-    rho_b = partial_trace_a(rho)
-    assert np.array_equal(rho_b, np.diagonal(rho_b, axis1=1, axis2=2)[:, :, None] * np.eye(3))
+    dressed, _, g_plus, g_minus = dressed_kraus(p, TS[::8], LEVEL_ORDERS[basis])
+    assert_closed_form(evolved(dressed, k), g_plus, g_minus, k)
 
 
-@pytest.mark.parametrize("run", [
-    lambda: run_sweep(SweepConfig(MIXED, k=0.8, t_max=600.0, steps=300, basis="ground-first")),
-    lambda: check_uncertainty_inequality(n_draws=200),
+@pytest.mark.parametrize("run,samples", [
+    (lambda: run_sweep(SweepConfig(MIXED, k=0.8, t_max=600.0, steps=300, basis="ground-first")), 300),
+    (lambda: check_uncertainty_inequality(n_draws=200), 200),
 ], ids=["sweep", "inequality"])
-def test_engine_solves_no_matrix_above_3x3(monkeypatch, run):
-    sizes = []
+def test_engine_solves_no_matrix_above_3x3(monkeypatch, run, samples):
+    # per sample: the 3x3 sector of rho_AB and the six conditional blocks
+    sizes, matrices = [], 0
     eigvalsh = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
+        nonlocal matrices
         sizes.append(a.shape[-1])
+        matrices += int(np.prod(a.shape[:-2]))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     run()
     assert sizes and max(sizes) <= 3
-
-
-def rotated_back(rho, frame):
-    """(O (x) O) rho (O (x) O)^T for one (3, 3) frame or a (T, 3, 3) stack."""
-    both = np.einsum("...ij,...kl->...ikjl", frame, frame).reshape(frame.shape[:-2] + (9, 9))
-    return both @ rho @ both.swapaxes(-1, -2)
-
-
-def test_eur_columns_in_one_frame_match_the_rotated_back_state():
-    dressed, frame, _, _ = dressed_kraus(MIXED, TS, LEVEL_ORDERS["ground-first"])
-    rho = evolved(dressed)
-    got, want = eur_columns(rho, TS, frame), eur_columns(rotated_back(rho, frame), TS)
-    assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) <= 1e-13
-
-
-def test_eur_columns_with_one_frame_per_state_match_the_rotated_back_states():
-    # generic real states and frames: the evolved isotropic states are symmetric
-    # under sign flips of the dressed levels, which hides a frame used as O for O^T
-    rng = np.random.default_rng(17)
-    ts = np.linspace(0.0, 1.0, 64)
-    rho = np.array([random_density_matrix(rng, 9).real for _ in ts])
-    frames = np.linalg.qr(rng.normal(size=(64, 3, 3)))[0]
-    got, want = eur_columns(rho, ts, frames), eur_columns(rotated_back(rho, frames), ts)
-    assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) <= 1e-13
+    assert matrices == 7 * samples
 
 
 def records_array(cfg):
@@ -202,3 +193,23 @@ def test_sweep_basis_invariant_for_equal_rates(rate, theta, log_lam, k, t_max, s
     )
     ground_first = dataclasses.replace(cfg, basis="ground-first")
     assert np.max(np.abs(records_array(cfg) - records_array(ground_first))) <= 1e-12
+
+
+def test_isotropic_separability_threshold_on_preset_channels():
+    """No negativity at any t for k <= 1/4; above it, N(0) = (4k - 1)/3.
+
+    A two-qutrit isotropic state is separable exactly when k <= 1/(d+1) = 1/4
+    (M. Horodecki & P. Horodecki, PRA 59, 4206 (1999)), and a product of local
+    channels keeps a separable state separable, so its negativity stays 0 at
+    every t. Above the threshold the input's partial transpose has the
+    eigenvalue (1 - 4k)/9 three times, so N(0) = (4k - 1)/3. The preset grids
+    are shortened to 1200 samples.
+    """
+    for name in PRESET_NAMES:
+        preset = figure_preset(name)
+        for k in (0.0, 0.1, 0.25):
+            rows = run_sweep(dataclasses.replace(preset, k=k, steps=1200))
+            assert max(r.negativity for r in rows) <= 1e-15, (name, k)
+        for k in (0.26, 0.5, 1.0):
+            first = run_sweep(dataclasses.replace(preset, k=k, steps=2))[0]
+            assert abs(first.negativity - (4.0 * k - 1.0) / 3.0) <= 1e-15, (name, k)

@@ -208,14 +208,3 @@ def test_measure_block_diagonal_in_measurement_basis():
         for rho, blocks in zip(stack, got):
             assert_allclose(blocks, kron_blocks(rho, basis), atol=1e-15)
 
-
-def test_measure_with_one_basis_per_state_matches_single_calls():
-    # a (T, 3, n) stack measures state t along its own columns t, bit for bit;
-    # here two orthonormal bases side by side, n = 6, as the engine measures x and z
-    rng = np.random.default_rng(113)
-    stack = np.array([random_density_matrix(rng, 9) for _ in range(5)])
-    bases = np.array([np.hstack([random_unitary(rng, 3), random_unitary(rng, 3)]) for _ in range(5)])
-    for rho, cols in ((stack, bases), (stack.real, np.linalg.qr(bases.real[..., :3])[0])):
-        got = conditional_blocks(rho, cols)
-        assert got.shape == (5, cols.shape[-1], 3, 3) and got.dtype == rho.dtype
-        assert np.array_equal(got, np.array([conditional_blocks(r, b) for r, b in zip(rho, cols)]))
