@@ -28,9 +28,8 @@ computational indices, and ``dressed_kraus`` adds the Kraus tensor in
 that basis, five nonzero entries per time. The sweep and the inequality
 suite need only the amplitudes and O: the evolved isotropic state is
 closed form in them (entropy.evolved_isotropic_columns), so no state is
-evolved on their path. ``evolve_single`` takes one 3x3 state or one per
-time with a (T, 3, 3, 3) Kraus tensor; inside, the tensor becomes the
-local map S_t on vectorised 3x3 operators. The CPTP suite rotates each
+evolved on their path. Where a state is evolved, the Kraus tensor becomes
+the local map S_t on vectorised 3x3 operators. The CPTP suite rotates each
 of its arbitrary inputs once, O^T rho O, and applies the dressed tensor
 itself; trace and spectrum do not depend on the frame. The parameters
 broadcast against the times: a sweep passes one ChannelParams for its
@@ -44,7 +43,7 @@ take the parameters the same way and return both branch amplitudes
 parameters: one-dimensional, finite and nonnegative. ``kraus_set``
 rotates the T = 1 dressed tensor into the real (3, 3, 3) computational
 triple O K O^T. ``apply_channel`` applies any complete (3, 3, 3) triple
-as the T = 1 case of evolve_single, and ``apply_product_channel`` applies
+as the T = 1 case of that map, and ``apply_product_channel`` applies
 it to both qutrits of a 9x9 state as two 9x9 products with the same S.
 """
 
@@ -386,8 +385,8 @@ def _superoperator(kraus: np.ndarray) -> np.ndarray:
     return _pair_indices(flat.swapaxes(1, 2) @ flat.conj())
 
 
-def evolve_single(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
-    """One qutrit per time: one 3x3 state or a (T, 3, 3) stack through the (T, 3, 3, 3) tensor, giving (T, 3, 3)."""
+def _evolve_single(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """One qutrit per time, unchecked: one 3x3 state or a (T, 3, 3) stack through the (T, 3, 3, 3) tensor."""
     return (_superoperator(kraus) @ rho.reshape(-1, 9, 1)).reshape(-1, 3, 3)
 
 
@@ -402,7 +401,7 @@ def _checked_kraus(kraus) -> np.ndarray:
 
 def apply_channel(rho: np.ndarray, kraus) -> np.ndarray:
     """Evolve a single-qutrit density matrix: rho -> sum_i K_i rho K_i^dagger."""
-    return evolve_single(require_density_matrix(rho, 3), _checked_kraus(kraus))[0]
+    return _evolve_single(require_density_matrix(rho, 3), _checked_kraus(kraus))[0]
 
 
 def apply_product_channel(rho_ab: np.ndarray, kraus) -> np.ndarray:

@@ -115,9 +115,16 @@ def eur_columns(rho_ab: np.ndarray, ts=None) -> EurColumns:
     the measurement basis, so its spectrum comes from three 3x3
     conditional blocks. Every state is checked on the way, from spectra
     that are computed anyway: Hermiticity within 1e-12, then the checks of
-    _checked_columns. A failing check raises ValueError naming the first
-    failing sample, with its time when ts is given.
+    _checked_columns, each a ValueError naming the first failing sample,
+    with its time when ts (one per state) is given. A wrong shape is one too.
     """
+    rho_ab = as_inexact(rho_ab)
+    if rho_ab.shape[1:] != (9, 9):
+        raise ValueError(f"rho_ab must be a (T, 9, 9) stack of two-qutrit states, got shape {rho_ab.shape}")
+    if ts is not None and np.shape(ts) != rho_ab.shape[:1]:
+        raise ValueError(
+            f"ts must be a one-dimensional array of times, one per state: got shape {np.shape(ts)} for {rho_ab.shape}"
+        )
     rho_ab = require_hermitian_stack(rho_ab, ts, "rho_ab")
     w_xz = np.linalg.eigvalsh(conditional_blocks(rho_ab, _MEASURED_BASES)).reshape(len(rho_ab), 2, 9)
     return _checked_columns(

@@ -39,7 +39,7 @@ from .channel import (
     decoherence_factors_ode,
     dressed_amplitudes,
     dressed_kraus,
-    evolve_single,
+    _evolve_single,
     require_complete,
     require_real_fields,
 )
@@ -292,9 +292,10 @@ _INEQUALITY_LOW = np.array([0.1, 0.1, -1.0, -3.0, 0.0, 0.0])
 _INEQUALITY_HIGH = np.array([3.0, 3.0, 1.0, 3.0, 1.0, 300.0])
 
 
-def _block_sizes(n: int):
-    """The lengths of the _BLOCK-sized blocks that n draws are taken in."""
-    return (min(_BLOCK, n - start) for start in range(0, n, _BLOCK))
+def _require_draw_count(n, name: str) -> None:
+    """Reject a suite's draw count before anything is drawn; numbers.Integral as for SweepConfig.steps, but no bool."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"{name} must be an integer of at least 1 draw, got {n!r}")
 
 
 def _channel_params(draws: np.ndarray) -> list[ChannelParams]:
@@ -303,48 +304,43 @@ def _channel_params(draws: np.ndarray) -> list[ChannelParams]:
     return [ChannelParams(g1, g2, theta, 10.0 ** e) for g1, g2, theta, e in draws.tolist()]
 
 
-def _evaluate_draws(evaluate, blocks) -> list[np.ndarray]:
-    """Evaluate blocks (params, ts, *inputs) of at most _BLOCK draws each.
+def _evaluate_draws(evaluate, params, ts, *inputs) -> list[np.ndarray]:
+    """Evaluate a suite's draws, given as columns (params, ts, *inputs), _BLOCK draws at a time.
 
     params holds one ChannelParams per draw, and ts and each further input
-    one entry per draw along their first axis. blocks is consumed one at
-    a time, so a suite takes its random draws block by block.
-    evaluate(params, ts, *inputs) returns a tuple of per-draw arrays;
-    these come back joined over all blocks. A failing per-sample check,
-    whose message already names its time, is re-raised naming the draw
-    index and its parameters.
+    one entry per draw. evaluate takes the columns sliced to one block and
+    returns a tuple of per-draw arrays, which come back joined over all
+    blocks. A failing per-sample check, whose message already names its
+    time, is re-raised naming the draw's index in the suite and its params.
     """
     outputs = []
-    start = 0
-    for params, ts, *inputs in blocks:
+    for start in range(0, len(ts), _BLOCK):
+        block = slice(start, start + _BLOCK)
         try:
-            outputs.append(evaluate(params, ts, *inputs))
+            outputs.append(evaluate(params[block], ts[block], *(column[block] for column in inputs)))
         except SampleError as exc:
-            raise ValueError(f"{exc} (draw {start + exc.index}: {params[exc.index]})") from exc
-        start += len(ts)
-    if not outputs:
-        raise ValueError("a check suite needs at least 1 draw")
+            i = start + exc.index
+            raise ValueError(f"{exc} (draw {i}: {params[i]})") from exc
     return [np.concatenate(column) for column in zip(*outputs)]
 
 
-def _cptp_blocks(rng: np.random.Generator, n: int):
-    """The CPTP suite's draws in blocks of (params, ts, factors).
+def _cptp_draws(rng: np.random.Generator, n: int):
+    """The CPTP suite's n draws as columns (params, ts, factors).
 
     Each draw takes five uniforms from the generator, gamma1, gamma2,
     theta, the exponent of lam and t, then 18 standard normals: the real,
     then the imaginary parts of the 3x3 factor X of its input state. One
-    rng.random and one rng.standard_normal call fill each draw, and the
-    block is scaled to the ranges at once, low + (high - low) * u as
+    rng.random and one rng.standard_normal call fill each draw, and all
+    draws are scaled to the ranges at once, low + (high - low) * u as
     rng.uniform forms it, so a seed gives the same draws as one scalar
     call per number.
     """
-    for m in _block_sizes(n):
-        u, z = np.empty((m, 5)), np.empty((m, 2, 3, 3))
-        for i in range(m):
-            rng.random(out=u[i])
-            rng.standard_normal(out=z[i])
-        u = _CPTP_LOW + (_CPTP_HIGH - _CPTP_LOW) * u
-        yield _channel_params(u[:, :4]), u[:, 4], z[:, 0] + 1j * z[:, 1]
+    u, z = np.empty((n, 5)), np.empty((n, 2, 3, 3))
+    for i in range(n):
+        rng.random(out=u[i])
+        rng.standard_normal(out=z[i])
+    u = _CPTP_LOW + (_CPTP_HIGH - _CPTP_LOW) * u
+    return _channel_params(u[:, :4]), u[:, 4], z[:, 0] + 1j * z[:, 1]
 
 
 def _cptp_block(params, ts, factors):
@@ -352,7 +348,7 @@ def _cptp_block(params, ts, factors):
     complete = require_complete(dressed, ts)
     rho = require_density_stack(_density_matrices(factors), ts)
     # each input once into its dressed frame: trace and spectrum do not depend on it
-    out = evolve_single(frames.swapaxes(1, 2) @ rho @ frames, dressed)
+    out = _evolve_single(frames.swapaxes(1, 2) @ rho @ frames, dressed)
     trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
     dip = -np.linalg.eigvalsh(hermitian_part(out))[:, 0]
     return complete, trace, dip
@@ -361,13 +357,12 @@ def _cptp_block(params, ts, factors):
 def check_cptp(n_draws: int = 1000, seed: int = 20240811) -> tuple[bool, str]:
     """Completeness and state validity of the channel over random parameter draws.
 
-    Each draw takes its parameters, then t, then a random input state from
-    the generator (_cptp_blocks): one call per field group and draw, scaled
-    once per block, the same draws for a seed as one call per number. The
-    draws are evaluated in blocks.
+    Each draw takes its parameters, then t, then a random input state
+    (_cptp_draws); all draws are taken first, then evaluated in blocks.
     """
+    _require_draw_count(n_draws, "n_draws")
     rng = np.random.default_rng(seed)
-    complete, trace, dip = _evaluate_draws(_cptp_block, _cptp_blocks(rng, n_draws))
+    complete, trace, dip = _evaluate_draws(_cptp_block, *_cptp_draws(rng, n_draws))
     worst_complete, worst_trace, worst_eig = float(complete.max()), float(trace.max()), float(max(dip.max(), 0.0))
     ok = worst_complete <= 1e-10 and worst_trace <= 1e-12 and worst_eig <= 1e-10
     detail = (
@@ -377,26 +372,27 @@ def check_cptp(n_draws: int = 1000, seed: int = 20240811) -> tuple[bool, str]:
     return ok, detail
 
 
-def oracle_grid(n_points: int = 100) -> list[tuple[ChannelParams, float]]:
-    """Deterministic (params, t) grid spanning monotone and oscillatory regimes.
+def oracle_grid(n_points: int = 100) -> tuple[list[ChannelParams], list[float]]:
+    """Deterministic grid spanning monotone and oscillatory regimes, as columns (params, ts).
 
     Ten widths from 1e-3 to 1e3, each with ceil(n_points/10) evenly spaced
     times; the rates and the SGI alignment cycle from point to point. Times
     are capped so that lam*t <= 50 and rate*t <= 20, keeping the fixed-step
     integration cheap while covering both real and imaginary branch
-    splittings. Each point is checked on both branches.
+    splittings. Each point is checked on both branches. All are plain floats.
     """
+    _require_draw_count(n_points, "n_points")
     lams = np.logspace(-3.0, 3.0, 10)
     thetas = (0.0, 0.5, 1.0)
     gammas = ((1.0, 1.0), (2.0, 1.0), (0.5, 1.5))
     per_lam = math.ceil(n_points / len(lams))
-    points = []
+    params, ts = [], []
     for i in range(n_points):
         lam = float(lams[i // per_lam])
         g1, g2 = gammas[i % len(gammas)]
-        params = ChannelParams(gamma1=g1, gamma2=g2, theta=thetas[i % len(thetas)], lam=lam)
-        points.append((params, min(20.0, 50.0 / lam) * (i % per_lam + 1) / per_lam))
-    return points
+        params.append(ChannelParams(gamma1=g1, gamma2=g2, theta=thetas[i % len(thetas)], lam=lam))
+        ts.append(min(20.0, 50.0 / lam) * (i % per_lam + 1) / per_lam)
+    return params, ts
 
 
 def _oracle_block(params, ts):
@@ -406,27 +402,24 @@ def _oracle_block(params, ts):
 
 
 def check_oracle(n_points: int = 100) -> tuple[bool, str]:
-    """Agreement of both closed-form branch amplitudes with their RK4 oracle."""
-    points = oracle_grid(n_points)
-    blocks = (zip(*points[start:start + _BLOCK]) for start in range(0, len(points), _BLOCK))
-    (diff,) = _evaluate_draws(_oracle_block, blocks)
+    """Agreement of both closed-form branch amplitudes with their RK4 oracle, in blocks of grid points."""
+    (diff,) = _evaluate_draws(_oracle_block, *oracle_grid(n_points))
     worst = float(diff.max())
     ok = worst <= 1e-8
     return ok, f"{n_points} grid points: worst |closed - integrated| = {worst:.2e}"
 
 
-def _inequality_blocks(rng: np.random.Generator, n: int):
-    """The inequality suite's draws in blocks of (params, ts, ks).
+def _inequality_draws(rng: np.random.Generator, n: int):
+    """The inequality suite's n draws as columns (params, ts, ks).
 
     Each draw takes six uniforms from the generator: gamma1, gamma2,
-    theta, the exponent of lam, k and t. A block is one
-    rng.uniform(low, high, size=(m, 6)) call, which takes them in that
+    theta, the exponent of lam, k and t. All draws are one
+    rng.uniform(low, high, size=(n, 6)) call, which takes them in that
     order, draw after draw, by the same arithmetic as one scalar call per
     number, so a seed gives the same draws.
     """
-    for m in _block_sizes(n):
-        u = rng.uniform(_INEQUALITY_LOW, _INEQUALITY_HIGH, size=(m, 6))
-        yield _channel_params(u[:, :4]), u[:, 5], u[:, 4]
+    u = rng.uniform(_INEQUALITY_LOW, _INEQUALITY_HIGH, size=(n, 6))
+    return _channel_params(u[:, :4]), u[:, 5], u[:, 4]
 
 
 def _inequality_block(params, ts, ks):
@@ -438,12 +431,12 @@ def _inequality_block(params, ts, ks):
 def check_uncertainty_inequality(n_draws: int = 1000, seed: int = 20240812) -> tuple[bool, str]:
     """Lower-bound inequality on randomly evolved isotropic states.
 
-    Each draw takes its parameters, then k, then t from the generator
-    (_inequality_blocks): one call per block of draws, the same draws for a
-    seed as one call per number. The draws are evaluated in blocks.
+    Each draw takes its parameters, then k, then t (_inequality_draws);
+    all draws are taken first, then evaluated in blocks.
     """
+    _require_draw_count(n_draws, "n_draws")
     rng = np.random.default_rng(seed)
-    margin, split = _evaluate_draws(_inequality_block, _inequality_blocks(rng, n_draws))
+    margin, split = _evaluate_draws(_inequality_block, *_inequality_draws(rng, n_draws))
     worst_margin, worst_split = float(margin.min()), float(split.max())
     ok = worst_margin >= -BERTA_ATOL and worst_split <= 1e-12
     detail = (

@@ -20,7 +20,7 @@ from qutrit_eur.channel import (
     decoherence_factors_ode,
     derive_params,
     dressed_kraus,
-    evolve_single,
+    _evolve_single,
     kraus_set,
     require_complete,
 )
@@ -419,7 +419,7 @@ def stepped_rk4(lam, rate, t):
 
 
 def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
-    params, ts = zip(*oracle_grid(100))
+    params, ts = oracle_grid(100)
     # plain floats, so a failing point prints as the random suites' draws do
     fields = [getattr(p, f.name) for p in params for f in dataclasses.fields(p)]
     assert all(type(x) is float for x in fields + list(ts))
@@ -700,7 +700,7 @@ def test_evolve_kernels_on_a_stack_match_the_dense_kraus_sums():
         assert np.max(np.abs(apply_product_channel(rho, ops) - want)) <= 1e-12
     singles = np.array([random_density_matrix(rng, 3) for _ in range(3)])
     one_single = random_density_matrix(rng, 3)
-    for states, out in ((singles, evolve_single(singles, kraus)), ([one_single] * 3, evolve_single(one_single, kraus))):
+    for states, out in ((singles, _evolve_single(singles, kraus)), ([one_single] * 3, _evolve_single(one_single, kraus))):
         assert out.shape == (3, 3, 3)
         for rho, ops, got in zip(states, kraus, out):
             assert np.max(np.abs(got - sum(k @ rho @ k.conj().T for k in ops))) <= 1e-12

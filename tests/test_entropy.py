@@ -214,6 +214,21 @@ def test_negativity_above_one_names_the_sample():
         eur_sample(max_entangled_overshoot(4e-10))
 
 
+@pytest.mark.parametrize(
+    "rho_ab, ts, message",
+    [
+        # the second state fails its spectrum check, whose time the short ts lacks
+        (np.stack([I9 / 9, np.diag([1.5] + [-0.5 / 8] * 8)]), [0.0], r"one per state: got shape \(1,\) for \(2, 9, 9\)$"),
+        (I9[None] / 9, [[0.0]], r"ts must be a one-dimensional array of times, .*got shape \(1, 1\) for \(1, 9, 9\)$"),
+        (np.stack([np.eye(4) / 4] * 2), [0.0, 1.0], r"rho_ab must be a \(T, 9, 9\) stack .*, got shape \(2, 4, 4\)$"),
+    ],
+    ids=["short-ts", "2d-ts", "4x4-stack"],
+)
+def test_eur_columns_checks_its_inputs(rho_ab, ts, message):
+    with pytest.raises(ValueError, match=message):
+        eur_columns(rho_ab, ts)
+
+
 # ---------------------------------------------------------------------------
 # combined samples
 # ---------------------------------------------------------------------------

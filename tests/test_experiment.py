@@ -31,6 +31,7 @@ from qutrit_eur.experiment import (
     emit_csv,
     figure_preset,
     local_minima_indices,
+    oracle_grid,
     run_self_check,
     run_sweep,
     summarize,
@@ -461,26 +462,25 @@ def field_bytes(draws):
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize(
-    "blocks, reference",
-    [(experiment._cptp_blocks, reference_cptp_draws), (experiment._inequality_blocks, reference_inequality_draws)],
+    "draws, reference",
+    [(experiment._cptp_draws, reference_cptp_draws), (experiment._inequality_draws, reference_inequality_draws)],
     ids=["cptp", "inequality"],
 )
-def test_block_draws_equal_the_scalar_calls(blocks, reference, seed):
+def test_block_draws_equal_the_scalar_calls(draws, reference, seed):
+    # the draws are taken whole; n straddles the evaluation block of 128
     for n in (1, 127, 128, 129, 1000):
-        drawn = [draw for block in blocks(np.random.default_rng(seed), n) for draw in zip(*block)]
+        drawn = list(zip(*draws(np.random.default_rng(seed), n)))
         assert field_bytes(drawn) == field_bytes(reference(np.random.default_rng(seed), n)), n
 
 
 def patch_draw(monkeypatch, index, bad):
-    """Replace the params of draw number index by bad(params) as its block is drawn; returns every draw's params."""
+    """Replace the params of draw number index by bad(params) as the suite draws all its params; returns them."""
     drawn = []
     original = experiment._channel_params
 
     def with_one_bad_draw(draws):
         params = original(draws)
-        i = index - len(drawn)
-        if 0 <= i < len(params):
-            params[i] = bad(params[i])
+        params[index] = bad(params[index])
         drawn.extend(params)
         return params
 
@@ -490,19 +490,22 @@ def patch_draw(monkeypatch, index, bad):
 
 @pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
 def test_suite_failure_names_the_draw(monkeypatch, suite):
-    # draw 130 sits in the second block; d + lam overflows, so its G is not finite
-    drawn = patch_draw(monkeypatch, 130, lambda p: ChannelParams(p.gamma1, p.gamma2, p.theta, 1e308))
-    with pytest.raises(ValueError) as info:
-        suite(n_draws=200)
-    bad = drawn[130]
-    message = str(info.value)
-    assert message.startswith("branch amplitude not finite and real")
-    assert message.endswith(
-        f" (draw 130: ChannelParams(gamma1={bad.gamma1!r}, gamma2={bad.gamma2!r}, theta={bad.theta!r}, lam=1e+308))"
-    )
-    assert "np.float64(" not in message
-    # the check names the time of the draw, and only once
-    assert message.count("t=") == 1
+    # draw 130 sits in the second block and draw 199 is the last of the partial
+    # third; d + lam overflows, so its G is not finite
+    for index in (130, 199):
+        with monkeypatch.context() as patch:
+            drawn = patch_draw(patch, index, lambda p: ChannelParams(p.gamma1, p.gamma2, p.theta, 1e308))
+            with pytest.raises(ValueError) as info:
+                suite(n_draws=200)
+        bad = drawn[index]
+        message = str(info.value)
+        assert message.startswith("branch amplitude not finite and real")
+        assert message.endswith(
+            f" (draw {index}: ChannelParams(gamma1={bad.gamma1!r}, gamma2={bad.gamma2!r}, theta={bad.theta!r}, lam=1e+308))"
+        )
+        assert "np.float64(" not in message
+        # the check names the time of the draw, and only once
+        assert message.count("t=") == 1
 
 
 @pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
@@ -518,10 +521,12 @@ def test_suite_names_the_draw_of_an_unrepresentable_rate(monkeypatch, suite):
     )
 
 
-@pytest.mark.parametrize("suite", [check_cptp, check_oracle, check_uncertainty_inequality])
+@pytest.mark.parametrize("suite", [check_cptp, check_oracle, check_uncertainty_inequality, oracle_grid])
 def test_suites_reject_empty_runs(suite):
-    with pytest.raises(ValueError, match="at least 1 draw"):
-        suite(0)
+    # checked before anything is drawn: -1 would reach numpy, 2.5 and True np.empty and range
+    for n in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match=rf"at least 1 draw, got {n}$"):
+            suite(n)
 
 
 # ---------------------------------------------------------------------------
