@@ -28,23 +28,23 @@ computational indices, and ``dressed_kraus`` adds the Kraus tensor in
 that basis, five nonzero entries per time. The sweep and the inequality
 suite need only the amplitudes and O: the evolved isotropic state is
 closed form in them (entropy.evolved_isotropic_columns), so no state is
-evolved on their path. Where a state is evolved, the Kraus tensor becomes
-the local map S_t on vectorised 3x3 operators. The CPTP suite rotates each
-of its arbitrary inputs once, O^T rho O, and applies the dressed tensor
-itself; trace and spectrum do not depend on the frame. The parameters
-broadcast against the times: a sweep passes one ChannelParams for its
-whole grid, a batch of independent draws one per time. Their
-rates and mixing amplitudes come from one array derivation over the
-field columns, in one numpy pass for a whole batch; one ChannelParams,
-and derive_params, are its one-element case.
+evolved on their path. Where a state is evolved, it is by the definition
+itself, the Kraus sum sum_i K_i rho K_i^dagger as one einsum. The CPTP
+suite rotates each of its arbitrary inputs once, O^T rho O, and applies
+the dressed tensor itself; trace and spectrum do not depend on the
+frame. The parameters broadcast against the times: a sweep passes one
+ChannelParams for its whole grid, a batch of independent draws one per
+time. Their rates and mixing amplitudes come from one array derivation
+over the field columns, in one numpy pass for a whole batch; one
+ChannelParams, and derive_params, are its one-element case.
 ``decoherence_factors`` and its RK4 oracle ``decoherence_factors_ode``
 take the parameters the same way and return both branch amplitudes
 (G_plus, G_minus) at every time. The times are checked once, with the
 parameters: one-dimensional, finite and nonnegative. ``kraus_set``
 rotates the T = 1 dressed tensor into the real (3, 3, 3) computational
 triple O K O^T. ``apply_channel`` applies any complete (3, 3, 3) triple
-as the T = 1 case of that map, and ``apply_product_channel`` applies
-it to both qutrits of a 9x9 state as two 9x9 products with the same S.
+as the T = 1 case of that sum, and ``apply_product_channel`` takes the
+same sum on qutrit A and then on qutrit B of a 9x9 state.
 """
 
 from __future__ import annotations
@@ -365,52 +365,37 @@ def kraus_set(p: ChannelParams, t: float) -> np.ndarray:
     return kraus
 
 
-def _pair_indices(m: np.ndarray) -> np.ndarray:
-    """Reorder 9x9 operators (or a stack) from [(x, y), (X, Y)] to [(x, X), (y, Y)].
+def _kraus_sum(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """sum_i K_i rho K_i^dagger, unchecked: a (T, 3, 3) stack, or one broadcast 3x3 state, through a (T, 3, 3, 3) tensor.
 
-    The map is its own inverse. It turns a two-qutrit state into the form
-    that local superoperators act on from the left and the right.
+    One (3, 3, 3) triple on one 3x3 state is the case without a time axis.
     """
-    lead = m.shape[:-2]
-    return m.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(m.shape)
-
-
-def _superoperator(kraus: np.ndarray) -> np.ndarray:
-    """Local superoperators S[t, (a, A), (c, C)] = sum_i K_i[a, c] conj(K_i[A, C]).
-
-    S_t maps a vectorised 3x3 operator rho[c, C] to the channel output
-    sum_i K_i rho K_i^dagger, entry (a, A).
-    """
-    flat = kraus.reshape(len(kraus), 3, 9)
-    return _pair_indices(flat.swapaxes(1, 2) @ flat.conj())
-
-
-def _evolve_single(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
-    """One qutrit per time, unchecked: one 3x3 state or a (T, 3, 3) stack through the (T, 3, 3, 3) tensor."""
-    return (_superoperator(kraus) @ rho.reshape(-1, 9, 1)).reshape(-1, 3, 3)
+    return np.einsum("...iab,...bc,...idc->...ad", kraus, rho, kraus.conj())
 
 
 def _checked_kraus(kraus) -> np.ndarray:
-    """A (3, 3, 3) Kraus triple, real or complex, checked for completeness, as the (1, 3, 3, 3) tensor of one time."""
+    """A (3, 3, 3) Kraus triple, real or complex, checked for completeness."""
     kraus = as_inexact(kraus)
     if kraus.shape != (3, 3, 3):
         raise ValueError(f"kraus must be a (3, 3, 3) array of three 3x3 operators, got shape {kraus.shape}")
     require_complete(kraus[None])
-    return kraus[None]
+    return kraus
 
 
 def apply_channel(rho: np.ndarray, kraus) -> np.ndarray:
     """Evolve a single-qutrit density matrix: rho -> sum_i K_i rho K_i^dagger."""
-    return _evolve_single(require_density_matrix(rho, 3), _checked_kraus(kraus))[0]
+    return _kraus_sum(require_density_matrix(rho, 3), _checked_kraus(kraus))
 
 
 def apply_product_channel(rho_ab: np.ndarray, kraus) -> np.ndarray:
     """Evolve a two-qutrit state with the same local channel on each side.
 
     Both qutrits couple to independent, identical reservoirs, so the joint
-    map is the nine-term sum over K_i (x) K_j. With both states paired by
-    _pair_indices it is S @ R @ S^T, two 9x9 products.
+    map is the nine-term sum over K_i (x) K_j. On the (3, 3, 3, 3) view
+    rho[a, b, A, B] it is the Kraus sum on qutrit A, then on qutrit B.
     """
     rho_ab = require_density_matrix(rho_ab, 9, name="rho_ab")
-    sup = _superoperator(_checked_kraus(kraus))[0]
-    return _pair_indices(sup @ _pair_indices(rho_ab) @ sup.T)
+    kraus = _checked_kraus(kraus)
+    conj = kraus.conj()
+    on_a = np.einsum("iac,cxdy,ibd->axby", kraus, rho_ab.reshape(3, 3, 3, 3), conj)
+    return np.einsum("ixc,acbd,iyd->axby", kraus, on_a, conj).reshape(9, 9)

@@ -39,7 +39,7 @@ from .channel import (
     decoherence_factors_ode,
     dressed_amplitudes,
     dressed_kraus,
-    _evolve_single,
+    _kraus_sum,
     require_complete,
     require_real_fields,
 )
@@ -292,10 +292,13 @@ _INEQUALITY_LOW = np.array([0.1, 0.1, -1.0, -3.0, 0.0, 0.0])
 _INEQUALITY_HIGH = np.array([3.0, 3.0, 1.0, 3.0, 1.0, 300.0])
 
 
-def _require_draw_count(n, name: str) -> None:
-    """Reject a suite's draw count before anything is drawn; numbers.Integral as for SweepConfig.steps, but no bool."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"{name} must be an integer of at least 1 draw, got {n!r}")
+def _require_integer(value, name: str, least: int, unit: str = "") -> None:
+    """Reject a suite's draw count or seed before anything is drawn; numbers.Integral as for SweepConfig.steps.
+
+    Neither a bool nor None passes: a failing run must name a seed that replays it.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}{unit}, got {value!r}")
 
 
 def _channel_params(draws: np.ndarray) -> list[ChannelParams]:
@@ -348,7 +351,7 @@ def _cptp_block(params, ts, factors):
     complete = require_complete(dressed, ts)
     rho = require_density_stack(_density_matrices(factors), ts)
     # each input once into its dressed frame: trace and spectrum do not depend on it
-    out = _evolve_single(frames.swapaxes(1, 2) @ rho @ frames, dressed)
+    out = _kraus_sum(frames.swapaxes(1, 2) @ rho @ frames, dressed)
     trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
     dip = -np.linalg.eigvalsh(hermitian_part(out))[:, 0]
     return complete, trace, dip
@@ -360,7 +363,8 @@ def check_cptp(n_draws: int = 1000, seed: int = 20240811) -> tuple[bool, str]:
     Each draw takes its parameters, then t, then a random input state
     (_cptp_draws); all draws are taken first, then evaluated in blocks.
     """
-    _require_draw_count(n_draws, "n_draws")
+    _require_integer(n_draws, "n_draws", 1, " draw")
+    _require_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     complete, trace, dip = _evaluate_draws(_cptp_block, *_cptp_draws(rng, n_draws))
     worst_complete, worst_trace, worst_eig = float(complete.max()), float(trace.max()), float(max(dip.max(), 0.0))
@@ -381,7 +385,7 @@ def oracle_grid(n_points: int = 100) -> tuple[list[ChannelParams], list[float]]:
     integration cheap while covering both real and imaginary branch
     splittings. Each point is checked on both branches. All are plain floats.
     """
-    _require_draw_count(n_points, "n_points")
+    _require_integer(n_points, "n_points", 1, " draw")
     lams = np.logspace(-3.0, 3.0, 10)
     thetas = (0.0, 0.5, 1.0)
     gammas = ((1.0, 1.0), (2.0, 1.0), (0.5, 1.5))
@@ -434,7 +438,8 @@ def check_uncertainty_inequality(n_draws: int = 1000, seed: int = 20240812) -> t
     Each draw takes its parameters, then k, then t (_inequality_draws);
     all draws are taken first, then evaluated in blocks.
     """
-    _require_draw_count(n_draws, "n_draws")
+    _require_integer(n_draws, "n_draws", 1, " draw")
+    _require_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     margin, split = _evaluate_draws(_inequality_block, *_inequality_draws(rng, n_draws))
     worst_margin, worst_split = float(margin.min()), float(split.max())

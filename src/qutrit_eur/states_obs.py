@@ -58,6 +58,11 @@ _SPIN1 = {
         np.array([[0.5, _SQRT_HALF, 0.5], [_SQRT_HALF, 0.0, -_SQRT_HALF], [0.5, -_SQRT_HALF, 0.5]]),
     ),
 }
+_SPIN1_EIGENVALUES = np.array([1.0, 0.0, -1.0])
+# every call, and entropy's measured pair, shares these arrays: a write
+# through one Observable would change the constants for all later callers
+for _constant in (*_SPIN1["z"], *_SPIN1["x"], _SPIN1_EIGENVALUES):
+    _constant.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -66,12 +71,12 @@ def spin1_observable(axis: str) -> Observable:
 
     S_z = diag(1, 0, -1); S_x couples neighbouring m-levels with 1/sqrt(2).
     Both have the nondegenerate spectrum (1, 0, -1), and both eigenbases
-    are real constants.
+    are real constants, returned as read-only arrays.
     """
     if axis not in _SPIN1:
         raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
     matrix, basis = _SPIN1[axis]
-    return Observable(matrix=matrix, eigenvalues=np.array([1.0, 0.0, -1.0]), eigenbasis=basis)
+    return Observable(matrix=matrix, eigenvalues=_SPIN1_EIGENVALUES, eigenbasis=basis)
 
 
 def max_overlap_c(r: Observable, q: Observable) -> float:

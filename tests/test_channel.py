@@ -20,7 +20,7 @@ from qutrit_eur.channel import (
     decoherence_factors_ode,
     derive_params,
     dressed_kraus,
-    _evolve_single,
+    _kraus_sum,
     kraus_set,
     require_complete,
 )
@@ -700,9 +700,18 @@ def test_evolve_kernels_on_a_stack_match_the_dense_kraus_sums():
         assert np.max(np.abs(apply_product_channel(rho, ops) - want)) <= 1e-12
     singles = np.array([random_density_matrix(rng, 3) for _ in range(3)])
     one_single = random_density_matrix(rng, 3)
-    for states, out in ((singles, _evolve_single(singles, kraus)), ([one_single] * 3, _evolve_single(one_single, kraus))):
-        assert out.shape == (3, 3, 3)
-        for rho, ops, got in zip(states, kraus, out):
+    real_kraus = kraus_set(random_params(rng), 2.0)[None]
+    x = rng.standard_normal((3, 3))
+    real_single = x @ x.T / np.trace(x @ x.T)
+    for states, tensor, out in (
+        (singles, kraus, _kraus_sum(singles, kraus)),
+        ([one_single] * 3, kraus, _kraus_sum(one_single, kraus)),
+        ([real_single], real_kraus, _kraus_sum(real_single, real_kraus)),
+    ):
+        assert out.shape == (len(tensor), 3, 3)
+        # a real triple on a real state stays in real arithmetic
+        assert out.dtype == (np.float64 if tensor is real_kraus else np.complex128)
+        for rho, ops, got in zip(states, tensor, out):
             assert np.max(np.abs(got - sum(k @ rho @ k.conj().T for k in ops))) <= 1e-12
 
 

@@ -527,6 +527,12 @@ def test_suites_reject_empty_runs(suite):
     for n in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match=rf"at least 1 draw, got {n}$"):
             suite(n)
+    # and a seed that could not replay the run: numpy would reject -1 and 2.5
+    # without naming seed, and take True as 1 and None as fresh entropy
+    if suite in (check_cptp, check_uncertainty_inequality):
+        for seed in (-1, 2.5, True, None):
+            with pytest.raises(ValueError, match=rf"^seed must be an integer of at least 0, got {seed}$"):
+                suite(10, seed)
 
 
 # ---------------------------------------------------------------------------

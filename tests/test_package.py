@@ -43,3 +43,31 @@ def test_src_imports_are_used():
         }
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read | exported]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_src_private_names_are_used():
+    # a module-level _name counts as used where its own module reads it, where
+    # another src module imports it from there, or where any src module reads
+    # it as an attribute; tests do not count
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    defined, used = {}, set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update({(module, name): node.lineno for name in targets
+                            if name.startswith("_") and not name.startswith("__")})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                used.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                used.update((other, node.attr) for other in trees)
+    unused = [f"{module}.py:{line} {name}" for (module, name), line in defined.items() if (module, name) not in used]
+    assert not unused, f"private names that no src module uses: {unused}"

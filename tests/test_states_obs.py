@@ -108,6 +108,18 @@ def test_spin1_eigenpairs_and_phase_convention():
             assert abs(first.imag) <= 1e-12
 
 
+def test_spin1_constants_are_read_only():
+    # every call shares the cached arrays, so a write would corrupt all later callers
+    for axis in ("x", "z"):
+        obs = spin1_observable(axis)
+        for array in (obs.matrix, obs.eigenvalues, obs.eigenbasis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0.0
+    assert_allclose(spin1_observable("z").eigenbasis, np.eye(3), atol=0)
+    assert_allclose(spin1_observable("x").eigenvalues, [1.0, 0.0, -1.0], atol=0)
+    assert max_overlap_c(spin1_observable("x"), spin1_observable("z")) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_spin1_rejects_unknown_axis():
     with pytest.raises(ValueError, match="axis"):
         spin1_observable("y")
