@@ -134,12 +134,18 @@ def _derive(gamma1: np.ndarray, gamma2: np.ndarray, theta: np.ndarray) -> tuple[
         lambda i: f"branch rate gamma_plus = (gamma1 + gamma2 + q)/2 exceeds the float range for "
                   f"gamma1={float(gamma1[i])!r}, gamma2={float(gamma2[i])!r}, theta={float(theta[i])!r}",
     )
-    half = np.arctan2(diff, 2.0 * cross) / 2.0
+    # the plus-branch eigenvector is (cos phi, sin phi), the cosine on the
+    # faster level, so a small amplitude is a sine and keeps its relative
+    # digits; equal rates set a = b exactly (sin and cos of pi/4 differ by an ulp)
+    phi = np.arctan2(2.0 * cross, np.abs(diff)) / 2.0
+    major = np.where(diff == 0.0, math.cos(math.pi / 4.0), np.cos(phi))
+    minor = np.where(diff == 0.0, math.cos(math.pi / 4.0), np.sin(phi))
     # the determinant over gamma_plus: (gamma1 + gamma2 - q)/2 cancels when
     # one rate dwarfs the other, and can even come out negative; hi/gamma_plus
     # lies in [1/2, 1]
     gamma_minus = lo * (hi / gamma_plus) * ((1.0 - theta) * (1.0 + theta))
-    return q, gamma_plus, gamma_minus, np.cos(math.pi / 4.0 - half), np.cos(math.pi / 4.0 + half)
+    swap = diff < 0.0
+    return q, gamma_plus, gamma_minus, np.where(swap, minor, major), np.where(swap, major, minor)
 
 
 def _field_columns(params: Sequence[ChannelParams]) -> np.ndarray:
@@ -150,11 +156,11 @@ def _field_columns(params: Sequence[ChannelParams]) -> np.ndarray:
 def derive_params(p: ChannelParams) -> DerivedParams:
     """Dressed rates gamma_+- = (gamma1 + gamma2 +- q)/2 with q set by the SGI cross coupling.
 
-    (a, b) = (cos(pi/4 - half), cos(pi/4 + half)), half = atan2(gamma1 - gamma2, 2c)/2,
-    is the nonnegative plus-branch eigenvector of the decay matrix
-    [[gamma1, c], [c, gamma2]], c = sqrt(gamma1)*sqrt(gamma2)*|theta|: a = b at q = 0.
-    A small b (or a) is the cosine of an argument near pi/2, whose rounding
-    leaves an absolute error of about 1e-16, so below that it keeps no
+    (a, b) is the nonnegative plus-branch eigenvector of the decay matrix
+    [[gamma1, c], [c, gamma2]], c = sqrt(gamma1)*sqrt(gamma2)*|theta|:
+    (cos phi, sin phi), phi = atan2(2c, |gamma1 - gamma2|)/2, swapped when
+    gamma2 > gamma1, and a = b = cos(pi/4) exactly when gamma1 = gamma2.
+    The smaller amplitude is a sine of a small angle, so both keep their
     relative digits. No intermediate exceeds gamma_plus, so both rates are
     finite whenever gamma_plus is; a gamma_plus beyond the float range
     raises ValueError naming the gammas. This is the one-element case of

@@ -13,7 +13,10 @@ takes the isotropic input through the product damping channel, the one
 family that sweeps and the inequality suite evaluate, and reads every
 spectrum off the closed-form entries of the evolved state in the dressed
 frame O of the channel; the x and z eigenvectors v are measured there as
-u = O^T v.
+u = O^T v. The z eigenvectors are the computational basis, so each u is a
+row of O, which never mixes the ground level with the excited ones: the
+z blocks are 2x2 blocks plus one diagonal entry, read off in closed form,
+and only the x blocks and one 3x3 sector of rho_AB go to eigvalsh.
 """
 
 from __future__ import annotations
@@ -155,7 +158,11 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     diag(sum_a u_a^2 D[a, b]) + (u u^T) o C along u = O^T v. No 9x9 state
     is formed. Input and map are the same on A and B, so D is symmetric
     and each 2x2 sector [[D_ij, C_ij], [C_ij, D_ij]] has the eigenvalues
-    D_ij +- C_ij.
+    D_ij +- C_ij. A z vector u = O^T e_j has u_ground u_excited = 0, so its
+    block is [[d0, c], [c, d1]] (+) [d2], c = u0 u1 C[0, 1], with the
+    eigenvalues (d0 + d1)/2 +- hypot((d0 - d1)/2, c) and d2. Only the
+    {|ii>} sector and the three x blocks take eigvalsh: four 3x3 matrices
+    per time.
 
     g_plus and g_minus are (T,) arrays, k a scalar or one per time, frame
     one (3, 3) O or a (T, 3, 3) stack. Completeness is checked as
@@ -181,11 +188,18 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     pair_pops, pair_coh = pops[:, _PAIR_ROWS, _PAIR_COLS], coh[:, _PAIR_ROWS, _PAIR_COLS]
     w_pt = np.concatenate([pops[:, _DIAG, _DIAG], pair_pops + pair_coh, pair_pops - pair_coh], axis=1)
 
-    # the measured vectors u = O^T v as rows, (..., 6, 3)
+    # the measured vectors u = O^T v as rows, (..., 6, 3): three x, then three z
     u = _MEASURED_BASES.T @ frame
-    blocks = u[..., :, None] * u[..., None, :] * coh[:, None]
-    blocks[..., _DIAG, _DIAG] = (u * u) @ pops
-    w_xz = np.linalg.eigvalsh(blocks).reshape(len(g2), 2, 9)
+    diags = (u * u) @ pops
+    x_blocks = u[..., :3, :, None] * u[..., :3, None, :] * coh[:, None]
+    x_blocks[..., _DIAG, _DIAG] = diags[:, :3]
+    # a z row is a row of O, whose ground entry times each excited one is 0:
+    # its block is [[d0, c], [c, d1]] (+) [d2]
+    d0, d1, d2 = np.moveaxis(diags[:, 3:], -1, 0)
+    c = u[..., 3:, 0] * u[..., 3:, 1] * coh[:, 0, 1, None]
+    mid, radius = (d0 + d1) / 2.0, np.hypot((d0 - d1) / 2.0, c)
+    w_z = np.concatenate([mid - radius, mid + radius, d2], axis=1)
+    w_xz = np.stack([np.linalg.eigvalsh(x_blocks).reshape(len(g2), 9), w_z], axis=1)
     return _checked_columns(w_ab, pops.sum(axis=1), w_xz, w_pt, ts)
 
 

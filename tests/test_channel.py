@@ -152,12 +152,16 @@ def test_mixing_amplitudes_match_mpmath_eigenvector():
     cases = [(2.0, 1.0, 0.5), (2.0, 0.1, 0.0), (0.1, 2.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, -0.3)]
     # small |theta| against unequal rates, where b is tiny and easily lost
     cases += [(2.0, 1.0, s * 10.0**e) for e in range(-15, -2) for s in (1.0, -1.0)]
-    cases += [(2.0, 1.0, 6e-10), (1.0, 2.0, 6e-10)]
+    cases += [(2.0, 1.0, 6e-10), (1.0, 2.0, 6e-10), (2.0, 1.0, 1e-17), (1.0, 2.0, -1e-17)]
+    # very unequal rates: the smaller amplitude is about 5e-4
+    cases += [(1e6, 1.0, 0.5), (1.0, 1e6, 0.5)]
     cases += [(*rng.uniform(0.1, 3.0, 2), rng.uniform(-1.0, 1.0)) for _ in range(100)]
     for gamma1, gamma2, theta in cases:
         d = derive_params(ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=1.0))
         a, b = mixing_mpmath(gamma1, gamma2, theta)
-        assert abs(d.a - a) <= 1e-15 and abs(d.b - b) <= 1e-15, (gamma1, gamma2, theta)
+        # relative on both: a small amplitude keeps its digits too
+        assert d.a == pytest.approx(a, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
+        assert d.b == pytest.approx(b, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_eur import channel, entropy
+from qutrit_eur import channel, entropy, experiment
 from qutrit_eur.channel import (
     LEVEL_ORDERS,
     ChannelParams,
@@ -88,8 +88,9 @@ def test_sweep_matches_dense_reference(basis, lam, gammas):
             assert_sweep_matches_reference(cfg)
 
 
-def test_sweep_with_ragged_last_block_matches_dense_reference():
-    # 300 samples leave a short last block after the full ones
+def test_sweep_with_ragged_last_block_matches_dense_reference(monkeypatch):
+    # 300 samples in blocks of 128 leave a short last block after the full ones
+    monkeypatch.setattr(experiment, "_BLOCK", 128)
     cfg = SweepConfig(
         channel=ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05),
         k=0.8, t_max=600.0, steps=300, basis="ground-first",

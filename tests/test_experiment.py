@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -451,6 +452,36 @@ def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
     # the suite evolves in the dressed frame, eur_sample in computational indices
     assert np.max(np.abs(np.array(captured[0]) - want)) <= 1e-13
     assert detail == f"50 draws: worst bound margin {want[0].min():.2e}, worst term-sum split {want[1].max():.2e}"
+
+
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    """Sweep records and the suites' results and per-draw arrays are bit-identical for blocks of 7, 128 and the default.
+
+    The sweeps are a ground-first one with unequal rates (1300 steps) and
+    a preset at 1201 steps, so every block size leaves a short last block.
+    A block of 1 is left out: numpy takes another path for a length-1
+    stack, and sweep rows then move by up to 2.2e-16.
+    """
+    sweeps = (
+        SweepConfig(
+            channel=ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05),
+            k=0.8, t_max=600.0, steps=1300, basis="ground-first",
+        ),
+        dataclasses.replace(figure_preset("fig3c"), steps=1201),
+    )
+    runs = []
+    for block in (experiment._BLOCK, 7, 128):
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_BLOCK", block)
+            captured = capture_draws(patch)
+            results = [check_cptp(), check_oracle(), check_uncertainty_inequality()]
+            runs.append(([run_sweep(cfg) for cfg in sweeps], results, captured))
+    (records, results, captured), *others = runs
+    for other_records, other_results, other_captured in others:
+        assert other_records == records
+        assert other_results == results
+        for got, want in zip(other_captured, captured, strict=True):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 def field_bytes(draws):

@@ -12,6 +12,7 @@ C (entropy.evolved_isotropic_columns) and measure along u = O^T v.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from qutrit_eur.channel import (
     ChannelParams,
     apply_product_channel,
     derive_params,
+    dressed_amplitudes,
     dressed_kraus,
 )
-from qutrit_eur.entropy import eur_columns, evolved_isotropic_columns
+from qutrit_eur import entropy, experiment
+from qutrit_eur.entropy import _MEASURED_BASES, eur_columns, evolved_isotropic_columns
 from qutrit_eur.experiment import (
     BASIS_CONVENTIONS,
     PRESET_NAMES,
@@ -129,12 +132,76 @@ def test_dressed_frame_sector_sizes(gamma1, gamma2, theta, log_lam, k, basis):
     assert_closed_form(evolved(dressed, k), g_plus, g_minus, k)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    draws=st.lists(
+        st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(-1.0, 1.0)), min_size=1, max_size=8
+    ),
+    basis=st.sampled_from(BASIS_CONVENTIONS),
+)
+def test_z_rows_never_mix_ground_and_excited(draws, basis):
+    # u = O^T e_j is a row of O, and O never mixes the ground level with the
+    # excited ones, so each z block is a 2x2 block plus one diagonal entry
+    params = [ChannelParams(gamma1=g1, gamma2=g2, theta=theta, lam=1.0) for g1, g2, theta in draws]
+    levels = LEVEL_ORDERS[basis]
+    frames = dressed_amplitudes(params, np.zeros(len(params)), levels)[0]
+    one = dressed_amplitudes(params[0], np.zeros(1), levels)[0]
+    for frame in (frames, one):
+        z_rows = (_MEASURED_BASES.T @ frame)[..., 3:, :]
+        assert np.all(z_rows[..., 2:] * z_rows[..., :2] == 0.0)
+
+
+def plus_zero(lam, rate):
+    """The first zero of the branch amplitude G of an oscillatory branch: w t/2 = pi - atan(w/lam), w = |d|."""
+    w = np.sqrt(lam * (2.0 * rate - lam))
+    return 2.0 * (np.pi - np.arctan(w / lam)) / w
+
+
+# (params, k, times): rank-1 blocks (k = 1 at t = 0), a zero of G+ at
+# lam = 0.001 (the fig3 channel, gamma_plus = 2), k = 0, lam = 1000, and one
+# frame per draw
+GRID = np.linspace(0.0, 600.0, 25)
+Z_CASES = [
+    (MIXED, 1.0, GRID),
+    (ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=0.001), 0.6, np.append(GRID, plus_zero(0.001, 2.0))),
+    (MIXED, 0.0, GRID),
+    (dataclasses.replace(MIXED, lam=1000.0), 0.6, GRID),
+    (
+        [ChannelParams(gamma1=g, gamma2=2.0 - g, theta=g - 1.0, lam=10.0 ** (6 * g - 6))
+         for g in (GRID / 600.0 + 0.5).tolist()],
+        0.4, GRID,
+    ),
+]
+
+
+@pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
+@pytest.mark.parametrize("params,k,ts", Z_CASES, ids=["rank-1", "g-plus-zero", "k0", "lam1000", "per-draw"])
+def test_closed_form_z_spectra_match_eigvalsh(monkeypatch, basis, params, k, ts):
+    frame, g_plus, g_minus = dressed_amplitudes(params, ts, LEVEL_ORDERS[basis])
+    spectra = []
+    checked = entropy._checked_columns
+
+    def recording(w_ab, w_b, w_xz, w_pt, ts):
+        spectra.append(w_xz[:, 1])
+        return checked(w_ab, w_b, w_xz, w_pt, ts)
+
+    monkeypatch.setattr(entropy, "_checked_columns", recording)
+    evolved_isotropic_columns(g_plus, g_minus, k, frame, ts)
+    # the full 3x3 z blocks of the evolved state along u = O^T e_j
+    rho = closed_form(g_plus, g_minus, k)
+    frames = np.broadcast_to(frame, (len(ts), 3, 3))
+    blocks = np.array([conditional_blocks(state, o.T) for state, o in zip(rho, frames)])
+    want = np.sort(np.linalg.eigvalsh(blocks).reshape(len(ts), 9), axis=1)
+    assert np.max(np.abs(np.sort(spectra[0], axis=1) - want)) <= 1e-15
+
+
 @pytest.mark.parametrize("run,samples", [
     (lambda: run_sweep(SweepConfig(MIXED, k=0.8, t_max=600.0, steps=300, basis="ground-first")), 300),
     (lambda: check_uncertainty_inequality(n_draws=200), 200),
 ], ids=["sweep", "inequality"])
 def test_engine_solves_no_matrix_above_3x3(monkeypatch, run, samples):
-    # per sample: the 3x3 sector of rho_AB and the six conditional blocks
+    # per sample: the 3x3 sector of rho_AB and the three x blocks; the z
+    # blocks are read off in closed form. Per block: one call for each.
     sizes, matrices = [], 0
     eigvalsh = np.linalg.eigvalsh
 
@@ -145,9 +212,11 @@ def test_engine_solves_no_matrix_above_3x3(monkeypatch, run, samples):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(experiment, "_BLOCK", 64)
     run()
     assert sizes and max(sizes) <= 3
-    assert matrices == 7 * samples
+    assert matrices == 4 * samples
+    assert len(sizes) == 2 * math.ceil(samples / 64)
 
 
 def records_array(cfg):
