@@ -57,10 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_and_write(cfg: SweepConfig, out: str, note: str = "") -> None:
-    records = run_sweep(cfg)
-    emit_csv(records, out, cfg, note=note)
-    write_summary(summarize(records), f"{out}.summary.txt")
-    print(f"wrote {len(records)} records to {out} (summary: {out}.summary.txt)")
+    rows = run_sweep(cfg)
+    emit_csv(rows, out, cfg, note=note)
+    write_summary(summarize(rows), f"{out}.summary.txt")
+    print(f"wrote {len(rows)} records to {out} (summary: {out}.summary.txt)")
 
 
 def main(argv=None) -> int:

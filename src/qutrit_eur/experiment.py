@@ -48,6 +48,8 @@ from .linalg import SampleError, hermitian_part, require_density_stack
 
 BASIS_CONVENTIONS = tuple(LEVEL_ORDERS)
 CSV_HEADER = "t_gamma,u_l,u_b,s_xb,s_zb,negativity,g_plus,g_minus"
+# the rows of a sweep: one float64 field per CSV column, in header order
+SWEEP_DTYPE = np.dtype([(name, np.float64) for name in CSV_HEADER.split(",")])
 EXTREMUM_DELTA = 1e-9
 NEGATIVITY_ZERO_THRESHOLD = 1e-6
 
@@ -61,7 +63,7 @@ _PRESET_STEPS = 4800
 # 1% more peak RSS; 1024 and 2048 cut another 3-7% but raised the peak RSS
 # of the presets by 2.2% and 6.5%
 _BLOCK = 512
-_CSV_ROW = ",".join(["{:.12g}"] * 8) + "\n"
+_CSV_ROW = ",".join(["{:.12g}"] * len(SWEEP_DTYPE.names)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -96,20 +98,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One time sample of the uncertainty and entanglement observables."""
-
-    t_gamma: float
-    u_l: float
-    u_b: float
-    s_xb: float
-    s_zb: float
-    negativity: float
-    g_plus: float
-    g_minus: float
-
-
-@dataclass(frozen=True)
 class SweepSummary:
     """Grid extrema, negativity zero crossings, and the oscillation period estimate."""
 
@@ -125,28 +113,28 @@ class SweepSummary:
             raise ValueError("u_l_max below u_l_min")
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+def run_sweep(cfg: SweepConfig) -> np.recarray:
     """Evaluate the uncertainty relation on the uniform grid t_i = i*t_max/(steps-1).
 
-    Each block is evaluated in closed form in the dressed frame and
-    measured along the rotated x/z vectors (module docstring). A failing
-    check names the first failing t and the sweep parameters.
+    Returns one SWEEP_DTYPE record array, read by column (rows.u_l) or
+    by row (rows[i].u_l). Each block is evaluated in closed form in the
+    dressed frame and measured along the rotated x/z vectors (module
+    docstring), then written into its slice of the rows. A failing check
+    names the first failing t and the sweep parameters.
     """
     levels = LEVEL_ORDERS[cfg.basis]
-    records = []
+    rows = np.recarray(cfg.steps, dtype=SWEEP_DTYPE)
     for start in range(0, cfg.steps, _BLOCK):
-        ts = np.arange(start, min(start + _BLOCK, cfg.steps)) * cfg.t_max / (cfg.steps - 1)
+        block = rows[start : start + _BLOCK]
+        ts = np.arange(start, start + len(block)) * cfg.t_max / (cfg.steps - 1)
         try:
             frame, g_plus, g_minus = dressed_amplitudes(cfg.channel, ts, levels)
             cols = evolved_isotropic_columns(g_plus, g_minus, cfg.k, frame, ts)
         except ValueError as exc:
             raise ValueError(f"{exc} (sweep {canonical_params(cfg)})") from exc
-        records.extend(map(
-            SweepRecord,
-            ts.tolist(), cols.u_l.tolist(), cols.u_b.tolist(), cols.s_xb.tolist(),
-            cols.s_zb.tolist(), cols.negativity.tolist(), g_plus.tolist(), g_minus.tolist(),
-        ))
-    return records
+        block.t_gamma, block.g_plus, block.g_minus = ts, g_plus, g_minus
+        block.u_l, block.u_b, block.s_xb, block.s_zb, block.negativity = cols
+    return rows
 
 
 def local_minima_indices(values) -> list[int]:
@@ -160,19 +148,18 @@ def local_minima_indices(values) -> list[int]:
     return (np.flatnonzero((mid < v[:-2] - EXTREMUM_DELTA) & (mid < v[2:] - EXTREMUM_DELTA)) + 1).tolist()
 
 
-def summarize(records: list[SweepRecord]) -> SweepSummary:
-    """Extrema, negativity zero crossings, and period estimate over a sweep.
+def summarize(rows: np.recarray) -> SweepSummary:
+    """Extrema, negativity zero crossings, and period estimate over a sweep's rows.
 
-    Zero crossings are the linearly interpolated times where the negativity
+    The t_gamma, u_l and negativity columns are read as they stand. Zero
+    crossings are the linearly interpolated times where the negativity
     crosses the 1e-6 threshold between consecutive samples. The period is
     the mean spacing of successive interior local minima of the uncertainty
     sum, absent when fewer than two minima exist.
     """
-    if len(records) < 2:
-        raise ValueError(f"summarize needs at least 2 records, got {len(records)}")
-    ts = np.array([r.t_gamma for r in records])
-    u_l = np.array([r.u_l for r in records])
-    neg = np.array([r.negativity for r in records])
+    if len(rows) < 2:
+        raise ValueError(f"summarize needs at least 2 records, got {len(rows)}")
+    ts, u_l, neg = rows.t_gamma, rows.u_l, rows.negativity
 
     i_max = int(np.argmax(u_l))
     i_min = int(np.argmin(u_l))
@@ -232,12 +219,12 @@ def canonical_params(cfg: SweepConfig) -> str:
     )
 
 
-def emit_csv(records: list[SweepRecord], destination, cfg: SweepConfig, note: str = "") -> None:
-    """Write records as CSV with a provenance comment line.
+def emit_csv(rows: np.recarray, destination, cfg: SweepConfig, note: str = "") -> None:
+    """Write a sweep's SWEEP_DTYPE rows as CSV with a provenance comment line.
 
-    Values carry 12 significant digits, enough to reparse them within
-    1e-11 relative. Rows are written as they are formatted, so the file
-    is never held in memory as one string.
+    The fields are the CSV columns in order. Values carry 12 significant
+    digits, enough to reparse them within 1e-11 relative. Rows are written
+    as they are formatted, so the file is never held in memory as one string.
     """
     comment = f"# qutrit-eur {__version__} params: {canonical_params(cfg)}"
     if note:
@@ -245,12 +232,7 @@ def emit_csv(records: list[SweepRecord], destination, cfg: SweepConfig, note: st
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"{comment}\n{CSV_HEADER}\n")
-            fh.writelines(
-                _CSV_ROW.format(
-                    r.t_gamma, r.u_l, r.u_b, r.s_xb, r.s_zb, r.negativity, r.g_plus, r.g_minus
-                )
-                for r in records
-            )
+            fh.writelines(_CSV_ROW.format(*row) for row in rows.tolist())
     except OSError as exc:
         raise OSError(f"failed to write sweep CSV to {destination}: {exc}") from exc
 
@@ -383,9 +365,11 @@ def oracle_grid(n_points: int = 100) -> tuple[list[ChannelParams], list[float]]:
 
     Ten widths from 1e-3 to 1e3, each with ceil(n_points/10) evenly spaced
     times; the rates and the SGI alignment cycle from point to point. Times
-    are capped so that lam*t <= 50 and rate*t <= 20, keeping the fixed-step
-    integration cheap while covering both real and imaginary branch
-    splittings. Each point is checked on both branches. All are plain floats.
+    run to min(20, 50/lam), so lam*t <= 50 and t <= 20, keeping the
+    fixed-step integration cheap while covering both real and imaginary
+    branch splittings. The rates are not capped: gamma_plus*t reaches 47.3,
+    at gamma1 = 2, gamma2 = 1, theta = 0.5, lam = 0.464, t = 20. Each
+    point is checked on both branches. All are plain floats.
     """
     _require_integer(n_points, "n_points", 1, " draw")
     lams = np.logspace(-3.0, 3.0, 10)

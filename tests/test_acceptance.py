@@ -78,12 +78,11 @@ def test_criterion_6_bound_inequality_on_all_presets(preset_sweeps):
     sweeps, elapsed = preset_sweeps
     n = 0
     worst = np.inf
-    for records in sweeps.values():
-        for r in records:
-            worst = min(worst, r.u_l - r.u_b)
-            assert r.u_l >= r.u_b - 1e-9
-            assert abs(r.u_l - (r.s_xb + r.s_zb)) <= 1e-12
-            n += 1
+    for rows in sweeps.values():
+        worst = min(worst, float(np.min(rows.u_l - rows.u_b)))
+        assert np.all(rows.u_l >= rows.u_b - 1e-9)
+        assert np.all(np.abs(rows.u_l - (rows.s_xb + rows.s_zb)) <= 1e-12)
+        n += len(rows)
     assert n == 12 * 4800
     assert elapsed < 300.0, f"preset sweeps took {elapsed:.0f}s"
     print(
@@ -92,7 +91,7 @@ def test_criterion_6_bound_inequality_on_all_presets(preset_sweeps):
     )
 
 
-def first_beta_region_minimum(records):
+def first_beta_region_minimum(rows):
     """Minimum of the uncertainty sum over the first cycle's beta region.
 
     The curve rises to twin ceiling maxima separated by a shallow dip in
@@ -101,12 +100,11 @@ def first_beta_region_minimum(records):
     uncertainty coincides with the entanglement revival. Operationally:
     the window between the second and third interior maxima.
     """
-    u_l = [r.u_l for r in records]
     # maxima of u_l are the minima of -u_l; negation is exact
-    maxima = local_minima_indices([-u for u in u_l])
+    maxima = local_minima_indices(-rows.u_l)
     assert len(maxima) >= 3, "need at least three uncertainty maxima"
     lo, hi = maxima[1], maxima[2]
-    return min(u_l[lo : hi + 1])
+    return float(rows.u_l[lo : hi + 1].min())
 
 
 def test_criterion_7_figure_anchors(preset_sweeps):
@@ -137,7 +135,7 @@ def test_criterion_7_figure_anchors(preset_sweeps):
 
 def test_criterion_8a_negativity_freeze_and_revival(preset_sweeps):
     sweeps, _ = preset_sweeps
-    neg = np.array([r.negativity for r in sweeps["fig2d"]])
+    neg = sweeps["fig2d"].negativity
     below = neg <= 1e-3
     assert below.any(), "negativity never decays to 1e-3"
     first = int(np.argmax(below))
@@ -154,7 +152,7 @@ def test_criterion_8a_negativity_freeze_and_revival(preset_sweeps):
 
 def test_criterion_8b_initial_uncertainty_independent_of_width(preset_sweeps):
     sweeps, _ = preset_sweeps
-    initial = [sweeps[f"fig4{p}"][0].u_l for p in "abcd"]
+    initial = [sweeps[f"fig4{p}"].u_l[0] for p in "abcd"]
     assert max(initial) - min(initial) <= 1e-6
     print(f"[PASS] criterion 8b: initial uncertainty spread {max(initial) - min(initial):.2e}")
 
@@ -172,7 +170,7 @@ def test_criterion_8c_minima_count_monotone_in_width(preset_sweeps):
     """
     sweeps, _ = preset_sweeps
     counts = [
-        len(local_minima_indices([r.u_l for r in sweeps[f"fig4{p}"]])) for p in "abcd"
+        len(local_minima_indices(sweeps[f"fig4{p}"].u_l)) for p in "abcd"
     ]
     print(f"criterion 8c: minima counts fig4a..d = {counts}")
     assert counts == sorted(counts), (
@@ -181,10 +179,9 @@ def test_criterion_8c_minima_count_monotone_in_width(preset_sweeps):
     print("[PASS] criterion 8c: minima count nondecreasing")
 
 
-def peak_and_mean(records):
+def peak_and_mean(rows):
     """Peak and time mean of the uncertainty sum; the grid is uniform, so the sample mean is the time mean."""
-    u_l = np.array([r.u_l for r in records])
-    return u_l.max(), u_l.mean()
+    return rows.u_l.max(), rows.u_l.mean()
 
 
 def test_criterion_10a_memory_lowers_uncertainty(preset_sweeps):

@@ -24,8 +24,8 @@ from qutrit_eur.experiment import (
     EXTREMUM_DELTA,
     NEGATIVITY_ZERO_THRESHOLD,
     PRESET_NAMES,
+    SWEEP_DTYPE,
     SweepConfig,
-    SweepRecord,
     check_cptp,
     check_oracle,
     check_uncertainty_inequality,
@@ -52,11 +52,13 @@ def quick_config(**overrides):
     return SweepConfig(**base)
 
 
-def synthetic_record(t, u_l, neg=0.0):
-    return SweepRecord(
-        t_gamma=t, u_l=u_l, u_b=u_l - 1.0, s_xb=u_l / 2, s_zb=u_l / 2,
-        negativity=neg, g_plus=1.0, g_minus=1.0,
-    )
+def synthetic_rows(ts, u_l, neg=0.0):
+    """Sweep rows at times ts; u_l and neg are arrays or scalars, the other columns follow from u_l."""
+    rows = np.recarray(len(ts), dtype=SWEEP_DTYPE)
+    rows.t_gamma, rows.u_l, rows.negativity = ts, u_l, neg
+    rows.u_b, rows.s_xb, rows.s_zb = rows.u_l - 1.0, rows.u_l / 2, rows.u_l / 2
+    rows.g_plus, rows.g_minus = 1.0, 1.0
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def test_config_accepts_numpy_integer_steps():
 
 def test_config_accepts_numpy_real_scalars():
     cfg = quick_config(k=np.float32(0.5), t_max=np.int64(10))
-    assert run_sweep(cfg) == run_sweep(quick_config(k=0.5, t_max=10.0))
+    assert run_sweep(cfg).tobytes() == run_sweep(quick_config(k=0.5, t_max=10.0)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +134,24 @@ def test_sweep_initial_sample_maximally_mixed():
     assert first.negativity == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sweep_records_satisfy_invariants():
-    for records in (run_sweep(quick_config(steps=8, t_max=150.0)),
-                    run_sweep(quick_config(steps=8, t_max=150.0, k=0.5,
-                                           channel=ChannelParams(1.0, 1.0, 1.0, 0.001)))):
-        for r in records:
+def test_sweep_records_satisfy_invariants(monkeypatch):
+    """A sweep is one float64 record array with the CSV columns as fields, read alike by row and by column.
+
+    Blocks of 3 leave a short last block of 2 in each 8-sample sweep. Rows
+    are read as a caller iterating the sweep reads them, by attribute.
+    """
+    monkeypatch.setattr(experiment, "_BLOCK", 3)
+    names = tuple(CSV_HEADER.split(","))
+    for rows in (run_sweep(quick_config(steps=8, t_max=150.0)),
+                 run_sweep(quick_config(steps=8, t_max=150.0, k=0.5,
+                                        channel=ChannelParams(1.0, 1.0, 1.0, 0.001)))):
+        assert rows.dtype.names == names
+        assert all(rows.dtype[name] == np.float64 for name in names)
+        columns = np.array([getattr(rows, name) for name in names]).T
+        assert len(rows) == len(columns) == 8
+        for i, r in enumerate(rows):
+            assert [getattr(r, name) for name in names] == columns[i].tolist()
+            assert r.u_l == rows.u_l[i]
             assert r.u_l == r.s_xb + r.s_zb
             assert r.u_l >= r.u_b - 1e-9
 
@@ -212,15 +227,15 @@ def test_vectorised_extrema_and_zeros_match_loop_form(kind):
         assert got == want
     if len(v) >= 2:
         ts = np.linspace(0.0, 600.0, len(v))
-        s = summarize([synthetic_record(t, float(u), neg=float(u)) for t, u in zip(ts, v)])
+        s = summarize(synthetic_rows(ts, v, neg=v))
         assert s.negativity_zeros == loop_zeros(ts, v)
         minima = loop_minima(v)
         assert s.period_estimate == (float(np.mean(np.diff(ts[minima]))) if len(minima) >= 2 else None)
 
 
 def test_summarize_monotone_decay():
-    records = [synthetic_record(float(t), 3.0 - 0.1 * t) for t in range(11)]
-    s = summarize(records)
+    ts = np.arange(11.0)
+    s = summarize(synthetic_rows(ts, 3.0 - 0.1 * ts))
     assert s.u_l_max == 3.0
     assert s.t_u_l_max == 0.0
     assert s.u_l_min == pytest.approx(2.0)
@@ -231,16 +246,14 @@ def test_summarize_monotone_decay():
 
 def test_summarize_periodic_series():
     ts = np.arange(0.0, 101.0, 1.0)
-    records = [synthetic_record(t, math.cos(2 * math.pi * t / 20.0) + 2.0) for t in ts]
-    s = summarize(records)
+    s = summarize(synthetic_rows(ts, [math.cos(2 * math.pi * t / 20.0) + 2.0 for t in ts]))
     # minima at t = 10, 30, 50, 70, 90: mean spacing recovers the period
     assert s.period_estimate == pytest.approx(20.0, abs=1e-12)
 
 
 def test_summarize_negativity_threshold_crossings():
     negs = [1e-5, 1e-7, 1e-7, 1e-5]
-    records = [synthetic_record(float(t), 1.0, neg=n) for t, n in enumerate(negs)]
-    zeros = summarize(records).negativity_zeros
+    zeros = summarize(synthetic_rows(np.arange(4.0), 1.0, neg=negs)).negativity_zeros
     assert len(zeros) == 2
     assert zeros[0] == pytest.approx((1e-5 - 1e-6) / (1e-5 - 1e-7), abs=1e-12)
     assert zeros[1] == pytest.approx(2.0 + (1e-6 - 1e-7) / (1e-5 - 1e-7), abs=1e-12)
@@ -248,7 +261,7 @@ def test_summarize_negativity_threshold_crossings():
 
 def test_summarize_rejects_short_input():
     with pytest.raises(ValueError, match="at least 2"):
-        summarize([synthetic_record(0.0, 1.0)])
+        summarize(synthetic_rows([0.0], 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +312,7 @@ def test_preset_rejects_unknown_name():
 
 def test_emit_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv([], path, quick_config())
+    emit_csv(np.recarray(0, dtype=SWEEP_DTYPE), path, quick_config())
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("# qutrit-eur 0.1.0 params: gamma1=1 gamma2=1 theta=0")
@@ -308,7 +321,7 @@ def test_emit_csv_empty(tmp_path):
 
 def test_emit_csv_line_count(tmp_path):
     path = tmp_path / "three.csv"
-    emit_csv([synthetic_record(float(t), 1.0) for t in range(3)], path, quick_config())
+    emit_csv(synthetic_rows(np.arange(3.0), 1.0), path, quick_config())
     assert len(path.read_text().splitlines()) == 5
 
 
@@ -327,7 +340,7 @@ def test_emit_csv_round_trip(tmp_path):
 
 def test_emit_csv_names_destination_on_failure(tmp_path):
     with pytest.raises(OSError, match="no/such/dir"):
-        emit_csv([], tmp_path / "no" / "such" / "dir" / "x.csv", quick_config())
+        emit_csv(np.recarray(0, dtype=SWEEP_DTYPE), tmp_path / "no" / "such" / "dir" / "x.csv", quick_config())
 
 
 def test_csv_body_deterministic(tmp_path):
@@ -341,9 +354,9 @@ def test_csv_body_deterministic(tmp_path):
 
 
 def test_write_summary_format(tmp_path):
-    records = [synthetic_record(float(t), 3.0 - 0.1 * t) for t in range(11)]
+    ts = np.arange(11.0)
     path = tmp_path / "s.txt"
-    write_summary(summarize(records), path)
+    write_summary(summarize(synthetic_rows(ts, 3.0 - 0.1 * ts)), path)
     text = path.read_text()
     assert "u_l_max = 3" in text
     assert "period_estimate = none" in text
@@ -475,7 +488,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
             patch.setattr(experiment, "_BLOCK", block)
             captured = capture_draws(patch)
             results = [check_cptp(), check_oracle(), check_uncertainty_inequality()]
-            runs.append(([run_sweep(cfg) for cfg in sweeps], results, captured))
+            runs.append(([run_sweep(cfg).tobytes() for cfg in sweeps], results, captured))
     (records, results, captured), *others = runs
     for other_records, other_results, other_captured in others:
         assert other_records == records

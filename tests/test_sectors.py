@@ -220,7 +220,7 @@ def test_engine_solves_no_matrix_above_3x3(monkeypatch, run, samples):
 
 
 def records_array(cfg):
-    return np.array([dataclasses.astuple(r) for r in run_sweep(cfg)])
+    return np.array(run_sweep(cfg).tolist())
 
 
 @settings(max_examples=40, deadline=None)
