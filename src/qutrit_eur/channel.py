@@ -32,11 +32,11 @@ evolved on their path. Where a state is evolved, it is by the definition
 itself, the Kraus sum sum_i K_i rho K_i^dagger as one einsum. The CPTP
 suite rotates each of its arbitrary inputs once, O^T rho O, and applies
 the dressed tensor itself; trace and spectrum do not depend on the
-frame. The parameters broadcast against the times: a sweep passes one
-ChannelParams for its whole grid, a batch of independent draws one per
-time. Their rates and mixing amplitudes come from one array derivation
-over the field columns, in one numpy pass for a whole batch; one
-ChannelParams, and derive_params, are its one-element case.
+frame. The parameters broadcast against the times: a batch is one real
+(T, 4) array of rows (gamma1, gamma2, theta, lam), range-checked once
+where it enters; one ChannelParams, which a sweep passes for its whole
+grid, is the one-row case. The rates and mixing amplitudes of a batch
+come from one array derivation over its field columns.
 ``decoherence_factors`` and its RK4 oracle ``decoherence_factors_ode``
 take the parameters the same way and return both branch amplitudes
 (G_plus, G_minus) at every time. The times are checked once, with the
@@ -50,7 +50,6 @@ same sum on qutrit A and then on qutrit B of a 9x9 state.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +60,35 @@ COMPLETENESS_ATOL = 1e-10
 # computational indices of (excited 1, excited 2, ground) per basis convention
 LEVEL_ORDERS = {"kraus-order": (0, 1, 2), "ground-first": (1, 2, 0)}
 _REAL_SCALARS = (int, float, np.integer, np.floating)
+_FIELDS = ("gamma1", "gamma2", "theta", "lam")
 
 
 def require_real_fields(obj, *names: str) -> None:
-    """Raise ValueError naming the first of obj's fields that is not a real scalar.
+    """Store each named field of the frozen dataclass obj as a Python float, or raise ValueError naming it.
 
-    Python and numpy floats and integers pass. A string, None, a complex
-    number or an array (even one of length 1) is rejected before any
-    range check compares it, and so is a Fraction or Decimal, which
-    numpy would carry as an object array.
+    Python and numpy floats and integers pass, but not an integer beyond
+    the float range. A string, None, a complex number or an array (even of
+    length 1) is rejected before any range check compares it, and so is a
+    Fraction or Decimal, which numpy would carry as an object array.
     """
     for name in names:
         value = getattr(obj, name)
         if not isinstance(value, _REAL_SCALARS):
             raise ValueError(f"{name} must be a real number (an int or a float), got {value!r}")
+        try:
+            object.__setattr__(obj, name, float(value))
+        except OverflowError:
+            raise ValueError(f"{name} must lie in the float range, got a {value.bit_length()}-bit integer") from None
+
+
+def _require_field_ranges(fields: np.ndarray) -> np.ndarray:
+    """Return (T, 4) float rows (gamma1, gamma2, theta, lam); a bad field is a SampleError at its first bad row."""
+    ok = (fields > 0) & (fields < math.inf)
+    ok[:, 2] = np.abs(fields[:, 2]) <= 1
+    for j, name in enumerate(_FIELDS):
+        rule = "lie in [-1, 1]" if name == "theta" else "be positive and finite"
+        require_samples(ok[:, j], None, lambda i: f"{name} must {rule}, got {float(fields[i, j])}")
+    return fields
 
 
 @dataclass(frozen=True)
@@ -87,15 +101,12 @@ class ChannelParams:
     lam: float
 
     def __post_init__(self):
-        require_real_fields(self, "gamma1", "gamma2", "theta", "lam")
-        if not 0 < self.gamma1 < math.inf:
-            raise ValueError(f"gamma1 must be positive and finite, got {self.gamma1}")
-        if not 0 < self.gamma2 < math.inf:
-            raise ValueError(f"gamma2 must be positive and finite, got {self.gamma2}")
-        if not abs(self.theta) <= 1:
-            raise ValueError(f"theta must lie in [-1, 1], got {self.theta}")
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        require_real_fields(self, *_FIELDS)
+        _require_field_ranges(self.row())
+
+    def row(self) -> np.ndarray:
+        """The (1, 4) float row (gamma1, gamma2, theta, lam): the one-row case of a batch of field rows."""
+        return np.array([[self.gamma1, self.gamma2, self.theta, self.lam]])
 
 
 @dataclass(frozen=True)
@@ -148,11 +159,6 @@ def _derive(gamma1: np.ndarray, gamma2: np.ndarray, theta: np.ndarray) -> tuple[
     return q, gamma_plus, gamma_minus, np.where(swap, minor, major), np.where(swap, major, minor)
 
 
-def _field_columns(params: Sequence[ChannelParams]) -> np.ndarray:
-    """The (4, N) float columns gamma1, gamma2, theta, lam of a sequence of ChannelParams."""
-    return np.array([(p.gamma1, p.gamma2, p.theta, p.lam) for p in params], dtype=float).reshape(-1, 4).T
-
-
 def derive_params(p: ChannelParams) -> DerivedParams:
     """Dressed rates gamma_+- = (gamma1 + gamma2 +- q)/2 with q set by the SGI cross coupling.
 
@@ -163,10 +169,10 @@ def derive_params(p: ChannelParams) -> DerivedParams:
     The smaller amplitude is a sine of a small angle, so both keep their
     relative digits. No intermediate exceeds gamma_plus, so both rates are
     finite whenever gamma_plus is; a gamma_plus beyond the float range
-    raises ValueError naming the gammas. This is the one-element case of
-    the array derivation that every channel path uses.
+    raises ValueError naming the gammas. This is the one-row case of the
+    array derivation that every channel path uses.
     """
-    gamma1, gamma2, theta, _ = _field_columns([p])
+    gamma1, gamma2, theta, _ = p.row().T
     return DerivedParams(*(float(column[0]) for column in _derive(gamma1, gamma2, theta)))
 
 
@@ -242,12 +248,14 @@ def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
     return y[..., 0, 0]
 
 
-def _channel_inputs(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple:
-    """The checked times, then lam, gamma_plus, gamma_minus, a, b: floats for one ChannelParams, arrays for a sequence.
+def _channel_inputs(p: ChannelParams | np.ndarray, ts) -> tuple:
+    """The checked times, then the arrays lam, gamma_plus, gamma_minus, a, b, one entry per row of p.
 
-    ts must be one-dimensional, with every time finite and nonnegative; a
-    sequence p holds one ChannelParams per time. Anything else is a
-    ValueError naming the shape, the first failing t, or both lengths.
+    ts must be one-dimensional, with every time finite and nonnegative. p
+    is a real (T, 4) array of rows (gamma1, gamma2, theta, lam), checked
+    here, or one ChannelParams, checked when built, as its one row; one row
+    serves every time. Anything else is a ValueError naming the shape, the
+    first failing t, the expected form of p, both lengths or the bad field.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
@@ -255,20 +263,26 @@ def _channel_inputs(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple:
     require_samples(
         (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
     )
-    single = isinstance(p, ChannelParams)
-    if not single and len(p) != len(ts):
-        raise ValueError(f"params must be one ChannelParams or one per time: got {len(p)} params for {len(ts)} times")
-    gamma1, gamma2, theta, lam = _field_columns([p] if single else p)
-    columns = (lam, *_derive(gamma1, gamma2, theta)[1:])
-    return (ts, *(column[0] for column in columns)) if single else (ts, *columns)
+    if isinstance(p, ChannelParams):
+        fields = p.row()
+    else:
+        fields = np.asarray(p)
+        if fields.dtype.kind not in "iuf" or fields.ndim != 2 or fields.shape[1] != 4:
+            raise ValueError(f"params must be one ChannelParams or a real (T, 4) array of rows (gamma1, gamma2, "
+                             f"theta, lam), got an array of dtype {fields.dtype} and shape {fields.shape}")
+        if len(fields) not in (1, len(ts)):
+            raise ValueError(f"params must be one row or one per time: got {len(fields)} params for {len(ts)} times")
+        fields = _require_field_ranges(fields.astype(float, copy=False))
+    gamma1, gamma2, theta, lam = fields.T
+    return (ts, lam, *_derive(gamma1, gamma2, theta)[1:])
 
 
-def decoherence_factors(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple[np.ndarray, np.ndarray]:
+def decoherence_factors(p: ChannelParams | np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form branch amplitudes (G_plus, G_minus) at every time of ts, p as for dressed_kraus."""
     return dressed_amplitudes(p, ts)[1:]
 
 
-def decoherence_factors_ode(p: ChannelParams | Sequence[ChannelParams], ts) -> tuple[np.ndarray, np.ndarray]:
+def decoherence_factors_ode(p: ChannelParams | np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
     """RK4 oracle amplitudes (G_plus, G_minus) at every time of ts; independent of the closed form."""
     ts, lam, rate_plus, rate_minus, _, _ = _channel_inputs(p, ts)
     return _g_rk4(lam, rate_plus, ts), _g_rk4(lam, rate_minus, ts)
@@ -305,11 +319,10 @@ def dressed_frame(a, b, levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order
     Column 0 is the plus branch (a, -b) and column 1 the minus branch
     (b, a) over (excited 1, excited 2); column 2 is the ground level.
     levels gives the computational indices of (excited 1, excited 2,
-    ground), so a basis convention is a placement of these entries. Floats
-    give one (3, 3) frame, arrays a (T, 3, 3) stack.
+    ground), so a basis convention is a placement of these entries. The
+    arrays a and b give a stack of one frame per entry.
     """
     e1, e2, g = levels
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     frame = np.zeros(a.shape + (3, 3))
     frame[..., e1, 0], frame[..., e2, 0] = a, -b
     frame[..., e1, 1], frame[..., e2, 1] = b, a
@@ -318,22 +331,22 @@ def dressed_frame(a, b, levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order
 
 
 def dressed_amplitudes(
-    p: ChannelParams | Sequence[ChannelParams],
+    p: ChannelParams | np.ndarray,
     ts: np.ndarray,
     levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The frame O of dressed_frame and both branch amplitudes G_plus(t), G_minus(t): dressed_kraus without its tensor.
 
-    p is one ChannelParams for the whole axis or a sequence with one per
-    time; _channel_inputs checks p and ts. The frame is (3, 3), or
-    (T, 3, 3) for a sequence.
+    p is one ChannelParams or a (T, 4) array of field rows, one for the
+    whole axis or one per time, as _channel_inputs checks them with ts.
+    The frames are a stack of one (3, 3) O per row of p.
     """
     ts, lam, rate_plus, rate_minus, a, b = _channel_inputs(p, ts)
     return dressed_frame(a, b, levels), _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
 
 
 def dressed_kraus(
-    p: ChannelParams | Sequence[ChannelParams],
+    p: ChannelParams | np.ndarray,
     ts: np.ndarray,
     levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -363,7 +376,7 @@ def kraus_set(p: ChannelParams, t: float) -> np.ndarray:
     K_2 and K_3 the ground rows W+ (a, -b) and W- (b, a).
     """
     ts = np.array([t], dtype=float)
-    dressed, frame, _, _ = dressed_kraus(p, ts)
+    dressed, (frame,), _, _ = dressed_kraus(p, ts)
     # one einsum, not O @ K @ O^T: a fused multiply-add would leave round-off
     # of 1e-17 where the rotation cancels to an exact 0
     kraus = np.einsum("ij,kjl,ml->kim", frame, dressed[0], frame)

@@ -165,7 +165,7 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     per time.
 
     g_plus and g_minus are (T,) arrays, k a scalar or one per time, frame
-    one (3, 3) O or a (T, 3, 3) stack. Completeness is checked as
+    one (3, 3) O or a stack of one or T of them. Completeness is checked as
     G+-^2 - 1 <= 1e-10, which is the deviation max|sum K^dag K - I| of the
     dressed tensor: W = sqrt(max(0, 1 - G^2)) clamps to 0 and would hide
     any |G| > 1. The other checks are those of _checked_columns; each

@@ -92,9 +92,7 @@ class SweepConfig:
             # the grid t_i = i*t_max/(steps-1) forms i*t_max first
             raise ValueError(f"t_max = {self.t_max} overflows the grid of {self.steps} steps")
         if self.basis not in BASIS_CONVENTIONS:
-            raise ValueError(
-                f"basis must be one of {BASIS_CONVENTIONS}, got {self.basis!r}"
-            )
+            raise ValueError(f"basis must be one of {BASIS_CONVENTIONS}, got {self.basis!r}")
 
 
 @dataclass(frozen=True)
@@ -191,9 +189,7 @@ def figure_preset(name: str, literal_lambda: bool = False) -> SweepConfig:
     the period-consistent lam = 0.001; fig4 widths are per-panel already.
     """
     if name not in PRESET_NAMES:
-        raise ValueError(
-            f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
-        )
+        raise ValueError(f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}")
     fig, panel = name[3], name[4]
     if fig == "4":
         k, theta, lam = 1.0, 0.0, _FIG4_LAMBDA[panel]
@@ -285,34 +281,36 @@ def _require_integer(value, name: str, least: int, unit: str = "") -> None:
         raise ValueError(f"{name} must be an integer of at least {least}{unit}, got {value!r}")
 
 
-def _channel_params(draws: np.ndarray) -> list[ChannelParams]:
-    """One ChannelParams per row of scaled uniform draws (gamma1, gamma2, theta, e), lam = 10**e."""
-    # the power in Python floats, as 10.0 ** rng.uniform(-3.0, 3.0) takes it
-    return [ChannelParams(g1, g2, theta, 10.0 ** e) for g1, g2, theta, e in draws.tolist()]
+def _draw_fields(draws: np.ndarray) -> np.ndarray:
+    """The (n, 4) rows (gamma1, gamma2, theta, lam) of scaled uniform draws (gamma1, gamma2, theta, e): lam = 10**e."""
+    # in Python floats, as 10.0 ** rng.uniform(-3.0, 3.0): np.power differs in the last bit for some e
+    return np.column_stack([draws[:, :3], [10.0**e for e in draws[:, 3].tolist()]])
 
 
-def _evaluate_draws(evaluate, params, ts, *inputs) -> list[np.ndarray]:
-    """Evaluate a suite's draws, given as columns (params, ts, *inputs), _BLOCK draws at a time.
+def _evaluate_draws(evaluate, fields, ts, *inputs) -> list[np.ndarray]:
+    """Evaluate a suite's draws, given as columns (fields, ts, *inputs), _BLOCK draws at a time.
 
-    params holds one ChannelParams per draw, and ts and each further input
-    one entry per draw. evaluate takes the columns sliced to one block and
-    returns a tuple of per-draw arrays, which come back joined over all
-    blocks. A failing per-sample check, whose message already names its
-    time, is re-raised naming the draw's index in the suite and its params.
+    fields holds one row (gamma1, gamma2, theta, lam) per draw, ts and each
+    further input one entry. evaluate takes the columns sliced to one block
+    and returns a tuple of per-draw arrays, joined over all blocks. A
+    failing per-sample check, whose message already names its time, is
+    re-raised naming the draw's index in the suite and its parameters.
     """
     outputs = []
     for start in range(0, len(ts), _BLOCK):
         block = slice(start, start + _BLOCK)
         try:
-            outputs.append(evaluate(params[block], ts[block], *(column[block] for column in inputs)))
+            outputs.append(evaluate(fields[block], ts[block], *(column[block] for column in inputs)))
         except SampleError as exc:
             i = start + exc.index
-            raise ValueError(f"{exc} (draw {i}: {params[i]})") from exc
+            g1, g2, theta, lam = fields[i].tolist()
+            params = f"ChannelParams(gamma1={g1!r}, gamma2={g2!r}, theta={theta!r}, lam={lam!r})"
+            raise ValueError(f"{exc} (draw {i}: {params})") from exc
     return [np.concatenate(column) for column in zip(*outputs)]
 
 
 def _cptp_draws(rng: np.random.Generator, n: int):
-    """The CPTP suite's n draws as columns (params, ts, factors).
+    """The CPTP suite's n draws as columns (fields, ts, factors).
 
     Each draw takes five uniforms from the generator, gamma1, gamma2,
     theta, the exponent of lam and t, then 18 standard normals: the real,
@@ -327,11 +325,11 @@ def _cptp_draws(rng: np.random.Generator, n: int):
         rng.random(out=u[i])
         rng.standard_normal(out=z[i])
     u = _CPTP_LOW + (_CPTP_HIGH - _CPTP_LOW) * u
-    return _channel_params(u[:, :4]), u[:, 4], z[:, 0] + 1j * z[:, 1]
+    return _draw_fields(u), u[:, 4], z[:, 0] + 1j * z[:, 1]
 
 
-def _cptp_block(params, ts, factors):
-    dressed, frames = dressed_kraus(params, ts)[:2]
+def _cptp_block(fields, ts, factors):
+    dressed, frames = dressed_kraus(fields, ts)[:2]
     complete = require_complete(dressed, ts)
     rho = require_density_stack(_density_matrices(factors), ts)
     # each input once into its dressed frame: trace and spectrum do not depend on it
@@ -360,34 +358,30 @@ def check_cptp(n_draws: int = 1000, seed: int = 20240811) -> tuple[bool, str]:
     return ok, detail
 
 
-def oracle_grid(n_points: int = 100) -> tuple[list[ChannelParams], list[float]]:
-    """Deterministic grid spanning monotone and oscillatory regimes, as columns (params, ts).
+def oracle_grid(n_points: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic grid spanning monotone and oscillatory regimes, as arrays (fields, ts).
 
-    Ten widths from 1e-3 to 1e3, each with ceil(n_points/10) evenly spaced
+    fields holds one row (gamma1, gamma2, theta, lam) per point. Ten
+    widths from 1e-3 to 1e3, each with ceil(n_points/10) evenly spaced
     times; the rates and the SGI alignment cycle from point to point. Times
     run to min(20, 50/lam), so lam*t <= 50 and t <= 20, keeping the
     fixed-step integration cheap while covering both real and imaginary
     branch splittings. The rates are not capped: gamma_plus*t reaches 47.3,
     at gamma1 = 2, gamma2 = 1, theta = 0.5, lam = 0.464, t = 20. Each
-    point is checked on both branches. All are plain floats.
+    point is checked on both branches.
     """
     _require_integer(n_points, "n_points", 1, " draw")
+    rates = np.array([(1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (0.5, 1.5, 1.0)])  # (gamma1, gamma2, theta)
     lams = np.logspace(-3.0, 3.0, 10)
-    thetas = (0.0, 0.5, 1.0)
-    gammas = ((1.0, 1.0), (2.0, 1.0), (0.5, 1.5))
     per_lam = math.ceil(n_points / len(lams))
-    params, ts = [], []
-    for i in range(n_points):
-        lam = float(lams[i // per_lam])
-        g1, g2 = gammas[i % len(gammas)]
-        params.append(ChannelParams(gamma1=g1, gamma2=g2, theta=thetas[i % len(thetas)], lam=lam))
-        ts.append(min(20.0, 50.0 / lam) * (i % per_lam + 1) / per_lam)
-    return params, ts
+    i = np.arange(n_points)
+    lam = lams[i // per_lam]
+    return np.column_stack([rates[i % len(rates)], lam]), np.minimum(20.0, 50.0 / lam) * (i % per_lam + 1) / per_lam
 
 
-def _oracle_block(params, ts):
-    g_plus, g_minus = decoherence_factors(params, ts)
-    ode_plus, ode_minus = decoherence_factors_ode(params, ts)
+def _oracle_block(fields, ts):
+    g_plus, g_minus = decoherence_factors(fields, ts)
+    ode_plus, ode_minus = decoherence_factors_ode(fields, ts)
     return (np.maximum(np.abs(g_plus - ode_plus), np.abs(g_minus - ode_minus)),)
 
 
@@ -400,7 +394,7 @@ def check_oracle(n_points: int = 100) -> tuple[bool, str]:
 
 
 def _inequality_draws(rng: np.random.Generator, n: int):
-    """The inequality suite's n draws as columns (params, ts, ks).
+    """The inequality suite's n draws as columns (fields, ts, ks).
 
     Each draw takes six uniforms from the generator: gamma1, gamma2,
     theta, the exponent of lam, k and t. All draws are one
@@ -409,11 +403,11 @@ def _inequality_draws(rng: np.random.Generator, n: int):
     number, so a seed gives the same draws.
     """
     u = rng.uniform(_INEQUALITY_LOW, _INEQUALITY_HIGH, size=(n, 6))
-    return _channel_params(u[:, :4]), u[:, 5], u[:, 4]
+    return _draw_fields(u), u[:, 5], u[:, 4]
 
 
-def _inequality_block(params, ts, ks):
-    frames, g_plus, g_minus = dressed_amplitudes(params, ts)
+def _inequality_block(fields, ts, ks):
+    frames, g_plus, g_minus = dressed_amplitudes(fields, ts)
     cols = evolved_isotropic_columns(g_plus, g_minus, ks, frames, ts)
     return cols.u_l - cols.u_b, np.abs(cols.u_l - (cols.s_xb + cols.s_zb))
 

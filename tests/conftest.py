@@ -1,4 +1,4 @@
-"""Shared fixtures, random-matrix helpers, the check suites' draws by scalar calls, the closed-form Kraus triple, and a dense reference for the uncertainty relation."""
+"""Shared fixtures, random-matrix helpers, the batch form of a list of ChannelParams, the check suites' draws by scalar calls, the closed-form Kraus triple, and a dense reference for the uncertainty relation."""
 
 import math
 import time
@@ -35,6 +35,11 @@ def random_params(rng):
         theta=rng.uniform(-1.0, 1.0),
         lam=10.0 ** rng.uniform(-3.0, 3.0),
     )
+
+
+def as_fields(params):
+    """The (T, 4) rows (gamma1, gamma2, theta, lam) of a list of ChannelParams, the batch form of the channel kernels."""
+    return np.array([(p.gamma1, p.gamma2, p.theta, p.lam) for p in params], dtype=float).reshape(-1, 4)
 
 
 def reference_cptp_draws(rng, n):

@@ -161,8 +161,9 @@ def test_criterion_8c_minima_count_monotone_in_width(preset_sweeps):
     """Oscillation count across the fig4 width ladder, smaller width = more minima.
 
     Model arithmetic contradicts this on a fixed time window: the dip
-    spacing pi/|d| with |d| = sqrt(2*lam*gamma - lam^2) grows as lam
-    shrinks (about 44.5 at lam = 0.01 versus 140.5 at lam = 0.001), so
+    spacing 2*pi/|d|, the revival period of |G|, with
+    |d| = sqrt(2*lam*gamma - lam^2), grows as lam shrinks (about 44.5 at
+    lam = 0.01 versus 140.5 at lam = 0.001), so
     fewer dips fit the window at the smallest width, while at large width
     the exp(-lam*t/2) envelope kills the oscillation early. The count
     peaks at intermediate width; this check is expected to fail and is

@@ -25,10 +25,11 @@ from qutrit_eur.channel import (
     require_complete,
 )
 from qutrit_eur.experiment import oracle_grid
+from qutrit_eur.linalg import SampleError
 from qutrit_eur.entropy import eur_sample
 from qutrit_eur.states_obs import isotropic_state
 
-from conftest import computational_kraus, random_density_matrix, random_params, random_unitary
+from conftest import as_fields, computational_kraus, random_density_matrix, random_params, random_unitary
 
 SYMMETRIC_NO_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
 SYMMETRIC_FULL_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=0.001)
@@ -113,7 +114,9 @@ def test_derive_params_huge_rates_match_mpmath():
         got = (d.q, d.gamma_plus, d.gamma_minus)
         assert got == pytest.approx(tuple(map(float, want)), rel=1e-15, abs=0.0), (gamma1, gamma2, theta)
         a, b = mixing_mpmath(gamma1, gamma2, theta)
-        assert abs(d.a - a) <= 1e-15 and abs(d.b - b) <= 1e-15, (gamma1, gamma2, theta)
+        # relative on both, as for ordinary rates: b reaches 1.3e-85 at (6.3e169, 0.99999, 0.99999)
+        assert d.a == pytest.approx(a, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
+        assert d.b == pytest.approx(b, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
 
 
 def test_derive_params_names_an_unrepresentable_rate():
@@ -121,10 +124,10 @@ def test_derive_params_names_an_unrepresentable_rate():
     match = r"gamma_plus .* gamma1=1e\+308, gamma2=1e\+308, theta=1.0$"
     with pytest.raises(ValueError, match=match):
         derive_params(bad)
-    # among valid draws, the one pass over a sequence names it too
+    # among valid draws, the one pass over a batch names it too
     for kernel in (dressed_kraus, decoherence_factors, decoherence_factors_ode):
         with pytest.raises(ValueError, match=match):
-            kernel([SYMMETRIC_NO_SGI, bad, SYMMETRIC_FULL_SGI], [0.0, 1.0, 2.0])
+            kernel(as_fields([SYMMETRIC_NO_SGI, bad, SYMMETRIC_FULL_SGI]), [0.0, 1.0, 2.0])
 
 
 def test_derive_params_invariants_random():
@@ -138,8 +141,12 @@ def test_derive_params_invariants_random():
 
 
 def mixing_mpmath(gamma1, gamma2, theta):
-    """Nonnegative plus-branch eigenvector of the decay matrix at 50 digits."""
-    with mpmath.workdps(50):
+    """Nonnegative plus-branch eigenvector of the decay matrix at 50 + |log10(gamma1/gamma2)| digits.
+
+    The smaller amplitude can be as small as the ratio of the rates, which
+    50 digits alone would round to 0.
+    """
+    with mpmath.workdps(50 + math.ceil(abs(math.log10(gamma1) - math.log10(gamma2)))):
         c = mpmath.sqrt(mpmath.mpf(gamma1) * mpmath.mpf(gamma2)) * abs(mpmath.mpf(theta))
         values, vectors = mpmath.eigsy(mpmath.matrix([[gamma1, c], [c, gamma2]]))
         i = 0 if values[0] > values[1] else 1
@@ -195,16 +202,33 @@ def test_mixing_amplitudes_unit_norm(gamma1, gamma2, theta):
         (dict(gamma1=np.array([0.5]), gamma2=1.0, theta=0.0, lam=1.0), "gamma1"),
         (dict(gamma1=1.0, gamma2=1.0, theta=0.5 + 0j, lam=1.0), "theta"),
         (dict(gamma1=1.0, gamma2=1.0, theta=0.0, lam=np.complex128(1.0)), "lam"),
+        # integers beyond the float range, which float() cannot convert
+        (dict(gamma1=10**400, gamma2=1, theta=0, lam=1), "gamma1"),
+        (dict(gamma1=1, gamma2=1, theta=0, lam=10**400), "lam"),
     ],
 )
 def test_channel_params_validation(kwargs, field):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=field) as single:
         ChannelParams(**kwargs)
+    row = list(kwargs.values())
+    if all(type(value) is float for value in row):
+        rule = "lie in [-1, 1]" if field == "theta" else "be positive and finite"
+        assert str(single.value) == f"{field} must {rule}, got {kwargs[field]}"
+        # the same row in a batch: the same message, and the row's index for the suites to name the draw
+        rows = np.array([[1.0, 1.0, 0.0, 1.0], row, [1.0, 1.0, 0.0, 1.0]])
+        for kernel in (dressed_kraus, decoherence_factors, decoherence_factors_ode):
+            with pytest.raises(SampleError) as batch:
+                kernel(rows, [0.0, 1.0, 2.0])
+            assert str(batch.value) == str(single.value) and batch.value.index == 1
 
 
 def test_channel_params_accept_numpy_real_scalars():
     p = ChannelParams(gamma1=np.float32(1.5), gamma2=np.int64(1), theta=np.float64(0.5), lam=2)
     assert derive_params(p) == derive_params(ChannelParams(gamma1=1.5, gamma2=1.0, theta=0.5, lam=2.0))
+    # every field is stored as a Python float
+    assert all(type(getattr(p, f.name)) is float for f in dataclasses.fields(p))
+    # an integer rate that once reached derive_params as an int and overflowed there
+    assert derive_params(ChannelParams(gamma1=10**300, gamma2=1, theta=0, lam=1)).gamma_plus == 1e300
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +303,7 @@ def test_g_markovian_monotone_decay():
 def test_g_stays_in_unit_interval():
     rng = np.random.default_rng(67)
     params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 100.0)) for _ in range(200)])
-    for g in decoherence_factors(params, ts):
+    for g in decoherence_factors(as_fields(params), ts):
         assert np.all(np.abs(g) <= 1.0 + 1e-12)
 
 
@@ -304,7 +328,7 @@ def test_g_matches_mpmath_near_critical_damping_and_markov_limit():
     for lam in 10.0 ** np.arange(3, 21):
         points += [(1.0, lam, t) for t in np.linspace(0.0, 10.0, 26)]
     rates, lams, ts = np.array(points).T
-    params = [ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam) for r, lam in zip(rates, lams)]
+    params = as_fields([ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam) for r, lam in zip(rates, lams)])
     # both branches, each at rate `rate`
     got = np.array(decoherence_factors(params, ts))
     want = np.array([g_mpmath(*point) for point in zip(lams, rates, ts)])
@@ -371,7 +395,7 @@ def test_g_tiny_width_matches_mpmath():
         params += [ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam) for r in (1e-3 * lam, 0.45 * lam)]
         points += [(p, x / lam) for p in params for x in (0.0, 0.5, 3.0, 10.0, 40.0)]
     params, ts = zip(*points)
-    got = decoherence_factors(params, ts)[1]
+    got = decoherence_factors(as_fields(params), ts)[1]
     rates = [derive_params(p).gamma_minus for p in params]
     assert rates[0] == 0.0
     want = np.array([g_mpmath_wide(p.lam, rate, t) for p, rate, t in zip(params, rates, ts)])
@@ -391,7 +415,7 @@ def test_g_huge_width_matches_mpmath():
     ]
     params, ts = zip(*points)
     # both branches, each at rate gamma1
-    got = np.array(decoherence_factors(params, ts))
+    got = np.array(decoherence_factors(as_fields(params), ts))
     want = np.array([g_mpmath_wide(p.lam, p.gamma1, t) for p, t in zip(params, ts)])
     assert np.max(np.abs(got - want)) <= 1e-15
     assert np.max(np.abs(np.array(decoherence_factors(params[-1], [10.0])) - math.exp(-10.0))) <= 1e-15
@@ -423,13 +447,12 @@ def stepped_rk4(lam, rate, t):
 
 
 def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
-    params, ts = oracle_grid(100)
-    # plain floats, so a failing point prints as the random suites' draws do
-    fields = [getattr(p, f.name) for p in params for f in dataclasses.fields(p)]
-    assert all(type(x) is float for x in fields + list(ts))
-    assert not any("np.float64(" in repr(point) for point in zip(params, ts))
-    powered = np.array(decoherence_factors_ode(params, ts))
-    stepped = [[stepped_rk4(p.lam, rate, t) for rate in branch_rates(p)] for p, t in zip(params, ts)]
+    fields, ts = oracle_grid(100)
+    assert fields.shape == (100, 4) and ts.shape == (100,)
+    assert fields.dtype == ts.dtype == np.float64
+    powered = np.array(decoherence_factors_ode(fields, ts))
+    params = [ChannelParams(*row) for row in fields.tolist()]
+    stepped = [[stepped_rk4(p.lam, rate, t) for rate in branch_rates(p)] for p, t in zip(params, ts.tolist())]
     assert np.max(np.abs(powered.T - stepped)) <= 1e-12
 
 
@@ -460,16 +483,28 @@ def test_g_ode_rejects_unbounded_step_counts():
 @pytest.mark.parametrize("factors", [decoherence_factors, decoherence_factors_ode, dressed_kraus])
 def test_g_rejects_mismatched_lengths(factors):
     three_times = np.array([1.0, 2.0, 3.0])
-    for n in (0, 1, 2, 4):
+    for n in (0, 2, 4):
         with pytest.raises(ValueError, match=f"got {n} params for 3 times"):
-            factors([SYMMETRIC_NO_SGI] * n, three_times)
-    # a time axis is one-dimensional, for one ChannelParams and for a sequence
+            factors(as_fields([SYMMETRIC_NO_SGI] * n), three_times)
+    # a batch is one real (T, 4) array: not a list of ChannelParams, nor (T, 3), nor complex
+    rows = as_fields([SYMMETRIC_NO_SGI] * 3)
+    for bad in ([SYMMETRIC_NO_SGI] * 3, rows[:, :3], rows + 0j):
+        with pytest.raises(ValueError, match=r"^params must be one ChannelParams or a real \(T, 4\) array of rows"):
+            factors(bad, three_times)
+    # one bad row is named by its field, and carries its index
+    rows[1, 2] = 1.5
+    with pytest.raises(SampleError, match=r"^theta must lie in \[-1, 1\], got 1.5$") as info:
+        factors(rows, three_times)
+    assert info.value.index == 1
+    # a time axis is one-dimensional, for one ChannelParams and for an array of rows
     for ts in (-1.0, 1.0, np.array([[1.0]])):
-        for p in (SYMMETRIC_NO_SGI, [SYMMETRIC_NO_SGI]):
+        for p in (SYMMETRIC_NO_SGI, as_fields([SYMMETRIC_NO_SGI])):
             with pytest.raises(ValueError, match=rf"one-dimensional.*got shape {re.escape(str(np.shape(ts)))}$"):
                 factors(p, ts)
-    # one ChannelParams covers any time axis
-    assert len(factors(SYMMETRIC_NO_SGI, three_times)[-1]) == 3
+    # one ChannelParams, and one row alike, covers any time axis
+    one, row = factors(SYMMETRIC_NO_SGI, three_times), factors(as_fields([SYMMETRIC_NO_SGI]), three_times)
+    assert len(one[-1]) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(one, row, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +548,7 @@ def test_dressed_kraus_per_draw_params_match_single_calls(levels):
     fits = [max(g1, g2) <= 1e300 for g1, g2, _ in HUGE_RATES]
     params += [ChannelParams(g1, g2, theta, 1.0) for (g1, g2, theta), ok in zip(HUGE_RATES, fits) if ok]
     ts = rng.uniform(0.0, 50.0, len(params))
-    dressed, frames, g_plus, g_minus = dressed_kraus(params, ts, levels)
+    dressed, frames, g_plus, g_minus = dressed_kraus(as_fields(params), ts, levels)
     for i, (p, t) in enumerate(zip(params, ts)):
         d, frame, gp, gm = dressed_kraus(p, ts[i:i + 1], levels)
         assert np.max(np.abs(dressed[i] - d[0])) <= 1e-15
@@ -525,7 +560,7 @@ def test_dressed_kraus_per_draw_params_match_single_calls(levels):
         with pytest.raises(ValueError, match="branch rate") as single:
             dressed_kraus(p, ts[:1], levels)
         with pytest.raises(ValueError) as batch:
-            dressed_kraus([*params, p], np.append(ts, ts[0]), levels)
+            dressed_kraus(as_fields([*params, p]), np.append(ts, ts[0]), levels)
         assert str(batch.value) == str(single.value)
 
 
@@ -534,7 +569,7 @@ def test_dressed_kraus_rotates_into_the_computational_triple(basis):
     rng = np.random.default_rng(109)
     params = [random_params(rng) for _ in range(30)] + [SYMMETRIC_NO_SGI, SYMMETRIC_FULL_SGI]
     ts = rng.uniform(0.0, 50.0, len(params))
-    dressed, frame, g_plus, g_minus = dressed_kraus(params, ts, LEVEL_ORDERS[basis])
+    dressed, frame, g_plus, g_minus = dressed_kraus(as_fields(params), ts, LEVEL_ORDERS[basis])
     assert dressed.dtype == frame.dtype == np.float64
     # K_1 = diag(G+, G-, 1), K_2 = W+|g><+|, K_3 = W-|g><-|: five entries per time
     assert np.all(np.count_nonzero(dressed, axis=(1, 2, 3)) <= 5)

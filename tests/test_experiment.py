@@ -40,7 +40,7 @@ from qutrit_eur.experiment import (
 )
 from qutrit_eur.states_obs import isotropic_state
 
-from conftest import reference_cptp_draws, reference_inequality_draws
+from conftest import as_fields, reference_cptp_draws, reference_inequality_draws
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUICK_CHANNEL = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
@@ -92,6 +92,8 @@ def synthetic_rows(ts, u_l, neg=0.0):
         (dict(channel="x"), "channel"),
         (dict(channel=None), "channel"),
         (dict(channel=(1.0, 1.0, 0.0, 1.0)), "channel"),
+        # an integer beyond the float range, which float() cannot convert
+        (dict(t_max=10**400), "t_max"),
     ],
 )
 def test_config_rejects_bad_field(overrides, field):
@@ -106,6 +108,15 @@ def test_config_accepts_numpy_integer_steps():
 def test_config_accepts_numpy_real_scalars():
     cfg = quick_config(k=np.float32(0.5), t_max=np.int64(10))
     assert run_sweep(cfg).tobytes() == run_sweep(quick_config(k=0.5, t_max=10.0)).tobytes()
+
+
+def test_config_stores_integer_fields_as_floats():
+    # the grid once formed i*t_max in int64: it wrapped at 10**16, and 2**63
+    # overflowed converting to a C long
+    for t_max in (10**16, 2**63):
+        cfg = quick_config(k=1, t_max=t_max, steps=1000)
+        assert type(cfg.k) is type(cfg.t_max) is float
+        assert run_sweep(cfg).tobytes() == run_sweep(quick_config(t_max=float(t_max), steps=1000)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +421,37 @@ def test_suites_return_plain_bool(suite):
     assert type(ok) is bool
 
 
+def test_default_check_lines_are_pinned():
+    """Regression anchor: the three suite results of `qutrit-eur check` at the default draws and seeds.
+
+    A change that moves any of these lines updates this test on purpose
+    and says so in CHANGES.md.
+    """
+    assert check_cptp() == (
+        True, "1000 draws: completeness 2.22e-16, trace drift 4.44e-16, eigenvalue dip 1.11e-16"
+    )
+    assert check_oracle() == (True, "100 grid points: worst |closed - integrated| = 1.31e-12")
+    assert check_uncertainty_inequality() == (
+        True, "1000 draws: worst bound margin 5.00e-01, worst term-sum split 0.00e+00"
+    )
+
+
+def test_default_suites_build_no_channel_params(monkeypatch):
+    # the draws stay one float array from the generator to the kernels
+    built = []
+    post_init = ChannelParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ChannelParams, "__post_init__", counting)
+    ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1.0)
+    assert len(built) == 1
+    check_cptp(), check_oracle(), check_uncertainty_inequality()
+    assert len(built) == 1
+
+
 def test_run_self_check_returns_plain_bool(capsys):
     assert type(run_self_check()) is bool
     assert capsys.readouterr().out.count("[PASS]") == 3
@@ -497,11 +539,10 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
             assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
-def field_bytes(draws):
-    """The parameters, then every further field of per-draw tuples, as raw float64 bytes."""
+def reference_bytes(draws):
+    """The field rows of per-draw (params, ...) tuples, then every further field, as raw float64 bytes."""
     params, *fields = zip(*draws)
-    columns = [[(p.gamma1, p.gamma2, p.theta, p.lam) for p in params]] + [list(field) for field in fields]
-    return [np.asarray(column).tobytes() for column in columns]
+    return [as_fields(params).tobytes()] + [np.asarray(field).tobytes() for field in fields]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -513,22 +554,22 @@ def field_bytes(draws):
 def test_block_draws_equal_the_scalar_calls(draws, reference, seed):
     # the draws are taken whole; n straddles the evaluation block of 128
     for n in (1, 127, 128, 129, 1000):
-        drawn = list(zip(*draws(np.random.default_rng(seed), n)))
-        assert field_bytes(drawn) == field_bytes(reference(np.random.default_rng(seed), n)), n
+        drawn = [column.tobytes() for column in draws(np.random.default_rng(seed), n)]
+        assert drawn == reference_bytes(reference(np.random.default_rng(seed), n)), n
 
 
 def patch_draw(monkeypatch, index, bad):
-    """Replace the params of draw number index by bad(params) as the suite draws all its params; returns them."""
+    """Replace row index of the suite's draw array (gamma1, gamma2, theta, lam) by bad(row); returns the rows."""
     drawn = []
-    original = experiment._channel_params
+    original = experiment._draw_fields
 
     def with_one_bad_draw(draws):
-        params = original(draws)
-        params[index] = bad(params[index])
-        drawn.extend(params)
-        return params
+        fields = original(draws)
+        fields[index] = bad(fields[index].tolist())
+        drawn.extend(fields.tolist())
+        return fields
 
-    monkeypatch.setattr(experiment, "_channel_params", with_one_bad_draw)
+    monkeypatch.setattr(experiment, "_draw_fields", with_one_bad_draw)
     return drawn
 
 
@@ -538,14 +579,14 @@ def test_suite_failure_names_the_draw(monkeypatch, suite):
     # third; d + lam overflows, so its G is not finite
     for index in (130, 199):
         with monkeypatch.context() as patch:
-            drawn = patch_draw(patch, index, lambda p: ChannelParams(p.gamma1, p.gamma2, p.theta, 1e308))
+            drawn = patch_draw(patch, index, lambda row: [*row[:3], 1e308])
             with pytest.raises(ValueError) as info:
                 suite(n_draws=200)
-        bad = drawn[index]
+        gamma1, gamma2, theta, _ = drawn[index]
         message = str(info.value)
         assert message.startswith("branch amplitude not finite and real")
         assert message.endswith(
-            f" (draw {index}: ChannelParams(gamma1={bad.gamma1!r}, gamma2={bad.gamma2!r}, theta={bad.theta!r}, lam=1e+308))"
+            f" (draw {index}: ChannelParams(gamma1={gamma1!r}, gamma2={gamma2!r}, theta={theta!r}, lam=1e+308))"
         )
         assert "np.float64(" not in message
         # the check names the time of the draw, and only once
@@ -555,13 +596,24 @@ def test_suite_failure_names_the_draw(monkeypatch, suite):
 @pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
 def test_suite_names_the_draw_of_an_unrepresentable_rate(monkeypatch, suite):
     # the block's rates are derived in one pass; the one rate beyond the float range is named with its draw
-    patch_draw(monkeypatch, 130, lambda p: ChannelParams(gamma1=1e308, gamma2=1e308, theta=1.0, lam=1.0))
+    patch_draw(monkeypatch, 130, lambda row: [1e308, 1e308, 1.0, 1.0])
     with pytest.raises(ValueError) as info:
         suite(n_draws=200)
     assert str(info.value) == (
         "branch rate gamma_plus = (gamma1 + gamma2 + q)/2 exceeds the float range for "
         "gamma1=1e+308, gamma2=1e+308, theta=1.0 "
         "(draw 130: ChannelParams(gamma1=1e+308, gamma2=1e+308, theta=1.0, lam=1.0))"
+    )
+
+
+@pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
+def test_suite_names_the_draw_of_an_out_of_range_field(monkeypatch, suite):
+    # the block's rows are range-checked in one pass, and the bad row's index names its draw
+    patch_draw(monkeypatch, 130, lambda row: [1.0, 1.0, 1.5, 1.0])
+    with pytest.raises(ValueError) as info:
+        suite(n_draws=200)
+    assert str(info.value) == (
+        "theta must lie in [-1, 1], got 1.5 (draw 130: ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.5, lam=1.0))"
     )
 
 

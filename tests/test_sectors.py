@@ -40,7 +40,7 @@ from qutrit_eur.experiment import (
 from qutrit_eur.linalg import partial_trace_a, partial_transpose_a
 from qutrit_eur.states_obs import conditional_blocks, isotropic_state, spin1_observable
 
-from conftest import computational_kraus
+from conftest import as_fields, computational_kraus
 
 # unequal rates with partial SGI: both mixing amplitudes are nonzero and a != b
 MIXED = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
@@ -89,7 +89,8 @@ def assert_closed_form(rho, g_plus, g_minus, k):
 
 @pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
 def test_dressed_frame_block_sectors(basis):
-    dressed, frame, g_plus, g_minus = dressed_kraus(MIXED, TS, LEVEL_ORDERS[basis])
+    # one ChannelParams gives a stack of one frame
+    dressed, (frame,), g_plus, g_minus = dressed_kraus(MIXED, TS, LEVEL_ORDERS[basis])
     rho_d = evolved(dressed)
     assert_closed_form(rho_d, g_plus, g_minus, 0.6)
     # the dressed block is the computational one seen in the frame O (x) O
@@ -99,7 +100,7 @@ def test_dressed_frame_block_sectors(basis):
 
 
 def test_sweep_kernels_stay_real():
-    dressed, frame, g_plus, g_minus = dressed_kraus(MIXED, TS)
+    dressed, (frame,), g_plus, g_minus = dressed_kraus(MIXED, TS)
     rho = evolved(dressed)
     basis = frame.T @ np.hstack([spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis])
     for array in (dressed, rho, partial_transpose_a(rho), conditional_blocks(rho, basis)):
@@ -144,7 +145,7 @@ def test_z_rows_never_mix_ground_and_excited(draws, basis):
     # excited ones, so each z block is a 2x2 block plus one diagonal entry
     params = [ChannelParams(gamma1=g1, gamma2=g2, theta=theta, lam=1.0) for g1, g2, theta in draws]
     levels = LEVEL_ORDERS[basis]
-    frames = dressed_amplitudes(params, np.zeros(len(params)), levels)[0]
+    frames = dressed_amplitudes(as_fields(params), np.zeros(len(params)), levels)[0]
     one = dressed_amplitudes(params[0], np.zeros(1), levels)[0]
     for frame in (frames, one):
         z_rows = (_MEASURED_BASES.T @ frame)[..., 3:, :]
@@ -167,8 +168,8 @@ Z_CASES = [
     (MIXED, 0.0, GRID),
     (dataclasses.replace(MIXED, lam=1000.0), 0.6, GRID),
     (
-        [ChannelParams(gamma1=g, gamma2=2.0 - g, theta=g - 1.0, lam=10.0 ** (6 * g - 6))
-         for g in (GRID / 600.0 + 0.5).tolist()],
+        as_fields([ChannelParams(gamma1=g, gamma2=2.0 - g, theta=g - 1.0, lam=10.0 ** (6 * g - 6))
+                   for g in (GRID / 600.0 + 0.5).tolist()]),
         0.4, GRID,
     ),
 ]
