@@ -61,6 +61,7 @@ COMPLETENESS_ATOL = 1e-10
 LEVEL_ORDERS = {"kraus-order": (0, 1, 2), "ground-first": (1, 2, 0)}
 _REAL_SCALARS = (int, float, np.integer, np.floating)
 _FIELDS = ("gamma1", "gamma2", "theta", "lam")
+_FIELD_RULES = ("be positive and finite",) * 2 + ("lie in [-1, 1]", "be positive and finite")
 
 
 def require_real_fields(obj, *names: str) -> None:
@@ -81,13 +82,21 @@ def require_real_fields(obj, *names: str) -> None:
             raise ValueError(f"{name} must lie in the float range, got a {value.bit_length()}-bit integer") from None
 
 
-def _require_field_ranges(fields: np.ndarray) -> np.ndarray:
-    """Return (T, 4) float rows (gamma1, gamma2, theta, lam); a bad field is a SampleError at its first bad row."""
+def _checked_fields(p, n: int) -> np.ndarray:
+    """The real (n, 4) array p as float rows (gamma1, gamma2, theta, lam), each field checked against its range."""
+    fields = np.asarray(p)
+    if fields.dtype.kind not in "iuf" or fields.ndim != 2 or fields.shape[1] != 4:
+        raise ValueError(f"params must be one ChannelParams or a real (T, 4) array of rows (gamma1, gamma2, "
+                         f"theta, lam), got an array of dtype {fields.dtype} and shape {fields.shape}")
+    if len(fields) != n:
+        raise ValueError(f"params must be one ChannelParams or one per time: got {len(fields)} params for {n} times")
+    fields = fields.astype(float, copy=False)
     ok = (fields > 0) & (fields < math.inf)
     ok[:, 2] = np.abs(fields[:, 2]) <= 1
-    for j, name in enumerate(_FIELDS):
-        rule = "lie in [-1, 1]" if name == "theta" else "be positive and finite"
-        require_samples(ok[:, j], None, lambda i: f"{name} must {rule}, got {float(fields[i, j])}")
+    j = ok.argmin(axis=1)  # the first bad field of each row
+    require_samples(
+        ok.all(axis=1), None, lambda i: f"{_FIELDS[j[i]]} must {_FIELD_RULES[j[i]]}, got {float(fields[i, j[i]])}"
+    )
     return fields
 
 
@@ -102,7 +111,7 @@ class ChannelParams:
 
     def __post_init__(self):
         require_real_fields(self, *_FIELDS)
-        _require_field_ranges(self.row())
+        _checked_fields(self.row(), 1)
 
     def row(self) -> np.ndarray:
         """The (1, 4) float row (gamma1, gamma2, theta, lam): the one-row case of a batch of field rows."""
@@ -252,10 +261,10 @@ def _channel_inputs(p: ChannelParams | np.ndarray, ts) -> tuple:
     """The checked times, then the arrays lam, gamma_plus, gamma_minus, a, b, one entry per row of p.
 
     ts must be one-dimensional, with every time finite and nonnegative. p
-    is a real (T, 4) array of rows (gamma1, gamma2, theta, lam), checked
-    here, or one ChannelParams, checked when built, as its one row; one row
-    serves every time. Anything else is a ValueError naming the shape, the
-    first failing t, the expected form of p, both lengths or the bad field.
+    is one ChannelParams for every time, checked when built, or a real
+    (T, 4) array of rows (gamma1, gamma2, theta, lam), one per time. Else
+    a ValueError names the shape, the first failing t, the expected form
+    of p or both lengths, and a SampleError the first bad row's first bad field.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
@@ -263,16 +272,7 @@ def _channel_inputs(p: ChannelParams | np.ndarray, ts) -> tuple:
     require_samples(
         (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
     )
-    if isinstance(p, ChannelParams):
-        fields = p.row()
-    else:
-        fields = np.asarray(p)
-        if fields.dtype.kind not in "iuf" or fields.ndim != 2 or fields.shape[1] != 4:
-            raise ValueError(f"params must be one ChannelParams or a real (T, 4) array of rows (gamma1, gamma2, "
-                             f"theta, lam), got an array of dtype {fields.dtype} and shape {fields.shape}")
-        if len(fields) not in (1, len(ts)):
-            raise ValueError(f"params must be one row or one per time: got {len(fields)} params for {len(ts)} times")
-        fields = _require_field_ranges(fields.astype(float, copy=False))
+    fields = p.row() if isinstance(p, ChannelParams) else _checked_fields(p, len(ts))
     gamma1, gamma2, theta, lam = fields.T
     return (ts, lam, *_derive(gamma1, gamma2, theta)[1:])
 
@@ -319,10 +319,11 @@ def dressed_frame(a, b, levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order
     Column 0 is the plus branch (a, -b) and column 1 the minus branch
     (b, a) over (excited 1, excited 2); column 2 is the ground level.
     levels gives the computational indices of (excited 1, excited 2,
-    ground), so a basis convention is a placement of these entries. The
-    arrays a and b give a stack of one frame per entry.
+    ground), so a basis convention is a placement of these entries. Floats
+    give one (3, 3) frame, arrays a (T, 3, 3) stack.
     """
     e1, e2, g = levels
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     frame = np.zeros(a.shape + (3, 3))
     frame[..., e1, 0], frame[..., e2, 0] = a, -b
     frame[..., e1, 1], frame[..., e2, 1] = b, a
@@ -337,9 +338,9 @@ def dressed_amplitudes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The frame O of dressed_frame and both branch amplitudes G_plus(t), G_minus(t): dressed_kraus without its tensor.
 
-    p is one ChannelParams or a (T, 4) array of field rows, one for the
-    whole axis or one per time, as _channel_inputs checks them with ts.
-    The frames are a stack of one (3, 3) O per row of p.
+    p is one ChannelParams for the whole axis or a (T, 4) array of field
+    rows, one per time, as _channel_inputs checks them with ts. The frames
+    are a stack of one (3, 3) O per row of p.
     """
     ts, lam, rate_plus, rate_minus, a, b = _channel_inputs(p, ts)
     return dressed_frame(a, b, levels), _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)

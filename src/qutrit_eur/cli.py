@@ -67,8 +67,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            channel = ChannelParams(gamma1=args.gamma1, gamma2=args.gamma2, theta=args.theta, lam=args.lam)
-            cfg = SweepConfig(channel, k=args.k, t_max=args.t_max, steps=args.steps, basis=args.basis)
+            cfg = SweepConfig(
+                channel=ChannelParams(
+                    gamma1=args.gamma1, gamma2=args.gamma2, theta=args.theta, lam=args.lam
+                ),
+                k=args.k,
+                t_max=args.t_max,
+                steps=args.steps,
+                basis=args.basis,
+            )
             _run_and_write(cfg, args.out)
         elif args.command == "figure":
             cfg = figure_preset(args.name, literal_lambda=args.literal_lambda)

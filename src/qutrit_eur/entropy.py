@@ -58,13 +58,6 @@ def _bits(w: np.ndarray) -> np.ndarray:
     return -np.sum(safe * np.log2(safe), axis=-1)
 
 
-def _two_qutrit_stack(rho_ab: np.ndarray) -> np.ndarray:
-    rho_ab = as_inexact(rho_ab)
-    if rho_ab.shape != (9, 9):
-        raise ValueError(f"expected a 9x9 two-qutrit state, got shape {rho_ab.shape}")
-    return rho_ab[None]
-
-
 class EurColumns(NamedTuple):
     """Both sides of the uncertainty relation and the negativity, one entry per state."""
 
@@ -216,5 +209,8 @@ class EurSample:
 
 def eur_sample(rho_ab: np.ndarray) -> EurSample:
     """Evaluate both sides of the uncertainty relation plus negativity; the T = 1 case of eur_columns, checks included."""
-    cols = eur_columns(_two_qutrit_stack(rho_ab))
+    rho_ab = as_inexact(rho_ab)
+    if rho_ab.shape != (9, 9):
+        raise ValueError(f"expected a 9x9 two-qutrit state, got shape {rho_ab.shape}")
+    cols = eur_columns(rho_ab[None])
     return EurSample(*(float(col[0]) for col in cols))

@@ -92,7 +92,9 @@ class SweepConfig:
             # the grid t_i = i*t_max/(steps-1) forms i*t_max first
             raise ValueError(f"t_max = {self.t_max} overflows the grid of {self.steps} steps")
         if self.basis not in BASIS_CONVENTIONS:
-            raise ValueError(f"basis must be one of {BASIS_CONVENTIONS}, got {self.basis!r}")
+            raise ValueError(
+                f"basis must be one of {BASIS_CONVENTIONS}, got {self.basis!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,9 @@ def figure_preset(name: str, literal_lambda: bool = False) -> SweepConfig:
     the period-consistent lam = 0.001; fig4 widths are per-panel already.
     """
     if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}")
+        raise ValueError(
+            f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
+        )
     fig, panel = name[3], name[4]
     if fig == "4":
         k, theta, lam = 1.0, 0.0, _FIG4_LAMBDA[panel]
@@ -259,12 +263,6 @@ def write_summary(summary: SweepSummary, destination) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _density_matrices(x: np.ndarray) -> np.ndarray:
-    """Density matrices X X^dagger / tr(X X^dagger) from a (T, n, n) stack of factors."""
-    rho = x @ x.conj().swapaxes(-1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-
-
 # [low, high) of each uniform a suite's draw takes: gamma1, gamma2, theta, the
 # exponent e of lam = 10**e, then t (CPTP) or k and t (inequality)
 _CPTP_LOW, _CPTP_HIGH = np.array([0.1, 0.1, -1.0, -3.0, 0.0]), np.array([3.0, 3.0, 1.0, 3.0, 20.0])
@@ -331,7 +329,9 @@ def _cptp_draws(rng: np.random.Generator, n: int):
 def _cptp_block(fields, ts, factors):
     dressed, frames = dressed_kraus(fields, ts)[:2]
     complete = require_complete(dressed, ts)
-    rho = require_density_stack(_density_matrices(factors), ts)
+    # the density matrices X X^dagger / tr(X X^dagger) of the factors
+    rho = factors @ factors.conj().swapaxes(-1, -2)
+    rho = require_density_stack(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None], ts)
     # each input once into its dressed frame: trace and spectrum do not depend on it
     out = _kraus_sum(frames.swapaxes(1, 2) @ rho @ frames, dressed)
     trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)

@@ -19,13 +19,6 @@ import numpy as np
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
-def _psi_plus() -> np.ndarray:
-    """The maximally entangled two-qutrit ket (|00> + |11> + |22>)/sqrt(3), real."""
-    psi = np.zeros(9)
-    psi[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
-    return psi
-
-
 def isotropic_state(k) -> np.ndarray:
     """Isotropic two-qutrit state (1-k)/9 * I + k |psi+><psi+|; an array of k gives a stack of them.
 
@@ -36,7 +29,9 @@ def isotropic_state(k) -> np.ndarray:
     if not np.all((0.0 <= k) & (k <= 1.0)):
         raise ValueError(f"k must lie in [0, 1], got {k}")
     k = k[..., None, None]
-    psi = _psi_plus()
+    # the maximally entangled ket (|00> + |11> + |22>)/sqrt(3)
+    psi = np.zeros(9)
+    psi[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
     return (1.0 - k) / 9.0 * np.eye(9) + k * np.outer(psi, psi)
 
 

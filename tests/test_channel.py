@@ -483,7 +483,7 @@ def test_g_ode_rejects_unbounded_step_counts():
 @pytest.mark.parametrize("factors", [decoherence_factors, decoherence_factors_ode, dressed_kraus])
 def test_g_rejects_mismatched_lengths(factors):
     three_times = np.array([1.0, 2.0, 3.0])
-    for n in (0, 2, 4):
+    for n in (0, 1, 2, 4):
         with pytest.raises(ValueError, match=f"got {n} params for 3 times"):
             factors(as_fields([SYMMETRIC_NO_SGI] * n), three_times)
     # a batch is one real (T, 4) array: not a list of ChannelParams, nor (T, 3), nor complex
@@ -496,15 +496,19 @@ def test_g_rejects_mismatched_lengths(factors):
     with pytest.raises(SampleError, match=r"^theta must lie in \[-1, 1\], got 1.5$") as info:
         factors(rows, three_times)
     assert info.value.index == 1
+    # the first bad row fails first, by its first bad field, whatever the fields of later rows
+    rows = as_fields([SYMMETRIC_NO_SGI] * 200)
+    rows[5, 3], rows[5, 1], rows[130, 0] = -1.0, 0.0, 0.0
+    with pytest.raises(SampleError, match=r"^gamma2 must be positive and finite, got 0.0$") as info:
+        factors(rows, np.ones(200))
+    assert info.value.index == 5
     # a time axis is one-dimensional, for one ChannelParams and for an array of rows
     for ts in (-1.0, 1.0, np.array([[1.0]])):
         for p in (SYMMETRIC_NO_SGI, as_fields([SYMMETRIC_NO_SGI])):
             with pytest.raises(ValueError, match=rf"one-dimensional.*got shape {re.escape(str(np.shape(ts)))}$"):
                 factors(p, ts)
-    # one ChannelParams, and one row alike, covers any time axis
-    one, row = factors(SYMMETRIC_NO_SGI, three_times), factors(as_fields([SYMMETRIC_NO_SGI]), three_times)
-    assert len(one[-1]) == 3
-    assert all(np.array_equal(a, b) for a, b in zip(one, row, strict=True))
+    # one ChannelParams covers any time axis
+    assert len(factors(SYMMETRIC_NO_SGI, three_times)[-1]) == 3
 
 
 # ---------------------------------------------------------------------------

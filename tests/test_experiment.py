@@ -617,6 +617,16 @@ def test_suite_names_the_draw_of_an_out_of_range_field(monkeypatch, suite):
     )
 
 
+@pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
+def test_suite_names_the_first_draw_with_an_out_of_range_field(monkeypatch, suite):
+    # draws 5 and 130 share a block; the earlier draw is named, though its bad field comes later in the row
+    patch_draw(monkeypatch, 5, lambda row: [*row[:3], -1.0])
+    patch_draw(monkeypatch, 130, lambda row: [0.0, *row[1:]])
+    with pytest.raises(ValueError) as info:
+        suite(n_draws=200)
+    assert str(info.value).startswith("lam must be positive and finite, got -1.0 (draw 5: ChannelParams(gamma1=")
+
+
 @pytest.mark.parametrize("suite", [check_cptp, check_oracle, check_uncertainty_inequality, oracle_grid])
 def test_suites_reject_empty_runs(suite):
     # checked before anything is drawn: -1 would reach numpy, 2.5 and True np.empty and range
