@@ -67,19 +67,23 @@ _FIELD_RULES = ("be positive and finite",) * 2 + ("lie in [-1, 1]", "be positive
 def require_real_fields(obj, *names: str) -> None:
     """Store each named field of the frozen dataclass obj as a Python float, or raise ValueError naming it.
 
-    Python and numpy floats and integers pass, but not an integer beyond
-    the float range. A string, None, a complex number or an array (even of
-    length 1) is rejected before any range check compares it, and so is a
-    Fraction or Decimal, which numpy would carry as an object array.
+    Python and numpy floats and integers pass, but not a bool, an integer
+    beyond the float range, or a finite nonzero np.longdouble that float()
+    would turn into inf or 0. A string, None, a complex number or an array
+    (even of length 1) is rejected before any range check compares it, and
+    so is a Fraction or Decimal, which numpy would carry as an object array.
     """
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, _REAL_SCALARS):
+        if not isinstance(value, _REAL_SCALARS) or isinstance(value, bool):
             raise ValueError(f"{name} must be a real number (an int or a float), got {value!r}")
         try:
-            object.__setattr__(obj, name, float(value))
+            converted = float(value)
         except OverflowError:
             raise ValueError(f"{name} must lie in the float range, got a {value.bit_length()}-bit integer") from None
+        if (math.isinf(converted) and np.isfinite(value)) or (converted == 0.0 and value != 0):
+            raise ValueError(f"{name} must lie in the float range, got {value!r}")
+        object.__setattr__(obj, name, converted)
 
 
 def _checked_fields(p, n: int) -> np.ndarray:

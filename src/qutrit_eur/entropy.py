@@ -16,7 +16,8 @@ frame O of the channel; the x and z eigenvectors v are measured there as
 u = O^T v. The z eigenvectors are the computational basis, so each u is a
 row of O, which never mixes the ground level with the excited ones: the
 z blocks are 2x2 blocks plus one diagonal entry, read off in closed form,
-and only the x blocks and one 3x3 sector of rho_AB go to eigvalsh.
+and only the x blocks and one 3x3 sector of rho_AB need an eigensolve, the
+batched Jacobi sweeps of linalg.symmetric_eigvals3 rather than LAPACK.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .linalg import (
     require_hermitian_stack,
     require_samples,
     require_state_spectrum,
+    symmetric_eigvals3,
 )
 from .states_obs import conditional_blocks, max_overlap_c, spin1_observable
 
@@ -154,8 +156,11 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     D_ij +- C_ij. A z vector u = O^T e_j has u_ground u_excited = 0, so its
     block is [[d0, c], [c, d1]] (+) [d2], c = u0 u1 C[0, 1], with the
     eigenvalues (d0 + d1)/2 +- hypot((d0 - d1)/2, c) and d2. Only the
-    {|ii>} sector and the three x blocks take eigvalsh: four 3x3 matrices
-    per time.
+    {|ii>} sector and the three x blocks need an eigensolve, four 3x3
+    matrices per time: symmetric_eigvals3 takes each kind in one call,
+    from the diagonal D[a, a] or sum_a u_a^2 D[a, b] and the pair entries
+    C[i, j] or u_i u_j C[i, j], and names the first t where a matrix is
+    not done at its sweep cap.
 
     g_plus and g_minus are (T,) arrays, k a scalar or one per time, frame
     one (3, 3) O or a stack of one or T of them. Completeness is checked as
@@ -172,27 +177,26 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     images[:, :2, 2] = np.maximum(0.0, 1.0 - g2[:, :2])
     n = images.sum(axis=1)
     pops = (1.0 - k) / 9.0 * n[:, :, None] * n[:, None, :] + k / 3.0 * (images.swapaxes(1, 2) @ images)
-    coh = k / 3.0 * g2[:, :, None] * g2[:, None, :]
+    # D and C on the pairs (0, 1), (0, 2), (1, 2), the off-diagonal order of symmetric_eigvals3
+    pair_pops, pair_coh = pops[:, _PAIR_ROWS, _PAIR_COLS], k[..., 0] / 3.0 * g2[:, _PAIR_ROWS] * g2[:, _PAIR_COLS]
+    pop_diag = pops[:, _DIAG, _DIAG]
 
-    sector = coh.copy()
-    sector[:, _DIAG, _DIAG] = pops[:, _DIAG, _DIAG]
-    w_ab = np.concatenate([np.linalg.eigvalsh(sector), pops[:, _OFF_ROWS, _OFF_COLS]], axis=1)
-
-    pair_pops, pair_coh = pops[:, _PAIR_ROWS, _PAIR_COLS], coh[:, _PAIR_ROWS, _PAIR_COLS]
-    w_pt = np.concatenate([pops[:, _DIAG, _DIAG], pair_pops + pair_coh, pair_pops - pair_coh], axis=1)
+    w_sector = symmetric_eigvals3(pop_diag, pair_coh, ts, "rho_ab")
+    w_ab = np.concatenate([w_sector, pops[:, _OFF_ROWS, _OFF_COLS]], axis=1)
+    w_pt = np.concatenate([pop_diag, pair_pops + pair_coh, pair_pops - pair_coh], axis=1)
 
     # the measured vectors u = O^T v as rows, (..., 6, 3): three x, then three z
     u = _MEASURED_BASES.T @ frame
     diags = (u * u) @ pops
-    x_blocks = u[..., :3, :, None] * u[..., :3, None, :] * coh[:, None]
-    x_blocks[..., _DIAG, _DIAG] = diags[:, :3]
+    x_off = u[..., :3, _PAIR_ROWS] * u[..., :3, _PAIR_COLS] * pair_coh[:, None]
+    w_x = symmetric_eigvals3(diags[:, :3], x_off, ts, "Sx-measured state")
     # a z row is a row of O, whose ground entry times each excited one is 0:
     # its block is [[d0, c], [c, d1]] (+) [d2]
     d0, d1, d2 = np.moveaxis(diags[:, 3:], -1, 0)
-    c = u[..., 3:, 0] * u[..., 3:, 1] * coh[:, 0, 1, None]
+    c = u[..., 3:, 0] * u[..., 3:, 1] * pair_coh[:, :1]
     mid, radius = (d0 + d1) / 2.0, np.hypot((d0 - d1) / 2.0, c)
     w_z = np.concatenate([mid - radius, mid + radius, d2], axis=1)
-    w_xz = np.stack([np.linalg.eigvalsh(x_blocks).reshape(len(g2), 9), w_z], axis=1)
+    w_xz = np.stack([w_x.reshape(len(g2), 9), w_z], axis=1)
     return _checked_columns(w_ab, pops.sum(axis=1), w_xz, w_pt, ts)
 
 

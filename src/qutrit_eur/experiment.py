@@ -151,7 +151,10 @@ def local_minima_indices(values) -> list[int]:
 def summarize(rows: np.recarray) -> SweepSummary:
     """Extrema, negativity zero crossings, and period estimate over a sweep's rows.
 
-    The t_gamma, u_l and negativity columns are read as they stand. Zero
+    The t_gamma, u_l and negativity columns are read as they stand. The
+    extrema are u_l.max() and u_l.min(); each one's time is that of the
+    first sample within EXTREMUM_DELTA of it, so round-off on a flat
+    stretch of u_l does not move it. Zero
     crossings are the linearly interpolated times where the negativity
     crosses the 1e-6 threshold between consecutive samples. The period is
     the mean spacing of successive interior local minima of the uncertainty
@@ -161,8 +164,10 @@ def summarize(rows: np.recarray) -> SweepSummary:
         raise ValueError(f"summarize needs at least 2 records, got {len(rows)}")
     ts, u_l, neg = rows.t_gamma, rows.u_l, rows.negativity
 
-    i_max = int(np.argmax(u_l))
-    i_min = int(np.argmin(u_l))
+    u_l_max, u_l_min = u_l.max(), u_l.min()
+    # argmax of a boolean array: its first True
+    i_max = int(np.argmax(u_l >= u_l_max - EXTREMUM_DELTA))
+    i_min = int(np.argmax(u_l <= u_l_min + EXTREMUM_DELTA))
 
     shifted = neg - NEGATIVITY_ZERO_THRESHOLD
     i = np.flatnonzero(shifted[:-1] * shifted[1:] < 0)
@@ -173,9 +178,9 @@ def summarize(rows: np.recarray) -> SweepSummary:
     period = float(np.mean(np.diff(ts[minima]))) if len(minima) >= 2 else None
 
     return SweepSummary(
-        u_l_max=float(u_l[i_max]),
+        u_l_max=float(u_l_max),
         t_u_l_max=float(ts[i_max]),
-        u_l_min=float(u_l[i_min]),
+        u_l_min=float(u_l_min),
         t_u_l_min=float(ts[i_min]),
         negativity_zeros=tuple(zeros.tolist()),
         period_estimate=period,

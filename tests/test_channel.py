@@ -24,7 +24,7 @@ from qutrit_eur.channel import (
     kraus_set,
     require_complete,
 )
-from qutrit_eur.experiment import oracle_grid
+from qutrit_eur.experiment import SweepConfig, oracle_grid
 from qutrit_eur.linalg import SampleError
 from qutrit_eur.entropy import eur_sample
 from qutrit_eur.states_obs import isotropic_state
@@ -229,6 +229,28 @@ def test_channel_params_accept_numpy_real_scalars():
     assert all(type(getattr(p, f.name)) is float for f in dataclasses.fields(p))
     # an integer rate that once reached derive_params as an int and overflowed there
     assert derive_params(ChannelParams(gamma1=10**300, gamma2=1, theta=0, lam=1)).gamma_plus == 1e300
+
+
+def test_real_fields_reject_bools_and_long_doubles_beyond_the_float_range():
+    # a bool is no rate, as a bool is no count or seed for the check suites
+    with pytest.raises(ValueError) as info:
+        ChannelParams(gamma1=True, gamma2=1.0, theta=0.0, lam=1.0)
+    assert str(info.value) == "gamma1 must be a real number (an int or a float), got True"
+    with pytest.raises(ValueError, match=r"^k must be a real number \(an int or a float\), got False$"):
+        SweepConfig(ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1.0), k=False, t_max=1.0, steps=2)
+    if np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp:
+        pytest.skip("np.longdouble is float64 on this platform")
+    # finite inputs that float() would turn into inf or 0
+    for value in (np.longdouble("1e4000"), np.longdouble("1e-4000")):
+        with pytest.raises(ValueError) as info:
+            ChannelParams(gamma1=1.0, gamma2=value, theta=0.0, lam=1.0)
+        assert str(info.value) == f"gamma2 must lie in the float range, got {value!r}"
+    with pytest.raises(ValueError, match=r"^t_max must lie in the float range, got np\.longdouble\('1e\+4000'\)$"):
+        SweepConfig(
+            ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1.0), k=0.5, t_max=np.longdouble("1e4000"), steps=2
+        )
+    # within the float range a long double passes, rounded to a float
+    assert ChannelParams(gamma1=np.longdouble("0.1"), gamma2=1.0, theta=0.0, lam=1.0).gamma1 == 0.1
 
 
 # ---------------------------------------------------------------------------

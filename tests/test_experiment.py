@@ -270,6 +270,35 @@ def test_summarize_negativity_threshold_crossings():
     assert zeros[1] == pytest.approx(2.0 + (1e-6 - 1e-7) / (1e-5 - 1e-7), abs=1e-12)
 
 
+def test_summarize_takes_the_first_sample_near_each_extremum():
+    # a plateau flat to round-off: the time is where it starts, not where the last bit dips lowest
+    v = np.array([3.0, 2.0, 1.5 + 4e-10, 1.5 + 1e-15, 1.5, 1.5 + 2e-16, 2.0, 3.0 - 3e-10])
+    s = summarize(synthetic_rows(np.arange(8.0), v))
+    assert (s.u_l_min, s.t_u_l_min) == (1.5, 2.0)
+    assert (s.u_l_max, s.t_u_l_max) == (3.0, 0.0)
+
+
+def test_extremum_times_survive_round_off(preset_sweeps):
+    # the 21 sweeps of the benchmark and CI: 12 presets, the 8 fig2/fig3
+    # presets at the printed width, and the long ground-first sweep
+    sweeps = dict(preset_sweeps[0])
+    for name in PRESET_NAMES[:8]:
+        sweeps[f"{name} literal"] = run_sweep(figure_preset(name, literal_lambda=True))
+    sweeps["long"] = run_sweep(SweepConfig(
+        ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), k=0.8, t_max=600.0, steps=24000,
+        basis="ground-first",
+    ))
+    rng = np.random.default_rng(113)
+    for name, rows in sweeps.items():
+        want = summarize(rows)
+        for _ in range(5):
+            noisy = rows.copy()
+            noisy.u_l += rng.uniform(-1e-13, 1e-13, len(rows))
+            got = summarize(noisy)
+            assert (got.t_u_l_min, got.t_u_l_max) == (want.t_u_l_min, want.t_u_l_max), name
+            assert (got.u_l_min, got.u_l_max) == (noisy.u_l.min(), noisy.u_l.max())
+
+
 def test_summarize_rejects_short_input():
     with pytest.raises(ValueError, match="at least 2"):
         summarize(synthetic_rows([0.0], 1.0))
@@ -575,8 +604,10 @@ def patch_draw(monkeypatch, index, bad):
 
 @pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
 def test_suite_failure_names_the_draw(monkeypatch, suite):
-    # draw 130 sits in the second block and draw 199 is the last of the partial
-    # third; d + lam overflows, so its G is not finite
+    # in blocks of 64 draws, draw 130 sits in the third block and draw 199 is
+    # the last of the partial fourth, so the index names the block's start
+    # plus the draw's place in it; d + lam overflows, so its G is not finite
+    monkeypatch.setattr(experiment, "_BLOCK", 64)
     for index in (130, 199):
         with monkeypatch.context() as patch:
             drawn = patch_draw(patch, index, lambda row: [*row[:3], 1e308])

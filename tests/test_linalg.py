@@ -1,4 +1,4 @@
-"""Tests for the linear algebra layer: partial trace and transpose.
+"""Tests for the linear algebra layer: partial trace and transpose, and the 3x3 Jacobi eigenvalue kernel.
 
 The package forms no tensor products. The tests build product operators
 with numpy's ``np.kron``, and the layout tests below pin that its index
@@ -6,11 +6,15 @@ order is the package's convention (subsystem A is the left factor,
 r = 3*a + b).
 """
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qutrit_eur.linalg import partial_trace_a, partial_transpose_a
+from qutrit_eur import linalg
+from qutrit_eur.linalg import partial_trace_a, partial_transpose_a, symmetric_eigvals3
 
 from conftest import random_density_matrix, random_hermitian
 
@@ -143,3 +147,103 @@ def test_partial_transpose_rejects_wrong_dim():
     with pytest.raises(ValueError, match="9x9"):
         partial_transpose_a(np.eye(4))
 
+
+
+# the off-diagonal entries (a01, a02, a12) in the order symmetric_eigvals3 takes them
+_PAIRS = np.triu_indices(3, 1)
+_EPS = np.finfo(float).eps
+
+
+def eigvals3(m):
+    """symmetric_eigvals3 of a (T, 3, 3) stack, each row sorted as eigvalsh sorts it."""
+    return np.sort(symmetric_eigvals3(np.diagonal(m, axis1=-2, axis2=-1), m[:, _PAIRS[0], _PAIRS[1]]), axis=-1)
+
+
+@st.composite
+def symmetric_3x3(draw, kinds=("general", "diagonal", "zero", "repeated", "graded")):
+    """A real symmetric 3x3 matrix: general, diagonal, zero, with a repeated eigenvalue, or graded.
+
+    Entries reach 1e-300 to 1e300: the first three kinds take one scale
+    10**e for the whole matrix, a graded one a_ij = m_ij s_i s_j with
+    s_i = 10**e_i, e_i in [-150, 150].
+    """
+    kind = draw(st.sampled_from(kinds))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "zero":
+        return np.zeros((3, 3))
+    if kind == "graded":
+        m = np.array([[draw(unit) for _ in range(3)] for _ in range(3)])
+        s = 10.0 ** np.array([draw(st.integers(-150, 150)) for _ in range(3)])
+        return (m + m.T) * s[:, None] * s[None, :]
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    if kind == "diagonal":
+        return np.diag([draw(unit) for _ in range(3)]) * scale
+    if kind == "repeated":
+        # eigenvalues lam, lam and lam + mu |v|^2
+        lam, mu, v = draw(unit), draw(unit), np.array([draw(unit) for _ in range(3)])
+        return (lam * np.eye(3) + mu * np.outer(v, v)) * scale
+    m = np.array([[draw(unit) for _ in range(3)] for _ in range(3)])
+    return (m + m.T) / 2.0 * scale
+
+
+def within_eps_norm(got, want, norm, ulps):
+    """|got - want| <= ulps eps ||A|| per matrix, plus as many of the smallest subnormal for all-subnormal matrices."""
+    return np.all(np.abs(got - want).max(axis=-1) <= ulps * (_EPS * norm + np.finfo(float).smallest_subnormal))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(symmetric_3x3(("general", "diagonal", "zero", "repeated")), min_size=1, max_size=6))
+def test_symmetric_eigvals3_matches_eigvalsh(matrices):
+    # one batch: each matrix keeps rotating until the slowest one is done
+    m = np.array(matrices)
+    want = np.linalg.eigvalsh(m)
+    assert within_eps_norm(eigvals3(m), want, np.abs(want).max(axis=1), 8.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_3x3(("graded",)))
+def test_symmetric_eigvals3_graded_matches_mpmath(m):
+    # eigvalsh is no oracle here: its eigenvalue-only LAPACK path returns
+    # +-4.0653e196 for a graded matrix whose eigenvalues are +-4.0590e196
+    got = eigvals3(m[None])[0]
+    with mpmath.workdps(50):
+        want = sorted(mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True))
+    want = np.array([float(w) for w in want])
+    assert within_eps_norm(got, want, np.abs(want).max(), 8.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    z=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    delta=st.lists(st.one_of(st.just(0.0), st.floats(1e-18, 1e-8)), min_size=3, max_size=3),
+)
+def test_symmetric_eigvals3_near_rank_one_matches_mpmath(z, delta):
+    # diag(delta) + z z^T, the form of every matrix the sweeps solve (the
+    # coherences are rank one); a closed-form trigonometric solver returned
+    # eigenvalues down to -2.9e-9 here
+    a = np.diag(delta) + np.outer(z, z)
+    got = eigvals3(a[None])[0]
+    with mpmath.workdps(50):
+        want = sorted(mpmath.eigsy(mpmath.matrix(a.tolist()), eigvals_only=True))
+        err = max(abs(mpmath.mpf(g) - w) for g, w in zip(got.tolist(), want))
+        norm = max(abs(w) for w in want)
+    assert err <= 2.0 * _EPS * norm
+    assert got.min() >= -1e-15
+
+
+def test_symmetric_eigvals3_names_the_time_of_a_nan_entry():
+    diag, off = np.ones((4, 3)), np.full((4, 3), 0.1)
+    off[2, 1] = np.nan
+    with pytest.raises(ValueError) as info:
+        symmetric_eigvals3(diag, off, np.array([0.0, 0.5, 1.25, 2.0]), "rho_ab")
+    assert str(info.value) == "rho_ab: 3x3 eigensolve not converged at the cap of 8 Jacobi sweeps at t=1.25"
+
+
+def test_symmetric_eigvals3_names_the_time_at_the_sweep_cap(monkeypatch):
+    # one sweep finishes the diagonal blocks of sample 0 but not the full one of sample 1
+    monkeypatch.setattr(linalg, "JACOBI_SWEEPS", 1)
+    diag = np.array([[[1.0, 2.0, 3.0]] * 2, [[1.0, 2.0, 3.0], [0.3, 0.2, 0.1]]])
+    off = np.array([[[0.0, 0.0, 0.0]] * 2, [[0.0, 0.0, 0.0], [0.1, 0.05, 0.02]]])
+    with pytest.raises(ValueError) as info:
+        symmetric_eigvals3(diag, off, np.array([3.0, 7.0]), "x block")
+    assert str(info.value) == "x block: 3x3 eigensolve not converged at the cap of 1 Jacobi sweeps at t=7"

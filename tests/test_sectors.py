@@ -201,23 +201,30 @@ def test_closed_form_z_spectra_match_eigvalsh(monkeypatch, basis, params, k, ts)
     (lambda: check_uncertainty_inequality(n_draws=200), 200),
 ], ids=["sweep", "inequality"])
 def test_engine_solves_no_matrix_above_3x3(monkeypatch, run, samples):
-    # per sample: the 3x3 sector of rho_AB and the three x blocks; the z
-    # blocks are read off in closed form. Per block: one call for each.
-    sizes, matrices = [], 0
-    eigvalsh = np.linalg.eigvalsh
+    # per sample: the 3x3 sector of rho_AB and the three x blocks, each by the
+    # Jacobi kernel; the z blocks are read off in closed form. Per block: one
+    # kernel call for each, and no LAPACK eigensolve at all.
+    lapack_calls, kernel_calls, matrices = 0, 0, 0
+    eigvalsh, kernel = np.linalg.eigvalsh, entropy.symmetric_eigvals3
 
-    def counting(a, *args, **kwargs):
-        nonlocal matrices
-        sizes.append(a.shape[-1])
-        matrices += int(np.prod(a.shape[:-2]))
-        return eigvalsh(a, *args, **kwargs)
+    def counting_eigvalsh(*args, **kwargs):
+        nonlocal lapack_calls
+        lapack_calls += 1
+        return eigvalsh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    def counting_kernel(diag, off, *args, **kwargs):
+        nonlocal kernel_calls, matrices
+        kernel_calls += 1
+        matrices += int(np.prod(np.shape(diag)[:-1]))
+        return kernel(diag, off, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(entropy, "symmetric_eigvals3", counting_kernel)
     monkeypatch.setattr(experiment, "_BLOCK", 64)
     run()
-    assert sizes and max(sizes) <= 3
+    assert lapack_calls == 0
     assert matrices == 4 * samples
-    assert len(sizes) == 2 * math.ceil(samples / 64)
+    assert kernel_calls == 2 * math.ceil(samples / 64)
 
 
 def records_array(cfg):
