@@ -157,10 +157,10 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     block is [[d0, c], [c, d1]] (+) [d2], c = u0 u1 C[0, 1], with the
     eigenvalues (d0 + d1)/2 +- hypot((d0 - d1)/2, c) and d2. Only the
     {|ii>} sector and the three x blocks need an eigensolve, four 3x3
-    matrices per time: symmetric_eigvals3 takes each kind in one call,
-    from the diagonal D[a, a] or sum_a u_a^2 D[a, b] and the pair entries
-    C[i, j] or u_i u_j C[i, j], and names the first t where a matrix is
-    not done at its sweep cap.
+    matrices per time: symmetric_eigvals3 takes all of them in one call,
+    from the diagonals D[a, a] and sum_a u_a^2 D[a, b] and the pair
+    entries C[i, j] and u_i u_j C[i, j], and names the first t where a
+    matrix is not done at its sweep cap.
 
     g_plus and g_minus are (T,) arrays, k a scalar or one per time, frame
     one (3, 3) O or a stack of one or T of them. Completeness is checked as
@@ -181,22 +181,25 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     pair_pops, pair_coh = pops[:, _PAIR_ROWS, _PAIR_COLS], k[..., 0] / 3.0 * g2[:, _PAIR_ROWS] * g2[:, _PAIR_COLS]
     pop_diag = pops[:, _DIAG, _DIAG]
 
-    w_sector = symmetric_eigvals3(pop_diag, pair_coh, ts, "rho_ab")
-    w_ab = np.concatenate([w_sector, pops[:, _OFF_ROWS, _OFF_COLS]], axis=1)
     w_pt = np.concatenate([pop_diag, pair_pops + pair_coh, pair_pops - pair_coh], axis=1)
 
     # the measured vectors u = O^T v as rows, (..., 6, 3): three x, then three z
     u = _MEASURED_BASES.T @ frame
     diags = (u * u) @ pops
-    x_off = u[..., :3, _PAIR_ROWS] * u[..., :3, _PAIR_COLS] * pair_coh[:, None]
-    w_x = symmetric_eigvals3(diags[:, :3], x_off, ts, "Sx-measured state")
+    # one eigensolve for the {|ii>} sector of rho_AB and the three x blocks, (T, 4, 3)
+    w = symmetric_eigvals3(
+        np.concatenate([pop_diag[:, None], diags[:, :3]], axis=1),
+        np.concatenate([pair_coh[:, None], u[..., :3, _PAIR_ROWS] * u[..., :3, _PAIR_COLS] * pair_coh[:, None]], axis=1),
+        ts, "rho_AB sector or Sx-measured block",
+    )
+    w_ab = np.concatenate([w[:, 0], pops[:, _OFF_ROWS, _OFF_COLS]], axis=1)
     # a z row is a row of O, whose ground entry times each excited one is 0:
     # its block is [[d0, c], [c, d1]] (+) [d2]
     d0, d1, d2 = np.moveaxis(diags[:, 3:], -1, 0)
     c = u[..., 3:, 0] * u[..., 3:, 1] * pair_coh[:, :1]
     mid, radius = (d0 + d1) / 2.0, np.hypot((d0 - d1) / 2.0, c)
     w_z = np.concatenate([mid - radius, mid + radius, d2], axis=1)
-    w_xz = np.stack([w_x.reshape(len(g2), 9), w_z], axis=1)
+    w_xz = np.stack([w[:, 1:].reshape(len(g2), 9), w_z], axis=1)
     return _checked_columns(w_ab, pops.sum(axis=1), w_xz, w_pt, ts)
 
 

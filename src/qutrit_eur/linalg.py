@@ -20,7 +20,7 @@ EIGENVALUE_FLOOR = -1e-10
 # the cap on the sweeps of symmetric_eigvals3; no matrix of the preset sweeps, the
 # long ground-first sweep or 20 seeds of the inequality suite needs more than 4
 JACOBI_SWEEPS = 8
-_EPS = np.finfo(float).eps
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -93,9 +93,9 @@ def _rotation(app, aqq, apq):
     by zero and hypot keeps 4 apq^2 in range. The third row r then takes
     arp -> c arp - s arq and arq -> s arp + c arq.
     """
-    diff = aqq - app
-    denom = np.abs(diff) + np.hypot(diff, 2.0 * apq)
-    t = np.copysign(2.0, diff) * apq / np.where(denom > 0.0, denom, 1.0)
+    diff, twice = aqq - app, 2.0 * apq
+    # the denominator is 0 only with apq = 0; raising it to the least subnormal changes no other value
+    t = twice / np.copysign(np.maximum(np.abs(diff) + np.hypot(diff, twice), _TINY), diff)
     c = 1.0 / np.sqrt(1.0 + t * t)
     shift = t * apq
     return app - shift, aqq + shift, c, t * c

@@ -201,9 +201,9 @@ def test_closed_form_z_spectra_match_eigvalsh(monkeypatch, basis, params, k, ts)
     (lambda: check_uncertainty_inequality(n_draws=200), 200),
 ], ids=["sweep", "inequality"])
 def test_engine_solves_no_matrix_above_3x3(monkeypatch, run, samples):
-    # per sample: the 3x3 sector of rho_AB and the three x blocks, each by the
+    # per sample: the 3x3 sector of rho_AB and the three x blocks, by the
     # Jacobi kernel; the z blocks are read off in closed form. Per block: one
-    # kernel call for each, and no LAPACK eigensolve at all.
+    # kernel call for all four, and no LAPACK eigensolve at all.
     lapack_calls, kernel_calls, matrices = 0, 0, 0
     eigvalsh, kernel = np.linalg.eigvalsh, entropy.symmetric_eigvals3
 
@@ -224,7 +224,7 @@ def test_engine_solves_no_matrix_above_3x3(monkeypatch, run, samples):
     run()
     assert lapack_calls == 0
     assert matrices == 4 * samples
-    assert kernel_calls == 2 * math.ceil(samples / 64)
+    assert kernel_calls == math.ceil(samples / 64)
 
 
 def records_array(cfg):
