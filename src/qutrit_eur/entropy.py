@@ -187,9 +187,10 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     u = _MEASURED_BASES.T @ frame
     diags = (u * u) @ pops
     # one eigensolve for the {|ii>} sector of rho_AB and the three x blocks, (T, 4, 3)
+    x_off = u[..., :3, _PAIR_ROWS] * u[..., :3, _PAIR_COLS] * pair_coh[:, None]
     w = symmetric_eigvals3(
         np.concatenate([pop_diag[:, None], diags[:, :3]], axis=1),
-        np.concatenate([pair_coh[:, None], u[..., :3, _PAIR_ROWS] * u[..., :3, _PAIR_COLS] * pair_coh[:, None]], axis=1),
+        np.concatenate([pair_coh[:, None], x_off], axis=1),
         ts, "rho_AB sector or Sx-measured block",
     )
     w_ab = np.concatenate([w[:, 0], pops[:, _OFF_ROWS, _OFF_COLS]], axis=1)

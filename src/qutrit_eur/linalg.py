@@ -8,6 +8,8 @@ factor; every composite operation in this package assumes that layout.
 A stack of matrices carries the sample axis first, (T, n, n); the
 ``require_*`` checks on stacks name the first failing sample, and
 require_state_spectrum checks eigenvalue rows however they were found.
+symmetric_eigvals3 finds those of batches of real symmetric 3x3 matrices
+by Jacobi rotations, with no LAPACK call.
 """
 
 from __future__ import annotations
@@ -89,12 +91,12 @@ def _rotation(app, aqq, apq):
     """The Jacobi rotation of the (p, q) plane that zeroes apq: the new app and aqq, then c and s.
 
     t = tan of the angle is the root of t^2 + t (aqq - app)/apq = 1 of
-    modulus at most 1, written so that apq = 0 gives t = 0 with no division
-    by zero and hypot keeps 4 apq^2 in range. The third row r then takes
-    arp -> c arp - s arq and arq -> s arp + c arq.
+    modulus at most 1, and hypot keeps 4 apq^2 in range. Its denominator
+    is 0 only where apq = 0 too; raised to the least subnormal, which
+    changes no other value, it gives t = 0 there with no division by zero.
+    The third row r then takes arp -> c arp - s arq and arq -> s arp + c arq.
     """
     diff, twice = aqq - app, 2.0 * apq
-    # the denominator is 0 only with apq = 0; raising it to the least subnormal changes no other value
     t = twice / np.copysign(np.maximum(np.abs(diff) + np.hypot(diff, twice), _TINY), diff)
     c = 1.0 / np.sqrt(1.0 + t * t)
     shift = t * apq
@@ -106,13 +108,13 @@ def symmetric_eigvals3(diag, off, ts=None, name: str = "matrix") -> np.ndarray:
 
     diag holds the entries (a00, a11, a22) and off (a01, a02, a12) along
     the last axis of two arrays of one shape, the sample axis first; the
-    eigenvalues come back in that shape, three along the last axis. Each sweep rotates the
-    planes (0, 1), (0, 2), (1, 2) of all matrices at once. A matrix is done
-    when every |apq| <= eps max(|app|, |aqq|); dropping those entries moves
-    no eigenvalue by more than sqrt(6) eps ||A||. The rotations are orthogonal, so
-    the result is backward stable, with no characteristic-polynomial
-    cancellation (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204
-    (1992)). A matrix not done after JACOBI_SWEEPS sweeps, a NaN entry
+    eigenvalues come back in that shape, three along the last axis. Each
+    sweep rotates the planes (0, 1), (0, 2), (1, 2) of all matrices at
+    once. A matrix is done when every |apq| <= eps max(|app|, |aqq|);
+    dropping those entries moves no eigenvalue by more than
+    sqrt(6) eps ||A||. The rotations are orthogonal, so the result is
+    backward stable, with no characteristic-polynomial cancellation
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). A matrix not done after JACOBI_SWEEPS sweeps, a NaN entry
     included, is a SampleError naming its sample, with its time when ts
     is given.
     """

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qutrit_eur import linalg
+from qutrit_eur.experiment import figure_preset, run_sweep
 from qutrit_eur.linalg import partial_trace_a, partial_transpose_a, symmetric_eigvals3
 
 from conftest import random_density_matrix, random_hermitian
@@ -163,9 +164,9 @@ def eigvals3(m):
 def symmetric_3x3(draw, kinds=("general", "diagonal", "zero", "repeated", "graded")):
     """A real symmetric 3x3 matrix: general, diagonal, zero, with a repeated eigenvalue, or graded.
 
-    Entries reach 1e-300 to 1e300: the first three kinds take one scale
-    10**e for the whole matrix, a graded one a_ij = m_ij s_i s_j with
-    s_i = 10**e_i, e_i in [-150, 150].
+    Entries reach 1e-300 to 1e300: a general, diagonal or repeated one
+    takes one scale 10**e, e in [-300, 300], for the whole matrix, a graded
+    one a_ij = m_ij s_i s_j with s_i = 10**e_i, e_i in [-150, 150].
     """
     kind = draw(st.sampled_from(kinds))
     unit = st.floats(-1.0, 1.0)
@@ -247,3 +248,10 @@ def test_symmetric_eigvals3_names_the_time_at_the_sweep_cap(monkeypatch):
     with pytest.raises(ValueError) as info:
         symmetric_eigvals3(diag, off, np.array([3.0, 7.0]), "x block")
     assert str(info.value) == "x block: 3x3 eigensolve not converged at the cap of 1 Jacobi sweeps at t=7"
+    # through a sweep: with SGI one sweep is enough at t = 0, not at the next sample
+    with pytest.raises(ValueError) as info:
+        run_sweep(figure_preset("fig3b"))
+    assert str(info.value) == (
+        "rho_AB sector or Sx-measured block: 3x3 eigensolve not converged at the cap of 1 Jacobi sweeps "
+        "at t=0.125026047093 (sweep gamma1=1 gamma2=1 theta=1 lambda=0.001 k=0.4 t_max=600 steps=4800 basis=kraus-order)"
+    )
