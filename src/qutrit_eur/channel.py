@@ -17,15 +17,16 @@ which is monotone for lam >> gamma (Markovian regime) and oscillatory for
 lam < 2*gamma (strong-coupling, non-Markovian regime). The channel is the
 three-operator Kraus map assembled from the two branch amplitudes.
 
-Basis convention: computational index 0 and 1 are the two excited levels,
-index 2 is the ground level. Rates are in units of the bare decay rate
-gamma, times in units of 1/gamma.
+The channel speaks one basis: computational index 0 and 1 are the two
+excited levels, index 2 is the ground level. Which level carries which
+spin-1 eigenvalue is a choice of the measurement, so a sweep's basis
+convention is a row order of the frame, applied in experiment.run_sweep.
+Rates are in units of the bare decay rate gamma, times in units of 1/gamma.
 
 The kernels work on a time axis: ``dressed_amplitudes`` gives both branch
 amplitudes of a whole block of times with the real orthogonal frame O
-that maps the dressed levels (plus branch, minus branch, ground) to
-computational indices, and ``dressed_kraus`` adds the Kraus tensor in
-that basis, five nonzero entries per time. The sweep and the inequality
+of the dressed levels, and ``dressed_kraus`` adds the dressed Kraus
+tensor, five nonzero entries per time. The sweep and the inequality
 suite need only the amplitudes and O: the evolved isotropic state is
 closed form in them (entropy.evolved_isotropic_columns), so no state is
 evolved on their path. Where a state is evolved, it is by the definition
@@ -40,11 +41,12 @@ come from one array derivation over its field columns.
 ``decoherence_factors`` and its RK4 oracle ``decoherence_factors_ode``
 take the parameters the same way and return both branch amplitudes
 (G_plus, G_minus) at every time. The times are checked once, with the
-parameters: one-dimensional, finite and nonnegative. ``kraus_set``
-rotates the T = 1 dressed tensor into the real (3, 3, 3) computational
-triple O K O^T. ``apply_channel`` applies any complete (3, 3, 3) triple
-as the T = 1 case of that sum, and ``apply_product_channel`` takes the
-same sum on qutrit A and then on qutrit B of a 9x9 state.
+parameters: ints or floats, one-dimensional, finite and nonnegative.
+``kraus_set`` rotates the T = 1 dressed tensor into the real (3, 3, 3)
+computational triple O K O^T. ``apply_channel`` applies any complete
+(3, 3, 3) triple as the T = 1 case of that sum, and
+``apply_product_channel`` takes the same sum on qutrit A and then on
+qutrit B of a 9x9 state.
 """
 
 from __future__ import annotations
@@ -54,11 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_inexact, require_density_matrix, require_samples
+from .linalg import as_inexact, as_real, require_density_matrix, require_samples
 
 COMPLETENESS_ATOL = 1e-10
-# computational indices of (excited 1, excited 2, ground) per basis convention
-LEVEL_ORDERS = {"kraus-order": (0, 1, 2), "ground-first": (1, 2, 0)}
 _REAL_SCALARS = (int, float, np.integer, np.floating)
 _FIELDS = ("gamma1", "gamma2", "theta", "lam")
 _FIELD_RULES = ("be positive and finite",) * 2 + ("lie in [-1, 1]", "be positive and finite")
@@ -264,13 +264,14 @@ def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
 def _channel_inputs(p: ChannelParams | np.ndarray, ts) -> tuple:
     """The checked times, then the arrays lam, gamma_plus, gamma_minus, a, b, one entry per row of p.
 
-    ts must be one-dimensional, with every time finite and nonnegative. p
+    ts must be a one-dimensional array of ints or floats, every time
+    finite and nonnegative. p
     is one ChannelParams for every time, checked when built, or a real
     (T, 4) array of rows (gamma1, gamma2, theta, lam), one per time. Else
     a ValueError names the shape, the first failing t, the expected form
     of p or both lengths, and a SampleError the first bad row's first bad field.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = as_real(ts, "ts")
     if ts.ndim != 1:
         raise ValueError(f"ts must be a one-dimensional array of times, got shape {ts.shape}")
     require_samples(
@@ -317,43 +318,29 @@ _DRESSED_OPS, _DRESSED_ROWS, _DRESSED_COLS = np.array(
 ).T
 
 
-def dressed_frame(a, b, levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"]) -> np.ndarray:
-    """The real orthogonal O whose columns are the dressed levels in computational indices.
-
-    Column 0 is the plus branch (a, -b) and column 1 the minus branch
-    (b, a) over (excited 1, excited 2); column 2 is the ground level.
-    levels gives the computational indices of (excited 1, excited 2,
-    ground), so a basis convention is a placement of these entries. Floats
-    give one (3, 3) frame, arrays a (T, 3, 3) stack.
-    """
-    e1, e2, g = levels
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    frame = np.zeros(a.shape + (3, 3))
-    frame[..., e1, 0], frame[..., e2, 0] = a, -b
-    frame[..., e1, 1], frame[..., e2, 1] = b, a
-    frame[..., g, 2] = 1.0
-    return frame
-
-
 def dressed_amplitudes(
     p: ChannelParams | np.ndarray,
     ts: np.ndarray,
-    levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frame O of dressed_frame and both branch amplitudes G_plus(t), G_minus(t): dressed_kraus without its tensor.
+    """The dressed frames O and both branch amplitudes G_plus(t), G_minus(t): dressed_kraus without its tensor.
 
     p is one ChannelParams for the whole axis or a (T, 4) array of field
-    rows, one per time, as _channel_inputs checks them with ts. The frames
-    are a stack of one (3, 3) O per row of p.
+    rows, one per time, as _channel_inputs checks them with ts. O is real
+    orthogonal, one (3, 3) frame per row of p: its columns are the dressed
+    levels in computational indices, the plus branch (a, -b) and the minus
+    branch (b, a) over (excited 1, excited 2), then the ground level.
     """
     ts, lam, rate_plus, rate_minus, a, b = _channel_inputs(p, ts)
-    return dressed_frame(a, b, levels), _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
+    frame = np.zeros(a.shape + (3, 3))
+    frame[:, 0, 0], frame[:, 1, 0] = a, -b
+    frame[:, 0, 1], frame[:, 1, 1] = b, a
+    frame[:, 2, 2] = 1.0
+    return frame, _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
 
 
 def dressed_kraus(
     p: ChannelParams | np.ndarray,
     ts: np.ndarray,
-    levels: tuple[int, int, int] = LEVEL_ORDERS["kraus-order"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Kraus tensor in the dressed basis at every time of ts, its frame and both branch amplitudes.
 
@@ -365,7 +352,7 @@ def dressed_kraus(
     dressed_amplitudes. Returns the real (T, 3, 3, 3) tensor, then the
     frame and the amplitudes of dressed_amplitudes.
     """
-    frame, g_plus, g_minus = dressed_amplitudes(p, ts, levels)
+    frame, g_plus, g_minus = dressed_amplitudes(p, ts)
     w_plus, w_minus = (np.sqrt(np.maximum(0.0, 1.0 - g * g)) for g in (g_plus, g_minus))
     dressed = np.zeros((len(g_plus), 3, 3, 3))
     dressed[:, _DRESSED_OPS, _DRESSED_ROWS, _DRESSED_COLS] = np.stack(
@@ -380,7 +367,7 @@ def kraus_set(p: ChannelParams, t: float) -> np.ndarray:
     K_1 carries G+ a^2 + G- b^2 and (G- - G+) a b on the excited levels,
     K_2 and K_3 the ground rows W+ (a, -b) and W- (b, a).
     """
-    ts = np.array([t], dtype=float)
+    ts = as_real([t], "t")
     dressed, (frame,), _, _ = dressed_kraus(p, ts)
     # one einsum, not O @ K @ O^T: a fused multiply-add would leave round-off
     # of 1e-17 where the rotation cancels to an exact 0

@@ -30,6 +30,7 @@ import numpy as np
 from .channel import require_completeness
 from .linalg import (
     as_inexact,
+    as_real,
     partial_trace_a,
     partial_transpose_a,
     require_hermitian_stack,
@@ -163,15 +164,23 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     matrix is not done at its sweep cap.
 
     g_plus and g_minus are (T,) arrays, k a scalar or one per time, frame
-    one (3, 3) O or a stack of one or T of them. Completeness is checked as
+    one (3, 3) O or a stack of one or T of them. A k that is not an int or
+    a float, or lies outside [0, 1], is a ValueError, naming the first
+    failing t when k is given per time. Completeness is checked as
     G+-^2 - 1 <= 1e-10, which is the deviation max|sum K^dag K - I| of the
     dressed tensor: W = sqrt(max(0, 1 - G^2)) clamps to 0 and would hide
     any |G| > 1. The other checks are those of _checked_columns; each
     names the first failing t.
     """
+    k = as_real(k, "k")
+    per_time = np.atleast_1d(k)
+    require_samples(
+        (0.0 <= per_time) & (per_time <= 1.0), ts if k.ndim else None,
+        lambda i: f"k must lie in [0, 1], got {per_time[i]}",
+    )
     g2 = np.stack(np.broadcast_arrays(g_plus * g_plus, g_minus * g_minus, 1.0), axis=-1)
     require_completeness(np.maximum(0.0, g2.max(axis=-1) - 1.0), ts)
-    k = np.asarray(k, dtype=float)[..., None, None]
+    k = k[..., None, None]
     # P[i, a], the populations of Phi(|i><i|): each branch keeps G^2 and feeds W^2 to ground
     images = g2[:, :, None] * np.eye(3)
     images[:, :2, 2] = np.maximum(0.0, 1.0 - g2[:, :2])

@@ -6,13 +6,14 @@ relation, the negativity, and the two branch amplitudes at every sample.
 The grid is processed in fixed blocks of samples, each through the array
 kernels of the channel and entropy modules. A block takes the branch
 amplitudes and the dressed frame O of the channel (plus branch, minus
-branch, ground), which leaves the isotropic input unchanged; there the
+branch, ground), with its rows in the computational order of the sweep's
+basis convention, which leaves the isotropic input unchanged; there the
 evolved state is closed form in (G+^2, G-^2, k), and
 entropy.evolved_isotropic_columns reads every spectrum off its entries,
 with no 9x9 state and no eigensolve larger than 3x3. The x/z measurement
 runs along u = O^T v. The inequality suite does the same with one frame
-per draw. Neither checks k again: SweepConfig accepts only k in [0, 1],
-and the suite draws it there.
+per draw. The kernel checks k in [0, 1] itself, as SweepConfig does, so
+a k outside it names itself rather than a broken spectrum.
 
 The fig2*/fig3*/fig4* presets pin the parameter sets behind the reference
 curves this package reproduces. The printed spectral width of the
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .channel import (
-    LEVEL_ORDERS,
+    COMPLETENESS_ATOL,
     ChannelParams,
     decoherence_factors,
     decoherence_factors_ode,
@@ -44,9 +45,12 @@ from .channel import (
     require_real_fields,
 )
 from .entropy import BERTA_ATOL, evolved_isotropic_columns
-from .linalg import SampleError, hermitian_part, require_density_stack
+from .linalg import EIGENVALUE_FLOOR, TRACE_ATOL, SampleError, hermitian_part, require_density_stack
 
-BASIS_CONVENTIONS = tuple(LEVEL_ORDERS)
+# the rows of the channel's frame in the order of each basis convention's
+# computational indices: ground-first puts the ground level at index 0
+BASIS_ROWS = {"kraus-order": [0, 1, 2], "ground-first": [2, 0, 1]}
+BASIS_CONVENTIONS = tuple(BASIS_ROWS)
 CSV_HEADER = "t_gamma,u_l,u_b,s_xb,s_zb,negativity,g_plus,g_minus"
 # the rows of a sweep: one float64 field per CSV column, in header order
 SWEEP_DTYPE = np.dtype([(name, np.float64) for name in CSV_HEADER.split(",")])
@@ -118,17 +122,18 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
 
     Returns one SWEEP_DTYPE record array, read by column (rows.u_l) or
     by row (rows[i].u_l). Each block is evaluated in closed form in the
-    dressed frame and measured along the rotated x/z vectors (module
+    dressed frame, its rows in the order of the basis convention
+    (BASIS_ROWS), and measured along the rotated x/z vectors (module
     docstring), then written into its slice of the rows. A failing check
     names the first failing t and the sweep parameters.
     """
-    levels = LEVEL_ORDERS[cfg.basis]
     rows = np.recarray(cfg.steps, dtype=SWEEP_DTYPE)
     for start in range(0, cfg.steps, _BLOCK):
         block = rows[start : start + _BLOCK]
         ts = np.arange(start, start + len(block)) * cfg.t_max / (cfg.steps - 1)
         try:
-            frame, g_plus, g_minus = dressed_amplitudes(cfg.channel, ts, levels)
+            frame, g_plus, g_minus = dressed_amplitudes(cfg.channel, ts)
+            frame = frame[:, BASIS_ROWS[cfg.basis]]
             cols = evolved_isotropic_columns(g_plus, g_minus, cfg.k, frame, ts)
         except ValueError as exc:
             raise ValueError(f"{exc} (sweep {canonical_params(cfg)})") from exc
@@ -355,7 +360,7 @@ def check_cptp(n_draws: int = 1000, seed: int = 20240811) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     complete, trace, dip = _evaluate_draws(_cptp_block, *_cptp_draws(rng, n_draws))
     worst_complete, worst_trace, worst_eig = float(complete.max()), float(trace.max()), float(max(dip.max(), 0.0))
-    ok = worst_complete <= 1e-10 and worst_trace <= 1e-12 and worst_eig <= 1e-10
+    ok = worst_complete <= COMPLETENESS_ATOL and worst_trace <= TRACE_ATOL and worst_eig <= -EIGENVALUE_FLOOR
     detail = (
         f"{n_draws} draws: completeness {worst_complete:.2e}, "
         f"trace drift {worst_trace:.2e}, eigenvalue dip {worst_eig:.2e}"

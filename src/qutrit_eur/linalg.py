@@ -148,6 +148,19 @@ def as_inexact(m) -> np.ndarray:
     return m.astype(np.result_type(m, np.float64), copy=False)
 
 
+def as_real(values, name: str) -> np.ndarray:
+    """values as a float64 array, or a ValueError naming name unless they are ints or floats.
+
+    Python and numpy ints and floats pass, alone or in lists and arrays.
+    A bool, a string, None or a complex number is rejected before numpy
+    would read it as a number, drop its imaginary part or make it a NaN.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real (ints or floats), got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def require_density_matrix(rho: np.ndarray, n: int, name: str = "rho") -> np.ndarray:
     """Validate an n x n density matrix (Hermitian, eigenvalues >= -1e-10, unit trace).
 

@@ -16,16 +16,18 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import as_real
+
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def isotropic_state(k) -> np.ndarray:
     """Isotropic two-qutrit state (1-k)/9 * I + k |psi+><psi+|; an array of k gives a stack of them.
 
-    The state is real, so it comes back as float64. Any k outside [0, 1]
-    is a ValueError.
+    The state is real, so it comes back as float64. A k that is not an
+    int or a float, or lies outside [0, 1], is a ValueError.
     """
-    k = np.asarray(k, dtype=float)
+    k = as_real(k, "k")
     if not np.all((0.0 <= k) & (k <= 1.0)):
         raise ValueError(f"k must lie in [0, 1], got {k}")
     k = k[..., None, None]

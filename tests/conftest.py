@@ -64,7 +64,12 @@ def reference_inequality_draws(rng, n):
     return draws
 
 
-def computational_kraus(a, b, g_plus, g_minus, levels=(0, 1, 2)):
+# computational indices of (excited 1, excited 2, ground) per basis convention:
+# the reference for the sweep's frame row order, experiment.BASIS_ROWS
+REFERENCE_LEVELS = {"kraus-order": (0, 1, 2), "ground-first": (1, 2, 0)}
+
+
+def computational_kraus(a, b, g_plus, g_minus, levels=REFERENCE_LEVELS["kraus-order"]):
     """The Kraus triple in computational indices, written entry by entry from its closed form.
 
     K_1 carries G+ a^2 + G- b^2, G+ b^2 + G- a^2 and (G- - G+) a b on the

@@ -1,6 +1,7 @@
 """Tests for the V-type damping channel and its decoherence amplitudes."""
 
 import dataclasses
+import fractions
 import math
 import re
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qutrit_eur.channel import (
-    LEVEL_ORDERS,
     ChannelParams,
     apply_channel,
     apply_product_channel,
@@ -24,12 +24,19 @@ from qutrit_eur.channel import (
     kraus_set,
     require_complete,
 )
-from qutrit_eur.experiment import SweepConfig, oracle_grid
+from qutrit_eur.experiment import BASIS_CONVENTIONS, BASIS_ROWS, SweepConfig, oracle_grid
 from qutrit_eur.linalg import SampleError
 from qutrit_eur.entropy import eur_sample
 from qutrit_eur.states_obs import isotropic_state
 
-from conftest import as_fields, computational_kraus, random_density_matrix, random_params, random_unitary
+from conftest import (
+    REFERENCE_LEVELS,
+    as_fields,
+    computational_kraus,
+    random_density_matrix,
+    random_params,
+    random_unitary,
+)
 
 SYMMETRIC_NO_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
 SYMMETRIC_FULL_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=0.001)
@@ -382,6 +389,36 @@ def test_g_rejects_negative_time():
         decoherence_factors_ode(SYMMETRIC_NO_SGI, [-0.1])
 
 
+# numpy reads each of these as a number unless told not to: a string or a
+# bool converts, a complex number loses its imaginary part with only a
+# ComplexWarning, and None becomes a NaN
+@pytest.mark.parametrize(
+    "value", ["0.5", True, 0.5 + 0j, None, fractions.Fraction(1, 2)],
+    ids=["str", "bool", "complex", "none", "fraction"],
+)
+def test_times_and_k_must_be_ints_or_floats(value):
+    # alone, in a list and as an array: the complex array, and the object
+    # arrays of None and of a Fraction
+    for ts in ([value], np.array([value])):
+        for factors in (decoherence_factors, decoherence_factors_ode):
+            with pytest.raises(ValueError, match=r"^ts must be real \(ints or floats\), got dtype "):
+                factors(SYMMETRIC_NO_SGI, ts)
+    with pytest.raises(ValueError, match=r"^t must be real \(ints or floats\), got dtype "):
+        kraus_set(SYMMETRIC_NO_SGI, value)
+    for k in (value, np.array([value, value])):
+        with pytest.raises(ValueError, match=r"^k must be real \(ints or floats\), got dtype "):
+            isotropic_state(k)
+
+
+def test_times_and_k_take_python_and_numpy_ints_and_floats():
+    want = decoherence_factors(SYMMETRIC_NO_SGI, np.array([0.0, 0.5, 2.0]))
+    got = decoherence_factors(SYMMETRIC_NO_SGI, [0, np.float32(0.5), np.int64(2)])
+    assert np.array_equal(np.array(got), np.array(want))
+    assert np.array_equal(kraus_set(SYMMETRIC_NO_SGI, np.int64(2)), kraus_set(SYMMETRIC_NO_SGI, 2.0))
+    assert np.array_equal(isotropic_state(np.float32(0.5)), isotropic_state(0.5))
+    assert np.array_equal(isotropic_state(1), isotropic_state(1.0))
+
+
 def test_g_overflow_raises_value_error_naming_inputs():
     # d + lam overflows to inf, so the closed form yields NaN already at t = 0
     p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e308)
@@ -564,8 +601,7 @@ def test_kraus_completeness_random():
         assert_allclose(acc, np.eye(3), atol=1e-10)
 
 
-@pytest.mark.parametrize("levels", [(0, 1, 2), (1, 2, 0)])
-def test_dressed_kraus_per_draw_params_match_single_calls(levels):
+def test_dressed_kraus_per_draw_params_match_single_calls():
     rng = np.random.default_rng(103)
     params = [random_params(rng) for _ in range(40)]
     # include exact degeneracy (q = 0) and exact critical damping (d = 0)
@@ -574,9 +610,9 @@ def test_dressed_kraus_per_draw_params_match_single_calls(levels):
     fits = [max(g1, g2) <= 1e300 for g1, g2, _ in HUGE_RATES]
     params += [ChannelParams(g1, g2, theta, 1.0) for (g1, g2, theta), ok in zip(HUGE_RATES, fits) if ok]
     ts = rng.uniform(0.0, 50.0, len(params))
-    dressed, frames, g_plus, g_minus = dressed_kraus(as_fields(params), ts, levels)
+    dressed, frames, g_plus, g_minus = dressed_kraus(as_fields(params), ts)
     for i, (p, t) in enumerate(zip(params, ts)):
-        d, frame, gp, gm = dressed_kraus(p, ts[i:i + 1], levels)
+        d, frame, gp, gm = dressed_kraus(p, ts[i:i + 1])
         assert np.max(np.abs(dressed[i] - d[0])) <= 1e-15
         assert np.max(np.abs(frames[i] - frame)) <= 1e-15
         assert abs(g_plus[i] - gp[0]) <= 1e-15 and abs(g_minus[i] - gm[0]) <= 1e-15
@@ -584,18 +620,18 @@ def test_dressed_kraus_per_draw_params_match_single_calls(levels):
     for g1, g2, theta in (case for case, ok in zip(HUGE_RATES, fits) if not ok):
         p = ChannelParams(g1, g2, theta, 1.0)
         with pytest.raises(ValueError, match="branch rate") as single:
-            dressed_kraus(p, ts[:1], levels)
+            dressed_kraus(p, ts[:1])
         with pytest.raises(ValueError) as batch:
-            dressed_kraus(as_fields([*params, p]), np.append(ts, ts[0]), levels)
+            dressed_kraus(as_fields([*params, p]), np.append(ts, ts[0]))
         assert str(batch.value) == str(single.value)
 
 
-@pytest.mark.parametrize("basis", list(LEVEL_ORDERS))
+@pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
 def test_dressed_kraus_rotates_into_the_computational_triple(basis):
     rng = np.random.default_rng(109)
     params = [random_params(rng) for _ in range(30)] + [SYMMETRIC_NO_SGI, SYMMETRIC_FULL_SGI]
     ts = rng.uniform(0.0, 50.0, len(params))
-    dressed, frame, g_plus, g_minus = dressed_kraus(as_fields(params), ts, LEVEL_ORDERS[basis])
+    dressed, frame, g_plus, g_minus = dressed_kraus(as_fields(params), ts)
     assert dressed.dtype == frame.dtype == np.float64
     # K_1 = diag(G+, G-, 1), K_2 = W+|g><+|, K_3 = W-|g><-|: five entries per time
     assert np.all(np.count_nonzero(dressed, axis=(1, 2, 3)) <= 5)
@@ -603,11 +639,11 @@ def test_dressed_kraus_rotates_into_the_computational_triple(basis):
     require_complete(dressed, ts)
     assert np.max(np.abs(frame @ frame.swapaxes(1, 2) - np.eye(3))) <= 1e-15
     a, b = np.array([(derive_params(p).a, derive_params(p).b) for p in params]).T
-    want = computational_kraus(a, b, g_plus, g_minus, LEVEL_ORDERS[basis])
+    want = computational_kraus(a, b, g_plus, g_minus, REFERENCE_LEVELS[basis])
+    # the basis as the sweep applies it, a row order of the kraus-order frame
+    frame = frame[:, BASIS_ROWS[basis]]
     rotated = frame[:, None] @ dressed @ frame[:, None].swapaxes(-1, -2)
     assert np.max(np.abs(rotated - want)) <= 1e-15
-    # the ground level of the basis convention is the third column of O
-    assert np.all(frame[:, LEVEL_ORDERS[basis][2], 2] == 1.0)
 
 
 def test_kraus_set_matches_the_computational_triple():

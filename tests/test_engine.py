@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from qutrit_eur import channel, entropy, experiment
 from qutrit_eur.channel import (
-    LEVEL_ORDERS,
     ChannelParams,
     apply_product_channel,
     derive_params,
@@ -29,14 +28,12 @@ from qutrit_eur.channel import (
     require_complete,
 )
 from qutrit_eur.entropy import eur_columns, eur_sample, evolved_isotropic_columns
-from qutrit_eur.experiment import SweepConfig, check_uncertainty_inequality, run_sweep
+from qutrit_eur.experiment import BASIS_ROWS, SweepConfig, check_uncertainty_inequality, run_sweep
 from qutrit_eur.states_obs import isotropic_state
 
-from conftest import computational_kraus, reference_eur
+from conftest import REFERENCE_LEVELS, computational_kraus, reference_eur
 
 COLUMNS = ("t_gamma", "u_l", "u_b", "s_xb", "s_zb", "negativity", "g_plus", "g_minus")
-# computational indices of (excited 1, excited 2, ground) per basis convention
-REFERENCE_LEVELS = {"kraus-order": (0, 1, 2), "ground-first": (1, 2, 0)}
 MONOTONE_LAM, OSCILLATORY_LAM = 5.0, 0.01
 
 
@@ -132,8 +129,9 @@ def test_scalar_functions_reproduce_sweep_rows():
 def test_closed_form_kernel_matches_dense_reference(gamma1, gamma2, theta, log_lam, k, t, basis):
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
     ts = np.array([t])
-    frame, g_plus, g_minus = dressed_amplitudes(p, ts, LEVEL_ORDERS[basis])
-    got = evolved_isotropic_columns(g_plus, g_minus, k, frame, ts)
+    frame, g_plus, g_minus = dressed_amplitudes(p, ts)
+    # the basis as the sweep applies it, a row order of the kraus-order frame
+    got = evolved_isotropic_columns(g_plus, g_minus, k, frame[:, BASIS_ROWS[basis]], ts)
     # kraus_set is in kraus-order indices: entry i of the basis reads kraus-order index source[i]
     source = np.argsort(REFERENCE_LEVELS[basis])
     ops = kraus_set(p, t)[:, source][:, :, source]

@@ -13,6 +13,7 @@ C (entropy.evolved_isotropic_columns) and measure along u = O^T v.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutrit_eur.channel import (
-    LEVEL_ORDERS,
     ChannelParams,
     apply_product_channel,
     derive_params,
@@ -31,6 +31,7 @@ from qutrit_eur import entropy, experiment
 from qutrit_eur.entropy import _MEASURED_BASES, eur_columns, evolved_isotropic_columns
 from qutrit_eur.experiment import (
     BASIS_CONVENTIONS,
+    BASIS_ROWS,
     PRESET_NAMES,
     SweepConfig,
     check_uncertainty_inequality,
@@ -40,7 +41,7 @@ from qutrit_eur.experiment import (
 from qutrit_eur.linalg import partial_trace_a, partial_transpose_a
 from qutrit_eur.states_obs import conditional_blocks, isotropic_state, spin1_observable
 
-from conftest import as_fields, computational_kraus
+from conftest import REFERENCE_LEVELS, as_fields, computational_kraus
 
 # unequal rates with partial SGI: both mixing amplitudes are nonzero and a != b
 MIXED = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
@@ -55,7 +56,7 @@ def evolved(kraus, k=0.6):
     return np.array([apply_product_channel(isotropic_state(k), ops) for ops in kraus])
 
 
-def computational_block(levels=LEVEL_ORDERS["kraus-order"]):
+def computational_block(levels=REFERENCE_LEVELS["kraus-order"]):
     """The Kraus triple of MIXED at every time of TS in computational indices, from its closed form."""
     _, _, g_plus, g_minus = dressed_kraus(MIXED, TS)
     d = derive_params(MIXED)
@@ -90,12 +91,13 @@ def assert_closed_form(rho, g_plus, g_minus, k):
 @pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
 def test_dressed_frame_block_sectors(basis):
     # one ChannelParams gives a stack of one frame
-    dressed, (frame,), g_plus, g_minus = dressed_kraus(MIXED, TS, LEVEL_ORDERS[basis])
+    dressed, (frame,), g_plus, g_minus = dressed_kraus(MIXED, TS)
     rho_d = evolved(dressed)
     assert_closed_form(rho_d, g_plus, g_minus, 0.6)
-    # the dressed block is the computational one seen in the frame O (x) O
-    rho = evolved(computational_block(LEVEL_ORDERS[basis]))
-    both = np.kron(frame, frame)
+    # the dressed block is the computational one seen in the frame O (x) O,
+    # its rows in the basis's order as the sweep takes them
+    rho = evolved(computational_block(REFERENCE_LEVELS[basis]))
+    both = np.kron(frame[BASIS_ROWS[basis]], frame[BASIS_ROWS[basis]])
     assert np.max(np.abs(both @ rho_d @ both.T - rho)) <= 1e-15
 
 
@@ -124,12 +126,12 @@ def test_complex_state_keeps_complex_arithmetic():
     theta=st.floats(-1.0, 1.0).filter(lambda x: x != 0.0),
     log_lam=st.floats(-3.0, 3.0),
     k=st.floats(0.05, 1.0),
-    basis=st.sampled_from(BASIS_CONVENTIONS),
 )
-def test_dressed_frame_sector_sizes(gamma1, gamma2, theta, log_lam, k, basis):
-    # the structure comes from the physics, not from an index table in the engine
+def test_dressed_frame_sector_sizes(gamma1, gamma2, theta, log_lam, k):
+    # the structure comes from the physics, not from an index table in the
+    # engine; the dressed tensor has no basis convention, only its frame does
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
-    dressed, _, g_plus, g_minus = dressed_kraus(p, TS[::8], LEVEL_ORDERS[basis])
+    dressed, _, g_plus, g_minus = dressed_kraus(p, TS[::8])
     assert_closed_form(evolved(dressed, k), g_plus, g_minus, k)
 
 
@@ -144,12 +146,52 @@ def test_z_rows_never_mix_ground_and_excited(draws, basis):
     # u = O^T e_j is a row of O, and O never mixes the ground level with the
     # excited ones, so each z block is a 2x2 block plus one diagonal entry
     params = [ChannelParams(gamma1=g1, gamma2=g2, theta=theta, lam=1.0) for g1, g2, theta in draws]
-    levels = LEVEL_ORDERS[basis]
-    frames = dressed_amplitudes(as_fields(params), np.zeros(len(params)), levels)[0]
-    one = dressed_amplitudes(params[0], np.zeros(1), levels)[0]
-    for frame in (frames, one):
+    frames = dressed_amplitudes(as_fields(params), np.zeros(len(params)))[0]
+    one = dressed_amplitudes(params[0], np.zeros(1))[0]
+    for frame in (frames[:, BASIS_ROWS[basis]], one[:, BASIS_ROWS[basis]]):
         z_rows = (_MEASURED_BASES.T @ frame)[..., 3:, :]
         assert np.all(z_rows[..., 2:] * z_rows[..., :2] == 0.0)
+
+
+@pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
+def test_sweep_frame_rows_follow_the_basis_convention(monkeypatch, basis):
+    # the sweep measures in the channel's kraus-order frame with its rows
+    # reordered: level j of (excited 1, excited 2, ground) sits in row
+    # REFERENCE_LEVELS[basis][j], bit for bit
+    frames = []
+    kernel = experiment.evolved_isotropic_columns
+
+    def recording(g_plus, g_minus, k, frame, ts):
+        frames.append(frame)
+        return kernel(g_plus, g_minus, k, frame, ts)
+
+    monkeypatch.setattr(experiment, "evolved_isotropic_columns", recording)
+    monkeypatch.setattr(experiment, "_BLOCK", 64)
+    run_sweep(SweepConfig(MIXED, k=0.8, t_max=600.0, steps=100, basis=basis))
+    channel_frame = dressed_amplitudes(MIXED, TS[:1])[0]
+    levels = list(REFERENCE_LEVELS[basis])
+    assert len(frames) == 2
+    for frame in frames:
+        assert np.array_equal(frame[:, levels], channel_frame)
+        # the ground level of the basis convention is the third column of O
+        assert np.all(frame[:, levels[2], 2] == 1.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, 1.5, -0.25])
+def test_evolved_isotropic_columns_checks_k(k):
+    # not a failed eigensolve or a negative eigenvalue further in: the
+    # message of SweepConfig, and the first failing t when k is per time
+    frame, g_plus, g_minus = dressed_amplitudes(MIXED, TS)
+    with pytest.raises(ValueError) as sweep_config:
+        SweepConfig(MIXED, k=k, t_max=600.0, steps=2)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(sweep_config.value))}$"):
+        evolved_isotropic_columns(g_plus, g_minus, k, frame, TS)
+    ks = np.full(len(TS), 0.5)
+    ks[7:] = k
+    with pytest.raises(ValueError, match=f"^{re.escape(str(sweep_config.value))} at t={TS[7]:.12g}$"):
+        evolved_isotropic_columns(g_plus, g_minus, ks, frame, TS)
+    with pytest.raises(ValueError, match=r"^k must be real \(ints or floats\), got dtype "):
+        evolved_isotropic_columns(g_plus, g_minus, str(k), frame, TS)
 
 
 def plus_zero(lam, rate):
@@ -178,7 +220,8 @@ Z_CASES = [
 @pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
 @pytest.mark.parametrize("params,k,ts", Z_CASES, ids=["rank-1", "g-plus-zero", "k0", "lam1000", "per-draw"])
 def test_closed_form_z_spectra_match_eigvalsh(monkeypatch, basis, params, k, ts):
-    frame, g_plus, g_minus = dressed_amplitudes(params, ts, LEVEL_ORDERS[basis])
+    frame, g_plus, g_minus = dressed_amplitudes(params, ts)
+    frame = frame[:, BASIS_ROWS[basis]]
     spectra = []
     checked = entropy._checked_columns
 
