@@ -221,14 +221,17 @@ def test_symmetric_eigvals3_graded_matches_mpmath(m):
 def test_symmetric_eigvals3_near_rank_one_matches_mpmath(z, delta):
     # diag(delta) + z z^T, the form of every matrix the sweeps solve (the
     # coherences are rank one); a closed-form trigonometric solver returned
-    # eigenvalues down to -2.9e-9 here
+    # eigenvalues down to -2.9e-9 here. The bound is within_eps_norm's: with
+    # delta = 0 and |z| near 1e-159 every entry is subnormal, 2 eps ||A|| is
+    # below the float spacing there, and z = 1.46e-159 (1, 1, 1) gives
+    # (0, 4.9e-324, 6.4e-318) for (0, 0, 6.4e-318), one smallest subnormal off
     a = np.diag(delta) + np.outer(z, z)
     got = eigvals3(a[None])[0]
     with mpmath.workdps(50):
         want = sorted(mpmath.eigsy(mpmath.matrix(a.tolist()), eigvals_only=True))
         err = max(abs(mpmath.mpf(g) - w) for g, w in zip(got.tolist(), want))
         norm = max(abs(w) for w in want)
-    assert err <= 2.0 * _EPS * norm
+    assert err <= 2.0 * (_EPS * norm + np.finfo(float).smallest_subnormal)
     assert got.min() >= -1e-15
 
 
