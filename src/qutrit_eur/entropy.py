@@ -7,7 +7,9 @@ log2(1/c) + S(A|B), where c is the maximum squared overlap between the
 two measurement eigenbases. The measured pair is fixed, so c and the
 bound offset log2(1/c) are derived from it once, here.
 
-Two kernels give the same columns and end in the same checks.
+Both sides of the relation and the negativity are one record, EurSample:
+arrays with one entry per state from the two kernels, floats for the one
+state of eur_sample. The kernels end in the same checks.
 eur_columns takes any (T, 9, 9) stack of states. evolved_isotropic_columns
 takes the isotropic input through the product damping channel, the one
 family that sweeps and the inequality suite evaluate, and reads every
@@ -22,7 +24,6 @@ batched Jacobi sweeps of linalg.symmetric_eigvals3 rather than LAPACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,6 @@ import numpy as np
 from .channel import require_completeness
 from .linalg import (
     as_inexact,
-    as_real,
     partial_trace_a,
     partial_transpose_a,
     require_hermitian_stack,
@@ -38,7 +38,7 @@ from .linalg import (
     require_state_spectrum,
     symmetric_eigvals3,
 )
-from .states_obs import conditional_blocks, max_overlap_c, spin1_observable
+from .states_obs import conditional_blocks, max_overlap_c, require_mixing, spin1_observable
 
 # the measured pair, and its two eigenbases side by side as (3, 6) columns
 _MEASURED = (spin1_observable("x"), spin1_observable("z"))
@@ -61,18 +61,18 @@ def _bits(w: np.ndarray) -> np.ndarray:
     return -np.sum(safe * np.log2(safe), axis=-1)
 
 
-class EurColumns(NamedTuple):
-    """Both sides of the uncertainty relation and the negativity, one entry per state."""
+class EurSample(NamedTuple):
+    """Both sides of the uncertainty relation and the negativity: arrays, one entry per state, or floats for one state."""
 
-    u_l: np.ndarray
-    u_b: np.ndarray
-    s_xb: np.ndarray
-    s_zb: np.ndarray
-    negativity: np.ndarray
+    u_l: np.ndarray | float
+    u_b: np.ndarray | float
+    s_xb: np.ndarray | float
+    s_zb: np.ndarray | float
+    negativity: np.ndarray | float
 
 
-def _checked_columns(w_ab, w_b, w_xz, w_pt, ts) -> EurColumns:
-    """EurColumns from the (T, n) spectra of rho_AB, rho_B, the two measured states (T, 2, 9) and the partial transpose.
+def _checked_columns(w_ab, w_b, w_xz, w_pt, ts) -> EurSample:
+    """EurSample from the (T, n) spectra of rho_AB, rho_B, the two measured states (T, 2, 9) and the partial transpose.
 
     Every spectrum of a state is checked on the way (eigenvalue floor,
     unit trace), then u_l >= u_b - 1e-9, then the raw negativity
@@ -102,10 +102,10 @@ def _checked_columns(w_ab, w_b, w_xz, w_pt, ts) -> EurColumns:
         raw <= 1.0 + _NEGATIVITY_ATOL, ts,
         lambda i: f"negativity 1 + {raw[i] - 1.0:.3e} above the two-qutrit maximum 1; invalid state",
     )
-    return EurColumns(u_l=u_l, u_b=u_b, s_xb=s_xb, s_zb=s_zb, negativity=np.clip(raw, 0.0, 1.0))
+    return EurSample(u_l=u_l, u_b=u_b, s_xb=s_xb, s_zb=s_zb, negativity=np.clip(raw, 0.0, 1.0))
 
 
-def eur_columns(rho_ab: np.ndarray, ts=None) -> EurColumns:
+def eur_columns(rho_ab: np.ndarray, ts=None) -> EurSample:
     """Evaluate the uncertainty relation and the negativity on a (T, 9, 9) stack of states.
 
     The bound is u_b = BOUND_OFFSET + S(A|B), with the offset log2(1/c)
@@ -139,8 +139,8 @@ _PAIR_ROWS, _PAIR_COLS = np.triu_indices(3, 1)
 _DIAG = np.arange(3)
 
 
-def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
-    """EurColumns of the isotropic state of mixing k through the product damping channel, in closed form.
+def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurSample:
+    """EurSample of the isotropic state of mixing k through the product damping channel, in closed form.
 
     The isotropic input is invariant under O (x) O, and in the dressed
     frame O the local map is Phi(X) = K1 X K1 + (W+^2 X_++ + W-^2 X_--) |g><g|,
@@ -163,21 +163,26 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     entries C[i, j] and u_i u_j C[i, j], and names the first t where a
     matrix is not done at its sweep cap.
 
-    g_plus and g_minus are (T,) arrays, k a scalar or one per time, frame
-    one (3, 3) O or a stack of one or T of them. A k that is not an int or
-    a float, or lies outside [0, 1], is a ValueError, naming the first
-    failing t when k is given per time. Completeness is checked as
+    g_plus and g_minus are (T,) arrays, one entry per time of ts, k a
+    scalar or one per time, frame one (3, 3) O or a stack of one or T of
+    them. Any other length of g_plus, g_minus or a per-time k is a
+    ValueError naming it and the length of ts. k is checked by
+    require_mixing, which names the first failing t when k is given per
+    time. Completeness is checked as
     G+-^2 - 1 <= 1e-10, which is the deviation max|sum K^dag K - I| of the
     dressed tensor: W = sqrt(max(0, 1 - G^2)) clamps to 0 and would hide
     any |G| > 1. The other checks are those of _checked_columns; each
     names the first failing t.
     """
-    k = as_real(k, "k")
-    per_time = np.atleast_1d(k)
-    require_samples(
-        (0.0 <= per_time) & (per_time <= 1.0), ts if k.ndim else None,
-        lambda i: f"k must lie in [0, 1], got {per_time[i]}",
-    )
+    per_time = {"g_plus": g_plus, "g_minus": g_minus}
+    if np.ndim(k):
+        per_time["k"] = k
+    for name, column in per_time.items():
+        if np.shape(column) != np.shape(ts):
+            raise ValueError(
+                f"{name} must hold one entry per time: got shape {np.shape(column)} for ts of shape {np.shape(ts)}"
+            )
+    k = require_mixing(k, ts)
     g2 = np.stack(np.broadcast_arrays(g_plus * g_plus, g_minus * g_minus, 1.0), axis=-1)
     require_completeness(np.maximum(0.0, g2.max(axis=-1) - 1.0), ts)
     k = k[..., None, None]
@@ -211,17 +216,6 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurColumns:
     w_z = np.concatenate([mid - radius, mid + radius, d2], axis=1)
     w_xz = np.stack([w[:, 1:].reshape(len(g2), 9), w_z], axis=1)
     return _checked_columns(w_ab, pops.sum(axis=1), w_xz, w_pt, ts)
-
-
-@dataclass(frozen=True)
-class EurSample:
-    """One evaluation of the uncertainty relation on a two-qutrit state."""
-
-    u_l: float
-    u_b: float
-    s_xb: float
-    s_zb: float
-    negativity: float
 
 
 def eur_sample(rho_ab: np.ndarray) -> EurSample:

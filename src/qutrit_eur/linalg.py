@@ -154,10 +154,18 @@ def as_real(values, name: str) -> np.ndarray:
     Python and numpy ints and floats pass, alone or in lists and arrays.
     A bool, a string, None or a complex number is rejected before numpy
     would read it as a number, drop its imaginary part or make it a NaN.
+    So is a bool among the numbers of a list or tuple (a Python, numpy or
+    0-d array bool), which numpy would read as 0 or 1; an array carries
+    its dtype, so only its dtype is read.
     """
     array = np.asarray(values)
-    if array.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be real (ints or floats), got dtype {array.dtype}")
+    dtype = array.dtype
+    if isinstance(values, (list, tuple)) and any(
+        np.asarray(v).dtype.kind == "b" for v in np.asarray(values, dtype=object).flat
+    ):
+        dtype = np.dtype(bool)
+    if dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real (ints or floats), got dtype {dtype}")
     return array.astype(float, copy=False)
 
 

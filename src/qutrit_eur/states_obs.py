@@ -12,25 +12,37 @@ blocks from closed-form entries instead (entropy.evolved_isotropic_columns).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .linalg import as_real
+from .linalg import as_real, require_samples
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
+def require_mixing(k, ts=None) -> np.ndarray:
+    """The mixing k, a scalar or an array, as float64, or a ValueError unless it is real and lies in [0, 1].
+
+    A k that is not an int or a float is refused by as_real. A k outside
+    [0, 1], NaN included, names its first failing entry, and that entry's
+    time when ts is given and k holds one entry per time.
+    """
+    k = as_real(k, "k")
+    per_entry = np.atleast_1d(k)
+    require_samples(
+        (0.0 <= per_entry) & (per_entry <= 1.0), ts if k.ndim else None,
+        lambda i: f"k must lie in [0, 1], got {per_entry[i]}",
+    )
+    return k
 
 
 def isotropic_state(k) -> np.ndarray:
     """Isotropic two-qutrit state (1-k)/9 * I + k |psi+><psi+|; an array of k gives a stack of them.
 
-    The state is real, so it comes back as float64. A k that is not an
-    int or a float, or lies outside [0, 1], is a ValueError.
+    The state is real, so it comes back as float64. k is checked by
+    require_mixing.
     """
-    k = as_real(k, "k")
-    if not np.all((0.0 <= k) & (k <= 1.0)):
-        raise ValueError(f"k must lie in [0, 1], got {k}")
-    k = k[..., None, None]
+    k = require_mixing(k)[..., None, None]
     # the maximally entangled ket (|00> + |11> + |22>)/sqrt(3)
     psi = np.zeros(9)
     psi[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
@@ -48,32 +60,35 @@ class Observable:
 
 # the spin-1 x and z operators (hbar = 1) and their eigenbases in closed form,
 # eigenvalues (1, 0, -1), each vector's first nonvanishing component positive
+_SPIN1_EIGENVALUES = np.array([1.0, 0.0, -1.0])
 _SPIN1 = {
-    "z": (np.diag([1.0, 0.0, -1.0]), np.eye(3)),
-    "x": (
+    "z": Observable(np.diag([1.0, 0.0, -1.0]), _SPIN1_EIGENVALUES, np.eye(3)),
+    "x": Observable(
         _SQRT_HALF * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+        _SPIN1_EIGENVALUES,
         np.array([[0.5, _SQRT_HALF, 0.5], [_SQRT_HALF, 0.0, -_SQRT_HALF], [0.5, -_SQRT_HALF, 0.5]]),
     ),
 }
-_SPIN1_EIGENVALUES = np.array([1.0, 0.0, -1.0])
 # every call, and entropy's measured pair, shares these arrays: a write
 # through one Observable would change the constants for all later callers
-for _constant in (*_SPIN1["z"], *_SPIN1["x"], _SPIN1_EIGENVALUES):
-    _constant.flags.writeable = False
+for _obs in _SPIN1.values():
+    for _constant in (_obs.matrix, _obs.eigenvalues, _obs.eigenbasis):
+        _constant.flags.writeable = False
 
 
-@lru_cache(maxsize=None)
 def spin1_observable(axis: str) -> Observable:
     """Standard spin-1 axis operator (hbar = 1) with its eigenbasis.
 
     S_z = diag(1, 0, -1); S_x couples neighbouring m-levels with 1/sqrt(2).
     Both have the nondegenerate spectrum (1, 0, -1), and both eigenbases
-    are real constants, returned as read-only arrays.
+    are real constants, returned as read-only arrays. Each axis has one
+    Observable, returned by every call. An axis other than the string
+    "x" or "z" is a ValueError.
     """
-    if axis not in _SPIN1:
+    # a str check first: a list or an array is unhashable, or compares elementwise
+    if not isinstance(axis, str) or axis not in _SPIN1:
         raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
-    matrix, basis = _SPIN1[axis]
-    return Observable(matrix=matrix, eigenvalues=_SPIN1_EIGENVALUES, eigenbasis=basis)
+    return _SPIN1[axis]
 
 
 def max_overlap_c(r: Observable, q: Observable) -> float:

@@ -397,15 +397,16 @@ def test_g_rejects_negative_time():
     ids=["str", "bool", "complex", "none", "fraction"],
 )
 def test_times_and_k_must_be_ints_or_floats(value):
-    # alone, in a list and as an array: the complex array, and the object
-    # arrays of None and of a Fraction
-    for ts in ([value], np.array([value])):
+    # alone, in a list, after a float in a list and as an array: the complex
+    # array, and the object arrays of None and of a Fraction. numpy reads
+    # [0.5, True] and [0.5, np.array(True)] as the floats [0.5, 1.0]
+    for ts in ([value], [0.5, value], [0.5, np.array(value)], np.array([value])):
         for factors in (decoherence_factors, decoherence_factors_ode):
             with pytest.raises(ValueError, match=r"^ts must be real \(ints or floats\), got dtype "):
                 factors(SYMMETRIC_NO_SGI, ts)
     with pytest.raises(ValueError, match=r"^t must be real \(ints or floats\), got dtype "):
         kraus_set(SYMMETRIC_NO_SGI, value)
-    for k in (value, np.array([value, value])):
+    for k in (value, [0.5, value], np.array([value, value])):
         with pytest.raises(ValueError, match=r"^k must be real \(ints or floats\), got dtype "):
             isotropic_state(k)
 

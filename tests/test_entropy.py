@@ -6,6 +6,8 @@ with full spectra and kron projectors (conftest.reference_eur) checks all
 five fields.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,20 @@ def test_eur_columns_checks_its_inputs(rho_ab, ts, message):
 # ---------------------------------------------------------------------------
 # combined samples
 # ---------------------------------------------------------------------------
+
+
+def test_eur_sample_is_the_record_of_eur_columns_in_floats():
+    rho = isotropic_state(0.3)
+    s, cols = eur_sample(rho), eur_columns(rho[None])
+    assert type(s) is type(cols)
+    assert all(type(value) is float for value in s)
+    assert s == tuple(float(col[0]) for col in cols)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 9, 9), (9,)])
+def test_eur_sample_rejects_a_non_9x9_state(shape):
+    with pytest.raises(ValueError, match=rf"^expected a 9x9 two-qutrit state, got shape {re.escape(str(shape))}$"):
+        eur_sample(np.zeros(shape))
 
 
 def test_eur_sample_terms_sum_exactly():

@@ -45,12 +45,30 @@ def test_src_imports_are_used():
     assert not unused, f"imported but never used: {unused}"
 
 
+def src_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def used_names(trees):
+    """(module, name) pairs a src module uses: read in its own module, imported from it, or read as an attribute."""
+    used = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                used.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                used.update((other, node.attr) for other in trees)
+    return used
+
+
 def test_src_private_names_are_used():
     # a module-level _name counts as used where its own module reads it, where
     # another src module imports it from there, or where any src module reads
     # it as an attribute; tests do not count
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    defined, used = {}, set()
+    trees = src_trees()
+    defined = {}
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -62,12 +80,23 @@ def test_src_private_names_are_used():
                 continue
             defined.update({(module, name): node.lineno for name in targets
                             if name.startswith("_") and not name.startswith("__")})
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add((module, node.id))
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
-                used.update((node.module, alias.name) for alias in node.names)
-            elif isinstance(node, ast.Attribute):
-                used.update((other, node.attr) for other in trees)
+    used = used_names(trees)
     unused = [f"{module}.py:{line} {name}" for (module, name), line in defined.items() if (module, name) not in used]
     assert not unused, f"private names that no src module uses: {unused}"
+
+
+def test_src_public_names_are_used():
+    # a public function or class counts as used where a src module uses it
+    # (as for private names), where the package exports it through __all__,
+    # or where README names it in backticks; tests do not count
+    trees = src_trees()
+    used = used_names(trees)
+    exempt = set(qutrit_eur.__all__) | set(re.findall(r"`([A-Za-z_]\w*)", README.read_text(encoding="utf-8")))
+    unused = [
+        f"{module}.py:{node.lineno} {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and (module, node.name) not in used and node.name not in exempt
+    ]
+    assert not unused, f"public names that no src module uses, __all__ exports or README names: {unused}"

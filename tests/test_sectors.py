@@ -194,6 +194,23 @@ def test_evolved_isotropic_columns_checks_k(k):
         evolved_isotropic_columns(g_plus, g_minus, str(k), frame, TS)
 
 
+@pytest.mark.parametrize(
+    "g_plus, g_minus, k, ts, message",
+    [
+        # g_plus broadcast against one time, then failed at its second entry, which has no t
+        ([0.5, 0.4], [0.5], 0.5, [1.0], r"g_plus .*got shape \(2,\) for ts of shape \(1,\)"),
+        ([0.5, 1.5], [0.5], 0.5, [1.0], r"g_plus .*got shape \(2,\) for ts of shape \(1,\)"),
+        ([0.5, 0.4], [0.5, 0.4, 0.3], 0.5, [1.0, 2.0], r"g_minus .*got shape \(3,\) for ts of shape \(2,\)"),
+        ([0.5, 0.4], [0.5, 0.4], [0.5, 0.5, 0.5], [1.0, 2.0], r"k .*got shape \(3,\) for ts of shape \(2,\)"),
+    ],
+    ids=["broadcast", "fails-past-ts", "g-minus-3-for-2", "k-3-for-2"],
+)
+def test_evolved_isotropic_columns_checks_lengths(g_plus, g_minus, k, ts, message):
+    frame = dressed_amplitudes(MIXED, ts)[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evolved_isotropic_columns(np.array(g_plus), np.array(g_minus), k, frame, np.array(ts))
+
+
 def plus_zero(lam, rate):
     """The first zero of the branch amplitude G of an oscillatory branch: w t/2 = pi - atan(w/lam), w = |d|."""
     w = np.sqrt(lam * (2.0 * rate - lam))

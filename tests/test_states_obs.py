@@ -109,9 +109,10 @@ def test_spin1_eigenpairs_and_phase_convention():
 
 
 def test_spin1_constants_are_read_only():
-    # every call shares the cached arrays, so a write would corrupt all later callers
+    # every call shares one Observable per axis, so a write would corrupt all later callers
     for axis in ("x", "z"):
         obs = spin1_observable(axis)
+        assert spin1_observable(axis) is obs
         for array in (obs.matrix, obs.eigenvalues, obs.eigenbasis):
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = 0.0
@@ -121,8 +122,10 @@ def test_spin1_constants_are_read_only():
 
 
 def test_spin1_rejects_unknown_axis():
-    with pytest.raises(ValueError, match="axis"):
-        spin1_observable("y")
+    # a list is unhashable: a ValueError, not the TypeError of a dict or cache lookup
+    for axis in ("y", ["x"], None, 1):
+        with pytest.raises(ValueError, match=r"^axis must be 'x' or 'z', got "):
+            spin1_observable(axis)
 
 
 # ---------------------------------------------------------------------------
