@@ -42,25 +42,44 @@ def as_fields(params):
     return np.array([(p.gamma1, p.gamma2, p.theta, p.lam) for p in params], dtype=float).reshape(-1, 4)
 
 
-def reference_cptp_draws(rng, n):
-    """The CPTP suite's n draws (params, t, X), one scalar call per number.
+def reference_uniform(rng, low=0.0, high=1.0):
+    """One uniform in [low, high) from a random.Random by its own 8-byte call: the top 53 bits, times 2**-53."""
+    return low + (high - low) * ((int.from_bytes(rng.randbytes(8), "little") >> 11) * 2.0**-53)
 
-    Per draw: the parameters, t, then the real and the imaginary parts of
-    the 3x3 factor X of the input state.
+
+def reference_params(rng):
+    """One ChannelParams by four scalar reference_uniform calls: gamma1, gamma2, theta, then the exponent of lam."""
+    return ChannelParams(
+        gamma1=reference_uniform(rng, 0.1, 3.0),
+        gamma2=reference_uniform(rng, 0.1, 3.0),
+        theta=reference_uniform(rng, -1.0, 1.0),
+        lam=10.0 ** reference_uniform(rng, -3.0, 3.0),
+    )
+
+
+def reference_cptp_draws(rng, n):
+    """The CPTP suite's n draws (params, t, X) from a random.Random, one scalar call per number.
+
+    Per draw: the parameters, t, then 9 radii and 9 phases that a scalar
+    math Box-Muller turns into the real and imaginary parts of the 3x3
+    factor X of the input state, entry by entry.
     """
     draws = []
     for _ in range(n):
-        params, t = random_params(rng), rng.uniform(0.0, 20.0)
-        draws.append((params, t, rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))))
+        params, t = reference_params(rng), reference_uniform(rng, 0.0, 20.0)
+        radii = [math.sqrt(-2.0 * math.log1p(-reference_uniform(rng))) for _ in range(9)]
+        phases = [2.0 * math.pi * reference_uniform(rng) for _ in range(9)]
+        x = [complex(r * math.cos(p), r * math.sin(p)) for r, p in zip(radii, phases)]
+        draws.append((params, t, np.array(x).reshape(3, 3)))
     return draws
 
 
 def reference_inequality_draws(rng, n):
-    """The inequality suite's n draws (params, t, k), one scalar call per number: the parameters, k, then t."""
+    """The inequality suite's n draws (params, t, k) from a random.Random, one scalar call per number: the parameters, k, then t."""
     draws = []
     for _ in range(n):
-        params, k = random_params(rng), rng.uniform(0.0, 1.0)
-        draws.append((params, rng.uniform(0.0, 300.0), k))
+        params, k = reference_params(rng), reference_uniform(rng)
+        draws.append((params, reference_uniform(rng, 0.0, 300.0), k))
     return draws
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qutrit_eur import experiment
+from qutrit_eur import entropy, experiment
 from qutrit_eur.channel import ChannelParams, apply_channel, apply_product_channel, decoherence_factors, kraus_set
 from qutrit_eur.cli import build_parser, main
 from qutrit_eur.entropy import eur_sample
@@ -45,6 +46,11 @@ from conftest import as_fields, reference_cptp_draws, reference_inequality_draws
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUICK_CHANNEL = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
+
+
+def src_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def quick_config(**overrides):
@@ -511,6 +517,12 @@ def test_suites_return_plain_bool(suite):
     assert type(ok) is bool
 
 
+@pytest.mark.parametrize("suite", [check_cptp, check_uncertainty_inequality])
+def test_suites_take_numpy_integer_seeds(suite):
+    # random.Random rejects a numpy integer, which _require_integer admits
+    assert suite(20, np.int64(5)) == suite(20, 5)
+
+
 def test_default_check_lines_are_pinned():
     """Regression anchor: the three suite results of `qutrit-eur check` at the default draws and seeds.
 
@@ -518,7 +530,7 @@ def test_default_check_lines_are_pinned():
     and says so in CHANGES.md.
     """
     assert check_cptp() == (
-        True, "1000 draws: completeness 2.22e-16, trace drift 4.44e-16, eigenvalue dip 1.11e-16"
+        True, "1000 draws: completeness 2.22e-16, trace drift 4.44e-16, eigenvalue dip 2.23e-16"
     )
     assert check_oracle() == (True, "100 grid points: worst |closed - integrated| = 1.31e-12")
     assert check_uncertainty_inequality() == (
@@ -564,7 +576,7 @@ def test_check_cptp_matches_per_draw_reference(monkeypatch):
     captured = capture_draws(monkeypatch)
     _, detail = check_cptp(n_draws=50, seed=11)
     want = []
-    for params, t, x in reference_cptp_draws(np.random.default_rng(11), 50):
+    for params, t, x in reference_cptp_draws(random.Random(11), 50):
         ks = kraus_set(params, t)
         acc = sum(k.conj().T @ k for k in ks)
         rho = x @ x.conj().T
@@ -590,7 +602,7 @@ def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
     captured = capture_draws(monkeypatch)
     _, detail = check_uncertainty_inequality(n_draws=50, seed=13)
     want = []
-    for params, t, k in reference_inequality_draws(np.random.default_rng(13), 50):
+    for params, t, k in reference_inequality_draws(random.Random(13), 50):
         s = eur_sample(apply_product_channel(isotropic_state(k), kraus_set(params, t)))
         want.append(s.u_l - s.u_b)
     want = np.array(want)
@@ -630,23 +642,36 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
             assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
-def reference_bytes(draws):
-    """The field rows of per-draw (params, ...) tuples, then every further field, as raw float64 bytes."""
-    params, *fields = zip(*draws)
-    return [as_fields(params).tobytes()] + [np.asarray(field).tobytes() for field in fields]
+# the normals of the CPTP suite's input states against the scalar math
+# Box-Muller: numpy's vectorised log1p, cos and sin may differ from libm's in
+# the last bits (at most 2 ulp over 30 seeds of 1000 draws on an AVX-512
+# host), while a wrong pairing or formula moves them by far more
+NORMAL_ULPS = 8
 
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize(
-    "draws, reference",
-    [(experiment._cptp_draws, reference_cptp_draws), (experiment._inequality_draws, reference_inequality_draws)],
+    "draws, reference, max_ulp",
+    [(experiment._cptp_draws, reference_cptp_draws, NORMAL_ULPS),
+     (experiment._inequality_draws, reference_inequality_draws, 0)],
     ids=["cptp", "inequality"],
 )
-def test_block_draws_equal_the_scalar_calls(draws, reference, seed):
-    # the draws are taken whole; n straddles the evaluation block of 128
-    for n in (1, 127, 128, 129, 1000):
-        drawn = [column.tobytes() for column in draws(np.random.default_rng(seed), n)]
-        assert drawn == reference_bytes(reference(np.random.default_rng(seed), n)), n
+def test_block_draws_equal_the_scalar_calls(draws, reference, max_ulp, seed):
+    """The suites' draws, taken whole, against one scalar 8-byte call per number.
+
+    The uniform columns (the field rows, t, and k) are compared bit for
+    bit. The CPTP factors are compared within NORMAL_ULPS against a scalar
+    math Box-Muller, an independent reference for the layout and the
+    formula that cannot pin numpy's vectorised libm to the last bit.
+    n straddles the evaluation block of 512.
+    """
+    for n in (1, 511, 512, 513, 1000):
+        fields, ts, last = draws(seed, n)
+        params, want_ts, want_last = zip(*reference(random.Random(seed), n))
+        assert fields.tobytes() == as_fields(params).tobytes(), n
+        assert ts.tobytes() == np.array(want_ts).tobytes(), n
+        # in ulps of the float64 parts: 0 for k, whose values are all non-negative
+        np.testing.assert_array_max_ulp(last.view(float), np.array(want_last).view(float), max_ulp)
 
 
 def patch_draw(monkeypatch, index, bad):
@@ -726,8 +751,8 @@ def test_suites_reject_empty_runs(suite):
     for n in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match=rf"at least 1 draw, got {n}$"):
             suite(n)
-    # and a seed that could not replay the run: numpy would reject -1 and 2.5
-    # without naming seed, and take True as 1 and None as fresh entropy
+    # and a seed that could not replay the run: random.Random would take -1 as
+    # 1, hash 2.5, take True as 1 and None as fresh entropy
     if suite in (check_cptp, check_uncertainty_inequality):
         for seed in (-1, 2.5, True, None):
             with pytest.raises(ValueError, match=rf"^seed must be an integer of at least 0, got {seed}$"):
@@ -836,10 +861,9 @@ def test_cli_sweep_rejects_bad_value(tmp_path, capsys):
 )
 def test_cli_extreme_input_fails_cleanly(tmp_path, args, needle, optimize):
     # run in a fresh interpreter so that -O really strips assert statements
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, *(["-O"] if optimize else []), "-m", "qutrit_eur.cli", "sweep",
            "--theta", "0", "--k", "1", "--steps", "4", *args, "--out", str(tmp_path / "x.csv")]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:"), proc.stderr
     assert needle in proc.stderr
@@ -939,3 +963,34 @@ def test_cli_check_reports_a_raising_suite_and_runs_the_rest(monkeypatch, capsys
     assert lines[2].startswith("  [PASS] inequality: 1000 draws")
     assert lines[3].startswith("self-check FAILED in ")
     assert captured.err == "error: self-check failed\n"
+
+
+def test_cli_check_fails_the_inequality_suite_on_a_violated_bound(monkeypatch, capsys):
+    # a bound offset of 10 bits lies above u_l = s_xb + s_zb <= 2 log2(3) for every draw
+    monkeypatch.setattr(entropy, "BOUND_OFFSET", 10.0)
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("  [PASS] cptp: 1000 draws")
+    assert lines[1].startswith("  [PASS] oracle: 100 grid points")
+    assert lines[2].startswith("  [FAIL] inequality: uncertainty sum ")
+    assert " below its lower bound " in lines[2]
+    assert lines[2].endswith(")") and " (draw 0: ChannelParams(gamma1=" in lines[2]
+    assert lines[3].startswith("self-check FAILED in ")
+
+
+def test_cli_imports_no_numpy_random(tmp_path):
+    """check, figure and sweep never import numpy.random, whose import costs about 6 MiB of RSS.
+
+    In a fresh interpreter, since pytest has imported numpy.random in this one.
+    """
+    sweep = ["sweep", "--gamma1", "1.5", "--gamma2", "0.5", "--theta", "0.5", "--lambda", "0.05", "--k", "0.8",
+             "--t-max", "600", "--steps", "2400", "--basis", "ground-first", "--out", str(tmp_path / "sweep.csv")]
+    script = (
+        "import sys\n"
+        "from qutrit_eur.cli import main\n"
+        f"codes = [main(['check']), main(['figure', 'fig3d', '--out', {str(tmp_path / 'fig3d.csv')!r}]), main({sweep!r})]\n"
+        "print(codes, sorted(name for name in sys.modules if name.startswith('numpy.random')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
