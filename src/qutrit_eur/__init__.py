@@ -2,15 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .channel import ChannelParams, apply_product_channel, kraus_set
-from .entropy import eur_sample
-from .states_obs import isotropic_state, spin1_observable
+from .channel import ChannelParams, dressed_amplitudes
+from .entropy import evolved_isotropic_columns
+from .states_obs import spin1_observable
 
 __all__ = [
     "ChannelParams",
-    "apply_product_channel",
-    "eur_sample",
-    "isotropic_state",
-    "kraus_set",
+    "dressed_amplitudes",
+    "evolved_isotropic_columns",
     "spin1_observable",
 ]

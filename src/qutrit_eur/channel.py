@@ -29,11 +29,10 @@ of the dressed levels, and ``dressed_kraus`` adds the dressed Kraus
 tensor, five nonzero entries per time. The sweep and the inequality
 suite need only the amplitudes and O: the evolved isotropic state is
 closed form in them (entropy.evolved_isotropic_columns), so no state is
-evolved on their path. Where a state is evolved, it is by the definition
-itself, the Kraus sum sum_i K_i rho K_i^dagger as one einsum. The CPTP
-suite rotates each of its arbitrary inputs once, O^T rho O, and applies
-the dressed tensor itself; trace and spectrum do not depend on the
-frame. The parameters broadcast against the times: a batch is one real
+evolved on their path. The CPTP suite alone evolves states: it rotates
+each of its arbitrary inputs once, O^T rho O, and applies the dressed
+tensor itself; trace and spectrum do not depend on the frame. The
+parameters broadcast against the times: a batch is one real
 (T, 4) array of rows (gamma1, gamma2, theta, lam), range-checked once
 where it enters; one ChannelParams, which a sweep passes for its whole
 grid, is the one-row case. The rates and mixing amplitudes of a batch
@@ -42,11 +41,6 @@ come from one array derivation over its field columns.
 take the parameters the same way and return both branch amplitudes
 (G_plus, G_minus) at every time. The times are checked once, with the
 parameters: ints or floats, one-dimensional, finite and nonnegative.
-``kraus_set`` rotates the T = 1 dressed tensor into the real (3, 3, 3)
-computational triple O K O^T. ``apply_channel`` applies any complete
-(3, 3, 3) triple as the T = 1 case of that sum, and
-``apply_product_channel`` takes the same sum on qutrit A and then on
-qutrit B of a 9x9 state.
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_inexact, as_real, require_density_matrix, require_samples
+from .linalg import as_real, require_samples
 
 COMPLETENESS_ATOL = 1e-10
 _REAL_SCALARS = (int, float, np.integer, np.floating)
@@ -359,54 +353,3 @@ def dressed_kraus(
         np.broadcast_arrays(g_plus, g_minus, 1.0, w_plus, w_minus), axis=-1
     )
     return dressed, frame, g_plus, g_minus
-
-
-def kraus_set(p: ChannelParams, t: float) -> np.ndarray:
-    """Real (3, 3, 3) Kraus triple O K(t) O^T at time t in computational indices, checked for completeness.
-
-    K_1 carries G+ a^2 + G- b^2 and (G- - G+) a b on the excited levels,
-    K_2 and K_3 the ground rows W+ (a, -b) and W- (b, a).
-    """
-    ts = as_real([t], "t")
-    dressed, (frame,), _, _ = dressed_kraus(p, ts)
-    # one einsum, not O @ K @ O^T: a fused multiply-add would leave round-off
-    # of 1e-17 where the rotation cancels to an exact 0
-    kraus = np.einsum("ij,kjl,ml->kim", frame, dressed[0], frame)
-    require_complete(kraus[None], ts)
-    return kraus
-
-
-def _kraus_sum(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
-    """sum_i K_i rho K_i^dagger, unchecked: a (T, 3, 3) stack, or one broadcast 3x3 state, through a (T, 3, 3, 3) tensor.
-
-    One (3, 3, 3) triple on one 3x3 state is the case without a time axis.
-    """
-    return np.einsum("...iab,...bc,...idc->...ad", kraus, rho, kraus.conj())
-
-
-def _checked_kraus(kraus) -> np.ndarray:
-    """A (3, 3, 3) Kraus triple, real or complex, checked for completeness."""
-    kraus = as_inexact(kraus)
-    if kraus.shape != (3, 3, 3):
-        raise ValueError(f"kraus must be a (3, 3, 3) array of three 3x3 operators, got shape {kraus.shape}")
-    require_complete(kraus[None])
-    return kraus
-
-
-def apply_channel(rho: np.ndarray, kraus) -> np.ndarray:
-    """Evolve a single-qutrit density matrix: rho -> sum_i K_i rho K_i^dagger."""
-    return _kraus_sum(require_density_matrix(rho, 3), _checked_kraus(kraus))
-
-
-def apply_product_channel(rho_ab: np.ndarray, kraus) -> np.ndarray:
-    """Evolve a two-qutrit state with the same local channel on each side.
-
-    Both qutrits couple to independent, identical reservoirs, so the joint
-    map is the nine-term sum over K_i (x) K_j. On the (3, 3, 3, 3) view
-    rho[a, b, A, B] it is the Kraus sum on qutrit A, then on qutrit B.
-    """
-    rho_ab = require_density_matrix(rho_ab, 9, name="rho_ab")
-    kraus = _checked_kraus(kraus)
-    conj = kraus.conj()
-    on_a = np.einsum("iac,cxdy,ibd->axby", kraus, rho_ab.reshape(3, 3, 3, 3), conj)
-    return np.einsum("ixc,acbd,iyd->axby", kraus, on_a, conj).reshape(9, 9)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -65,6 +66,7 @@ def _run_and_write(cfg: SweepConfig, out: str, note: str = "") -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    status = 0
     try:
         if args.command == "sweep":
             cfg = SweepConfig(
@@ -84,14 +86,20 @@ def main(argv=None) -> int:
             if args.name.startswith(("fig2", "fig3")):
                 note += f" lambda-interpretation={interpretation}"
             _run_and_write(cfg, args.out, note=note)
-        else:
-            if not run_self_check():
-                print("error: self-check failed", file=sys.stderr)
-                return 1
+        elif not run_self_check():
+            print("error: self-check failed", file=sys.stderr)
+            status = 1
+        # a buffered stdout meets a closed reader here rather than at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone, as under `| head`: nothing is left to
+        # report to, and stdout on devnull keeps the flush at exit from raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return status
 
 
 if __name__ == "__main__":

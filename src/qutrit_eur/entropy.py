@@ -7,10 +7,8 @@ log2(1/c) + S(A|B), where c is the maximum squared overlap between the
 two measurement eigenbases. The measured pair is fixed, so c and the
 bound offset log2(1/c) are derived from it once, here.
 
-Both sides of the relation and the negativity are one record, EurSample:
-arrays with one entry per state from the two kernels, floats for the one
-state of eur_sample. The kernels end in the same checks.
-eur_columns takes any (T, 9, 9) stack of states. evolved_isotropic_columns
+Both sides of the relation and the negativity are one record, EurSample,
+of arrays with one entry per state. evolved_isotropic_columns
 takes the isotropic input through the product damping channel, the one
 family that sweeps and the inequality suite evaluate, and reads every
 spectrum off the closed-form entries of the evolved state in the dressed
@@ -29,16 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import require_completeness
-from .linalg import (
-    as_inexact,
-    partial_trace_a,
-    partial_transpose_a,
-    require_hermitian_stack,
-    require_samples,
-    require_state_spectrum,
-    symmetric_eigvals3,
-)
-from .states_obs import conditional_blocks, max_overlap_c, require_mixing, spin1_observable
+from .linalg import require_samples, require_state_spectrum, symmetric_eigvals3
+from .states_obs import max_overlap_c, require_mixing, spin1_observable
 
 # the measured pair, and its two eigenbases side by side as (3, 6) columns
 _MEASURED = (spin1_observable("x"), spin1_observable("z"))
@@ -62,13 +52,13 @@ def _bits(w: np.ndarray) -> np.ndarray:
 
 
 class EurSample(NamedTuple):
-    """Both sides of the uncertainty relation and the negativity: arrays, one entry per state, or floats for one state."""
+    """Both sides of the uncertainty relation and the negativity: arrays, one entry per state."""
 
-    u_l: np.ndarray | float
-    u_b: np.ndarray | float
-    s_xb: np.ndarray | float
-    s_zb: np.ndarray | float
-    negativity: np.ndarray | float
+    u_l: np.ndarray
+    u_b: np.ndarray
+    s_xb: np.ndarray
+    s_zb: np.ndarray
+    negativity: np.ndarray
 
 
 def _checked_columns(w_ab, w_b, w_xz, w_pt, ts) -> EurSample:
@@ -103,33 +93,6 @@ def _checked_columns(w_ab, w_b, w_xz, w_pt, ts) -> EurSample:
         lambda i: f"negativity 1 + {raw[i] - 1.0:.3e} above the two-qutrit maximum 1; invalid state",
     )
     return EurSample(u_l=u_l, u_b=u_b, s_xb=s_xb, s_zb=s_zb, negativity=np.clip(raw, 0.0, 1.0))
-
-
-def eur_columns(rho_ab: np.ndarray, ts=None) -> EurSample:
-    """Evaluate the uncertainty relation and the negativity on a (T, 9, 9) stack of states.
-
-    The bound is u_b = BOUND_OFFSET + S(A|B), with the offset log2(1/c)
-    of the measured x/z pair. The spectra of rho_AB, rho_B and the partial
-    transpose are plain eigvalsh; each dephased state is block diagonal in
-    the measurement basis, so its spectrum comes from three 3x3
-    conditional blocks. Every state is checked on the way, from spectra
-    that are computed anyway: Hermiticity within 1e-12, then the checks of
-    _checked_columns, each a ValueError naming the first failing sample,
-    with its time when ts (one per state) is given. A wrong shape is one too.
-    """
-    rho_ab = as_inexact(rho_ab)
-    if rho_ab.shape[1:] != (9, 9):
-        raise ValueError(f"rho_ab must be a (T, 9, 9) stack of two-qutrit states, got shape {rho_ab.shape}")
-    if ts is not None and np.shape(ts) != rho_ab.shape[:1]:
-        raise ValueError(
-            f"ts must be a one-dimensional array of times, one per state: got shape {np.shape(ts)} for {rho_ab.shape}"
-        )
-    rho_ab = require_hermitian_stack(rho_ab, ts, "rho_ab")
-    w_xz = np.linalg.eigvalsh(conditional_blocks(rho_ab, _MEASURED_BASES)).reshape(len(rho_ab), 2, 9)
-    return _checked_columns(
-        np.linalg.eigvalsh(rho_ab), np.linalg.eigvalsh(partial_trace_a(rho_ab)), w_xz,
-        np.linalg.eigvalsh(partial_transpose_a(rho_ab)), ts,
-    )
 
 
 # the off-diagonal (a, b) of the 3x3 population table, and the pairs i < j
@@ -220,12 +183,3 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurSample:
     w_z = np.concatenate([mid - radius, mid + radius, d2], axis=1)
     w_xz = np.stack([w[:, 1:].reshape(len(g2), 9), w_z], axis=1)
     return _checked_columns(w_ab, pops.sum(axis=1), w_xz, w_pt, ts)
-
-
-def eur_sample(rho_ab: np.ndarray) -> EurSample:
-    """Evaluate both sides of the uncertainty relation plus negativity; the T = 1 case of eur_columns, checks included."""
-    rho_ab = as_inexact(rho_ab)
-    if rho_ab.shape != (9, 9):
-        raise ValueError(f"expected a 9x9 two-qutrit state, got shape {rho_ab.shape}")
-    cols = eur_columns(rho_ab[None])
-    return EurSample(*(float(col[0]) for col in cols))

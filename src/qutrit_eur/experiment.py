@@ -41,7 +41,6 @@ from .channel import (
     decoherence_factors_ode,
     dressed_amplitudes,
     dressed_kraus,
-    _kraus_sum,
     require_complete,
     require_real_fields,
 )
@@ -355,8 +354,9 @@ def _cptp_block(fields, ts, factors):
     # the density matrices X X^dagger / tr(X X^dagger) of the factors
     rho = factors @ factors.conj().swapaxes(-1, -2)
     rho = require_density_stack(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None], ts)
-    # each input once into its dressed frame: trace and spectrum do not depend on it
-    out = _kraus_sum(frames.swapaxes(1, 2) @ rho @ frames, dressed)
+    # each input once into its dressed frame: trace and spectrum do not depend on it;
+    # then the Kraus sum sum_i K_i rho K_i^dagger of each draw's tensor
+    out = np.einsum("...iab,...bc,...idc->...ad", dressed, frames.swapaxes(1, 2) @ rho @ frames, dressed.conj())
     trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
     dip = -np.linalg.eigvalsh(hermitian_part(out))[:, 0]
     return complete, trace, dip

@@ -1,10 +1,5 @@
-"""Dense linear algebra for 3x3 and 9x9 Hermitian problems.
+"""Checks on stacks of states, their spectra and real inputs; batched 3x3 symmetric eigenvalues.
 
-Matrices are plain numpy arrays, real or complex: every function keeps
-the dtype it is given (integers become float64), so a real state stays
-in real arithmetic and a complex one in complex. Composite two-qutrit indices
-follow r = 3*a + b, with subsystem A the left (most significant) tensor
-factor; every composite operation in this package assumes that layout.
 A stack of matrices carries the sample axis first, (T, n, n); the
 ``require_*`` checks on stacks name the first failing sample, and
 require_state_spectrum checks eigenvalue rows however they were found.
@@ -142,12 +137,6 @@ def symmetric_eigvals3(diag, off, ts=None, name: str = "matrix") -> np.ndarray:
     return np.stack([d0, d1, d2], axis=-1)
 
 
-def as_inexact(m) -> np.ndarray:
-    """m as a float64 or complex128 array, whichever holds it."""
-    m = np.asarray(m)
-    return m.astype(np.result_type(m, np.float64), copy=False)
-
-
 def as_real(values, name: str) -> np.ndarray:
     """values as a float64 array, or a ValueError naming name unless they are ints or floats.
 
@@ -167,35 +156,3 @@ def as_real(values, name: str) -> np.ndarray:
     if dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real (ints or floats), got dtype {dtype}")
     return array.astype(float, copy=False)
-
-
-def require_density_matrix(rho: np.ndarray, n: int, name: str = "rho") -> np.ndarray:
-    """Validate an n x n density matrix (Hermitian, eigenvalues >= -1e-10, unit trace).
-
-    The shape is checked first, so a wrong-shape input fails before any
-    eigensolve. Returns the Hermitian part so downstream numerics start
-    from a clean operator; round-off from repeated channel application
-    accumulates asymmetry of order 1e-15. The one-matrix case of
-    require_density_stack.
-    """
-    rho = as_inexact(rho)
-    if rho.shape != (n, n):
-        raise ValueError(f"{name} must be a {n}x{n} matrix, got shape {rho.shape}")
-    return require_density_stack(rho[None], name=name)[0]
-
-
-def partial_trace_a(rho: np.ndarray) -> np.ndarray:
-    """Trace out the first qutrit of a 9x9 two-qutrit operator (or a stack of them)."""
-    rho = as_inexact(rho)
-    if rho.shape[-2:] != (9, 9):
-        raise ValueError(f"partial_trace_a expects a 9x9 matrix, got shape {rho.shape}")
-    return rho.reshape(rho.shape[:-2] + (3, 3, 3, 3)).trace(axis1=-4, axis2=-2)
-
-
-def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
-    """Transpose the first-qutrit indices of a 9x9 operator (or a stack): out[3i+k,3j+l] = rho[3j+k,3i+l]."""
-    rho = as_inexact(rho)
-    if rho.shape[-2:] != (9, 9):
-        raise ValueError(f"partial_transpose_a expects a 9x9 matrix, got shape {rho.shape}")
-    lead = rho.shape[:-2]
-    return rho.reshape(lead + (3, 3, 3, 3)).swapaxes(-4, -2).reshape(rho.shape)

@@ -1,12 +1,10 @@
-"""Two-qutrit initial states, spin-1 observables, and the conditional blocks of a measurement.
+"""The mixing of the isotropic initial states, and the spin-1 observables.
 
-The isotropic family interpolates between the maximally mixed state (k=0)
-and the maximally entangled pure state (k=1); its spectrum, (1-k)/9 eight
-times and (1+8k)/9 once, is that of a state for every accepted k.
-Measurements act on subsystem A, the left tensor factor; the memory
-qutrit B is untouched. conditional_blocks measures a stack of arbitrary
-states along one basis; the sweep's evolved isotropic states build their
-blocks from closed-form entries instead (entropy.evolved_isotropic_columns).
+The isotropic family (1-k)/9 I + k |psi+><psi+| interpolates between the
+maximally mixed state (k=0) and the maximally entangled pure state (k=1);
+its spectrum, (1-k)/9 eight times and (1+8k)/9 once, is that of a state
+for every accepted k, so require_mixing is its one check. Measurements
+act on subsystem A; the memory qutrit B is untouched.
 """
 
 from __future__ import annotations
@@ -34,19 +32,6 @@ def require_mixing(k, ts=None) -> np.ndarray:
         lambda i: f"k must lie in [0, 1], got {per_entry[i]}",
     )
     return k
-
-
-def isotropic_state(k) -> np.ndarray:
-    """Isotropic two-qutrit state (1-k)/9 * I + k |psi+><psi+|; an array of k gives a stack of them.
-
-    The state is real, so it comes back as float64. k is checked by
-    require_mixing.
-    """
-    k = require_mixing(k)[..., None, None]
-    # the maximally entangled ket (|00> + |11> + |22>)/sqrt(3)
-    psi = np.zeros(9)
-    psi[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
-    return (1.0 - k) / 9.0 * np.eye(9) + k * np.outer(psi, psi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,22 +80,3 @@ def max_overlap_c(r: Observable, q: Observable) -> float:
     """Maximum squared overlap between the two eigenbases, max_ij |<r_i|s_j>|^2."""
     overlaps = r.eigenbasis.conj().T @ q.eigenbasis
     return float(np.max(np.abs(overlaps) ** 2))
-
-
-def conditional_blocks(rho_ab: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Unnormalised states of B conditioned on measuring A in an orthonormal basis.
-
-    rho_ab is a (..., 9, 9) stack and basis a (3, n) array of column
-    vectors v_i. Block i is (<v_i| (x) I) rho (|v_i> (x) I), a 3x3
-    operator on B whose trace is the probability of outcome i; the result
-    has shape (..., n, 3, 3). The dephased state
-    sum_i |v_i><v_i| (x) block_i is block diagonal in the measurement
-    basis, so its spectrum is the union of the block spectra.
-    """
-    lead = rho_ab.shape[:-2]
-    n = basis.shape[-1]
-    weights = (basis.conj()[:, None, :] * basis[None, :, :]).reshape(9, n)
-    # rho[a, b, c, d] -> rows (b, d), columns (a, c), contracted with the weights
-    by_b = np.moveaxis(rho_ab.reshape(lead + (3, 3, 3, 3)), (-4, -2), (-2, -1))
-    blocks = (by_b.reshape(lead + (9, 9)) @ weights).reshape(lead + (3, 3, n))
-    return np.moveaxis(blocks, -1, -3)

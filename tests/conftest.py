@@ -1,5 +1,13 @@
-"""Shared fixtures, random-matrix helpers, the batch form of a list of ChannelParams, the check suites' draws by scalar calls, the closed-form Kraus triple, and a dense reference for the uncertainty relation."""
+"""Shared fixtures, random-matrix helpers, the batch form of ChannelParams, scalar suite draws, and the dense reference.
 
+The reference shares no kernel with the package: the branch amplitude
+from its two-exponential form, the Kraus triple written entry by entry,
+the evolved isotropic state as the nine-term sum over K_i (x) K_j with
+np.kron, and every entropy from full 9x9 and 3x3 spectra with kron
+projectors for the measured states.
+"""
+
+import cmath
 import math
 import time
 
@@ -111,6 +119,41 @@ def computational_kraus(a, b, g_plus, g_minus, levels=REFERENCE_LEVELS["kraus-or
     return kraus
 
 
+def reference_g(lam, rate, t):
+    """Branch amplitude G(t) from the two-exponential textbook form, its d -> 0 limit near critical damping."""
+    d = cmath.sqrt(lam * lam - 2.0 * lam * rate)
+    if abs(d) < 1e-12 * lam:
+        return math.exp(-lam * t / 2.0) * (1.0 + lam * t / 2.0)
+    return (0.5 * (
+        (1.0 + lam / d) * cmath.exp((d - lam) * t / 2.0)
+        + (1.0 - lam / d) * cmath.exp(-(d + lam) * t / 2.0)
+    )).real
+
+
+def reference_isotropic(k):
+    """The isotropic state (1-k)/9 I + k |psi+><psi+|, psi+ = (|00> + |11> + |22>)/sqrt(3)."""
+    psi = np.zeros(9)
+    psi[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
+    return (1.0 - k) / 9.0 * np.eye(9) + k * np.outer(psi, psi)
+
+
+def reference_evolved(k, a, b, g_plus, g_minus, levels=REFERENCE_LEVELS["kraus-order"]):
+    """The isotropic state of mixing k through the product channel, as the nine-term sum over K_i (x) K_j.
+
+    The local triple is computational_kraus(a, b, g_plus, g_minus, levels)
+    at scalar amplitudes. a = 1, b = 0 gives the triple of the dressed
+    frame (plus branch, minus branch, ground), and G+- = 1 the input itself.
+    """
+    ops = computational_kraus(a, b, g_plus, g_minus, levels)
+    rho0 = reference_isotropic(k)
+    rho = np.zeros((9, 9), dtype=complex)
+    for ki in ops:
+        for kj in ops:
+            kij = np.kron(ki, kj)
+            rho += kij @ rho0 @ kij.conj().T
+    return rho
+
+
 SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2.0)
 
 
@@ -119,6 +162,25 @@ def reference_entropy(rho):
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     w = w[w > 0.0]
     return float(-np.sum(w * np.log2(w)))
+
+
+def reference_partial_trace_a(rho):
+    """Trace out qutrit A, the left factor of r = 3*a + b, from a 9x9 operator."""
+    return rho.reshape(3, 3, 3, 3).trace(axis1=0, axis2=2)
+
+
+def reference_partial_transpose_a(rho):
+    """Transpose the qutrit-A indices of a 9x9 operator: out[3i+k, 3j+l] = rho[3j+k, 3i+l]."""
+    return rho.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
+
+
+def reference_blocks(rho, basis):
+    """(<v_i| (x) I) rho (|v_i> (x) I) for every column v_i of basis: the unnormalised states of B after outcome i."""
+    blocks = []
+    for i in range(basis.shape[1]):
+        p = np.kron(basis[:, [i]], np.eye(3))  # the 9x3 map |v_i> (x) I
+        blocks.append(p.conj().T @ rho @ p)
+    return np.array(blocks)
 
 
 def reference_dephased(rho, basis):
@@ -140,11 +202,11 @@ def reference_eur(rho):
     x_basis = np.linalg.eigh(SX)[1]
     z_basis = np.eye(3, dtype=complex)
     c = float(np.max(np.abs(x_basis.conj().T @ z_basis) ** 2))
-    s_b = reference_entropy(rho.reshape(3, 3, 3, 3).trace(axis1=0, axis2=2))
+    s_b = reference_entropy(reference_partial_trace_a(rho))
     s_xb = reference_entropy(reference_dephased(rho, x_basis)) - s_b
     s_zb = reference_entropy(reference_dephased(rho, z_basis)) - s_b
     u_b = math.log2(1.0 / c) + reference_entropy(rho) - s_b
-    pt = rho.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
+    pt = reference_partial_transpose_a(rho)
     neg = max(0.0, (float(np.sum(np.abs(np.linalg.eigvalsh(pt)))) - 1.0) / 2.0)
     return s_xb + s_zb, u_b, s_xb, s_zb, neg
 

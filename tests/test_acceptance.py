@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from qutrit_eur.channel import ChannelParams, decoherence_factors
-from qutrit_eur.entropy import eur_sample
+from qutrit_eur.channel import ChannelParams, decoherence_factors, dressed_amplitudes
+from qutrit_eur.entropy import evolved_isotropic_columns
 from qutrit_eur.experiment import (
     SweepConfig,
     check_cptp,
@@ -24,7 +24,7 @@ from qutrit_eur.experiment import (
     run_sweep,
     summarize,
 )
-from qutrit_eur.states_obs import isotropic_state, max_overlap_c, spin1_observable
+from qutrit_eur.states_obs import max_overlap_c, spin1_observable
 
 LOG2_3 = np.log2(3.0)
 
@@ -48,12 +48,17 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_exact_anchors_at_t0():
-    assert eur_sample(isotropic_state(0.0)).u_l == pytest.approx(2 * LOG2_3, abs=1e-9)
-    assert eur_sample(isotropic_state(1.0)).u_l == pytest.approx(0.0, abs=1e-9)
-    assert eur_sample(isotropic_state(1.0)).u_b == pytest.approx(1.0 - LOG2_3, abs=1e-9)
-    for k in np.linspace(0.0, 1.0, 11):
+    # the engine at t = 0, where G+- = 1, on a channel whose dressed frame mixes the excited levels
+    ks = np.linspace(0.0, 1.0, 11)
+    ts = np.zeros(len(ks))
+    frame, g_plus, g_minus = dressed_amplitudes(ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), ts)
+    cols = evolved_isotropic_columns(g_plus, g_minus, ks, frame, ts)
+    assert cols.u_l[0] == pytest.approx(2 * LOG2_3, abs=1e-9)
+    assert cols.u_l[-1] == pytest.approx(0.0, abs=1e-9)
+    assert cols.u_b[-1] == pytest.approx(1.0 - LOG2_3, abs=1e-9)
+    for k, negativity in zip(ks, cols.negativity):
         expected = max(0.0, (4 * k - 1) / 3)
-        assert eur_sample(isotropic_state(k)).negativity == pytest.approx(expected, abs=1e-10)
+        assert negativity == pytest.approx(expected, abs=1e-10)
     print("[PASS] criterion 3: t=0 anchors (uncertainty sums, bound, negativity grid)")
 
 

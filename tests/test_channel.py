@@ -14,20 +14,17 @@ from numpy.testing import assert_allclose
 
 from qutrit_eur.channel import (
     ChannelParams,
-    apply_channel,
-    apply_product_channel,
     decoherence_factors,
     decoherence_factors_ode,
     derive_params,
+    dressed_amplitudes,
     dressed_kraus,
-    _kraus_sum,
-    kraus_set,
     require_complete,
 )
+from qutrit_eur.entropy import evolved_isotropic_columns
 from qutrit_eur.experiment import BASIS_CONVENTIONS, BASIS_ROWS, SweepConfig, oracle_grid
-from qutrit_eur.linalg import SampleError
-from qutrit_eur.entropy import eur_sample
-from qutrit_eur.states_obs import isotropic_state
+from qutrit_eur.linalg import SampleError, require_density_stack
+from qutrit_eur.states_obs import require_mixing
 
 from conftest import (
     REFERENCE_LEVELS,
@@ -35,7 +32,8 @@ from conftest import (
     computational_kraus,
     random_density_matrix,
     random_params,
-    random_unitary,
+    reference_evolved,
+    reference_isotropic,
 )
 
 SYMMETRIC_NO_SGI = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
@@ -404,20 +402,20 @@ def test_times_and_k_must_be_ints_or_floats(value):
         for factors in (decoherence_factors, decoherence_factors_ode):
             with pytest.raises(ValueError, match=r"^ts must be real \(ints or floats\), got dtype "):
                 factors(SYMMETRIC_NO_SGI, ts)
-    with pytest.raises(ValueError, match=r"^t must be real \(ints or floats\), got dtype "):
-        kraus_set(SYMMETRIC_NO_SGI, value)
     for k in (value, [0.5, value], np.array([value, value])):
         with pytest.raises(ValueError, match=r"^k must be real \(ints or floats\), got dtype "):
-            isotropic_state(k)
+            require_mixing(k)
 
 
 def test_times_and_k_take_python_and_numpy_ints_and_floats():
-    want = decoherence_factors(SYMMETRIC_NO_SGI, np.array([0.0, 0.5, 2.0]))
+    ts = np.array([0.0, 0.5, 2.0])
+    want = decoherence_factors(SYMMETRIC_NO_SGI, ts)
     got = decoherence_factors(SYMMETRIC_NO_SGI, [0, np.float32(0.5), np.int64(2)])
     assert np.array_equal(np.array(got), np.array(want))
-    assert np.array_equal(kraus_set(SYMMETRIC_NO_SGI, np.int64(2)), kraus_set(SYMMETRIC_NO_SGI, 2.0))
-    assert np.array_equal(isotropic_state(np.float32(0.5)), isotropic_state(0.5))
-    assert np.array_equal(isotropic_state(1), isotropic_state(1.0))
+    frame, g_plus, g_minus = dressed_amplitudes(SYMMETRIC_NO_SGI, ts)
+    for k, same in ((np.float32(0.5), 0.5), (1, 1.0), (np.int64(0), 0.0)):
+        got, want = (np.array(evolved_isotropic_columns(g_plus, g_minus, value, frame, ts)) for value in (k, same))
+        assert np.array_equal(got, want)
 
 
 def test_g_overflow_raises_value_error_naming_inputs():
@@ -426,7 +424,7 @@ def test_g_overflow_raises_value_error_naming_inputs():
     with pytest.raises(ValueError, match=r"not finite and real.*lam=1e\+308.* at t=0$"):
         decoherence_factors(p, [0.0])
     with pytest.raises(ValueError, match=r"t must be finite and nonnegative.* at t=inf$"):
-        kraus_set(SYMMETRIC_NO_SGI, math.inf)
+        decoherence_factors(SYMMETRIC_NO_SGI, [math.inf])
 
 
 def g_mpmath_wide(lam, rate, t):
@@ -576,30 +574,36 @@ def test_g_rejects_mismatched_lengths(factors):
 # ---------------------------------------------------------------------------
 
 
+def kraus_sum(ops, rho):
+    """sum_i K_i rho K_i^dagger over a (3, 3, 3) triple, one term at a time."""
+    return sum(k @ rho @ k.conj().T for k in ops)
+
+
 def test_kraus_identity_at_t0():
-    ks = kraus_set(SYMMETRIC_FULL_SGI, 0.0)
-    assert ks.shape == (3, 3, 3) and ks.dtype == np.float64
-    assert_allclose(ks[0], np.eye(3), atol=1e-14)
-    assert_allclose(ks[1], 0, atol=1e-14)
-    assert_allclose(ks[2], 0, atol=1e-14)
+    dressed, _, g_plus, g_minus = dressed_kraus(SYMMETRIC_FULL_SGI, [0.0])
+    assert dressed.shape == (1, 3, 3, 3) and dressed.dtype == np.float64
+    assert g_plus[0] == g_minus[0] == 1.0
+    assert np.array_equal(dressed[0, 0], np.eye(3))
+    assert not dressed[0, 1:].any()
 
 
 def test_kraus_symmetric_no_sgi_is_diagonal():
-    p = SYMMETRIC_NO_SGI
-    t = 35.0
-    g = decoherence_factors(p, [t])[0][0]
-    ks = kraus_set(p, t)
-    assert ks[0, 0, 1] == 0
-    assert ks[0, 1, 0] == 0
-    assert_allclose(np.diagonal(ks[0]), [g, g, 1.0], atol=1e-14)
+    # equal rates without SGI: both branches decay alike, so K_1 = diag(g, g, 1)
+    # is diagonal in every frame of the excited levels
+    dressed, _, g_plus, g_minus = dressed_kraus(SYMMETRIC_NO_SGI, [35.0])
+    g = decoherence_factors(SYMMETRIC_NO_SGI, [35.0])[0][0]
+    assert g_plus[0] == g_minus[0] == g
+    assert np.array_equal(dressed[0, 0], np.diag([g, g, 1.0]))
 
 
 def test_kraus_completeness_random():
     rng = np.random.default_rng(71)
-    for _ in range(100):
-        ks = kraus_set(random_params(rng), rng.uniform(0.0, 20.0))
-        acc = sum(k.conj().T @ k for k in ks)
-        assert_allclose(acc, np.eye(3), atol=1e-10)
+    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 20.0)) for _ in range(100)])
+    dressed, frames, _, _ = dressed_kraus(as_fields(params), ts)
+    # in computational indices, O K O^T, as in the dressed frame
+    for ops in (dressed, frames[:, None] @ dressed @ frames[:, None].swapaxes(-1, -2)):
+        acc = (ops.swapaxes(-1, -2) @ ops).sum(axis=1)
+        assert_allclose(acc, np.broadcast_to(np.eye(3), acc.shape), atol=1e-10)
 
 
 def test_dressed_kraus_per_draw_params_match_single_calls():
@@ -647,71 +651,57 @@ def test_dressed_kraus_rotates_into_the_computational_triple(basis):
     assert np.max(np.abs(rotated - want)) <= 1e-15
 
 
-def test_kraus_set_matches_the_computational_triple():
-    rng = np.random.default_rng(109)
-    params = [random_params(rng) for _ in range(30)] + [SYMMETRIC_NO_SGI, SYMMETRIC_FULL_SGI]
-    for p, t in zip(params, rng.uniform(0.0, 50.0, len(params))):
-        kraus = kraus_set(p, t)
-        d = derive_params(p)
-        (g_plus,), (g_minus,) = decoherence_factors(p, [t])
-        assert kraus.dtype == np.float64
-        assert np.max(np.abs(kraus - computational_kraus(d.a, d.b, g_plus, g_minus))) <= 1e-15
-
-
 def test_degenerate_mixing_choice_does_not_change_channel():
     # at q = 0 both branch amplitudes coincide, so any orthonormal (a, b)
-    # pair yields the same map; compare the canonical choice with (1, 0)
-    p = SYMMETRIC_NO_SGI
-    t = 50.0
-    g = decoherence_factors(p, [t])[0][0]
-    w = math.sqrt(1.0 - g * g)
-    ks = kraus_set(p, t)
-    alt = np.array([
-        ks[0],
-        w * np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex),
-        w * np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex),
-    ])
+    # pair yields the same map; compare the canonical choice, the dressed
+    # triple rotated by its frame, with (1, 0), the dressed triple itself
+    dressed, (frame,), _, _ = dressed_kraus(SYMMETRIC_NO_SGI, [50.0])
+    assert derive_params(SYMMETRIC_NO_SGI).q == 0.0
+    ks = frame @ dressed[0] @ frame.T
     rng = np.random.default_rng(73)
     for _ in range(5):
         rho = random_density_matrix(rng, 3)
-        assert_allclose(apply_channel(rho, ks), apply_channel(rho, alt), atol=1e-12)
+        assert_allclose(kraus_sum(ks, rho), kraus_sum(dressed[0], rho), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # channel application
 # ---------------------------------------------------------------------------
+# The CPTP suite applies the dressed tensor of each draw to its input
+# rotated into the dressed frame; the tests apply it term by term. The
+# ground level is index 2 in the dressed frame as in computational indices.
 
 
 def test_apply_channel_identity_at_t0():
     rng = np.random.default_rng(79)
     rho = random_density_matrix(rng, 3)
-    out = apply_channel(rho, kraus_set(SYMMETRIC_FULL_SGI, 0.0))
+    out = kraus_sum(dressed_kraus(SYMMETRIC_FULL_SGI, [0.0])[0][0], rho)
     assert_allclose(out, rho, atol=1e-12)
 
 
 def test_apply_channel_ground_state_fixed_point():
     rng = np.random.default_rng(83)
-    for _ in range(10):
-        ks = kraus_set(random_params(rng), rng.uniform(0.0, 50.0))
-        assert_allclose(apply_channel(GROUND, ks), GROUND, atol=1e-12)
+    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 50.0)) for _ in range(10)])
+    for ops in dressed_kraus(as_fields(params), ts)[0]:
+        assert_allclose(kraus_sum(ops, GROUND), GROUND, atol=1e-12)
 
 
 def test_apply_channel_population_transfer_matches_oracle():
-    # an initially excited level decays to the ground level as G(t)^2
+    # the plus branch of the dressed frame decays to the ground level as G(t)^2
     p = SYMMETRIC_NO_SGI
     t = 140.0
     g = decoherence_factors_ode(p, [t])[0][0]
-    out = apply_channel(EXCITED_1, kraus_set(p, t))
+    out = kraus_sum(dressed_kraus(p, [t])[0][0], EXCITED_1)
     expected = g * g * EXCITED_1 + (1.0 - g * g) * GROUND
     assert_allclose(out, expected, atol=1e-8)
 
 
 def test_apply_channel_rejects_invalid_state():
-    ks = kraus_set(SYMMETRIC_NO_SGI, 1.0)
+    # the check the CPTP suite runs on its inputs
     with pytest.raises(ValueError, match="trace"):
-        apply_channel(np.eye(3, dtype=complex), ks)
+        require_density_stack(np.eye(3, dtype=complex)[None])
     with pytest.raises(ValueError, match="eigenvalue"):
-        apply_channel(np.diag([1.5, -0.5, 0.0]).astype(complex), ks)
+        require_density_stack(np.diag([1.5, -0.5, 0.0]).astype(complex)[None])
 
 
 # incomplete triples: the identity damped to 0.9, real and complex, and a
@@ -723,98 +713,37 @@ INCOMPLETE_KRAUS = [
 ]
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("shape", [(2, 3, 3), (9, 3), (3, 3, 3, 1)])
-def test_apply_rejects_wrong_shape_kraus(shape, dtype):
-    kraus = np.zeros(shape, dtype=dtype)
-    with pytest.raises(ValueError, match=r"\(3, 3, 3\)"):
-        apply_channel(GROUND, kraus)
-    with pytest.raises(ValueError, match=r"\(3, 3, 3\)"):
-        apply_product_channel(isotropic_state(0.5), kraus)
-
-
 @pytest.mark.parametrize("kraus", INCOMPLETE_KRAUS, ids=["real", "complex", "complex-unitary"])
 def test_apply_rejects_incomplete_kraus(kraus):
+    # the CPTP suite applies a tensor only after require_complete passes it
     with pytest.raises(ValueError, match="completeness"):
-        apply_channel(GROUND, kraus)
-    with pytest.raises(ValueError, match="completeness"):
-        apply_product_channel(isotropic_state(0.5), kraus)
-
-
-def test_apply_checks_state_shape_before_any_eigensolve(monkeypatch):
-    ks = kraus_set(SYMMETRIC_NO_SGI, 1.0)
-
-    def no_eigensolve(*args, **kwargs):
-        raise AssertionError("eigvalsh ran before the shape check")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-    with pytest.raises(ValueError, match=r"rho must be a 3x3 matrix, got shape \(9, 9\)"):
-        apply_channel(isotropic_state(0.5), ks)
-    with pytest.raises(ValueError, match=r"rho_ab must be a 9x9 matrix, got shape \(3, 3\)"):
-        apply_product_channel(GROUND, ks)
+        require_complete(kraus[None])
 
 
 def test_apply_channel_preserves_state_validity():
     rng = np.random.default_rng(89)
-    for _ in range(50):
-        ks = kraus_set(random_params(rng), rng.uniform(0.0, 20.0))
-        out = apply_channel(random_density_matrix(rng, 3), ks)
+    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 20.0)) for _ in range(50)])
+    for ops in dressed_kraus(as_fields(params), ts)[0]:
+        out = kraus_sum(ops, random_density_matrix(rng, 3))
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-10
 
 
 def test_apply_product_channel_identity_at_t0():
-    rho = isotropic_state(0.7)
-    out = apply_product_channel(rho, kraus_set(SYMMETRIC_FULL_SGI, 0.0))
-    assert_allclose(out, rho, atol=1e-12)
-
-
-def test_apply_product_channel_factorizes_products():
-    rng = np.random.default_rng(97)
-    ks = kraus_set(random_params(rng), 3.0)
-    rho = random_density_matrix(rng, 3)
-    sigma = random_density_matrix(rng, 3)
-    joint = apply_product_channel(np.kron(rho, sigma), ks)
-    assert_allclose(joint, np.kron(apply_channel(rho, ks), apply_channel(sigma, ks)), atol=1e-12)
+    # the dense reference's product channel, with the amplitudes and mixing of the package
+    d = derive_params(SYMMETRIC_FULL_SGI)
+    (g_plus,), (g_minus,) = decoherence_factors(SYMMETRIC_FULL_SGI, [0.0])
+    out = reference_evolved(0.7, d.a, d.b, g_plus, g_minus)
+    assert_allclose(out, reference_isotropic(0.7), atol=1e-12)
 
 
 def test_apply_product_channel_trace_and_hermiticity():
     rng = np.random.default_rng(101)
-    for _ in range(20):
-        ks = kraus_set(random_params(rng), rng.uniform(0.0, 20.0))
-        out = apply_product_channel(random_density_matrix(rng, 9), ks)
+    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 20.0)) for _ in range(20)])
+    for ops in dressed_kraus(as_fields(params), ts)[0]:
+        out = kraus_sum([np.kron(ki, kj) for ki in ops for kj in ops], random_density_matrix(rng, 9))
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
-
-
-def random_complete_kraus(rng):
-    """A random complex Kraus triple: the three 3x3 row blocks of a 9x3 isometry."""
-    return random_unitary(rng, 9)[:, :3].reshape(3, 3, 3)
-
-
-def test_evolve_kernels_on_a_stack_match_the_dense_kraus_sums():
-    rng = np.random.default_rng(109)
-    kraus = np.array([random_complete_kraus(rng) for _ in range(3)])
-    assert np.max(require_complete(kraus)) <= 1e-14
-    for ops in kraus:
-        rho = random_density_matrix(rng, 9)
-        want = sum(np.kron(ki, kj) @ rho @ np.kron(ki, kj).conj().T for ki in ops for kj in ops)
-        assert np.max(np.abs(apply_product_channel(rho, ops) - want)) <= 1e-12
-    singles = np.array([random_density_matrix(rng, 3) for _ in range(3)])
-    one_single = random_density_matrix(rng, 3)
-    real_kraus = kraus_set(random_params(rng), 2.0)[None]
-    x = rng.standard_normal((3, 3))
-    real_single = x @ x.T / np.trace(x @ x.T)
-    for states, tensor, out in (
-        (singles, kraus, _kraus_sum(singles, kraus)),
-        ([one_single] * 3, kraus, _kraus_sum(one_single, kraus)),
-        ([real_single], real_kraus, _kraus_sum(real_single, real_kraus)),
-    ):
-        assert out.shape == (len(tensor), 3, 3)
-        # a real triple on a real state stays in real arithmetic
-        assert out.dtype == (np.float64 if tensor is real_kraus else np.complex128)
-        for rho, ops, got in zip(states, tensor, out):
-            assert np.max(np.abs(got - sum(k @ rho @ k.conj().T for k in ops))) <= 1e-12
 
 
 def test_entanglement_death_at_amplitude_zero_and_revival():
@@ -822,10 +751,10 @@ def test_entanglement_death_at_amplitude_zero_and_revival():
     # branch amplitude crosses zero (everything sits in the ground state)
     # and partially recovers afterwards
     p = SYMMETRIC_NO_SGI
-    rho0 = isotropic_state(1.0)
 
     def neg_at(t):
-        return eur_sample(apply_product_channel(rho0, kraus_set(p, t))).negativity
+        frame, g_plus, g_minus = dressed_amplitudes(p, [t])
+        return evolved_isotropic_columns(g_plus, g_minus, 1.0, frame, np.array([t])).negativity[0]
 
     def g_at(t):
         return decoherence_factors(p, [t])[0][0]

@@ -1,16 +1,12 @@
-"""The batched sweep engine against a dense per-sample reference.
+"""The batched sweep engine against the dense per-sample reference of conftest.
 
-The reference below is the original per-sample algorithm written out with
+The reference (conftest.reference_g, computational_kraus, reference_evolved
+and reference_eur) is the original per-sample algorithm written out with
 np.kron: scalar closed-form G(t), the Kraus triple written entry by entry
-(conftest.computational_kraus) at explicit level indices for each basis
-convention, the product channel as a nine-term sum
-over K_i (x) K_j, then conftest.reference_eur: measurement by 9x9
-projectors and full 9x9 spectra for every entropy. It shares no kernel
-with the engine.
+at explicit level indices for each basis convention, the product channel
+as a nine-term sum over K_i (x) K_j, then measurement by 9x9 projectors
+and full 9x9 spectra for every entropy. It shares no kernel with the engine.
 """
-
-import cmath
-import math
 
 import numpy as np
 import pytest
@@ -20,31 +16,20 @@ from hypothesis import strategies as st
 from qutrit_eur import channel, entropy, experiment
 from qutrit_eur.channel import (
     ChannelParams,
-    apply_product_channel,
+    decoherence_factors,
     derive_params,
     dressed_amplitudes,
     dressed_kraus,
-    kraus_set,
     require_complete,
 )
-from qutrit_eur.entropy import eur_columns, eur_sample, evolved_isotropic_columns
+from qutrit_eur.entropy import evolved_isotropic_columns
 from qutrit_eur.experiment import BASIS_ROWS, SweepConfig, check_uncertainty_inequality, run_sweep
-from qutrit_eur.states_obs import isotropic_state
+from qutrit_eur.linalg import require_density_stack
 
-from conftest import REFERENCE_LEVELS, computational_kraus, reference_eur
+from conftest import REFERENCE_LEVELS, reference_eur, reference_evolved, reference_g
 
 COLUMNS = ("t_gamma", "u_l", "u_b", "s_xb", "s_zb", "negativity", "g_plus", "g_minus")
 MONOTONE_LAM, OSCILLATORY_LAM = 5.0, 0.01
-
-
-def reference_g(lam, rate, t):
-    d = cmath.sqrt(lam * lam - 2.0 * lam * rate)
-    if abs(d) < 1e-12 * lam:
-        return math.exp(-lam * t / 2.0) * (1.0 + lam * t / 2.0)
-    return (0.5 * (
-        (1.0 + lam / d) * cmath.exp((d - lam) * t / 2.0)
-        + (1.0 - lam / d) * cmath.exp(-(d + lam) * t / 2.0)
-    )).real
 
 
 def reference_row(cfg, t):
@@ -52,13 +37,7 @@ def reference_row(cfg, t):
     d = derive_params(p)
     gp = reference_g(p.lam, d.gamma_plus, t)
     gm = reference_g(p.lam, d.gamma_minus, t)
-    ops = computational_kraus(d.a, d.b, gp, gm, REFERENCE_LEVELS[cfg.basis])
-    rho0 = isotropic_state(cfg.k)
-    rho = np.zeros((9, 9), dtype=complex)
-    for ki in ops:
-        for kj in ops:
-            kij = np.kron(ki, kj)
-            rho += kij @ rho0 @ kij.conj().T
+    rho = reference_evolved(cfg.k, d.a, d.b, gp, gm, REFERENCE_LEVELS[cfg.basis])
     return (t, *reference_eur(rho), gp, gm)
 
 
@@ -96,19 +75,21 @@ def test_sweep_with_ragged_last_block_matches_dense_reference(monkeypatch):
 
 
 def test_scalar_functions_reproduce_sweep_rows():
-    # the sweep evolves in the dressed frame and eur_sample in computational
+    # the per-sample reference, fed the engine's own amplitudes: the engine
+    # evolves in the dressed frame and the reference in computational
     # indices, so the two agree at round-off, not bit for bit
     cfg = SweepConfig(
         channel=ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=OSCILLATORY_LAM),
         k=0.6, t_max=600.0, steps=300,
     )
     records = run_sweep(cfg)
-    rho0 = isotropic_state(cfg.k)
+    d = derive_params(cfg.channel)
     for i in (0, 1, 127, 128, 200, 299):
         r = records[i]
-        s = eur_sample(apply_product_channel(rho0, kraus_set(cfg.channel, r.t_gamma)))
-        got = np.array([s.u_l, s.u_b, s.s_xb, s.s_zb, s.negativity])
-        assert np.max(np.abs(got - [r.u_l, r.u_b, r.s_xb, r.s_zb, r.negativity])) <= 1e-13
+        (g_plus,), (g_minus,) = decoherence_factors(cfg.channel, [r.t_gamma])
+        want = reference_eur(reference_evolved(cfg.k, d.a, d.b, g_plus, g_minus))
+        got = np.array([r.u_l, r.u_b, r.s_xb, r.s_zb, r.negativity])
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +113,19 @@ def test_closed_form_kernel_matches_dense_reference(gamma1, gamma2, theta, log_l
     frame, g_plus, g_minus = dressed_amplitudes(p, ts)
     # the basis as the sweep applies it, a row order of the kraus-order frame
     got = evolved_isotropic_columns(g_plus, g_minus, k, frame[:, BASIS_ROWS[basis]], ts)
-    # kraus_set is in kraus-order indices: entry i of the basis reads kraus-order index source[i]
-    source = np.argsort(REFERENCE_LEVELS[basis])
-    ops = kraus_set(p, t)[:, source][:, :, source]
-    want = reference_eur(apply_product_channel(isotropic_state(k), ops))
+    # the reference with the same amplitudes, its levels at the basis's computational indices
+    d = derive_params(p)
+    want = reference_eur(reference_evolved(k, d.a, d.b, g_plus[0], g_minus[0], REFERENCE_LEVELS[basis]))
     assert np.max(np.abs(np.ravel(got) - want)) <= 1e-12
 
 
-def evolved_block(ts):
-    dressed = dressed_kraus(ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), ts)[0]
-    return dressed, np.array([apply_product_channel(isotropic_state(0.8), ops) for ops in dressed])
+MIXED = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
+
+
+def evolved_stack(ts):
+    """The reference evolved states of MIXED at k = 0.8, one per time of ts."""
+    d = derive_params(MIXED)
+    return np.array([reference_evolved(0.8, d.a, d.b, *g) for g in zip(*decoherence_factors(MIXED, ts))])
 
 
 def not_hermitian(rho):
@@ -161,26 +145,27 @@ def negative_eigenvalue(rho):
     [(not_hermitian, "not Hermitian"), (wrong_trace, "unit trace"), (negative_eigenvalue, "negative eigenvalue")],
 )
 def test_batched_state_checks_name_the_corrupted_sample(corrupt, message):
+    # the check the CPTP suite runs on its input states, on any (T, n, n) stack
     ts = np.linspace(0.0, 60.0, 7)
-    _, rho = evolved_block(ts)
-    eur_columns(rho, ts)
+    rho = evolved_stack(ts)
+    require_density_stack(rho, ts)
     corrupt(rho[4])
     with pytest.raises(ValueError, match=f"{message}.* at t=40$"):
-        eur_columns(rho, ts)
+        require_density_stack(rho, ts)
 
 
 def test_batched_bound_check_names_the_first_sample(monkeypatch):
     ts = np.linspace(0.0, 60.0, 7)
-    _, rho = evolved_block(ts)
+    frame, g_plus, g_minus = dressed_amplitudes(MIXED, ts)
     # the offset of an overlap c = 0.01 raises the bound above every sample
     monkeypatch.setattr(entropy, "BOUND_OFFSET", float(np.log2(1.0 / 0.01)))
     with pytest.raises(ValueError, match="below its lower bound.* at t=0$"):
-        eur_columns(rho, ts)
+        evolved_isotropic_columns(g_plus, g_minus, 0.8, frame, ts)
 
 
 def test_batched_completeness_check_names_the_corrupted_sample():
     ts = np.linspace(0.0, 60.0, 7)
-    kraus, _ = evolved_block(ts)
+    kraus = dressed_kraus(MIXED, ts)[0]
     require_complete(kraus, ts)
     kraus[2, 1] *= 0.5
     with pytest.raises(ValueError, match="completeness.* at t=20$"):

@@ -18,9 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutrit_eur import entropy, experiment
-from qutrit_eur.channel import ChannelParams, apply_channel, apply_product_channel, decoherence_factors, kraus_set
+from qutrit_eur.channel import ChannelParams, decoherence_factors, derive_params
 from qutrit_eur.cli import build_parser, main
-from qutrit_eur.entropy import eur_sample
 from qutrit_eur.experiment import (
     CSV_HEADER,
     EXTREMUM_DELTA,
@@ -40,9 +39,15 @@ from qutrit_eur.experiment import (
     summarize,
     write_summary,
 )
-from qutrit_eur.states_obs import isotropic_state
 
-from conftest import as_fields, reference_cptp_draws, reference_inequality_draws
+from conftest import (
+    as_fields,
+    computational_kraus,
+    reference_cptp_draws,
+    reference_eur,
+    reference_evolved,
+    reference_inequality_draws,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUICK_CHANNEL = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
@@ -577,10 +582,13 @@ def test_check_cptp_matches_per_draw_reference(monkeypatch):
     _, detail = check_cptp(n_draws=50, seed=11)
     want = []
     for params, t, x in reference_cptp_draws(random.Random(11), 50):
-        ks = kraus_set(params, t)
+        d = derive_params(params)
+        (g_plus,), (g_minus,) = decoherence_factors(params, [t])
+        ks = computational_kraus(d.a, d.b, g_plus, g_minus)
         acc = sum(k.conj().T @ k for k in ks)
         rho = x @ x.conj().T
-        out = apply_channel(rho / np.trace(rho).real, ks)
+        rho = rho / np.trace(rho).real
+        out = sum(k @ rho @ k.conj().T for k in ks)
         want.append((
             np.max(np.abs(acc - np.eye(3))),
             abs(np.trace(out).real - 1.0),
@@ -603,10 +611,12 @@ def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
     _, detail = check_uncertainty_inequality(n_draws=50, seed=13)
     want = []
     for params, t, k in reference_inequality_draws(random.Random(13), 50):
-        s = eur_sample(apply_product_channel(isotropic_state(k), kraus_set(params, t)))
-        want.append(s.u_l - s.u_b)
+        d = derive_params(params)
+        (g_plus,), (g_minus,) = decoherence_factors(params, [t])
+        u_l, u_b = reference_eur(reference_evolved(k, d.a, d.b, g_plus, g_minus))[:2]
+        want.append(u_l - u_b)
     want = np.array(want)
-    # the suite evolves in the dressed frame, eur_sample in computational indices
+    # the suite evolves in the dressed frame, the reference in computational indices
     (got,) = captured[0]
     assert np.max(np.abs(got - want)) <= 1e-13
     assert detail == f"50 draws: worst bound margin {want.min():.2e}"
@@ -976,6 +986,48 @@ def test_cli_check_fails_the_inequality_suite_on_a_violated_bound(monkeypatch, c
     assert " below its lower bound " in lines[2]
     assert lines[2].endswith(")") and " (draw 0: ChannelParams(gamma1=" in lines[2]
     assert lines[3].startswith("self-check FAILED in ")
+
+
+def closed_pipe():
+    """The write end of a pipe whose read end is closed already, so every write to it fails with EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["check", "figure"])
+def test_cli_exits_quietly_when_the_reader_of_stdout_is_gone(tmp_path, command, buffered):
+    # as under `qutrit-eur check | head -1`, with no race: the reader is gone before the run starts
+    argv = ["check"] if command == "check" else ["figure", "fig3d", "--out", str(tmp_path / "piped.csv")]
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    cmd = [sys.executable, *([] if buffered else ["-u"]), "-m", "qutrit_eur.cli", *argv]
+    write = closed_pipe()
+    try:
+        proc = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    if command == "figure":
+        # the CSV and its summary are written before the line to stdout, and are complete
+        assert main(["figure", "fig3d", "--out", str(tmp_path / "plain.csv")]) == 0
+        for suffix in ("", ".summary.txt"):
+            assert (tmp_path / f"piped.csv{suffix}").read_bytes() == (tmp_path / f"plain.csv{suffix}").read_bytes()
+
+
+def test_cli_reports_a_failed_csv_write_when_the_reader_of_stdout_is_gone(tmp_path):
+    out = tmp_path / "no" / "such" / "dir" / "x.csv"
+    write = closed_pipe()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qutrit_eur.cli", "figure", "fig3d", "--out", str(out)],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=src_env(), timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: failed to write sweep CSV to {out}: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_imports_no_numpy_random(tmp_path):

@@ -1,9 +1,9 @@
-"""Tests for the linear algebra layer: partial trace and transpose, and the 3x3 Jacobi eigenvalue kernel.
+"""Tests for the two-qutrit layout of the dense reference, and the 3x3 Jacobi eigenvalue kernel.
 
-The package forms no tensor products. The tests build product operators
-with numpy's ``np.kron``, and the layout tests below pin that its index
-order is the package's convention (subsystem A is the left factor,
-r = 3*a + b).
+The package forms no tensor products and no 9x9 state. The dense
+reference in conftest builds product operators with numpy's ``np.kron``
+and takes partial traces and transposes of them; the layout tests below
+pin that its index order is r = 3*a + b, subsystem A the left factor.
 """
 
 import mpmath
@@ -15,9 +15,9 @@ from numpy.testing import assert_allclose
 
 from qutrit_eur import linalg
 from qutrit_eur.experiment import figure_preset, run_sweep
-from qutrit_eur.linalg import partial_trace_a, partial_transpose_a, symmetric_eigvals3
+from qutrit_eur.linalg import symmetric_eigvals3
 
-from conftest import random_density_matrix, random_hermitian
+from conftest import random_hermitian, reference_partial_trace_a, reference_partial_transpose_a
 
 I3 = np.eye(3, dtype=complex)
 I9 = np.eye(9, dtype=complex)
@@ -81,11 +81,11 @@ def test_kron_associative_bilinear():
 
 
 def test_partial_trace_maximally_mixed():
-    assert_allclose(partial_trace_a(I9 / 9), I3 / 3, atol=1e-15)
+    assert_allclose(reference_partial_trace_a(I9 / 9), I3 / 3, atol=1e-15)
 
 
 def test_partial_trace_max_entangled_marginal():
-    assert_allclose(partial_trace_a(psi_plus_projector()), I3 / 3, atol=1e-15)
+    assert_allclose(reference_partial_trace_a(psi_plus_projector()), I3 / 3, atol=1e-15)
 
 
 def test_partial_trace_of_product():
@@ -93,42 +93,37 @@ def test_partial_trace_of_product():
     for _ in range(10):
         a = random_hermitian(rng, 3)
         b = random_hermitian(rng, 3)
-        assert_allclose(partial_trace_a(np.kron(a, b)), b * np.trace(a), atol=1e-12)
+        assert_allclose(reference_partial_trace_a(np.kron(a, b)), b * np.trace(a), atol=1e-12)
 
 
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(29)
     m = random_hermitian(rng, 9)
-    assert_allclose(np.trace(partial_trace_a(m)), np.trace(m), atol=1e-12)
-
-
-def test_partial_trace_rejects_wrong_dim():
-    with pytest.raises(ValueError, match="9x9"):
-        partial_trace_a(np.eye(3))
+    assert_allclose(np.trace(reference_partial_trace_a(m)), np.trace(m), atol=1e-12)
 
 
 def test_partial_transpose_identity_invariant():
-    assert_allclose(partial_transpose_a(I9), I9, atol=0)
+    assert_allclose(reference_partial_transpose_a(I9), I9, atol=0)
 
 
 def test_partial_transpose_of_product():
     rng = np.random.default_rng(31)
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 3)
-    assert_allclose(partial_transpose_a(np.kron(a, b)), np.kron(a.T, b), atol=0)
+    assert_allclose(reference_partial_transpose_a(np.kron(a, b)), np.kron(a.T, b), atol=0)
 
 
 def test_partial_transpose_involution_exact():
     rng = np.random.default_rng(37)
     m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    back = partial_transpose_a(partial_transpose_a(m))
+    back = reference_partial_transpose_a(reference_partial_transpose_a(m))
     assert np.array_equal(back, m)
 
 
 def test_partial_transpose_preserves_trace():
     rng = np.random.default_rng(41)
     m = random_hermitian(rng, 9)
-    assert_allclose(np.trace(partial_transpose_a(m)), np.trace(m), atol=1e-12)
+    assert_allclose(np.trace(reference_partial_transpose_a(m)), np.trace(m), atol=1e-12)
 
 
 def test_partial_transpose_max_entangled_spectrum():
@@ -138,16 +133,10 @@ def test_partial_transpose_max_entangled_spectrum():
     for a in range(3):
         for b in range(3):
             swap[3 * a + b, 3 * b + a] = 1.0
-    got = partial_transpose_a(psi_plus_projector())
+    got = reference_partial_transpose_a(psi_plus_projector())
     assert_allclose(got, swap / 3, atol=1e-15)
     spectrum = np.sort(np.linalg.eigvalsh(got))
     assert_allclose(spectrum, [-1 / 3] * 3 + [1 / 3] * 6, atol=1e-12)
-
-
-def test_partial_transpose_rejects_wrong_dim():
-    with pytest.raises(ValueError, match="9x9"):
-        partial_transpose_a(np.eye(4))
-
 
 
 # the off-diagonal entries (a01, a02, a12) in the order symmetric_eigvals3 takes them

@@ -20,15 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_eur.channel import (
-    ChannelParams,
-    apply_product_channel,
-    derive_params,
-    dressed_amplitudes,
-    dressed_kraus,
-)
+from qutrit_eur.channel import ChannelParams, derive_params, dressed_amplitudes, dressed_kraus
 from qutrit_eur import entropy, experiment
-from qutrit_eur.entropy import _MEASURED_BASES, eur_columns, evolved_isotropic_columns
+from qutrit_eur.entropy import _MEASURED_BASES, evolved_isotropic_columns
 from qutrit_eur.experiment import (
     BASIS_CONVENTIONS,
     BASIS_ROWS,
@@ -38,10 +32,8 @@ from qutrit_eur.experiment import (
     figure_preset,
     run_sweep,
 )
-from qutrit_eur.linalg import partial_trace_a, partial_transpose_a
-from qutrit_eur.states_obs import conditional_blocks, isotropic_state, spin1_observable
 
-from conftest import REFERENCE_LEVELS, as_fields, computational_kraus
+from conftest import REFERENCE_LEVELS, as_fields, reference_blocks, reference_evolved
 
 # unequal rates with partial SGI: both mixing amplitudes are nonzero and a != b
 MIXED = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
@@ -51,16 +43,9 @@ _A, _B, _A2, _B2 = np.indices((3, 3, 3, 3))
 SUPPORT = (((_A == _A2) & (_B == _B2)) | ((_A == _B) & (_A2 == _B2))).reshape(9, 9)
 
 
-def evolved(kraus, k=0.6):
-    """The isotropic state through the product channel of each (3, 3, 3) triple of a stack."""
-    return np.array([apply_product_channel(isotropic_state(k), ops) for ops in kraus])
-
-
-def computational_block(levels=REFERENCE_LEVELS["kraus-order"]):
-    """The Kraus triple of MIXED at every time of TS in computational indices, from its closed form."""
-    _, _, g_plus, g_minus = dressed_kraus(MIXED, TS)
-    d = derive_params(MIXED)
-    return computational_kraus(d.a, d.b, g_plus, g_minus, levels)
+def evolved(g_plus, g_minus, k=0.6, a=1.0, b=0.0, levels=REFERENCE_LEVELS["kraus-order"]):
+    """The reference evolved state at each pair of amplitudes: in the dressed frame, or at mixing (a, b) and levels."""
+    return np.array([reference_evolved(k, a, b, gp, gm, levels) for gp, gm in zip(g_plus, g_minus)])
 
 
 def closed_form(g_plus, g_minus, k):
@@ -91,32 +76,22 @@ def assert_closed_form(rho, g_plus, g_minus, k):
 @pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
 def test_dressed_frame_block_sectors(basis):
     # one ChannelParams gives a stack of one frame
-    dressed, (frame,), g_plus, g_minus = dressed_kraus(MIXED, TS)
-    rho_d = evolved(dressed)
+    (frame,), g_plus, g_minus = dressed_amplitudes(MIXED, TS)
+    rho_d = evolved(g_plus, g_minus)
     assert_closed_form(rho_d, g_plus, g_minus, 0.6)
     # the dressed block is the computational one seen in the frame O (x) O,
     # its rows in the basis's order as the sweep takes them
-    rho = evolved(computational_block(REFERENCE_LEVELS[basis]))
+    d = derive_params(MIXED)
+    rho = evolved(g_plus, g_minus, a=d.a, b=d.b, levels=REFERENCE_LEVELS[basis])
     both = np.kron(frame[BASIS_ROWS[basis]], frame[BASIS_ROWS[basis]])
     assert np.max(np.abs(both @ rho_d @ both.T - rho)) <= 1e-15
 
 
 def test_sweep_kernels_stay_real():
     dressed, (frame,), g_plus, g_minus = dressed_kraus(MIXED, TS)
-    rho = evolved(dressed)
-    basis = frame.T @ np.hstack([spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis])
-    for array in (dressed, rho, partial_transpose_a(rho), conditional_blocks(rho, basis)):
+    for array in (dressed, frame, g_plus, g_minus):
         assert array.dtype == np.float64
     assert all(col.dtype == np.float64 for col in evolved_isotropic_columns(g_plus, g_minus, 0.6, frame, TS))
-
-
-def test_complex_state_keeps_complex_arithmetic():
-    rho = evolved(computational_block()).astype(complex)
-    assert partial_transpose_a(rho).dtype == partial_trace_a(rho).dtype == np.complex128
-    real = eur_columns(rho.real, TS)
-    cplx = eur_columns(rho, TS)
-    for a, b in zip(real, cplx):
-        assert np.max(np.abs(a - b)) <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,8 +106,8 @@ def test_dressed_frame_sector_sizes(gamma1, gamma2, theta, log_lam, k):
     # the structure comes from the physics, not from an index table in the
     # engine; the dressed tensor has no basis convention, only its frame does
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
-    dressed, _, g_plus, g_minus = dressed_kraus(p, TS[::8])
-    assert_closed_form(evolved(dressed, k), g_plus, g_minus, k)
+    _, g_plus, g_minus = dressed_amplitudes(p, TS[::8])
+    assert_closed_form(evolved(g_plus, g_minus, k), g_plus, g_minus, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,7 +236,7 @@ def test_closed_form_z_spectra_match_eigvalsh(monkeypatch, basis, params, k, ts)
     # the full 3x3 z blocks of the evolved state along u = O^T e_j
     rho = closed_form(g_plus, g_minus, k)
     frames = np.broadcast_to(frame, (len(ts), 3, 3))
-    blocks = np.array([conditional_blocks(state, o.T) for state, o in zip(rho, frames)])
+    blocks = np.array([reference_blocks(state, o.T) for state, o in zip(rho, frames)])
     want = np.sort(np.linalg.eigvalsh(blocks).reshape(len(ts), 9), axis=1)
     assert np.max(np.abs(np.sort(spectra[0], axis=1) - want)) <= 1e-15
 

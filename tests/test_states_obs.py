@@ -1,19 +1,26 @@
-"""Tests for initial states, spin-1 observables, and the conditional blocks of a measurement."""
+"""Tests for the mixing check, the spin-1 observables, and the dense reference's isotropic input and measurement.
+
+The isotropic state and the measured states are built only in conftest's
+dense reference, which the engine is compared against; the tests here
+anchor that reference.
+"""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qutrit_eur.linalg import partial_trace_a
-from qutrit_eur.states_obs import (
-    Observable,
-    conditional_blocks,
-    isotropic_state,
-    max_overlap_c,
-    spin1_observable,
-)
+from qutrit_eur.channel import dressed_amplitudes
+from qutrit_eur.entropy import evolved_isotropic_columns
+from qutrit_eur.states_obs import Observable, max_overlap_c, require_mixing, spin1_observable
 
-from conftest import random_density_matrix, random_unitary
+from conftest import (
+    random_density_matrix,
+    random_unitary,
+    reference_blocks,
+    reference_dephased,
+    reference_isotropic,
+    reference_partial_trace_a,
+)
 
 I9 = np.eye(9, dtype=complex)
 
@@ -24,11 +31,11 @@ I9 = np.eye(9, dtype=complex)
 
 
 def test_isotropic_fully_mixed():
-    assert_allclose(isotropic_state(0.0), I9 / 9, atol=0)
+    assert_allclose(reference_isotropic(0.0), I9 / 9, atol=0)
 
 
 def test_isotropic_maximally_entangled_is_pure():
-    rho = isotropic_state(1.0)
+    rho = reference_isotropic(1.0)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.matrix_rank(rho, tol=1e-10) == 1
@@ -38,7 +45,7 @@ def test_isotropic_spectrum():
     # one eigenvalue (1-k)/9 + k along the entangled direction, (1-k)/9
     # on the eight orthogonal ones
     k = 0.4
-    w = np.sort(np.linalg.eigvalsh(isotropic_state(k)))
+    w = np.sort(np.linalg.eigvalsh(reference_isotropic(k)))
     assert_allclose(w[:8], np.full(8, (1 - k) / 9), atol=1e-12)
     assert w[8] == pytest.approx((1 - k) / 9 + k, abs=1e-12)
 
@@ -49,30 +56,29 @@ def test_isotropic_closed_form_spectrum_matches_eigvalsh():
     # check it again
     ks = np.linspace(0.0, 1.0, 101)[:, None]
     closed_form = np.hstack([np.repeat((1.0 - ks) / 9.0, 8, axis=1), (1.0 + 8.0 * ks) / 9.0])
-    assert np.max(np.abs(closed_form - np.linalg.eigvalsh(isotropic_state(ks[:, 0])))) <= 1e-15
+    spectra = np.linalg.eigvalsh([reference_isotropic(k) for k in ks[:, 0]])
+    assert np.max(np.abs(closed_form - spectra)) <= 1e-15
     assert closed_form.min() >= 0.0
     assert np.max(np.abs(closed_form.sum(axis=1) - 1.0)) <= 1e-15
-
-
-def test_isotropic_state_is_real():
-    assert isotropic_state(0.4).dtype == np.float64
-    assert isotropic_state(np.array([0.0, 1.0])).dtype == np.float64
 
 
 def test_isotropic_rejects_out_of_range():
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError, match="k must"):
-            isotropic_state(bad)
+            require_mixing(bad)
 
 
 def test_isotropic_stack_matches_single_states():
+    # one k per time, as the inequality suite passes them, against one scalar k for all times
     ks = np.array([0.0, 0.25, 0.6, 1.0])
-    stack = isotropic_state(ks)
-    assert stack.shape == (4, 9, 9)
-    for k, rho in zip(ks, stack):
-        assert np.array_equal(rho, isotropic_state(float(k)))
+    ts = np.array([0.0, 10.0, 70.2, 300.0])
+    frame, g_plus, g_minus = dressed_amplitudes(np.tile([1.5, 0.5, 0.5, 0.05], (len(ts), 1)), ts)
+    stack = np.array(evolved_isotropic_columns(g_plus, g_minus, ks, frame, ts))
+    for i, k in enumerate(ks.tolist()):
+        one = np.array(evolved_isotropic_columns(g_plus, g_minus, k, frame, ts))
+        assert np.array_equal(one[:, i], stack[:, i])
     with pytest.raises(ValueError, match="k must"):
-        isotropic_state(np.array([0.5, 1.1]))
+        require_mixing(np.array([0.5, 1.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +165,6 @@ def test_max_overlap_mutually_unbiased_bases():
 # ---------------------------------------------------------------------------
 
 
-def kron_blocks(rho, basis):
-    """(<v_i| (x) I) rho (|v_i> (x) I) for every column v_i, from an explicit np.kron projector."""
-    blocks = []
-    for i in range(basis.shape[1]):
-        p = np.kron(basis[:, [i]], np.eye(3))  # the 9x3 map |v_i> (x) I
-        blocks.append(p.conj().T @ rho @ p)
-    return np.array(blocks)
-
-
 def measurement_bases(rng):
     """The spin-1 x and z eigenbases and three random complex orthonormal bases."""
     return [spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis] + [
@@ -176,31 +173,34 @@ def measurement_bases(rng):
 
 
 def test_measure_leaves_diagonal_state_unchanged():
-    # measuring z on a diagonal state: the blocks are its diagonal 3x3 blocks
+    # measuring z on a diagonal state: the blocks are its diagonal 3x3 blocks, and the state is unchanged
     rho = np.diag([0.3, 0.1, 0.05, 0.15, 0.05, 0.05, 0.1, 0.1, 0.1]).astype(complex)
-    blocks = conditional_blocks(rho, spin1_observable("z").eigenbasis)
+    blocks = reference_blocks(rho, spin1_observable("z").eigenbasis)
     assert_allclose(blocks, [rho[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] for i in range(3)], atol=1e-15)
+    assert_allclose(reference_dephased(rho, spin1_observable("z").eigenbasis), rho, atol=1e-15)
 
 
 def test_measure_max_entangled_in_z_gives_classical_correlations():
     # outcome i leaves B in |i><i| with probability 1/3
-    blocks = conditional_blocks(isotropic_state(1.0), spin1_observable("z").eigenbasis)
+    blocks = reference_blocks(reference_isotropic(1.0), spin1_observable("z").eigenbasis)
     assert_allclose(blocks, [np.diag(np.eye(3)[i]) / 3.0 for i in range(3)], atol=1e-15)
 
 
 def test_measure_maximally_mixed_fixed_point():
     for axis in ("x", "z"):
-        blocks = conditional_blocks(I9 / 9, spin1_observable(axis).eigenbasis)
-        assert_allclose(blocks, np.broadcast_to(np.eye(3) / 9, (3, 3, 3)), atol=1e-15)
+        basis = spin1_observable(axis).eigenbasis
+        assert_allclose(reference_blocks(I9 / 9, basis), np.broadcast_to(np.eye(3) / 9, (3, 3, 3)), atol=1e-15)
+        assert_allclose(reference_dephased(I9 / 9, basis), I9 / 9, atol=1e-15)
 
 
 def test_measure_idempotent():
     # the measured state sum_i |v_i><v_i| (x) block_i gives the same blocks again
     rng = np.random.default_rng(103)
     for basis in measurement_bases(rng):
-        blocks = conditional_blocks(random_density_matrix(rng, 9), basis)
-        measured = sum(np.kron(np.outer(v, v.conj()), b) for v, b in zip(basis.T, blocks))
-        assert_allclose(conditional_blocks(measured, basis), blocks, atol=1e-15)
+        rho = random_density_matrix(rng, 9)
+        measured = reference_dephased(rho, basis)
+        assert_allclose(reference_blocks(measured, basis), reference_blocks(rho, basis), atol=1e-15)
+        assert_allclose(reference_dephased(measured, basis), measured, atol=1e-15)
 
 
 def test_measure_preserves_trace_and_b_marginal():
@@ -208,18 +208,20 @@ def test_measure_preserves_trace_and_b_marginal():
     for _ in range(4):
         for basis in measurement_bases(rng):
             rho = random_density_matrix(rng, 9)
-            total = conditional_blocks(rho, basis).sum(axis=0)
-            assert_allclose(total, partial_trace_a(rho), atol=1e-15)
+            total = reference_blocks(rho, basis).sum(axis=0)
+            assert_allclose(total, reference_partial_trace_a(rho), atol=1e-15)
+            assert_allclose(reference_partial_trace_a(reference_dephased(rho, basis)), total, atol=1e-15)
             assert np.trace(total).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_measure_block_diagonal_in_measurement_basis():
-    # block i is the diagonal block (i, i) of rho written in the basis v_i (x) e_b
+    # the measured state in the basis v_i (x) e_b: block (i, i) is block i of rho, every other block 0
     rng = np.random.default_rng(109)
     for basis in measurement_bases(rng):
-        stack = np.array([random_density_matrix(rng, 9) for _ in range(4)])
-        got = conditional_blocks(stack, basis)
-        assert got.shape == (4, 3, 3, 3)
-        for rho, blocks in zip(stack, got):
-            assert_allclose(blocks, kron_blocks(rho, basis), atol=1e-15)
-
+        rho = random_density_matrix(rng, 9)
+        both = np.kron(basis, np.eye(3))
+        measured = (both.conj().T @ reference_dephased(rho, basis) @ both).reshape(3, 3, 3, 3)
+        blocks = reference_blocks(rho, basis)
+        for i in range(3):
+            for j in range(3):
+                assert_allclose(measured[i, :, j], blocks[i] if i == j else 0.0, atol=1e-15)
