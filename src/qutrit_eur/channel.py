@@ -14,8 +14,9 @@ amplitude G(t) obeying
     G'' + lam*G' + (lam*gamma/2)*G = 0,  G(0) = 1, G'(0) = 0,
 
 which is monotone for lam >> gamma (Markovian regime) and oscillatory for
-lam < 2*gamma (strong-coupling, non-Markovian regime). The channel is the
-three-operator Kraus map assembled from the two branch amplitudes.
+lam < 2*gamma (strong-coupling, non-Markovian regime). The channel is one
+closed-form map of the two amplitudes (dressed_channel), the Kraus map of
+K1 = diag(G+, G-, 1), W+|g><+| and W-|g><-|, W = sqrt(max(0, 1 - G^2)).
 
 The channel speaks one basis: computational index 0 and 1 are the two
 excited levels, index 2 is the ground level. Which level carries which
@@ -25,13 +26,11 @@ Rates are in units of the bare decay rate gamma, times in units of 1/gamma.
 
 The kernels work on a time axis: ``dressed_amplitudes`` gives both branch
 amplitudes of a whole block of times with the real orthogonal frame O
-of the dressed levels, and ``dressed_kraus`` adds the dressed Kraus
-tensor, five nonzero entries per time. The sweep and the inequality
-suite need only the amplitudes and O: the evolved isotropic state is
-closed form in them (entropy.evolved_isotropic_columns), so no state is
-evolved on their path. The CPTP suite alone evolves states: it rotates
-each of its arbitrary inputs once, O^T rho O, and applies the dressed
-tensor itself; trace and spectrum do not depend on the frame. The
+of the dressed levels. The sweep and the inequality suite need only
+those: the evolved isotropic state is closed form in them
+(entropy.evolved_isotropic_columns). The CPTP suite alone evolves
+states: it rotates each input once, O^T rho O, and applies
+``dressed_channel``. Both check ``require_completeness``. The
 parameters broadcast against the times: a batch is one real
 (T, 4) array of rows (gamma1, gamma2, theta, lam), range-checked once
 where it enters; one ChannelParams, which a sweep passes for its whole
@@ -277,7 +276,7 @@ def _channel_inputs(p: ChannelParams | np.ndarray, ts) -> tuple:
 
 
 def decoherence_factors(p: ChannelParams | np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form branch amplitudes (G_plus, G_minus) at every time of ts, p as for dressed_kraus."""
+    """Closed-form branch amplitudes (G_plus, G_minus) at every time of ts, p as for dressed_amplitudes."""
     return dressed_amplitudes(p, ts)[1:]
 
 
@@ -287,8 +286,17 @@ def decoherence_factors_ode(p: ChannelParams | np.ndarray, ts) -> tuple[np.ndarr
     return _g_rk4(lam, rate_plus, ts), _g_rk4(lam, rate_minus, ts)
 
 
-def require_completeness(dev: np.ndarray, ts=None) -> np.ndarray:
-    """Check per-time completeness deviations max|sum K^dag K - I| against 1e-10 and return them."""
+def _fed(g: np.ndarray) -> np.ndarray:
+    """W = sqrt(max(0, 1 - G^2)), the amplitude a branch of amplitude G feeds into the ground level."""
+    return np.sqrt(np.maximum(0.0, 1.0 - g * g))
+
+
+def require_completeness(g_plus: np.ndarray, g_minus: np.ndarray, ts=None) -> np.ndarray:
+    """Check the deviation max|sum K^dag K - I| of the map at every time against 1e-10 and return it.
+
+    It is the larger of |G+-^2 + W+-^2 - 1|: round-off, or G^2 - 1 where |G| > 1 and W clamps to 0.
+    """
+    dev = np.maximum(*(np.abs(g * g + _fed(g) ** 2 - 1.0) for g in (g_plus, g_minus)))
     require_samples(
         dev <= COMPLETENESS_ATOL, ts,
         lambda i: f"Kraus completeness violated: max|sum K^dag K - I| = {dev[i]:.3e}",
@@ -296,27 +304,11 @@ def require_completeness(dev: np.ndarray, ts=None) -> np.ndarray:
     return dev
 
 
-def require_complete(kraus: np.ndarray, ts=None) -> np.ndarray:
-    """Check sum_i K_i^dagger K_i = I for every time of a (T, 3, 3, 3) Kraus tensor.
-
-    Returns the deviation max|sum K^dag K - I| of every time.
-    """
-    acc = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
-    return require_completeness(np.abs(acc - np.eye(3)).max(axis=(-2, -1)), ts)
-
-
-# (operator, row, column) of the five nonzero entries of the dressed Kraus
-# tensor: K_1 = diag(G+, G-, 1), K_2 = W+ |g><+|, K_3 = W- |g><-|
-_DRESSED_OPS, _DRESSED_ROWS, _DRESSED_COLS = np.array(
-    [(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 2, 0), (2, 2, 1)]
-).T
-
-
 def dressed_amplitudes(
     p: ChannelParams | np.ndarray,
     ts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dressed frames O and both branch amplitudes G_plus(t), G_minus(t): dressed_kraus without its tensor.
+    """The dressed frames O and both branch amplitudes G_plus(t), G_minus(t) at every time of ts.
 
     p is one ChannelParams for the whole axis or a (T, 4) array of field
     rows, one per time, as _channel_inputs checks them with ts. O is real
@@ -332,24 +324,16 @@ def dressed_amplitudes(
     return frame, _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
 
 
-def dressed_kraus(
-    p: ChannelParams | np.ndarray,
-    ts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Kraus tensor in the dressed basis at every time of ts, its frame and both branch amplitudes.
+def dressed_channel(rho: np.ndarray, g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:
+    """Phi(rho) = K1 rho K1 + (W+^2 rho_++ + W-^2 rho_--) |g><g|, K1 = diag(G+, G-, 1), on a (T, 3, 3) stack.
 
-    In the basis (plus branch, minus branch, ground) K_1 = diag(G+, G-, 1)
-    damps each branch by its own amplitude and K_2 = W+|g><+|,
-    K_3 = W-|g><-| feed the decayed population W = sqrt(1 - G^2) of each
-    branch into the ground level: five nonzero entries per time, and
-    sum K^dag K = I holds entry by entry. p and ts are as for
-    dressed_amplitudes. Returns the real (T, 3, 3, 3) tensor, then the
-    frame and the amplitudes of dressed_amplitudes.
+    The states are given in the dressed basis (plus branch, minus branch,
+    ground), one pair of amplitudes per state. Each entry is (g_a rho_ad) g_d,
+    and the ground population adds the plus branch's feed W+^2 rho_++, then
+    the minus branch's: the order of the Kraus sum over K1, W+|g><+|, W-|g><-|.
     """
-    frame, g_plus, g_minus = dressed_amplitudes(p, ts)
-    w_plus, w_minus = (np.sqrt(np.maximum(0.0, 1.0 - g * g)) for g in (g_plus, g_minus))
-    dressed = np.zeros((len(g_plus), 3, 3, 3))
-    dressed[:, _DRESSED_OPS, _DRESSED_ROWS, _DRESSED_COLS] = np.stack(
-        np.broadcast_arrays(g_plus, g_minus, 1.0, w_plus, w_minus), axis=-1
-    )
-    return dressed, frame, g_plus, g_minus
+    g = np.stack(np.broadcast_arrays(g_plus, g_minus, 1.0), axis=-1)
+    out = g[:, :, None] * rho * g[:, None, :]
+    for branch, w in enumerate((_fed(g_plus), _fed(g_minus))):
+        out[:, 2, 2] += (w * rho[:, branch, branch]) * w
+    return out

@@ -89,16 +89,20 @@ def main(argv=None) -> int:
         elif not run_self_check():
             print("error: self-check failed", file=sys.stderr)
             status = 1
-        # a buffered stdout meets a closed reader here rather than at exit
+        # a buffered stdout meets a closed reader or a full device here rather than at exit
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader of stdout has gone, as under `| head`: nothing is left to
-        # report to, and stdout on devnull keeps the flush at exit from raising
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        # the reader of stdout has gone, as under `| head`: nothing is left to report to
+        status = 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status = 1
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # stdout met a closed reader or a full device and still holds what it could not
+        # write: on devnull, the flush at exit drops it instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

@@ -131,11 +131,10 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurSample:
     them. Any other length of g_plus, g_minus, a per-time k or the frame
     stack is a ValueError naming it and the length of ts. k is checked by
     require_mixing, which names the first failing t when k is given per
-    time. Completeness is checked as
-    G+-^2 - 1 <= 1e-10, which is the deviation max|sum K^dag K - I| of the
-    dressed tensor: W = sqrt(max(0, 1 - G^2)) clamps to 0 and would hide
-    any |G| > 1. The other checks are those of _checked_columns; each
-    names the first failing t.
+    time. Completeness is checked by channel.require_completeness, the
+    deviation max|sum K^dag K - I| of the map; W = sqrt(max(0, 1 - G^2))
+    clamps to 0, so any |G| > 1 fails it. The other checks are those of
+    _checked_columns; each names the first failing t.
     """
     per_time = {"g_plus": g_plus, "g_minus": g_minus}
     if np.ndim(k):
@@ -150,8 +149,8 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurSample:
             f"frame must be one (3, 3) frame or a stack of 1 or one per time: got shape {np.shape(frame)} for ts of shape {np.shape(ts)}"
         )
     k = require_mixing(k, ts)
+    require_completeness(g_plus, g_minus, ts)
     g2 = np.stack(np.broadcast_arrays(g_plus * g_plus, g_minus * g_minus, 1.0), axis=-1)
-    require_completeness(np.maximum(0.0, g2.max(axis=-1) - 1.0), ts)
     k = k[..., None, None]
     # P[i, a], the populations of Phi(|i><i|): each branch keeps G^2 and feeds W^2 to ground
     images = g2[:, :, None] * np.eye(3)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -40,8 +41,8 @@ from .channel import (
     decoherence_factors,
     decoherence_factors_ode,
     dressed_amplitudes,
-    dressed_kraus,
-    require_complete,
+    dressed_channel,
+    require_completeness,
     require_real_fields,
 )
 from .entropy import evolved_isotropic_columns
@@ -89,8 +90,8 @@ class SweepConfig:
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         _require_integer(self.steps, "steps", 2)
-        if not math.isfinite(self.t_max * (self.steps - 1)):
-            # the grid t_i = i*t_max/(steps-1) forms i*t_max first
+        if self.steps - 1 > sys.float_info.max or not math.isfinite(self.t_max * (self.steps - 1)):
+            # the grid t_i = i*t_max/(steps-1) forms i*t_max first, and steps - 1 must fit a float
             raise ValueError(f"t_max = {self.t_max} overflows the grid of {self.steps} steps")
         if self.basis not in BASIS_CONVENTIONS:
             raise ValueError(
@@ -118,9 +119,14 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     dressed frame, its rows in the order of the basis convention
     (BASIS_ROWS), and measured along the rotated x/z vectors (module
     docstring), then written into its slice of the rows. A failing check
-    names the first failing t and the sweep parameters.
+    names the first failing t, rows that cannot be allocated name steps,
+    and both name the sweep parameters.
     """
-    rows = np.recarray(cfg.steps, dtype=SWEEP_DTYPE)
+    try:
+        rows = np.recarray(cfg.steps, dtype=SWEEP_DTYPE)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"steps = {cfg.steps} needs {cfg.steps * SWEEP_DTYPE.itemsize:.3g} bytes of rows, more than "
+                         f"can be allocated (sweep {canonical_params(cfg)})") from exc
     for start in range(0, cfg.steps, _BLOCK):
         block = rows[start : start + _BLOCK]
         ts = np.arange(start, start + len(block)) * cfg.t_max / (cfg.steps - 1)
@@ -349,14 +355,13 @@ def _cptp_draws(seed: int, n: int):
 
 
 def _cptp_block(fields, ts, factors):
-    dressed, frames = dressed_kraus(fields, ts)[:2]
-    complete = require_complete(dressed, ts)
+    frames, g_plus, g_minus = dressed_amplitudes(fields, ts)
+    complete = require_completeness(g_plus, g_minus, ts)
     # the density matrices X X^dagger / tr(X X^dagger) of the factors
     rho = factors @ factors.conj().swapaxes(-1, -2)
     rho = require_density_stack(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None], ts)
-    # each input once into its dressed frame: trace and spectrum do not depend on it;
-    # then the Kraus sum sum_i K_i rho K_i^dagger of each draw's tensor
-    out = np.einsum("...iab,...bc,...idc->...ad", dressed, frames.swapaxes(1, 2) @ rho @ frames, dressed.conj())
+    # each input once into its dressed frame: trace and spectrum do not depend on it
+    out = dressed_channel(frames.swapaxes(1, 2) @ rho @ frames, g_plus, g_minus)
     trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
     dip = -np.linalg.eigvalsh(hermitian_part(out))[:, 0]
     return complete, trace, dip
@@ -372,7 +377,7 @@ def check_cptp(n_draws: int = 1000, seed: int = 20240811) -> tuple[bool, str]:
     _require_integer(seed, "seed", 0)
     complete, trace, dip = _evaluate_draws(_cptp_block, *_cptp_draws(seed, n_draws))
     worst_complete, worst_trace, worst_eig = float(complete.max()), float(trace.max()), float(max(dip.max(), 0.0))
-    # completeness needs no verdict: require_complete has raised on any draw above its bound
+    # completeness needs no verdict: require_completeness has raised on any draw above its bound
     ok = worst_trace <= TRACE_ATOL and worst_eig <= -EIGENVALUE_FLOOR
     detail = (
         f"{n_draws} draws: completeness {worst_complete:.2e}, "

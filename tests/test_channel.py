@@ -18,11 +18,11 @@ from qutrit_eur.channel import (
     decoherence_factors_ode,
     derive_params,
     dressed_amplitudes,
-    dressed_kraus,
-    require_complete,
+    dressed_channel,
+    require_completeness,
 )
 from qutrit_eur.entropy import evolved_isotropic_columns
-from qutrit_eur.experiment import BASIS_CONVENTIONS, BASIS_ROWS, SweepConfig, oracle_grid
+from qutrit_eur.experiment import BASIS_CONVENTIONS, BASIS_ROWS, SweepConfig, _cptp_draws, oracle_grid
 from qutrit_eur.linalg import SampleError, require_density_stack
 from qutrit_eur.states_obs import require_mixing
 
@@ -130,7 +130,7 @@ def test_derive_params_names_an_unrepresentable_rate():
     with pytest.raises(ValueError, match=match):
         derive_params(bad)
     # among valid draws, the one pass over a batch names it too
-    for kernel in (dressed_kraus, decoherence_factors, decoherence_factors_ode):
+    for kernel in (dressed_amplitudes, decoherence_factors, decoherence_factors_ode):
         with pytest.raises(ValueError, match=match):
             kernel(as_fields([SYMMETRIC_NO_SGI, bad, SYMMETRIC_FULL_SGI]), [0.0, 1.0, 2.0])
 
@@ -221,7 +221,7 @@ def test_channel_params_validation(kwargs, field):
         assert str(single.value) == f"{field} must {rule}, got {kwargs[field]}"
         # the same row in a batch: the same message, and the row's index for the suites to name the draw
         rows = np.array([[1.0, 1.0, 0.0, 1.0], row, [1.0, 1.0, 0.0, 1.0]])
-        for kernel in (dressed_kraus, decoherence_factors, decoherence_factors_ode):
+        for kernel in (dressed_amplitudes, decoherence_factors, decoherence_factors_ode):
             with pytest.raises(SampleError) as batch:
                 kernel(rows, [0.0, 1.0, 2.0])
             assert str(batch.value) == str(single.value) and batch.value.index == 1
@@ -538,7 +538,7 @@ def test_g_ode_rejects_unbounded_step_counts():
         decoherence_factors_ode(ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300), [1.0])
 
 
-@pytest.mark.parametrize("factors", [decoherence_factors, decoherence_factors_ode, dressed_kraus])
+@pytest.mark.parametrize("factors", [decoherence_factors, decoherence_factors_ode, dressed_amplitudes])
 def test_g_rejects_mismatched_lengths(factors):
     three_times = np.array([1.0, 2.0, 3.0])
     for n in (0, 1, 2, 4):
@@ -570,8 +570,12 @@ def test_g_rejects_mismatched_lengths(factors):
 
 
 # ---------------------------------------------------------------------------
-# Kraus operators
+# the channel map
 # ---------------------------------------------------------------------------
+# dressed_channel applies the map to states in the dressed frame (plus
+# branch, minus branch, ground); the tests hold it to the Kraus sum of the
+# dense reference's triple. The ground level is index 2 in the dressed
+# frame as in computational indices.
 
 
 def kraus_sum(ops, rho):
@@ -579,34 +583,50 @@ def kraus_sum(ops, rho):
     return sum(k @ rho @ k.conj().T for k in ops)
 
 
+def in_frame(frame, rho, g_plus, g_minus):
+    """The channel on a stack of states in computational indices: O Phi(O^T rho O) O^T."""
+    return frame @ dressed_channel(frame.swapaxes(-1, -2) @ rho @ frame, g_plus, g_minus) @ frame.swapaxes(-1, -2)
+
+
+def random_draws(seed, n, t_max):
+    """The generator, then n random times in [0, t_max) with the frames and amplitudes of n random ChannelParams."""
+    rng = np.random.default_rng(seed)
+    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, t_max)) for _ in range(n)])
+    return rng, ts, *dressed_amplitudes(as_fields(params), ts)
+
+
 def test_kraus_identity_at_t0():
-    dressed, _, g_plus, g_minus = dressed_kraus(SYMMETRIC_FULL_SGI, [0.0])
-    assert dressed.shape == (1, 3, 3, 3) and dressed.dtype == np.float64
+    _, g_plus, g_minus = dressed_amplitudes(SYMMETRIC_FULL_SGI, [0.0])
     assert g_plus[0] == g_minus[0] == 1.0
-    assert np.array_equal(dressed[0, 0], np.eye(3))
-    assert not dressed[0, 1:].any()
+    rho = random_density_matrix(np.random.default_rng(67), 3)[None]
+    assert np.array_equal(dressed_channel(rho, g_plus, g_minus), rho)
 
 
 def test_kraus_symmetric_no_sgi_is_diagonal():
     # equal rates without SGI: both branches decay alike, so K_1 = diag(g, g, 1)
-    # is diagonal in every frame of the excited levels
-    dressed, _, g_plus, g_minus = dressed_kraus(SYMMETRIC_NO_SGI, [35.0])
+    # scales the excited block by g^2 in every frame of the excited levels
+    _, g_plus, g_minus = dressed_amplitudes(SYMMETRIC_NO_SGI, [35.0])
     g = decoherence_factors(SYMMETRIC_NO_SGI, [35.0])[0][0]
     assert g_plus[0] == g_minus[0] == g
-    assert np.array_equal(dressed[0, 0], np.diag([g, g, 1.0]))
+    rho = random_density_matrix(np.random.default_rng(61), 3)[None]
+    out = dressed_channel(rho, g_plus, g_minus)
+    assert np.array_equal(out[:, :2, :2], g * rho[:, :2, :2] * g)
+    assert np.array_equal(out[:, :2, 2], g * rho[:, :2, 2])
 
 
 def test_kraus_completeness_random():
-    rng = np.random.default_rng(71)
-    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 20.0)) for _ in range(100)])
-    dressed, frames, _, _ = dressed_kraus(as_fields(params), ts)
-    # in computational indices, O K O^T, as in the dressed frame
-    for ops in (dressed, frames[:, None] @ dressed @ frames[:, None].swapaxes(-1, -2)):
-        acc = (ops.swapaxes(-1, -2) @ ops).sum(axis=1)
-        assert_allclose(acc, np.broadcast_to(np.eye(3), acc.shape), atol=1e-10)
+    # sum K^dag K = I holds when tr Phi(|i><j|) = delta_ij for every matrix unit
+    _, ts, frames, g_plus, g_minus = random_draws(71, 100, 20.0)
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    for i in range(len(ts)):
+        g = np.full(9, g_plus[i]), np.full(9, g_minus[i])
+        # in the dressed frame, and in computational indices through O
+        for image in (dressed_channel(units, *g), in_frame(frames[i], units, *g)):
+            traces = np.trace(image, axis1=-2, axis2=-1).reshape(3, 3)
+            assert_allclose(traces, np.eye(3), atol=1e-10)
 
 
-def test_dressed_kraus_per_draw_params_match_single_calls():
+def test_dressed_amplitudes_per_draw_params_match_single_calls():
     rng = np.random.default_rng(103)
     params = [random_params(rng) for _ in range(40)]
     # include exact degeneracy (q = 0) and exact critical damping (d = 0)
@@ -615,75 +635,78 @@ def test_dressed_kraus_per_draw_params_match_single_calls():
     fits = [max(g1, g2) <= 1e300 for g1, g2, _ in HUGE_RATES]
     params += [ChannelParams(g1, g2, theta, 1.0) for (g1, g2, theta), ok in zip(HUGE_RATES, fits) if ok]
     ts = rng.uniform(0.0, 50.0, len(params))
-    dressed, frames, g_plus, g_minus = dressed_kraus(as_fields(params), ts)
+    frames, g_plus, g_minus = dressed_amplitudes(as_fields(params), ts)
     for i, (p, t) in enumerate(zip(params, ts)):
-        d, frame, gp, gm = dressed_kraus(p, ts[i:i + 1])
-        assert np.max(np.abs(dressed[i] - d[0])) <= 1e-15
+        frame, gp, gm = dressed_amplitudes(p, ts[i:i + 1])
         assert np.max(np.abs(frames[i] - frame)) <= 1e-15
         assert abs(g_plus[i] - gp[0]) <= 1e-15 and abs(g_minus[i] - gm[0]) <= 1e-15
     # there both paths fail naming the same derived rate
     for g1, g2, theta in (case for case, ok in zip(HUGE_RATES, fits) if not ok):
         p = ChannelParams(g1, g2, theta, 1.0)
         with pytest.raises(ValueError, match="branch rate") as single:
-            dressed_kraus(p, ts[:1])
+            dressed_amplitudes(p, ts[:1])
         with pytest.raises(ValueError) as batch:
-            dressed_kraus(as_fields([*params, p]), np.append(ts, ts[0]))
+            dressed_amplitudes(as_fields([*params, p]), np.append(ts, ts[0]))
         assert str(batch.value) == str(single.value)
 
 
 @pytest.mark.parametrize("basis", BASIS_CONVENTIONS)
-def test_dressed_kraus_rotates_into_the_computational_triple(basis):
+def test_dressed_channel_rotates_into_the_computational_triple(basis):
     rng = np.random.default_rng(109)
     params = [random_params(rng) for _ in range(30)] + [SYMMETRIC_NO_SGI, SYMMETRIC_FULL_SGI]
     ts = rng.uniform(0.0, 50.0, len(params))
-    dressed, frame, g_plus, g_minus = dressed_kraus(as_fields(params), ts)
-    assert dressed.dtype == frame.dtype == np.float64
-    # K_1 = diag(G+, G-, 1), K_2 = W+|g><+|, K_3 = W-|g><-|: five entries per time
-    assert np.all(np.count_nonzero(dressed, axis=(1, 2, 3)) <= 5)
-    assert np.array_equal(dressed[:, 0], np.array([np.diag([gp, gm, 1.0]) for gp, gm in zip(g_plus, g_minus)]))
-    require_complete(dressed, ts)
+    frame, g_plus, g_minus = dressed_amplitudes(as_fields(params), ts)
+    assert frame.dtype == g_plus.dtype == g_minus.dtype == np.float64
+    require_completeness(g_plus, g_minus, ts)
     assert np.max(np.abs(frame @ frame.swapaxes(1, 2) - np.eye(3))) <= 1e-15
     a, b = np.array([(derive_params(p).a, derive_params(p).b) for p in params]).T
-    want = computational_kraus(a, b, g_plus, g_minus, REFERENCE_LEVELS[basis])
+    triples = computational_kraus(a, b, g_plus, g_minus, REFERENCE_LEVELS[basis])
     # the basis as the sweep applies it, a row order of the kraus-order frame
     frame = frame[:, BASIS_ROWS[basis]]
-    rotated = frame[:, None] @ dressed @ frame[:, None].swapaxes(-1, -2)
-    assert np.max(np.abs(rotated - want)) <= 1e-15
+    rho = np.array([random_density_matrix(rng, 3) for _ in params])
+    want = np.array([kraus_sum(ops, r) for ops, r in zip(triples, rho)])
+    assert np.max(np.abs(in_frame(frame, rho, g_plus, g_minus) - want)) <= 1e-15
 
 
 def test_degenerate_mixing_choice_does_not_change_channel():
     # at q = 0 both branch amplitudes coincide, so any orthonormal (a, b)
-    # pair yields the same map; compare the canonical choice, the dressed
-    # triple rotated by its frame, with (1, 0), the dressed triple itself
-    dressed, (frame,), _, _ = dressed_kraus(SYMMETRIC_NO_SGI, [50.0])
+    # pair yields the same map; compare the canonical choice, the map seen
+    # through its frame, with (1, 0), the dressed map itself
+    (frame,), g_plus, g_minus = dressed_amplitudes(SYMMETRIC_NO_SGI, [50.0])
     assert derive_params(SYMMETRIC_NO_SGI).q == 0.0
-    ks = frame @ dressed[0] @ frame.T
     rng = np.random.default_rng(73)
     for _ in range(5):
-        rho = random_density_matrix(rng, 3)
-        assert_allclose(kraus_sum(ks, rho), kraus_sum(dressed[0], rho), atol=1e-12)
+        rho = random_density_matrix(rng, 3)[None]
+        assert_allclose(in_frame(frame, rho, g_plus, g_minus), dressed_channel(rho, g_plus, g_minus), atol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# channel application
-# ---------------------------------------------------------------------------
-# The CPTP suite applies the dressed tensor of each draw to its input
-# rotated into the dressed frame; the tests apply it term by term. The
-# ground level is index 2 in the dressed frame as in computational indices.
+@pytest.mark.parametrize("seed", [20240811, 1, 2, 3])
+def test_dressed_channel_is_the_kraus_sum_of_the_dressed_triple(seed):
+    # on the CPTP suite's draws, bit for bit: the einsum of the reference triple
+    # at a = 1, b = 0 (K_1 = diag(G+, G-, 1), K_2 = W+|g><+|, K_3 = W-|g><-|)
+    fields, ts, factors = _cptp_draws(seed, 1000)
+    frames, g_plus, g_minus = dressed_amplitudes(fields, ts)
+    rho = factors @ factors.conj().swapaxes(-1, -2)
+    rho = frames.swapaxes(1, 2) @ (rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]) @ frames
+    triples = computational_kraus(1.0, 0.0, g_plus, g_minus)
+    want = np.einsum("...iab,...bc,...idc->...ad", triples, rho, triples.conj())
+    assert np.array_equal(dressed_channel(rho, g_plus, g_minus), want)
+    # and the completeness rule is that triple's max|sum K^dag K - I|
+    acc = (triples.conj().swapaxes(-1, -2) @ triples).sum(axis=1)
+    assert np.array_equal(require_completeness(g_plus, g_minus, ts), np.abs(acc - np.eye(3)).max(axis=(-2, -1)))
 
 
 def test_apply_channel_identity_at_t0():
     rng = np.random.default_rng(79)
-    rho = random_density_matrix(rng, 3)
-    out = kraus_sum(dressed_kraus(SYMMETRIC_FULL_SGI, [0.0])[0][0], rho)
-    assert_allclose(out, rho, atol=1e-12)
+    rho = random_density_matrix(rng, 3)[None]
+    _, g_plus, g_minus = dressed_amplitudes(SYMMETRIC_FULL_SGI, [0.0])
+    assert_allclose(dressed_channel(rho, g_plus, g_minus), rho, atol=1e-12)
 
 
 def test_apply_channel_ground_state_fixed_point():
-    rng = np.random.default_rng(83)
-    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 50.0)) for _ in range(10)])
-    for ops in dressed_kraus(as_fields(params), ts)[0]:
-        assert_allclose(kraus_sum(ops, GROUND), GROUND, atol=1e-12)
+    _, ts, _, g_plus, g_minus = random_draws(83, 10, 50.0)
+    ground = np.broadcast_to(GROUND, (len(ts), 3, 3))
+    assert_allclose(dressed_channel(ground, g_plus, g_minus), ground, atol=1e-12)
 
 
 def test_apply_channel_population_transfer_matches_oracle():
@@ -691,9 +714,9 @@ def test_apply_channel_population_transfer_matches_oracle():
     p = SYMMETRIC_NO_SGI
     t = 140.0
     g = decoherence_factors_ode(p, [t])[0][0]
-    out = kraus_sum(dressed_kraus(p, [t])[0][0], EXCITED_1)
+    out = dressed_channel(EXCITED_1[None], *dressed_amplitudes(p, [t])[1:])
     expected = g * g * EXCITED_1 + (1.0 - g * g) * GROUND
-    assert_allclose(out, expected, atol=1e-8)
+    assert_allclose(out[0], expected, atol=1e-8)
 
 
 def test_apply_channel_rejects_invalid_state():
@@ -704,29 +727,12 @@ def test_apply_channel_rejects_invalid_state():
         require_density_stack(np.diag([1.5, -0.5, 0.0]).astype(complex)[None])
 
 
-# incomplete triples: the identity damped to 0.9, real and complex, and a
-# complex unitary beside a second identity (sum K^dag K = 2I)
-INCOMPLETE_KRAUS = [
-    np.array([0.9 * np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))]),
-    np.array([0.9 * np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))], dtype=complex),
-    np.array([np.diag([1j, 1.0, 1.0]), np.eye(3), np.zeros((3, 3))]),
-]
-
-
-@pytest.mark.parametrize("kraus", INCOMPLETE_KRAUS, ids=["real", "complex", "complex-unitary"])
-def test_apply_rejects_incomplete_kraus(kraus):
-    # the CPTP suite applies a tensor only after require_complete passes it
-    with pytest.raises(ValueError, match="completeness"):
-        require_complete(kraus[None])
-
-
 def test_apply_channel_preserves_state_validity():
-    rng = np.random.default_rng(89)
-    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 20.0)) for _ in range(50)])
-    for ops in dressed_kraus(as_fields(params), ts)[0]:
-        out = kraus_sum(ops, random_density_matrix(rng, 3))
-        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-10
+    rng, ts, _, g_plus, g_minus = random_draws(89, 50, 20.0)
+    out = dressed_channel(np.array([random_density_matrix(rng, 3) for _ in ts]), g_plus, g_minus)
+    for state in out:
+        assert np.trace(state).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh((state + state.conj().T) / 2)[0] >= -1e-10
 
 
 def test_apply_product_channel_identity_at_t0():
@@ -737,11 +743,19 @@ def test_apply_product_channel_identity_at_t0():
     assert_allclose(out, reference_isotropic(0.7), atol=1e-12)
 
 
+def product_channel(rho, g_plus, g_minus):
+    """The product map on a 9x9 state in the dressed frames: dressed_channel on qutrit A, then on qutrit B."""
+    g = np.full(9, g_plus), np.full(9, g_minus)
+    # rho[a, b, a', b']: a (3, 3) block over (a, a') for each (b, b'), then over (b, b') for each (a, a')
+    blocks = dressed_channel(rho.reshape(3, 3, 3, 3).transpose(1, 3, 0, 2).reshape(9, 3, 3), *g)
+    blocks = dressed_channel(blocks.reshape(3, 3, 3, 3).transpose(2, 3, 0, 1).reshape(9, 3, 3), *g)
+    return blocks.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+
+
 def test_apply_product_channel_trace_and_hermiticity():
-    rng = np.random.default_rng(101)
-    params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 20.0)) for _ in range(20)])
-    for ops in dressed_kraus(as_fields(params), ts)[0]:
-        out = kraus_sum([np.kron(ki, kj) for ki in ops for kj in ops], random_density_matrix(rng, 9))
+    rng, _, _, g_plus, g_minus = random_draws(101, 20, 20.0)
+    for gp, gm in zip(g_plus, g_minus):
+        out = product_channel(random_density_matrix(rng, 9), gp, gm)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 

@@ -19,8 +19,7 @@ from qutrit_eur.channel import (
     decoherence_factors,
     derive_params,
     dressed_amplitudes,
-    dressed_kraus,
-    require_complete,
+    require_completeness,
 )
 from qutrit_eur.entropy import evolved_isotropic_columns
 from qutrit_eur.experiment import BASIS_ROWS, SweepConfig, check_uncertainty_inequality, run_sweep
@@ -165,11 +164,12 @@ def test_batched_bound_check_names_the_first_sample(monkeypatch):
 
 def test_batched_completeness_check_names_the_corrupted_sample():
     ts = np.linspace(0.0, 60.0, 7)
-    kraus = dressed_kraus(MIXED, ts)[0]
-    require_complete(kraus, ts)
-    kraus[2, 1] *= 0.5
-    with pytest.raises(ValueError, match="completeness.* at t=20$"):
-        require_complete(kraus, ts)
+    _, g_plus, g_minus = dressed_amplitudes(MIXED, ts)
+    require_completeness(g_plus, g_minus, ts)
+    # G+ = 1 + 2e-9, where W clamps to 0: a deviation G+^2 - 1 of 4e-9
+    g_plus[2] = 1.0 + 2e-9
+    with pytest.raises(ValueError, match=r"completeness violated: max\|sum K\^dag K - I\| = 4\.000e-09 at t=20$"):
+        require_completeness(g_plus, g_minus, ts)
 
 
 def test_sweep_failure_names_time_and_parameters():

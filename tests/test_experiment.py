@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import math
 import os
@@ -27,6 +28,7 @@ from qutrit_eur.experiment import (
     PRESET_NAMES,
     SWEEP_DTYPE,
     SweepConfig,
+    canonical_params,
     check_cptp,
     check_oracle,
     check_uncertainty_inequality,
@@ -196,6 +198,23 @@ def test_sweep_basis_conventions_agree_at_t0():
 def test_sweep_ground_first_runs_and_validates():
     for r in run_sweep(quick_config(basis="ground-first", steps=6, t_max=150.0)):
         assert r.u_l >= r.u_b - 1e-9
+
+
+@pytest.mark.parametrize("steps", [10**15, 2**62, 2**63], ids=["1e15", "2**62", "2**63"])
+def test_sweep_names_rows_that_cannot_be_allocated(steps, tmp_path, capsys):
+    # each size fails at allocation, before any memory is touched: 57 PiB of rows and up
+    cfg = quick_config(steps=steps)
+    with pytest.raises(ValueError) as raised:
+        run_sweep(cfg)
+    assert str(raised.value) == (
+        f"steps = {steps} needs {steps * SWEEP_DTYPE.itemsize:.3g} bytes of rows, more than can be allocated "
+        f"(sweep {canonical_params(cfg)})"
+    )
+    argv = ["sweep", "--theta", "0", "--lambda", "1", "--k", "0.5", "--t-max", "10", "--steps", str(steps),
+            "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: steps = {steps} needs ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -867,6 +886,8 @@ def test_cli_sweep_rejects_bad_value(tmp_path, capsys):
         (["--t-max", "1e308", "--lambda", "0.001"], "t_max = 1e+308 overflows the grid"),
         (["--t-max", "10", "--lambda", "inf"], "lam must be positive and finite"),
         (["--t-max", "10", "--lambda", "1e308"], "not finite and real"),
+        # a steps beyond the float range overflows it however small t_max is
+        (["--t-max", "10", "--lambda", "1", "--steps", "1" + "0" * 400], "t_max = 10.0 overflows the grid"),
     ],
 )
 def test_cli_extreme_input_fails_cleanly(tmp_path, args, needle, optimize):
@@ -954,15 +975,16 @@ def test_cli_check(capsys):
 
 
 def test_cli_check_reports_a_raising_suite_and_runs_the_rest(monkeypatch, capsys):
-    # a completeness deviation of 4e-9 at draw 3 of the CPTP suite, on the ground entry 1 of K_1
-    original = experiment.dressed_kraus
+    # a completeness deviation of 4e-9 at draw 3 of the CPTP suite: G+ = 1 + 2e-9 there.
+    # The inequality suite shares the patched name, so only the CPTP suite's draw 3 is hit
+    original = experiment.dressed_amplitudes
+    draw_3 = experiment._cptp_draws(20240811, 4)[0][3]
 
     def incomplete_at_draw_3(fields, ts):
-        dressed, *rest = original(fields, ts)
-        dressed[3, 0, 2, 2] += 2e-9
-        return (dressed, *rest)
+        frames, g_plus, g_minus = original(fields, ts)
+        return frames, np.where((fields == draw_3).all(axis=1), 1.0 + 2e-9, g_plus), g_minus
 
-    monkeypatch.setattr(experiment, "dressed_kraus", incomplete_at_draw_3)
+    monkeypatch.setattr(experiment, "dressed_amplitudes", incomplete_at_draw_3)
     with pytest.raises(ValueError, match=r"^Kraus completeness violated: .* \(draw 3: ChannelParams\(") as raised:
         check_cptp()
     assert main(["check"]) == 1
@@ -1028,6 +1050,20 @@ def test_cli_reports_a_failed_csv_write_when_the_reader_of_stdout_is_gone(tmp_pa
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: failed to write sweep CSV to {out}: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_cli_reports_a_full_stdout_once(buffered):
+    # every write to /dev/full fails with ENOSPC: one error line and status 1,
+    # with no second report from the interpreter's flush at exit (status 120)
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    cmd = [sys.executable, *([] if buffered else ["-u"]), "-m", "qutrit_eur.cli", "check"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_cli_imports_no_numpy_random(tmp_path):

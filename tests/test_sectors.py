@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_eur.channel import ChannelParams, derive_params, dressed_amplitudes, dressed_kraus
+from qutrit_eur.channel import ChannelParams, derive_params, dressed_amplitudes
 from qutrit_eur import entropy, experiment
 from qutrit_eur.entropy import _MEASURED_BASES, evolved_isotropic_columns
 from qutrit_eur.experiment import (
@@ -88,8 +88,8 @@ def test_dressed_frame_block_sectors(basis):
 
 
 def test_sweep_kernels_stay_real():
-    dressed, (frame,), g_plus, g_minus = dressed_kraus(MIXED, TS)
-    for array in (dressed, frame, g_plus, g_minus):
+    (frame,), g_plus, g_minus = dressed_amplitudes(MIXED, TS)
+    for array in (frame, g_plus, g_minus):
         assert array.dtype == np.float64
     assert all(col.dtype == np.float64 for col in evolved_isotropic_columns(g_plus, g_minus, 0.6, frame, TS))
 
