@@ -46,7 +46,14 @@ from .channel import (
     require_real_fields,
 )
 from .entropy import evolved_isotropic_columns
-from .linalg import EIGENVALUE_FLOOR, TRACE_ATOL, SampleError, hermitian_part, require_density_stack
+from .linalg import (
+    EIGENVALUE_FLOOR,
+    TRACE_ATOL,
+    SampleError,
+    hermitian_eigvals3,
+    hermitian_part,
+    require_density_stack,
+)
 from .states_obs import require_mixing
 
 # the rows of the channel's frame in the order of each basis convention's
@@ -358,12 +365,17 @@ def _cptp_block(fields, ts, factors):
     frames, g_plus, g_minus = dressed_amplitudes(fields, ts)
     complete = require_completeness(g_plus, g_minus, ts)
     # the density matrices X X^dagger / tr(X X^dagger) of the factors
-    rho = factors @ factors.conj().swapaxes(-1, -2)
+    rho = np.einsum("tij,tkj->tik", factors, factors.conj())
     rho = require_density_stack(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None], ts)
-    # each input once into its dressed frame: trace and spectrum do not depend on it
-    out = dressed_channel(frames.swapaxes(1, 2) @ rho @ frames, g_plus, g_minus)
+    # each input once into its dressed frame, O^T rho O: trace and spectrum do not
+    # depend on it. O is the real rotation [[a, b], [-b, a]] of levels 0 and 1 and
+    # leaves level 2, so O^T mixes rows 0 and 1, then O columns 0 and 1
+    a, b = frames[:, 0, 0, None], frames[:, 0, 1, None]
+    rho[:, 0], rho[:, 1] = a * rho[:, 0] - b * rho[:, 1], b * rho[:, 0] + a * rho[:, 1]
+    rho[:, :, 0], rho[:, :, 1] = a * rho[:, :, 0] - b * rho[:, :, 1], b * rho[:, :, 0] + a * rho[:, :, 1]
+    out = dressed_channel(rho, g_plus, g_minus)
     trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
-    dip = -np.linalg.eigvalsh(hermitian_part(out))[:, 0]
+    dip = -hermitian_eigvals3(hermitian_part(out), ts).min(axis=-1)
     return complete, trace, dip
 
 

@@ -1,10 +1,12 @@
-"""Checks on stacks of states, their spectra and real inputs; batched 3x3 symmetric eigenvalues.
+"""Checks on stacks of states, their spectra and real inputs; batched 3x3 eigenvalues.
 
 A stack of matrices carries the sample axis first, (T, n, n); the
 ``require_*`` checks on stacks name the first failing sample, and
 require_state_spectrum checks eigenvalue rows however they were found.
 symmetric_eigvals3 finds those of batches of real symmetric 3x3 matrices
-by Jacobi rotations, with no LAPACK call.
+by Jacobi rotations; hermitian_eigvals3 reduces complex Hermitian 3x3
+matrices to that kernel by one Givens rotation. Neither makes a LAPACK
+call, and nothing in the package does.
 """
 
 from __future__ import annotations
@@ -76,9 +78,15 @@ def require_state_spectrum(w: np.ndarray, ts=None, name: str = "rho") -> None:
 
 
 def require_density_stack(rho: np.ndarray, ts=None, name: str = "rho") -> np.ndarray:
-    """Validate a (T, n, n) stack of density matrices and return its Hermitian part."""
+    """Validate a (T, 3, 3) stack of density matrices and return its Hermitian part.
+
+    Any other shape is a ValueError naming it; the spectra come from
+    hermitian_eigvals3.
+    """
+    if np.ndim(rho) != 3 or np.shape(rho)[1:] != (3, 3):
+        raise ValueError(f"{name} must be a (T, 3, 3) stack of density matrices, got shape {np.shape(rho)}")
     rho = require_hermitian_stack(rho, ts, name)
-    require_state_spectrum(np.linalg.eigvalsh(rho), ts, name)
+    require_state_spectrum(hermitian_eigvals3(rho, ts, name), ts, name)
     return rho
 
 
@@ -135,6 +143,44 @@ def symmetric_eigvals3(diag, off, ts=None, name: str = "matrix") -> np.ndarray:
         lambda i: f"{name}: 3x3 eigensolve not converged at the cap of {JACOBI_SWEEPS} Jacobi sweeps",
     )
     return np.stack([d0, d1, d2], axis=-1)
+
+
+def hermitian_eigvals3(m: np.ndarray, ts=None, name: str = "matrix") -> np.ndarray:
+    """Eigenvalues of a (T, 3, 3) Hermitian stack, read from its lower triangles, in no particular order.
+
+    Each matrix is first scaled by the power of two that brings its
+    largest entry part into [0.5, 1), exactly, so no step below works on
+    subnormal or overflowing numbers; the eigenvalues are scaled back at
+    the end. With r = hypot(|h10|, |h20|), a = h10/r and b = h20/r, the
+    complex Givens rotation Q = [[a, -conj(b)], [b, conj(a)]] of levels
+    (1, 2) sets h'01 = r and h'02 = 0; Q is the identity where r = 0. A
+    diagonal phase then makes h'12 real, |h'12|, and leaves a real
+    symmetric tridiagonal matrix of the same spectrum for
+    symmetric_eigvals3, which names any sample it cannot solve, a NaN
+    sample included.
+    """
+    m = np.asarray(m, dtype=complex)
+    lower = np.take(m.reshape(len(m), 9), [3, 6, 7], axis=1)
+    # per matrix (re h10, im h10, re h20, im h20, re h21, im h21, h00, h11, h22)
+    parts = np.concatenate([lower.view(float), np.diagonal(m, axis1=-2, axis2=-1).real], axis=1)
+    # the max along axis 0 of a C-ordered (9, T) copy: along the short axis 1 it takes 3x as long
+    exponent = np.frexp(np.abs(parts.T, order="C").max(axis=0))[1][:, None]
+    parts = np.ldexp(parts, -exponent)
+    d0, d1, d2 = parts[:, 6:].T
+    r = np.hypot(np.hypot(*parts[:, :2].T), np.hypot(*parts[:, 2:4].T))
+    rotate = r > 0
+    # (a, b) by real division: a complex one by a subnormal r overflows
+    a, b = (parts[:, :4] / np.where(rotate, r, 1.0)[:, None]).view(complex).T
+    a = np.where(rotate, a, 1.0)
+    h21 = parts[:, 4:6].view(complex)[:, 0]
+    # Q^dagger S Q of the (1, 2) block S: 2 Re(conj(a) b h12) moves weight
+    # from d2 to d1, and h'12 is the conjugate of a b (d2 - d1) + a^2 h21 - b^2 h12
+    cross = 2.0 * (a.conj() * b * h21.conj()).real
+    aa, bb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
+    h12 = np.abs(a * b * (d2 - d1) + a * a * h21 - b * b * h21.conj())
+    diag = np.stack([d0, aa * d1 + bb * d2 + cross, bb * d1 + aa * d2 - cross], axis=-1)
+    off = np.stack([r, np.zeros_like(r), h12], axis=-1)
+    return np.ldexp(symmetric_eigvals3(diag, off, ts, name), exponent)
 
 
 def as_real(values, name: str) -> np.ndarray:

@@ -19,13 +19,14 @@ from qutrit_eur.channel import (
     decoherence_factors,
     derive_params,
     dressed_amplitudes,
+    dressed_channel,
     require_completeness,
 )
 from qutrit_eur.entropy import evolved_isotropic_columns
 from qutrit_eur.experiment import BASIS_ROWS, SweepConfig, check_uncertainty_inequality, run_sweep
 from qutrit_eur.linalg import require_density_stack
 
-from conftest import REFERENCE_LEVELS, reference_eur, reference_evolved, reference_g
+from conftest import REFERENCE_LEVELS, random_density_matrix, reference_eur, reference_evolved, reference_g
 
 COLUMNS = ("t_gamma", "u_l", "u_b", "s_xb", "s_zb", "negativity", "g_plus", "g_minus")
 MONOTONE_LAM, OSCILLATORY_LAM = 5.0, 0.01
@@ -122,9 +123,10 @@ MIXED = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
 
 
 def evolved_stack(ts):
-    """The reference evolved states of MIXED at k = 0.8, one per time of ts."""
-    d = derive_params(MIXED)
-    return np.array([reference_evolved(0.8, d.a, d.b, *g) for g in zip(*decoherence_factors(MIXED, ts))])
+    """A random qutrit state through the channel of MIXED, in its dressed frame, one (3, 3) state per time of ts."""
+    _, g_plus, g_minus = dressed_amplitudes(MIXED, ts)
+    rho = random_density_matrix(np.random.default_rng(43), 3)
+    return dressed_channel(np.broadcast_to(rho, (len(ts), 3, 3)), g_plus, g_minus)
 
 
 def not_hermitian(rho):
@@ -136,7 +138,7 @@ def wrong_trace(rho):
 
 
 def negative_eigenvalue(rho):
-    rho[:] = np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0, 0])
+    rho[:] = np.diag([1.2, -0.2, 0])
 
 
 @pytest.mark.parametrize(
@@ -144,13 +146,25 @@ def negative_eigenvalue(rho):
     [(not_hermitian, "not Hermitian"), (wrong_trace, "unit trace"), (negative_eigenvalue, "negative eigenvalue")],
 )
 def test_batched_state_checks_name_the_corrupted_sample(corrupt, message):
-    # the check the CPTP suite runs on its input states, on any (T, n, n) stack
+    # the check the CPTP suite runs on its input states, on a (T, 3, 3) stack
     ts = np.linspace(0.0, 60.0, 7)
     rho = evolved_stack(ts)
     require_density_stack(rho, ts)
     corrupt(rho[4])
     with pytest.raises(ValueError, match=f"{message}.* at t=40$"):
         require_density_stack(rho, ts)
+
+
+def test_batched_state_checks_name_a_nan_entry_and_a_wrong_shape():
+    ts = np.linspace(0.0, 60.0, 7)
+    rho = evolved_stack(ts)
+    rho[4, 2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^rho is not Hermitian: max\|M - M\^dagger\| = nan > 1e-12 at t=40$"):
+        require_density_stack(rho, ts)
+    for shape in [(7, 9, 9), (7, 3, 2), (3, 3)]:
+        with pytest.raises(ValueError) as info:
+            require_density_stack(np.zeros(shape, dtype=complex), ts)
+        assert str(info.value) == f"rho must be a (T, 3, 3) stack of density matrices, got shape {shape}"
 
 
 def test_batched_bound_check_names_the_first_sample(monkeypatch):

@@ -554,7 +554,7 @@ def test_default_check_lines_are_pinned():
     and says so in CHANGES.md.
     """
     assert check_cptp() == (
-        True, "1000 draws: completeness 2.22e-16, trace drift 4.44e-16, eigenvalue dip 2.23e-16"
+        True, "1000 draws: completeness 2.22e-16, trace drift 4.44e-16, eigenvalue dip 0.00e+00"
     )
     assert check_oracle() == (True, "100 grid points: worst |closed - integrated| = 1.31e-12")
     assert check_uncertainty_inequality() == (

@@ -1,4 +1,4 @@
-"""Tests for the two-qutrit layout of the dense reference, and the 3x3 Jacobi eigenvalue kernel.
+"""Tests for the two-qutrit layout of the dense reference, and the 3x3 Jacobi eigenvalue kernels.
 
 The package forms no tensor products and no 9x9 state. The dense
 reference in conftest builds product operators with numpy's ``np.kron``
@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qutrit_eur import linalg
-from qutrit_eur.experiment import figure_preset, run_sweep
-from qutrit_eur.linalg import symmetric_eigvals3
+from qutrit_eur import experiment, linalg
+from qutrit_eur.experiment import check_cptp, figure_preset, run_sweep
+from qutrit_eur.linalg import hermitian_eigvals3, symmetric_eigvals3
 
 from conftest import random_hermitian, reference_partial_trace_a, reference_partial_transpose_a
 
@@ -247,3 +247,83 @@ def test_symmetric_eigvals3_names_the_time_at_the_sweep_cap(monkeypatch):
         "rho_AB sector or Sx-measured block: 3x3 eigensolve not converged at the cap of 1 Jacobi sweeps "
         "at t=0.125026047093 (sweep gamma1=1 gamma2=1 theta=1 lambda=0.001 k=0.4 t_max=600 steps=4800 basis=kraus-order)"
     )
+
+
+@st.composite
+def hermitian_3x3(draw):
+    """A Hermitian 3x3 matrix: general, near rank one, block diagonal or real, at unit or subnormal scale.
+
+    Entries have real and imaginary parts in [-1, 1]. Near rank one is
+    |v><v| + diag(delta), delta 0 or in [1e-18, 1e-8]; block diagonal has
+    h01 = h02 = 0, where hermitian_eigvals3 rotates nothing (r = 0). A
+    subnormal one is scaled by 10**e, e in [-323, -308], so every entry is
+    subnormal.
+    """
+    kind = draw(st.sampled_from(("general", "rank-one", "block-diagonal", "real")))
+    unit = st.floats(-1.0, 1.0)
+
+    def complex_entries(n):
+        return np.array([complex(draw(unit), draw(unit)) for _ in range(n)])
+
+    if kind == "rank-one":
+        v = complex_entries(3)
+        delta = [draw(st.one_of(st.just(0.0), st.floats(1e-18, 1e-8))) for _ in range(3)]
+        h = np.outer(v, v.conj()) + np.diag(delta)
+    else:
+        x = complex_entries(9).reshape(3, 3)
+        h = (x + x.conj().T) / 2.0
+        if kind == "block-diagonal":
+            h[0, 1:] = h[1:, 0] = 0.0
+        if kind == "real":
+            h = h.real.astype(complex)
+    if draw(st.booleans()):
+        h = h * 10.0 ** draw(st.integers(-323, -308))
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_3x3())
+def test_hermitian_eigvals3_matches_mpmath(h):
+    # within_eps_norm's error model. The bound is 4, not the 2 of the near
+    # rank-one symmetric test: the Jacobi kernel alone reaches 2.1 eps ||A||
+    # on general real symmetric draws, and LAPACK's eigvalsh 5.2 on these
+    got = np.sort(hermitian_eigvals3(h[None])[0])
+    with mpmath.workdps(50):
+        want = sorted(mpmath.eighe(mpmath.matrix(h.tolist()), eigvals_only=True))
+        err = max(abs(mpmath.mpf(g) - w) for g, w in zip(got.tolist(), want))
+        norm = max(abs(w) for w in want)
+    assert err <= 4.0 * (_EPS * norm + np.finfo(float).smallest_subnormal)
+
+
+def test_hermitian_eigvals3_reads_the_lower_triangle():
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    h = x + x.conj().swapaxes(1, 2)
+    upper = np.triu(rng.normal(size=(3, 3)), 1)
+    assert np.array_equal(hermitian_eigvals3(h + upper), hermitian_eigvals3(h))
+
+
+def test_hermitian_eigvals3_names_the_time_of_a_nan_entry():
+    h = np.broadcast_to(np.diag([0.5, 0.3, 0.2]).astype(complex), (4, 3, 3)).copy()
+    h[2, 2, 1] = np.nan
+    with pytest.raises(ValueError) as info:
+        hermitian_eigvals3(h, np.array([0.0, 0.5, 1.25, 2.0]), "rho")
+    assert str(info.value) == "rho: 3x3 eigensolve not converged at the cap of 8 Jacobi sweeps at t=1.25"
+
+
+def test_hermitian_eigvals3_matches_eigvalsh_on_the_cptp_draws(monkeypatch):
+    # eigvalsh as a reference for the tests only: the suite's input and output
+    # states of its default draws, as the suite passes them to the kernel
+    matrices = []
+
+    def recording(m, *args):
+        matrices.append(m)
+        return hermitian_eigvals3(m, *args)
+
+    monkeypatch.setattr(linalg, "hermitian_eigvals3", recording)
+    monkeypatch.setattr(experiment, "hermitian_eigvals3", recording)
+    check_cptp()
+    assert sum(map(len, matrices)) == 2000
+    for m in matrices:
+        want = np.linalg.eigvalsh(m)
+        assert within_eps_norm(np.sort(hermitian_eigvals3(m), axis=-1), want, np.abs(want).max(axis=1), 8.0)

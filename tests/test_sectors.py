@@ -30,6 +30,7 @@ from qutrit_eur.experiment import (
     SweepConfig,
     check_uncertainty_inequality,
     figure_preset,
+    run_self_check,
     run_sweep,
 )
 
@@ -270,6 +271,17 @@ def test_engine_solves_no_matrix_above_3x3(monkeypatch, run, samples):
     assert lapack_calls == 0
     assert matrices == 4 * samples
     assert kernel_calls == math.ceil(samples / 64)
+
+
+def test_self_check_makes_no_lapack_eigensolve(monkeypatch, capsys):
+    # the CPTP suite's spectra come from hermitian_eigvals3, the other suites' from closed forms and Jacobi
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg eigensolver called")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run_self_check()
+    assert capsys.readouterr().out.count("[PASS]") == 3
 
 
 def records_array(cfg):
