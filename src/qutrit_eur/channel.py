@@ -35,11 +35,11 @@ parameters broadcast against the times: a batch is one real
 (T, 4) array of rows (gamma1, gamma2, theta, lam), range-checked once
 where it enters; one ChannelParams, which a sweep passes for its whole
 grid, is the one-row case. The rates and mixing amplitudes of a batch
-come from one array derivation over its field columns.
-``decoherence_factors`` and its RK4 oracle ``decoherence_factors_ode``
-take the parameters the same way and return both branch amplitudes
-(G_plus, G_minus) at every time. The times are checked once, with the
-parameters: ints or floats, one-dimensional, finite and nonnegative.
+come from one array derivation over its field rows. The RK4 oracle
+``decoherence_factors_ode`` takes the parameters the same way and returns
+both branch amplitudes (G_plus, G_minus) at every time. The times are
+checked once, with the parameters: ints or floats, one-dimensional,
+finite and nonnegative.
 """
 
 from __future__ import annotations
@@ -115,28 +115,17 @@ class ChannelParams:
         return np.array([[self.gamma1, self.gamma2, self.theta, self.lam]])
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Dressed-branch rates and mixing amplitudes derived from ChannelParams.
+def _derive(fields: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Dressed rates gamma_+- = (gamma1 + gamma2 +- q)/2 and mixing (a, b), one per float row of fields.
 
-    q is the splitting of the decay-matrix eigenvalues, gamma_plus/gamma_minus
-    the branch rates (their sum equals gamma1 + gamma2), and (a, b) the
-    orthonormal mixing amplitudes of the dressed basis (a**2 + b**2 = 1).
+    q is the splitting set by the SGI cross coupling, and (a, b) the
+    nonnegative plus-branch eigenvector of the decay matrix
+    [[gamma1, c], [c, gamma2]], c = sqrt(gamma1)*sqrt(gamma2)*|theta|. No
+    intermediate exceeds gamma_plus, so both rates are finite whenever
+    gamma_plus is; a gamma_plus beyond the float range is a SampleError
+    naming the gammas of the first such row.
     """
-
-    q: float
-    gamma_plus: float
-    gamma_minus: float
-    a: float
-    b: float
-
-
-def _derive(gamma1: np.ndarray, gamma2: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """q, gamma_plus, gamma_minus, a, b of derive_params, elementwise over float arrays of the fields.
-
-    A gamma_plus beyond the float range is a SampleError naming the gammas
-    of the first such element.
-    """
+    gamma1, gamma2, theta, _ = fields.T
     with np.errstate(over="ignore"):
         lo, hi = np.minimum(gamma1, gamma2), np.maximum(gamma1, gamma2)
         # |theta| scales c down before 2*c is formed, so 2*c overflows only
@@ -162,24 +151,7 @@ def _derive(gamma1: np.ndarray, gamma2: np.ndarray, theta: np.ndarray) -> tuple[
     # lies in [1/2, 1]
     gamma_minus = lo * (hi / gamma_plus) * ((1.0 - theta) * (1.0 + theta))
     swap = diff < 0.0
-    return q, gamma_plus, gamma_minus, np.where(swap, minor, major), np.where(swap, major, minor)
-
-
-def derive_params(p: ChannelParams) -> DerivedParams:
-    """Dressed rates gamma_+- = (gamma1 + gamma2 +- q)/2 with q set by the SGI cross coupling.
-
-    (a, b) is the nonnegative plus-branch eigenvector of the decay matrix
-    [[gamma1, c], [c, gamma2]], c = sqrt(gamma1)*sqrt(gamma2)*|theta|:
-    (cos phi, sin phi), phi = atan2(2c, |gamma1 - gamma2|)/2, swapped when
-    gamma2 > gamma1, and a = b = cos(pi/4) exactly when gamma1 = gamma2.
-    The smaller amplitude is a sine of a small angle, so both keep their
-    relative digits. No intermediate exceeds gamma_plus, so both rates are
-    finite whenever gamma_plus is; a gamma_plus beyond the float range
-    raises ValueError naming the gammas. This is the one-row case of the
-    array derivation that every channel path uses.
-    """
-    gamma1, gamma2, theta, _ = p.row().T
-    return DerivedParams(*(float(column[0]) for column in _derive(gamma1, gamma2, theta)))
+    return gamma_plus, gamma_minus, np.where(swap, minor, major), np.where(swap, major, minor)
 
 
 def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
@@ -271,13 +243,7 @@ def _channel_inputs(p: ChannelParams | np.ndarray, ts) -> tuple:
         (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
     )
     fields = p.row() if isinstance(p, ChannelParams) else _checked_fields(p, len(ts))
-    gamma1, gamma2, theta, lam = fields.T
-    return (ts, lam, *_derive(gamma1, gamma2, theta)[1:])
-
-
-def decoherence_factors(p: ChannelParams | np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form branch amplitudes (G_plus, G_minus) at every time of ts, p as for dressed_amplitudes."""
-    return dressed_amplitudes(p, ts)[1:]
+    return (ts, fields[:, 3], *_derive(fields))
 
 
 def decoherence_factors_ode(p: ChannelParams | np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ All entropies are in bits. The uncertainty game measures the spin-1 x and
 z components of qutrit A while qutrit B serves as quantum memory: the
 measured uncertainty S(Sx|B) + S(Sz|B) is bounded below by
 log2(1/c) + S(A|B), where c is the maximum squared overlap between the
-two measurement eigenbases. The measured pair is fixed, so c and the
-bound offset log2(1/c) are derived from it once, here.
+two measurement eigenbases. The measured pair is fixed, so the bound
+offset log2(1/c) is a constant.
 
 Both sides of the relation and the negativity are one record, EurSample,
 of arrays with one entry per state. evolved_isotropic_columns
@@ -28,13 +28,12 @@ import numpy as np
 
 from .channel import require_completeness
 from .linalg import require_samples, require_state_spectrum, symmetric_eigvals3
-from .states_obs import max_overlap_c, require_mixing, spin1_observable
+from .states_obs import require_mixing, spin1_observable
 
-# the measured pair, and its two eigenbases side by side as (3, 6) columns
-_MEASURED = (spin1_observable("x"), spin1_observable("z"))
-_MEASURED_BASES = np.hstack([obs.eigenbasis for obs in _MEASURED])
-# log2(1/c) of the measured pair, the state-independent part of the bound
-BOUND_OFFSET = float(np.log2(1.0 / max_overlap_c(*_MEASURED)))
+# the eigenbases of the measured pair side by side as (3, 6) columns: x, then z
+_MEASURED_BASES = np.hstack([spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis])
+# log2(1/c), the state-independent part of the bound: c = 1/2 for spin-1 x and z (Maassen-Uffink)
+BOUND_OFFSET = 1.0
 
 BERTA_ATOL = 1e-9
 # round-off allowance of the negativity below 0 and above the two-qutrit maximum 1

@@ -38,7 +38,6 @@ import numpy as np
 from . import __version__
 from .channel import (
     ChannelParams,
-    decoherence_factors,
     decoherence_factors_ode,
     dressed_amplitudes,
     dressed_channel,
@@ -420,7 +419,7 @@ def oracle_grid(n_points: int = 100) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _oracle_block(fields, ts):
-    g_plus, g_minus = decoherence_factors(fields, ts)
+    _, g_plus, g_minus = dressed_amplitudes(fields, ts)
     ode_plus, ode_minus = decoherence_factors_ode(fields, ts)
     return (np.maximum(np.abs(g_plus - ode_plus), np.abs(g_minus - ode_minus)),)
 

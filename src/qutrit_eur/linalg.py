@@ -49,8 +49,15 @@ def require_samples(ok: np.ndarray, ts, describe) -> None:
     raise SampleError(f"{describe(i)}{where}", i)
 
 
+def _require_finite(finite: np.ndarray, ts, name: str) -> None:
+    """SampleError at the first sample, along the first axis of a stack's isfinite mask, with a False flag."""
+    per_sample = finite.all(axis=tuple(range(1, finite.ndim)))
+    require_samples(per_sample, ts, lambda i: f"{name} has an entry that is not finite")
+
+
 def require_hermitian_stack(m: np.ndarray, ts=None, name: str = "matrix") -> np.ndarray:
-    """Check entrywise Hermiticity of a (T, n, n) stack within 1e-12 and return its Hermitian part."""
+    """Check a (T, n, n) stack for finite entries, then Hermiticity within 1e-12; return its Hermitian part."""
+    _require_finite(np.isfinite(m), ts, name)
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     require_samples(
         dev <= HERMITIAN_ATOL, ts,
@@ -117,10 +124,12 @@ def symmetric_eigvals3(diag, off, ts=None, name: str = "matrix") -> np.ndarray:
     dropping those entries moves no eigenvalue by more than
     sqrt(6) eps ||A||. The rotations are orthogonal, so the result is
     backward stable, with no characteristic-polynomial cancellation
-    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). A matrix not done after JACOBI_SWEEPS sweeps, a NaN entry
-    included, is a SampleError naming its sample, with its time when ts
-    is given.
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). A
+    matrix with an entry that is not finite, checked before any sweep, or
+    not done after JACOBI_SWEEPS sweeps is a SampleError naming its
+    sample, with its time when ts is given.
     """
+    _require_finite(np.isfinite(diag) & np.isfinite(off), ts, name)
     (d0, d1, d2), (a01, a02, a12) = np.moveaxis(diag, -1, 0), np.moveaxis(off, -1, 0)
     for sweep in range(JACOBI_SWEEPS + 1):
         m0, m1, m2 = np.abs(d0), np.abs(d1), np.abs(d2)
@@ -139,7 +148,7 @@ def symmetric_eigvals3(diag, off, ts=None, name: str = "matrix") -> np.ndarray:
         d1, d2, c, s = _rotation(d1, d2, a12)
         a01, a02, a12 = c * a01, s * a01, 0.0
     require_samples(
-        done.reshape(len(done), -1).all(axis=1), ts,
+        done.all(axis=tuple(range(1, done.ndim))), ts,
         lambda i: f"{name}: 3x3 eigensolve not converged at the cap of {JACOBI_SWEEPS} Jacobi sweeps",
     )
     return np.stack([d0, d1, d2], axis=-1)
@@ -156,13 +165,15 @@ def hermitian_eigvals3(m: np.ndarray, ts=None, name: str = "matrix") -> np.ndarr
     (1, 2) sets h'01 = r and h'02 = 0; Q is the identity where r = 0. A
     diagonal phase then makes h'12 real, |h'12|, and leaves a real
     symmetric tridiagonal matrix of the same spectrum for
-    symmetric_eigvals3, which names any sample it cannot solve, a NaN
-    sample included.
+    symmetric_eigvals3, which names any sample it cannot solve. An entry
+    of a lower triangle that is not finite is a SampleError naming its
+    sample, before any arithmetic.
     """
     m = np.asarray(m, dtype=complex)
     lower = np.take(m.reshape(len(m), 9), [3, 6, 7], axis=1)
     # per matrix (re h10, im h10, re h20, im h20, re h21, im h21, h00, h11, h22)
     parts = np.concatenate([lower.view(float), np.diagonal(m, axis1=-2, axis2=-1).real], axis=1)
+    _require_finite(np.isfinite(parts), ts, name)
     # the max along axis 0 of a C-ordered (9, T) copy: along the short axis 1 it takes 3x as long
     exponent = np.frexp(np.abs(parts.T, order="C").max(axis=0))[1][:, None]
     parts = np.ldexp(parts, -exponent)

@@ -54,8 +54,8 @@ _SPIN1 = {
         np.array([[0.5, _SQRT_HALF, 0.5], [_SQRT_HALF, 0.0, -_SQRT_HALF], [0.5, -_SQRT_HALF, 0.5]]),
     ),
 }
-# every call, and entropy's measured pair, shares these arrays: a write
-# through one Observable would change the constants for all later callers
+# every call shares these arrays: a write through one Observable would
+# change the constants for all later callers
 for _obs in _SPIN1.values():
     for _constant in (_obs.matrix, _obs.eigenvalues, _obs.eigenbasis):
         _constant.flags.writeable = False
@@ -74,9 +74,3 @@ def spin1_observable(axis: str) -> Observable:
     if not isinstance(axis, str) or axis not in _SPIN1:
         raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
     return _SPIN1[axis]
-
-
-def max_overlap_c(r: Observable, q: Observable) -> float:
-    """Maximum squared overlap between the two eigenbases, max_ij |<r_i|s_j>|^2."""
-    overlaps = r.eigenbasis.conj().T @ q.eigenbasis
-    return float(np.max(np.abs(overlaps) ** 2))

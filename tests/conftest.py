@@ -1,4 +1,4 @@
-"""Shared fixtures, random-matrix helpers, the batch form of ChannelParams, scalar suite draws, and the dense reference.
+"""Shared fixtures, random-matrix helpers, ChannelParams in batch and derived form, suite draws, and the dense reference.
 
 The reference shares no kernel with the package: the branch amplitude
 from its two-exponential form, the Kraus triple written entry by entry,
@@ -10,11 +10,12 @@ projectors for the measured states.
 import cmath
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from qutrit_eur.channel import ChannelParams
+from qutrit_eur.channel import ChannelParams, _derive
 from qutrit_eur.experiment import PRESET_NAMES, figure_preset, run_sweep
 
 
@@ -48,6 +49,18 @@ def random_params(rng):
 def as_fields(params):
     """The (T, 4) rows (gamma1, gamma2, theta, lam) of a list of ChannelParams, the batch form of the channel kernels."""
     return np.array([(p.gamma1, p.gamma2, p.theta, p.lam) for p in params], dtype=float).reshape(-1, 4)
+
+
+class Derived(NamedTuple):
+    gamma_plus: float
+    gamma_minus: float
+    a: float
+    b: float
+
+
+def derived(p):
+    """The branch rates and mixing amplitudes of one ChannelParams as floats: the one-row case of channel._derive."""
+    return Derived(*(float(column[0]) for column in _derive(p.row())))
 
 
 def reference_uniform(rng, low=0.0, high=1.0):
@@ -192,6 +205,11 @@ def reference_dephased(rho, basis):
     return out
 
 
+def reference_max_overlap(r_basis, s_basis):
+    """max_ij |<r_i|s_j>|^2 over the columns of two bases: the c of the bound log2(1/c) + S(A|B)."""
+    return float(np.max(np.abs(r_basis.conj().T @ s_basis) ** 2))
+
+
 def reference_eur(rho):
     """(u_l, u_b, s_xb, s_zb, negativity) of a 9x9 state by dense arithmetic.
 
@@ -201,7 +219,7 @@ def reference_eur(rho):
     """
     x_basis = np.linalg.eigh(SX)[1]
     z_basis = np.eye(3, dtype=complex)
-    c = float(np.max(np.abs(x_basis.conj().T @ z_basis) ** 2))
+    c = reference_max_overlap(x_basis, z_basis)
     s_b = reference_entropy(reference_partial_trace_a(rho))
     s_xb = reference_entropy(reference_dephased(rho, x_basis)) - s_b
     s_zb = reference_entropy(reference_dephased(rho, z_basis)) - s_b

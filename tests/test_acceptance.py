@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from qutrit_eur.channel import ChannelParams, decoherence_factors, dressed_amplitudes
-from qutrit_eur.entropy import evolved_isotropic_columns
+from qutrit_eur.channel import ChannelParams, dressed_amplitudes
+from qutrit_eur.entropy import BOUND_OFFSET, evolved_isotropic_columns
 from qutrit_eur.experiment import (
     SweepConfig,
     check_cptp,
@@ -24,7 +24,9 @@ from qutrit_eur.experiment import (
     run_sweep,
     summarize,
 )
-from qutrit_eur.states_obs import max_overlap_c, spin1_observable
+from qutrit_eur.states_obs import spin1_observable
+
+from conftest import reference_max_overlap
 
 LOG2_3 = np.log2(3.0)
 
@@ -63,9 +65,10 @@ def test_criterion_3_exact_anchors_at_t0():
 
 
 def test_criterion_4_bound_constant():
-    c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
+    c = reference_max_overlap(spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis)
     assert c == pytest.approx(0.5, abs=1e-12)
-    assert np.log2(1.0 / c) == pytest.approx(1.0, abs=1e-12)
+    # the engine's offset is the exact log2(1/c) of c = 1/2
+    assert BOUND_OFFSET == 1.0 == np.log2(1.0 / 0.5)
     print(f"[PASS] criterion 4: overlap constant c = {c}")
 
 
@@ -73,7 +76,7 @@ def test_criterion_5_decoherence_free_branch():
     worst = 0.0
     for lam in (0.001, 0.01, 1.0, 1000.0):
         p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=lam)
-        g_minus = decoherence_factors(p, np.linspace(0.0, 600.0, 121))[1]
+        g_minus = dressed_amplitudes(p, np.linspace(0.0, 600.0, 121))[2]
         worst = max(worst, float(np.max(np.abs(g_minus - 1.0))))
     assert worst <= 1e-12
     print(f"[PASS] criterion 5: undamped branch stays at 1 (worst dev {worst:.2e})")

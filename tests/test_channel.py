@@ -14,9 +14,8 @@ from numpy.testing import assert_allclose
 
 from qutrit_eur.channel import (
     ChannelParams,
-    decoherence_factors,
+    _derive,
     decoherence_factors_ode,
-    derive_params,
     dressed_amplitudes,
     dressed_channel,
     require_completeness,
@@ -30,6 +29,7 @@ from conftest import (
     REFERENCE_LEVELS,
     as_fields,
     computational_kraus,
+    derived,
     random_density_matrix,
     random_params,
     reference_evolved,
@@ -48,39 +48,46 @@ EXCITED_1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 # ---------------------------------------------------------------------------
 
 
+def derive_row(gamma1, gamma2, theta):
+    """gamma_plus, gamma_minus, a, b of one row of fields as floats, from channel._derive; the width plays no part."""
+    (gamma_plus,), (gamma_minus,), (a,), (b,) = _derive(np.array([[gamma1, gamma2, theta, 1.0]]))
+    return gamma_plus, gamma_minus, a, b
+
+
 def test_derive_params_maximal_sgi():
-    d = derive_params(ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=1.0))
-    assert d.q == pytest.approx(2.0, abs=1e-14)
-    assert d.gamma_plus == pytest.approx(2.0, abs=1e-14)
-    assert d.gamma_minus == pytest.approx(0.0, abs=1e-14)
-    assert d.a == pytest.approx(1 / math.sqrt(2), abs=1e-14)
-    assert d.b == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+    gamma_plus, gamma_minus, a, b = derive_row(1.0, 1.0, 1.0)
+    # the splitting q = gamma_plus - gamma_minus
+    assert gamma_plus - gamma_minus == pytest.approx(2.0, abs=1e-14)
+    assert gamma_plus == pytest.approx(2.0, abs=1e-14)
+    assert gamma_minus == pytest.approx(0.0, abs=1e-14)
+    assert a == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+    assert b == pytest.approx(1 / math.sqrt(2), abs=1e-14)
 
 
 def test_derive_params_degenerate_no_sgi():
-    d = derive_params(ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1.0))
-    assert d.q == 0.0
-    assert d.gamma_plus == pytest.approx(1.0, abs=1e-14)
-    assert d.gamma_minus == pytest.approx(1.0, abs=1e-14)
-    assert d.a == d.b == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+    gamma_plus, gamma_minus, a, b = derive_row(1.0, 1.0, 0.0)
+    # q = 0: the two rates coincide exactly
+    assert gamma_plus == gamma_minus
+    assert gamma_plus == pytest.approx(1.0, abs=1e-14)
+    assert a == b == pytest.approx(1 / math.sqrt(2), abs=1e-14)
 
 
 def test_derive_params_asymmetric():
-    d = derive_params(ChannelParams(gamma1=2.0, gamma2=1.0, theta=0.5, lam=1.0))
+    gamma_plus, gamma_minus, a, _ = derive_row(2.0, 1.0, 0.5)
     q = math.sqrt(3.0)
-    assert d.q == pytest.approx(q, abs=1e-12)
-    assert d.gamma_plus == pytest.approx((3.0 + q) / 2, abs=1e-12)
-    assert d.gamma_minus == pytest.approx((3.0 - q) / 2, abs=1e-12)
-    assert d.a**2 == pytest.approx((q + 1.0) / (2 * q), abs=1e-12)
+    assert gamma_plus - gamma_minus == pytest.approx(q, abs=1e-12)
+    assert gamma_plus == pytest.approx((3.0 + q) / 2, abs=1e-12)
+    assert gamma_minus == pytest.approx((3.0 - q) / 2, abs=1e-12)
+    assert a**2 == pytest.approx((q + 1.0) / (2 * q), abs=1e-12)
 
 
 def test_derive_params_no_sgi_unequal_rates():
     # q = |gamma1 - gamma2| rounds so that q - gamma1 + gamma2 is about -3e-17
-    d = derive_params(ChannelParams(gamma1=2.0, gamma2=0.1, theta=0.0, lam=1.0))
-    assert d.a == pytest.approx(1.0, abs=1e-14)
-    assert d.b <= 1e-7
-    assert d.gamma_plus == pytest.approx(2.0, abs=1e-14)
-    assert d.gamma_minus == pytest.approx(0.1, abs=1e-14)
+    gamma_plus, gamma_minus, a, b = derive_row(2.0, 0.1, 0.0)
+    assert a == pytest.approx(1.0, abs=1e-14)
+    assert b <= 1e-7
+    assert gamma_plus == pytest.approx(2.0, abs=1e-14)
+    assert gamma_minus == pytest.approx(0.1, abs=1e-14)
 
 
 def test_derive_params_minus_rate_without_cancellation():
@@ -89,12 +96,12 @@ def test_derive_params_minus_rate_without_cancellation():
     # until G*G overflowed in a sweep to t = 486
     gamma1, gamma2 = 5.0, 2.9433575681425316e16
     for theta in (1.0, -0.5, 0.0, 0.999):
-        d = derive_params(ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=2.0))
+        gamma_minus = derive_row(gamma1, gamma2, theta)[1]
         with mpmath.workdps(50):
             g1, g2, th = mpmath.mpf(gamma1), mpmath.mpf(gamma2), mpmath.mpf(theta)
             want = (g1 + g2 - mpmath.sqrt((g1 - g2) ** 2 + 4 * g1 * g2 * th**2)) / 2
         # at theta = 1 the true rate is 0, and this asks for exactly 0
-        assert d.gamma_minus == pytest.approx(float(want), rel=1e-15, abs=0.0)
+        assert gamma_minus == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
 # (gamma1, gamma2, theta) where (gamma1 - gamma2)**2 and gamma1*gamma2*theta**2
@@ -109,28 +116,28 @@ def test_derive_params_huge_rates_match_mpmath():
     cases += [(10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300), rng.uniform(-1, 1)) for _ in range(100)]
     cases += [(10.0 ** e, rng.uniform(0.1, 3.0), rng.uniform(-1, 1)) for e in rng.uniform(150, 300, 50)]
     for gamma1, gamma2, theta in cases:
-        d = derive_params(ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=1.0))
+        gamma_plus, gamma_minus, got_a, got_b = derive_row(gamma1, gamma2, theta)
         with mpmath.workdps(50):
             g1, g2, th = mpmath.mpf(gamma1), mpmath.mpf(gamma2), mpmath.mpf(theta)
             q = mpmath.sqrt((g1 - g2) ** 2 + 4 * g1 * g2 * th**2)
             plus = (g1 + g2 + q) / 2
             # the determinant over plus: (g1 + g2 - q)/2 would cancel even at 50 digits
-            want = (q, plus, g1 * g2 * (1 - th**2) / plus)
-        got = (d.q, d.gamma_plus, d.gamma_minus)
+            want = (plus, g1 * g2 * (1 - th**2) / plus)
+        got = (gamma_plus, gamma_minus)
         assert got == pytest.approx(tuple(map(float, want)), rel=1e-15, abs=0.0), (gamma1, gamma2, theta)
         a, b = mixing_mpmath(gamma1, gamma2, theta)
         # relative on both, as for ordinary rates: b reaches 1.3e-85 at (6.3e169, 0.99999, 0.99999)
-        assert d.a == pytest.approx(a, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
-        assert d.b == pytest.approx(b, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
+        assert got_a == pytest.approx(a, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
+        assert got_b == pytest.approx(b, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
 
 
 def test_derive_params_names_an_unrepresentable_rate():
     bad = ChannelParams(gamma1=1e308, gamma2=1e308, theta=1.0, lam=1.0)
     match = r"gamma_plus .* gamma1=1e\+308, gamma2=1e\+308, theta=1.0$"
     with pytest.raises(ValueError, match=match):
-        derive_params(bad)
+        _derive(bad.row())
     # among valid draws, the one pass over a batch names it too
-    for kernel in (dressed_amplitudes, decoherence_factors, decoherence_factors_ode):
+    for kernel in (dressed_amplitudes, decoherence_factors_ode):
         with pytest.raises(ValueError, match=match):
             kernel(as_fields([SYMMETRIC_NO_SGI, bad, SYMMETRIC_FULL_SGI]), [0.0, 1.0, 2.0])
 
@@ -139,10 +146,11 @@ def test_derive_params_invariants_random():
     rng = np.random.default_rng(53)
     for _ in range(200):
         p = random_params(rng)
-        d = derive_params(p)
-        assert d.q >= 0
-        assert d.a**2 + d.b**2 == pytest.approx(1.0, abs=1e-12)
-        assert d.gamma_plus + d.gamma_minus == pytest.approx(p.gamma1 + p.gamma2, abs=1e-12)
+        (gamma_plus,), (gamma_minus,), (a,), (b,) = _derive(p.row())
+        # the splitting q = gamma_plus - gamma_minus
+        assert gamma_plus >= gamma_minus
+        assert a**2 + b**2 == pytest.approx(1.0, abs=1e-12)
+        assert gamma_plus + gamma_minus == pytest.approx(p.gamma1 + p.gamma2, abs=1e-12)
 
 
 def mixing_mpmath(gamma1, gamma2, theta):
@@ -169,11 +177,11 @@ def test_mixing_amplitudes_match_mpmath_eigenvector():
     cases += [(1e6, 1.0, 0.5), (1.0, 1e6, 0.5)]
     cases += [(*rng.uniform(0.1, 3.0, 2), rng.uniform(-1.0, 1.0)) for _ in range(100)]
     for gamma1, gamma2, theta in cases:
-        d = derive_params(ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=1.0))
+        got_a, got_b = derive_row(gamma1, gamma2, theta)[2:]
         a, b = mixing_mpmath(gamma1, gamma2, theta)
         # relative on both: a small amplitude keeps its digits too
-        assert d.a == pytest.approx(a, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
-        assert d.b == pytest.approx(b, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
+        assert got_a == pytest.approx(a, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
+        assert got_b == pytest.approx(b, rel=4e-16, abs=0.0), (gamma1, gamma2, theta)
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,9 +191,9 @@ def test_mixing_amplitudes_match_mpmath_eigenvector():
     theta=st.floats(-1.0, 1.0),
 )
 def test_mixing_amplitudes_unit_norm(gamma1, gamma2, theta):
-    d = derive_params(ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=1.0))
-    assert d.a >= 0 and d.b >= 0
-    assert abs(d.a * d.a + d.b * d.b - 1.0) <= 1e-15
+    a, b = derive_row(gamma1, gamma2, theta)[2:]
+    assert a >= 0 and b >= 0
+    assert abs(a * a + b * b - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -221,7 +229,7 @@ def test_channel_params_validation(kwargs, field):
         assert str(single.value) == f"{field} must {rule}, got {kwargs[field]}"
         # the same row in a batch: the same message, and the row's index for the suites to name the draw
         rows = np.array([[1.0, 1.0, 0.0, 1.0], row, [1.0, 1.0, 0.0, 1.0]])
-        for kernel in (dressed_amplitudes, decoherence_factors, decoherence_factors_ode):
+        for kernel in (dressed_amplitudes, decoherence_factors_ode):
             with pytest.raises(SampleError) as batch:
                 kernel(rows, [0.0, 1.0, 2.0])
             assert str(batch.value) == str(single.value) and batch.value.index == 1
@@ -229,11 +237,11 @@ def test_channel_params_validation(kwargs, field):
 
 def test_channel_params_accept_numpy_real_scalars():
     p = ChannelParams(gamma1=np.float32(1.5), gamma2=np.int64(1), theta=np.float64(0.5), lam=2)
-    assert derive_params(p) == derive_params(ChannelParams(gamma1=1.5, gamma2=1.0, theta=0.5, lam=2.0))
+    assert derived(p) == derived(ChannelParams(gamma1=1.5, gamma2=1.0, theta=0.5, lam=2.0))
     # every field is stored as a Python float
     assert all(type(getattr(p, f.name)) is float for f in dataclasses.fields(p))
-    # an integer rate that once reached derive_params as an int and overflowed there
-    assert derive_params(ChannelParams(gamma1=10**300, gamma2=1, theta=0, lam=1)).gamma_plus == 1e300
+    # an integer rate that once reached the derivation as an int and overflowed there
+    assert derived(ChannelParams(gamma1=10**300, gamma2=1, theta=0, lam=1)).gamma_plus == 1e300
 
 
 def test_real_fields_reject_bools_and_long_doubles_beyond_the_float_range():
@@ -267,7 +275,7 @@ def test_g_is_one_at_t0():
     rng = np.random.default_rng(59)
     for _ in range(20):
         p = random_params(rng)
-        for g in decoherence_factors(p, [0.0]):
+        for g in dressed_amplitudes(p, [0.0])[1:]:
             assert g[0] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -275,7 +283,7 @@ def test_g_decoherence_free_branch():
     # maximal SGI with equal rates leaves the minus branch undamped
     for lam in (0.001, 1.0, 1000.0):
         p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=1.0, lam=lam)
-        g_minus = decoherence_factors(p, [0.0, 0.5, 7.0, 140.0, 600.0])[1]
+        g_minus = dressed_amplitudes(p, [0.0, 0.5, 7.0, 140.0, 600.0])[2]
         assert np.max(np.abs(g_minus - 1.0)) <= 1e-12
 
 
@@ -284,7 +292,7 @@ def test_g_matches_ode_oracle():
     for _ in range(25):
         p = random_params(rng)
         t = rng.uniform(0.0, min(20.0, 50.0 / p.lam))
-        closed, integrated = decoherence_factors(p, [t]), decoherence_factors_ode(p, [t])
+        closed, integrated = dressed_amplitudes(p, [t])[1:], decoherence_factors_ode(p, [t])
         assert np.max(np.abs(np.subtract(closed, integrated))) <= 1e-8
 
 
@@ -294,7 +302,7 @@ def test_g_ode_initial_condition():
 
 def test_g_matches_ode_near_first_zero():
     # slow-reservoir amplitude close to its first zero crossing
-    closed = decoherence_factors(SYMMETRIC_NO_SGI, [70.2])
+    closed = dressed_amplitudes(SYMMETRIC_NO_SGI, [70.2])[1:]
     integrated = decoherence_factors_ode(SYMMETRIC_NO_SGI, [70.2])
     assert np.max(np.abs(np.subtract(closed, integrated))) <= 1e-8
 
@@ -311,10 +319,10 @@ def test_g_continuous_across_critical_width():
     # lam = 2*rate is the boundary between monotone and oscillatory decay
     for rate_pair in ((1.0, 1.0, 0.0), (1.0, 1.0, 1.0)):
         g1, g2, theta = rate_pair
-        rate = derive_params(ChannelParams(g1, g2, theta, 1.0)).gamma_plus
+        rate = derived(ChannelParams(g1, g2, theta, 1.0)).gamma_plus
         lam_c = 2.0 * rate
         below, above, at = (
-            decoherence_factors(ChannelParams(g1, g2, theta, lam), [0.5, 2.0, 10.0])[0]
+            dressed_amplitudes(ChannelParams(g1, g2, theta, lam), [0.5, 2.0, 10.0])[1]
             for lam in (lam_c * (1 - 1e-6), lam_c * (1 + 1e-6), lam_c)
         )
         assert np.max(np.abs(below - above)) <= 1e-5
@@ -323,14 +331,14 @@ def test_g_continuous_across_critical_width():
 
 def test_g_markovian_monotone_decay():
     p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1000.0)
-    for values in decoherence_factors(p, np.linspace(0.0, 5.0, 200)):
+    for values in dressed_amplitudes(p, np.linspace(0.0, 5.0, 200))[1:]:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_g_stays_in_unit_interval():
     rng = np.random.default_rng(67)
     params, ts = zip(*[(random_params(rng), rng.uniform(0.0, 100.0)) for _ in range(200)])
-    for g in decoherence_factors(as_fields(params), ts):
+    for g in dressed_amplitudes(as_fields(params), ts)[1:]:
         assert np.all(np.abs(g) <= 1.0 + 1e-12)
 
 
@@ -357,7 +365,7 @@ def test_g_matches_mpmath_near_critical_damping_and_markov_limit():
     rates, lams, ts = np.array(points).T
     params = as_fields([ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam) for r, lam in zip(rates, lams)])
     # both branches, each at rate `rate`
-    got = np.array(decoherence_factors(params, ts))
+    got = np.array(dressed_amplitudes(params, ts)[1:])
     want = np.array([g_mpmath(*point) for point in zip(lams, rates, ts)])
     assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -373,8 +381,8 @@ def test_g_matches_mpmath_near_critical_damping_and_markov_limit():
 def test_g_properties(gamma1, gamma2, theta, log_lam, t_frac):
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
     t = t_frac * min(20.0, 50.0 / p.lam)
-    assert all(g[0] == 1.0 for g in decoherence_factors(p, [0.0]))
-    g = np.array(decoherence_factors(p, [t]))
+    assert all(g[0] == 1.0 for g in dressed_amplitudes(p, [0.0])[1:])
+    g = np.array(dressed_amplitudes(p, [t])[1:])
     # |G| <= 1 up to the last bit of the rounded result
     assert np.all(np.abs(g) <= 1.0 + 2.0**-52)
     assert np.max(np.abs(g - decoherence_factors_ode(p, [t]))) <= 1e-8
@@ -382,7 +390,7 @@ def test_g_properties(gamma1, gamma2, theta, log_lam, t_frac):
 
 def test_g_rejects_negative_time():
     with pytest.raises(ValueError, match="nonnegative"):
-        decoherence_factors(SYMMETRIC_NO_SGI, [-0.1])
+        dressed_amplitudes(SYMMETRIC_NO_SGI, [-0.1])
     with pytest.raises(ValueError, match="nonnegative"):
         decoherence_factors_ode(SYMMETRIC_NO_SGI, [-0.1])
 
@@ -399,7 +407,7 @@ def test_times_and_k_must_be_ints_or_floats(value):
     # array, and the object arrays of None and of a Fraction. numpy reads
     # [0.5, True] and [0.5, np.array(True)] as the floats [0.5, 1.0]
     for ts in ([value], [0.5, value], [0.5, np.array(value)], np.array([value])):
-        for factors in (decoherence_factors, decoherence_factors_ode):
+        for factors in (dressed_amplitudes, decoherence_factors_ode):
             with pytest.raises(ValueError, match=r"^ts must be real \(ints or floats\), got dtype "):
                 factors(SYMMETRIC_NO_SGI, ts)
     for k in (value, [0.5, value], np.array([value, value])):
@@ -409,8 +417,8 @@ def test_times_and_k_must_be_ints_or_floats(value):
 
 def test_times_and_k_take_python_and_numpy_ints_and_floats():
     ts = np.array([0.0, 0.5, 2.0])
-    want = decoherence_factors(SYMMETRIC_NO_SGI, ts)
-    got = decoherence_factors(SYMMETRIC_NO_SGI, [0, np.float32(0.5), np.int64(2)])
+    want = dressed_amplitudes(SYMMETRIC_NO_SGI, ts)[1:]
+    got = dressed_amplitudes(SYMMETRIC_NO_SGI, [0, np.float32(0.5), np.int64(2)])[1:]
     assert np.array_equal(np.array(got), np.array(want))
     frame, g_plus, g_minus = dressed_amplitudes(SYMMETRIC_NO_SGI, ts)
     for k, same in ((np.float32(0.5), 0.5), (1, 1.0), (np.int64(0), 0.0)):
@@ -422,9 +430,9 @@ def test_g_overflow_raises_value_error_naming_inputs():
     # d + lam overflows to inf, so the closed form yields NaN already at t = 0
     p = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e308)
     with pytest.raises(ValueError, match=r"not finite and real.*lam=1e\+308.* at t=0$"):
-        decoherence_factors(p, [0.0])
+        dressed_amplitudes(p, [0.0])
     with pytest.raises(ValueError, match=r"t must be finite and nonnegative.* at t=inf$"):
-        decoherence_factors(SYMMETRIC_NO_SGI, [math.inf])
+        dressed_amplitudes(SYMMETRIC_NO_SGI, [math.inf])
 
 
 def g_mpmath_wide(lam, rate, t):
@@ -453,8 +461,8 @@ def test_g_tiny_width_matches_mpmath():
         params += [ChannelParams(gamma1=r, gamma2=r, theta=0.0, lam=lam) for r in (1e-3 * lam, 0.45 * lam)]
         points += [(p, x / lam) for p in params for x in (0.0, 0.5, 3.0, 10.0, 40.0)]
     params, ts = zip(*points)
-    got = decoherence_factors(as_fields(params), ts)[1]
-    rates = [derive_params(p).gamma_minus for p in params]
+    got = dressed_amplitudes(as_fields(params), ts)[2]
+    rates = [derived(p).gamma_minus for p in params]
     assert rates[0] == 0.0
     want = np.array([g_mpmath_wide(p.lam, rate, t) for p, rate, t in zip(params, rates, ts)])
     assert np.max(np.abs(got - want)) <= 1e-14
@@ -473,15 +481,10 @@ def test_g_huge_width_matches_mpmath():
     ]
     params, ts = zip(*points)
     # both branches, each at rate gamma1
-    got = np.array(decoherence_factors(as_fields(params), ts))
+    got = np.array(dressed_amplitudes(as_fields(params), ts)[1:])
     want = np.array([g_mpmath_wide(p.lam, p.gamma1, t) for p, t in zip(params, ts)])
     assert np.max(np.abs(got - want)) <= 1e-15
-    assert np.max(np.abs(np.array(decoherence_factors(params[-1], [10.0])) - math.exp(-10.0))) <= 1e-15
-
-
-def branch_rates(p):
-    d = derive_params(p)
-    return d.gamma_plus, d.gamma_minus
+    assert np.max(np.abs(np.array(dressed_amplitudes(params[-1], [10.0])[1:]) - math.exp(-10.0))) <= 1e-15
 
 
 def stepped_rk4(lam, rate, t):
@@ -510,7 +513,7 @@ def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
     assert fields.dtype == ts.dtype == np.float64
     powered = np.array(decoherence_factors_ode(fields, ts))
     params = [ChannelParams(*row) for row in fields.tolist()]
-    stepped = [[stepped_rk4(p.lam, rate, t) for rate in branch_rates(p)] for p, t in zip(params, ts.tolist())]
+    stepped = [[stepped_rk4(p.lam, rate, t) for rate in derived(p)[:2]] for p, t in zip(params, ts.tolist())]
     assert np.max(np.abs(powered.T - stepped)) <= 1e-12
 
 
@@ -527,7 +530,7 @@ def test_rk4_propagator_matches_stepped_loop_on_oracle_grid():
 def test_rk4_propagator_matches_stepped_loop(gamma1, gamma2, theta, log_lam, t_frac):
     p = ChannelParams(gamma1=gamma1, gamma2=gamma2, theta=theta, lam=10.0**log_lam)
     t = t_frac * min(20.0, 50.0 / p.lam)
-    for g, rate in zip(decoherence_factors_ode(p, [t]), branch_rates(p)):
+    for g, rate in zip(decoherence_factors_ode(p, [t]), derived(p)[:2]):
         assert abs(g[0] - stepped_rk4(p.lam, rate, t)) <= 1e-12
 
 
@@ -538,7 +541,7 @@ def test_g_ode_rejects_unbounded_step_counts():
         decoherence_factors_ode(ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=1e300), [1.0])
 
 
-@pytest.mark.parametrize("factors", [decoherence_factors, decoherence_factors_ode, dressed_amplitudes])
+@pytest.mark.parametrize("factors", [decoherence_factors_ode, dressed_amplitudes])
 def test_g_rejects_mismatched_lengths(factors):
     three_times = np.array([1.0, 2.0, 3.0])
     for n in (0, 1, 2, 4):
@@ -606,8 +609,8 @@ def test_kraus_symmetric_no_sgi_is_diagonal():
     # equal rates without SGI: both branches decay alike, so K_1 = diag(g, g, 1)
     # scales the excited block by g^2 in every frame of the excited levels
     _, g_plus, g_minus = dressed_amplitudes(SYMMETRIC_NO_SGI, [35.0])
-    g = decoherence_factors(SYMMETRIC_NO_SGI, [35.0])[0][0]
-    assert g_plus[0] == g_minus[0] == g
+    g = g_plus[0]
+    assert g_minus[0] == g
     rho = random_density_matrix(np.random.default_rng(61), 3)[None]
     out = dressed_channel(rho, g_plus, g_minus)
     assert np.array_equal(out[:, :2, :2], g * rho[:, :2, :2] * g)
@@ -659,7 +662,7 @@ def test_dressed_channel_rotates_into_the_computational_triple(basis):
     assert frame.dtype == g_plus.dtype == g_minus.dtype == np.float64
     require_completeness(g_plus, g_minus, ts)
     assert np.max(np.abs(frame @ frame.swapaxes(1, 2) - np.eye(3))) <= 1e-15
-    a, b = np.array([(derive_params(p).a, derive_params(p).b) for p in params]).T
+    a, b = np.array([derived(p)[2:] for p in params]).T
     triples = computational_kraus(a, b, g_plus, g_minus, REFERENCE_LEVELS[basis])
     # the basis as the sweep applies it, a row order of the kraus-order frame
     frame = frame[:, BASIS_ROWS[basis]]
@@ -673,7 +676,8 @@ def test_degenerate_mixing_choice_does_not_change_channel():
     # pair yields the same map; compare the canonical choice, the map seen
     # through its frame, with (1, 0), the dressed map itself
     (frame,), g_plus, g_minus = dressed_amplitudes(SYMMETRIC_NO_SGI, [50.0])
-    assert derive_params(SYMMETRIC_NO_SGI).q == 0.0
+    (gamma_plus,), (gamma_minus,), _, _ = _derive(SYMMETRIC_NO_SGI.row())
+    assert gamma_plus == gamma_minus
     rng = np.random.default_rng(73)
     for _ in range(5):
         rho = random_density_matrix(rng, 3)[None]
@@ -737,8 +741,8 @@ def test_apply_channel_preserves_state_validity():
 
 def test_apply_product_channel_identity_at_t0():
     # the dense reference's product channel, with the amplitudes and mixing of the package
-    d = derive_params(SYMMETRIC_FULL_SGI)
-    (g_plus,), (g_minus,) = decoherence_factors(SYMMETRIC_FULL_SGI, [0.0])
+    d = derived(SYMMETRIC_FULL_SGI)
+    _, (g_plus,), (g_minus,) = dressed_amplitudes(SYMMETRIC_FULL_SGI, [0.0])
     out = reference_evolved(0.7, d.a, d.b, g_plus, g_minus)
     assert_allclose(out, reference_isotropic(0.7), atol=1e-12)
 
@@ -771,7 +775,7 @@ def test_entanglement_death_at_amplitude_zero_and_revival():
         return evolved_isotropic_columns(g_plus, g_minus, 1.0, frame, np.array([t])).negativity[0]
 
     def g_at(t):
-        return decoherence_factors(p, [t])[0][0]
+        return dressed_amplitudes(p, [t])[1][0]
 
     lo, hi = 65.0, 80.0
     assert g_at(lo) > 0 > g_at(hi)

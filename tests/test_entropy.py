@@ -12,12 +12,13 @@ the engine ends in, _checked_columns, run on synthetic spectra.
 import numpy as np
 import pytest
 
-from qutrit_eur.channel import ChannelParams, derive_params, dressed_amplitudes
-from qutrit_eur.entropy import _checked_columns, evolved_isotropic_columns
+from qutrit_eur.channel import ChannelParams, dressed_amplitudes
+from qutrit_eur.entropy import EurSample, _checked_columns, evolved_isotropic_columns
 from qutrit_eur.states_obs import spin1_observable
 
 from conftest import (
     as_fields,
+    derived,
     random_density_matrix,
     random_params,
     random_unitary,
@@ -297,6 +298,34 @@ def test_bound_holds_on_random_evolved_states():
     assert np.array_equal(s.u_l, s.s_xb + s.s_zb)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001),
+        ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05),
+    ],
+    ids=["amplitudes-4.6e-23", "amplitudes-0"],
+)
+def test_decayed_state_reads_the_exact_bound(params):
+    # at t = 1e5 both branches have decayed to the ground product state,
+    # whose x outcomes are (1/4, 1/2, 1/4): u_l = 1.5 and u_b = log2(1/c) = 1
+    # exactly, for every mixing, so the margin is exactly 1/2
+    ts = np.array([1e5])
+    frame, g_plus, g_minus = dressed_amplitudes(params, ts)
+    assert abs(g_plus[0]) <= 1e-22 and abs(g_minus[0]) <= 1e-22
+    for k in (0.0, 0.4, 1.0):
+        s = evolved_isotropic_columns(g_plus, g_minus, k, frame, ts)
+        assert (s.u_l[0], s.u_b[0], s.u_l[0] - s.u_b[0]) == (1.5, 1.0, 0.5)
+
+
+def test_empty_time_axis_gives_empty_columns():
+    ts = np.array([])
+    frame, g_plus, g_minus = dressed_amplitudes(ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), ts)
+    s = evolved_isotropic_columns(g_plus, g_minus, 0.6, frame, ts)
+    assert isinstance(s, EurSample)
+    assert all(column.shape == (0,) and column.dtype == np.float64 for column in s)
+
+
 def test_u_l_of_maximally_mixed_is_channel_independent_at_t0():
     for theta in (0.0, 0.5, 1.0):
         for lam in (0.001, 1.0, 1000.0):
@@ -319,5 +348,5 @@ def test_eur_sample_matches_dense_reference(kind):
     frames, g_plus, g_minus = dressed_amplitudes(as_fields(params), ts)
     got = np.array(evolved_isotropic_columns(g_plus, g_minus, ks, frames, ts)).T
     for p, k, gp, gm, row in zip(params, ks, g_plus, g_minus, got):
-        d = derive_params(p)
+        d = derived(p)
         assert tuple(row) == pytest.approx(reference_eur(reference_evolved(k, d.a, d.b, gp, gm)), abs=1e-12, rel=0.0)

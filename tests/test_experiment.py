@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutrit_eur import entropy, experiment
-from qutrit_eur.channel import ChannelParams, decoherence_factors, derive_params
+from qutrit_eur.channel import ChannelParams, dressed_amplitudes
 from qutrit_eur.cli import build_parser, main
 from qutrit_eur.experiment import (
     CSV_HEADER,
@@ -45,6 +45,7 @@ from qutrit_eur.experiment import (
 from conftest import (
     as_fields,
     computational_kraus,
+    derived,
     reference_cptp_draws,
     reference_eur,
     reference_evolved,
@@ -184,7 +185,7 @@ def test_sweep_records_satisfy_invariants(monkeypatch):
 def test_sweep_records_branch_amplitudes():
     cfg = quick_config(steps=5, t_max=200.0)
     for r in run_sweep(cfg):
-        (g_plus,), (g_minus,) = decoherence_factors(cfg.channel, [r.t_gamma])
+        _, (g_plus,), (g_minus,) = dressed_amplitudes(cfg.channel, [r.t_gamma])
         assert (r.g_plus, r.g_minus) == (g_plus, g_minus)
 
 
@@ -601,8 +602,8 @@ def test_check_cptp_matches_per_draw_reference(monkeypatch):
     _, detail = check_cptp(n_draws=50, seed=11)
     want = []
     for params, t, x in reference_cptp_draws(random.Random(11), 50):
-        d = derive_params(params)
-        (g_plus,), (g_minus,) = decoherence_factors(params, [t])
+        d = derived(params)
+        _, (g_plus,), (g_minus,) = dressed_amplitudes(params, [t])
         ks = computational_kraus(d.a, d.b, g_plus, g_minus)
         acc = sum(k.conj().T @ k for k in ks)
         rho = x @ x.conj().T
@@ -630,8 +631,8 @@ def test_check_uncertainty_inequality_matches_per_draw_reference(monkeypatch):
     _, detail = check_uncertainty_inequality(n_draws=50, seed=13)
     want = []
     for params, t, k in reference_inequality_draws(random.Random(13), 50):
-        d = derive_params(params)
-        (g_plus,), (g_minus,) = decoherence_factors(params, [t])
+        d = derived(params)
+        _, (g_plus,), (g_minus,) = dressed_amplitudes(params, [t])
         u_l, u_b = reference_eur(reference_evolved(k, d.a, d.b, g_plus, g_minus))[:2]
         want.append(u_l - u_b)
     want = np.array(want)
@@ -835,7 +836,7 @@ def test_cli_sweep_tiny_width(tmp_path):
 
 
 def test_cli_sweep_huge_rate(tmp_path):
-    # gamma1 - gamma2 squared overflowed in derive_params above about 1.3e154,
+    # gamma1 - gamma2 squared overflowed in the rate derivation above about 1.3e154,
     # and the sweep stopped at t = 0 blaming the branch amplitude
     out = tmp_path / "huge.csv"
     assert main([

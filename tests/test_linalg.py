@@ -15,7 +15,13 @@ from numpy.testing import assert_allclose
 
 from qutrit_eur import experiment, linalg
 from qutrit_eur.experiment import check_cptp, figure_preset, run_sweep
-from qutrit_eur.linalg import hermitian_eigvals3, symmetric_eigvals3
+from qutrit_eur.linalg import (
+    SampleError,
+    hermitian_eigvals3,
+    require_density_stack,
+    require_hermitian_stack,
+    symmetric_eigvals3,
+)
 
 from conftest import random_hermitian, reference_partial_trace_a, reference_partial_transpose_a
 
@@ -229,7 +235,7 @@ def test_symmetric_eigvals3_names_the_time_of_a_nan_entry():
     off[2, 1] = np.nan
     with pytest.raises(ValueError) as info:
         symmetric_eigvals3(diag, off, np.array([0.0, 0.5, 1.25, 2.0]), "rho_ab")
-    assert str(info.value) == "rho_ab: 3x3 eigensolve not converged at the cap of 8 Jacobi sweeps at t=1.25"
+    assert str(info.value) == "rho_ab has an entry that is not finite at t=1.25"
 
 
 def test_symmetric_eigvals3_names_the_time_at_the_sweep_cap(monkeypatch):
@@ -308,7 +314,34 @@ def test_hermitian_eigvals3_names_the_time_of_a_nan_entry():
     h[2, 2, 1] = np.nan
     with pytest.raises(ValueError) as info:
         hermitian_eigvals3(h, np.array([0.0, 0.5, 1.25, 2.0]), "rho")
-    assert str(info.value) == "rho: 3x3 eigensolve not converged at the cap of 8 Jacobi sweeps at t=1.25"
+    assert str(info.value) == "rho has an entry that is not finite at t=1.25"
+
+
+def symmetric_of_stack(m, ts, name):
+    """symmetric_eigvals3 on the real diagonals and lower entries (a10, a20, a21) of a (T, 3, 3) stack."""
+    return symmetric_eigvals3(np.diagonal(m.real, axis1=1, axis2=2), m.real[:, [1, 2, 2], [0, 0, 1]], ts, name)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", [(1, 1), (2, 0)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize(
+    "kernel", [symmetric_of_stack, hermitian_eigvals3, require_hermitian_stack, require_density_stack],
+    ids=["symmetric_eigvals3", "hermitian_eigvals3", "require_hermitian_stack", "require_density_stack"],
+)
+def test_a_non_finite_entry_is_a_sample_error(kernel, entry, value):
+    # the suite's RuntimeWarning filter fails any invalid-value warning on the way;
+    # the value is set in both triangles, so the stack stays Hermitian
+    m = np.tile(np.diag([0.5, 0.3, 0.2]).astype(complex), (4, 1, 1))
+    m[2][entry] = m[2][entry[::-1]] = value
+    with pytest.raises(SampleError) as info:
+        kernel(m, np.array([0.0, 0.5, 1.25, 2.0]), "rho")
+    assert str(info.value) == "rho has an entry that is not finite at t=1.25"
+    assert info.value.index == 2
+
+
+def test_eigvals3_kernels_take_an_empty_stack():
+    assert hermitian_eigvals3(np.zeros((0, 3, 3))).shape == (0, 3)
+    assert symmetric_eigvals3(np.zeros((0, 4, 3)), np.zeros((0, 4, 3))).shape == (0, 4, 3)
 
 
 def test_hermitian_eigvals3_matches_eigvalsh_on_the_cptp_draws(monkeypatch):

@@ -1,12 +1,14 @@
-"""Tests for the package surface: its exports, the README's library example, and unused imports."""
+"""Tests for the package surface: its exports, the benchmark's imports, the README's library example, and unused imports."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import qutrit_eur
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SRC = Path(qutrit_eur.__file__).resolve().parent
 
 
@@ -14,6 +16,24 @@ def test_every_export_resolves():
     assert len(qutrit_eur.__all__) == len(set(qutrit_eur.__all__))
     for name in qutrit_eur.__all__:
         assert hasattr(qutrit_eur, name), name
+
+
+def test_benchmark_import_surface_resolves():
+    # perfbench imports qutrit_eur.<layer> for every layer of its metrics.FUNCTIONS
+    # on a traced run, and calls spin1_observable("x") and ("z") while setting up
+    # each workload; the layer names are read from that file, not imported
+    tree = ast.parse((ROOT / "perfbench" / "metrics.py").read_text(encoding="utf-8"))
+    (functions,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets)
+    ]
+    layers = [ast.literal_eval(key) for key in functions.keys]
+    assert layers
+    for layer in layers:
+        importlib.import_module(f"qutrit_eur.{layer}")
+    assert "spin1_observable" in qutrit_eur.__all__
+    for axis in ("x", "z"):
+        assert qutrit_eur.spin1_observable(axis).eigenbasis.shape == (3, 3)
 
 
 def test_readme_library_example_runs(capsys):

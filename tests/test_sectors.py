@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_eur.channel import ChannelParams, derive_params, dressed_amplitudes
+from qutrit_eur.channel import ChannelParams, dressed_amplitudes
 from qutrit_eur import entropy, experiment
 from qutrit_eur.entropy import _MEASURED_BASES, evolved_isotropic_columns
 from qutrit_eur.experiment import (
@@ -34,7 +34,7 @@ from qutrit_eur.experiment import (
     run_sweep,
 )
 
-from conftest import REFERENCE_LEVELS, as_fields, reference_blocks, reference_evolved
+from conftest import REFERENCE_LEVELS, as_fields, derived, reference_blocks, reference_evolved
 
 # unequal rates with partial SGI: both mixing amplitudes are nonzero and a != b
 MIXED = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
@@ -82,7 +82,7 @@ def test_dressed_frame_block_sectors(basis):
     assert_closed_form(rho_d, g_plus, g_minus, 0.6)
     # the dressed block is the computational one seen in the frame O (x) O,
     # its rows in the basis's order as the sweep takes them
-    d = derive_params(MIXED)
+    d = derived(MIXED)
     rho = evolved(g_plus, g_minus, a=d.a, b=d.b, levels=REFERENCE_LEVELS[basis])
     both = np.kron(frame[BASIS_ROWS[basis]], frame[BASIS_ROWS[basis]])
     assert np.max(np.abs(both @ rho_d @ both.T - rho)) <= 1e-15

