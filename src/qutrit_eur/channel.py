@@ -260,9 +260,10 @@ def _fed(g: np.ndarray) -> np.ndarray:
 def require_completeness(g_plus: np.ndarray, g_minus: np.ndarray, ts=None) -> np.ndarray:
     """Check the deviation max|sum K^dag K - I| of the map at every time against 1e-10 and return it.
 
-    It is the larger of |G+-^2 + W+-^2 - 1|: round-off, or G^2 - 1 where |G| > 1 and W clamps to 0.
+    It is the larger of |G+-^2 + W+-^2 - 1|: round-off, or G^2 - 1 (inf if it overflows) where |G| > 1 and W clamps to 0.
     """
-    dev = np.maximum(*(np.abs(g * g + _fed(g) ** 2 - 1.0) for g in (g_plus, g_minus)))
+    with np.errstate(over="ignore"):
+        dev = np.maximum(*(np.abs(g * g + _fed(g) ** 2 - 1.0) for g in (g_plus, g_minus)))
     require_samples(
         dev <= COMPLETENESS_ATOL, ts,
         lambda i: f"Kraus completeness violated: max|sum K^dag K - I| = {dev[i]:.3e}",

@@ -374,7 +374,7 @@ def _cptp_block(fields, ts, factors):
     rho[:, :, 0], rho[:, :, 1] = a * rho[:, :, 0] - b * rho[:, :, 1], b * rho[:, :, 0] + a * rho[:, :, 1]
     out = dressed_channel(rho, g_plus, g_minus)
     trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
-    dip = -hermitian_eigvals3(hermitian_part(out), ts).min(axis=-1)
+    dip = -hermitian_eigvals3(hermitian_part(out), ts).min(axis=0)
     return complete, trace, dip
 
 

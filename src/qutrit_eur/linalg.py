@@ -1,12 +1,12 @@
 """Checks on stacks of states, their spectra and real inputs; batched 3x3 eigenvalues.
 
-A stack of matrices carries the sample axis first, (T, n, n); the
-``require_*`` checks on stacks name the first failing sample, and
-require_state_spectrum checks eigenvalue rows however they were found.
-symmetric_eigvals3 finds those of batches of real symmetric 3x3 matrices
-by Jacobi rotations; hermitian_eigvals3 reduces complex Hermitian 3x3
-matrices to that kernel by one Givens rotation. Neither makes a LAPACK
-call, and nothing in the package does.
+A stack of matrices carries the sample axis first, (T, n, n). All else
+has the time axis last and contiguous, one time array per component: the
+eigen kernels take and return (3, ..., T), and require_state_spectrum
+checks (n, T) spectra, so every reduction runs over the short leading
+axis. The ``require_*`` checks name the first failing sample. Neither
+symmetric_eigvals3 (Jacobi rotations) nor hermitian_eigvals3, which
+reduces Hermitian 3x3 matrices to it, makes a LAPACK call.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ EIGENVALUE_FLOOR = -1e-10
 # the cap on the sweeps of symmetric_eigvals3; no matrix of the preset sweeps, the
 # long ground-first sweep or 20 seeds of the inequality suite needs more than 4
 JACOBI_SWEEPS = 8
+# the largest |entry| the stack checks and 3x3 kernels take: nothing they form of such entries overflows
+MAX_ENTRY = 2.0**1020
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
 
@@ -49,15 +51,18 @@ def require_samples(ok: np.ndarray, ts, describe) -> None:
     raise SampleError(f"{describe(i)}{where}", i)
 
 
-def _require_finite(finite: np.ndarray, ts, name: str) -> None:
-    """SampleError at the first sample, along the first axis of a stack's isfinite mask, with a False flag."""
-    per_sample = finite.all(axis=tuple(range(1, finite.ndim)))
-    require_samples(per_sample, ts, lambda i: f"{name} has an entry that is not finite")
+def _require_in_range(top: np.ndarray, ts, name: str) -> None:
+    """SampleError at the first sample whose largest |entry|, top[i], is not finite (NaN too) or above MAX_ENTRY."""
+    require_samples(
+        top <= MAX_ENTRY, ts,
+        lambda i: f"{name} has an entry that is not finite" if not np.isfinite(top[i])
+        else f"{name} has an entry of magnitude {top[i]:.3e}, above 2**1020",
+    )
 
 
 def require_hermitian_stack(m: np.ndarray, ts=None, name: str = "matrix") -> np.ndarray:
-    """Check a (T, n, n) stack for finite entries, then Hermiticity within 1e-12; return its Hermitian part."""
-    _require_finite(np.isfinite(m), ts, name)
+    """Check a (T, n, n) stack's entries (_require_in_range), then Hermiticity within 1e-12; return its Hermitian part."""
+    _require_in_range(np.abs(np.ascontiguousarray(m, dtype=complex).view(float)).max(axis=(1, 2)), ts, name)
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     require_samples(
         dev <= HERMITIAN_ATOL, ts,
@@ -67,17 +72,17 @@ def require_hermitian_stack(m: np.ndarray, ts=None, name: str = "matrix") -> np.
 
 
 def require_state_spectrum(w: np.ndarray, ts=None, name: str = "rho") -> None:
-    """Check (T, n) eigenvalue rows of states: none below -1e-10, and unit sum.
+    """Check the (n, T) eigenvalues of states, one column per sample: none below -1e-10, and unit sum.
 
     Eigenvalues in [-1e-10, 0) are round-off from channel application;
     anything more negative is not a state.
     """
-    w_min = w.min(axis=-1)
+    w_min = w.min(axis=0)
     require_samples(
         w_min >= EIGENVALUE_FLOOR, ts,
         lambda i: f"{name} has negative eigenvalue {w_min[i]:.3e}; not a state",
     )
-    tr = w.sum(axis=-1)
+    tr = w.sum(axis=0)
     require_samples(
         np.abs(tr - 1.0) <= TRACE_ATOL, ts,
         lambda i: f"{name} must have unit trace, got {float(tr[i])!r}",
@@ -117,20 +122,19 @@ def symmetric_eigvals3(diag, off, ts=None, name: str = "matrix") -> np.ndarray:
     """Eigenvalues of real symmetric 3x3 matrices, in no particular order, by cyclic Jacobi sweeps.
 
     diag holds the entries (a00, a11, a22) and off (a01, a02, a12) along
-    the last axis of two arrays of one shape, the sample axis first; the
-    eigenvalues come back in that shape, three along the last axis. Each
-    sweep rotates the planes (0, 1), (0, 2), (1, 2) of all matrices at
-    once. A matrix is done when every |apq| <= eps max(|app|, |aqq|);
-    dropping those entries moves no eigenvalue by more than
-    sqrt(6) eps ||A||. The rotations are orthogonal, so the result is
-    backward stable, with no characteristic-polynomial cancellation
-    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). A
-    matrix with an entry that is not finite, checked before any sweep, or
-    not done after JACOBI_SWEEPS sweeps is a SampleError naming its
-    sample, with its time when ts is given.
+    the first axis of two (3, ..., T) arrays; the eigenvalues come back in
+    that shape. Each sweep rotates the planes (0, 1), (0, 2), (1, 2) of all
+    matrices at once. A matrix is done when every |apq| <= eps max(|app|, |aqq|);
+    dropping those entries moves no eigenvalue by more than sqrt(6) eps ||A||.
+    The rotations are orthogonal, so the result is backward stable, with no
+    characteristic-polynomial cancellation (Demmel & Veselic, SIAM J.
+    Matrix Anal. Appl. 13, 1204 (1992)). A matrix with an entry that fails
+    _require_in_range, checked before any sweep, or not done after
+    JACOBI_SWEEPS sweeps is a SampleError naming its sample (and time).
     """
-    _require_finite(np.isfinite(diag) & np.isfinite(off), ts, name)
-    (d0, d1, d2), (a01, a02, a12) = np.moveaxis(diag, -1, 0), np.moveaxis(off, -1, 0)
+    leading = tuple(range(np.ndim(diag) - 1))
+    _require_in_range(np.maximum(np.abs(diag).max(axis=leading), np.abs(off).max(axis=leading)), ts, name)
+    (d0, d1, d2), (a01, a02, a12) = diag, off
     for sweep in range(JACOBI_SWEEPS + 1):
         m0, m1, m2 = np.abs(d0), np.abs(d1), np.abs(d2)
         done = (
@@ -148,49 +152,46 @@ def symmetric_eigvals3(diag, off, ts=None, name: str = "matrix") -> np.ndarray:
         d1, d2, c, s = _rotation(d1, d2, a12)
         a01, a02, a12 = c * a01, s * a01, 0.0
     require_samples(
-        done.all(axis=tuple(range(1, done.ndim))), ts,
+        done.all(axis=leading[:-1]), ts,
         lambda i: f"{name}: 3x3 eigensolve not converged at the cap of {JACOBI_SWEEPS} Jacobi sweeps",
     )
-    return np.stack([d0, d1, d2], axis=-1)
+    return np.stack([d0, d1, d2])
 
 
 def hermitian_eigvals3(m: np.ndarray, ts=None, name: str = "matrix") -> np.ndarray:
-    """Eigenvalues of a (T, 3, 3) Hermitian stack, read from its lower triangles, in no particular order.
+    """Eigenvalues of a (T, 3, 3) Hermitian stack, read from its lower triangles, as (3, T), in no particular order.
 
-    Each matrix is first scaled by the power of two that brings its
-    largest entry part into [0.5, 1), exactly, so no step below works on
-    subnormal or overflowing numbers; the eigenvalues are scaled back at
-    the end. With r = hypot(|h10|, |h20|), a = h10/r and b = h20/r, the
-    complex Givens rotation Q = [[a, -conj(b)], [b, conj(a)]] of levels
-    (1, 2) sets h'01 = r and h'02 = 0; Q is the identity where r = 0. A
-    diagonal phase then makes h'12 real, |h'12|, and leaves a real
-    symmetric tridiagonal matrix of the same spectrum for
-    symmetric_eigvals3, which names any sample it cannot solve. An entry
-    of a lower triangle that is not finite is a SampleError naming its
-    sample, before any arithmetic.
+    A part of a lower triangle that fails _require_in_range, as could
+    overflow the eigenvalues, is a SampleError naming its sample. Each
+    matrix is then scaled by the power of two that brings its largest part
+    into [0.5, 1), exactly, and its eigenvalues back at the end. With
+    r = hypot(|h10|, |h20|), a = h10/r and b = h20/r, the complex Givens
+    rotation Q = [[a, -conj(b)], [b, conj(a)]] of levels (1, 2) sets
+    h'01 = r and h'02 = 0; Q is the identity where r = 0. A diagonal phase
+    then makes h'12 real, |h'12|, and leaves a real symmetric tridiagonal
+    matrix of the same spectrum for symmetric_eigvals3, which names any
+    sample it cannot solve.
     """
     m = np.asarray(m, dtype=complex)
-    lower = np.take(m.reshape(len(m), 9), [3, 6, 7], axis=1)
-    # per matrix (re h10, im h10, re h20, im h20, re h21, im h21, h00, h11, h22)
-    parts = np.concatenate([lower.view(float), np.diagonal(m, axis1=-2, axis2=-1).real], axis=1)
-    _require_finite(np.isfinite(parts), ts, name)
-    # the max along axis 0 of a C-ordered (9, T) copy: along the short axis 1 it takes 3x as long
-    exponent = np.frexp(np.abs(parts.T, order="C").max(axis=0))[1][:, None]
+    # (9, T): re h10, im h10, re h20, im h20, re h21, im h21, h00, h11, h22 of the (T, 18) floats
+    parts = m.reshape(len(m), 9).view(float).T[[6, 7, 12, 13, 14, 15, 0, 8, 16]]
+    top = np.abs(parts).max(axis=0)
+    _require_in_range(top, ts, name)
+    exponent = np.frexp(top)[1]
     parts = np.ldexp(parts, -exponent)
-    d0, d1, d2 = parts[:, 6:].T
-    r = np.hypot(np.hypot(*parts[:, :2].T), np.hypot(*parts[:, 2:4].T))
+    d0, d1, d2 = parts[6:]
+    r = np.hypot(np.hypot(parts[0], parts[1]), np.hypot(parts[2], parts[3]))
     rotate = r > 0
     # (a, b) by real division: a complex one by a subnormal r overflows
-    a, b = (parts[:, :4] / np.where(rotate, r, 1.0)[:, None]).view(complex).T
-    a = np.where(rotate, a, 1.0)
-    h21 = parts[:, 4:6].view(complex)[:, 0]
+    q = parts[:4] / np.where(rotate, r, 1.0)
+    a, b, h21 = np.where(rotate, q[0] + 1j * q[1], 1.0), q[2] + 1j * q[3], parts[4] + 1j * parts[5]
     # Q^dagger S Q of the (1, 2) block S: 2 Re(conj(a) b h12) moves weight
     # from d2 to d1, and h'12 is the conjugate of a b (d2 - d1) + a^2 h21 - b^2 h12
     cross = 2.0 * (a.conj() * b * h21.conj()).real
     aa, bb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
     h12 = np.abs(a * b * (d2 - d1) + a * a * h21 - b * b * h21.conj())
-    diag = np.stack([d0, aa * d1 + bb * d2 + cross, bb * d1 + aa * d2 - cross], axis=-1)
-    off = np.stack([r, np.zeros_like(r), h12], axis=-1)
+    diag = np.stack([d0, aa * d1 + bb * d2 + cross, bb * d1 + aa * d2 - cross])
+    off = np.stack([r, np.zeros_like(r), h12])
     return np.ldexp(symmetric_eigvals3(diag, off, ts, name), exponent)
 
 

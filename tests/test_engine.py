@@ -22,7 +22,7 @@ from qutrit_eur.channel import (
 )
 from qutrit_eur.entropy import evolved_isotropic_columns
 from qutrit_eur.experiment import BASIS_ROWS, SweepConfig, check_uncertainty_inequality, run_sweep
-from qutrit_eur.linalg import require_density_stack
+from qutrit_eur.linalg import SampleError, require_density_stack
 
 from conftest import REFERENCE_LEVELS, derived, random_density_matrix, reference_eur, reference_evolved, reference_g
 
@@ -70,6 +70,23 @@ def test_sweep_with_ragged_last_block_matches_dense_reference(monkeypatch):
         k=0.8, t_max=600.0, steps=300, basis="ground-first",
     )
     assert_sweep_matches_reference(cfg)
+
+
+@pytest.mark.parametrize("steps", [2, 513], ids=["two-samples", "one-sample-tail-block"])
+@pytest.mark.parametrize("basis", ["kraus-order", "ground-first"])
+def test_edge_blocks_match_dense_reference(basis, steps):
+    # the shortest grid, and a full block of 512 followed by a block of one
+    # sample; the reference is fed the engine's own amplitudes, as below
+    assert experiment._BLOCK == 512
+    cfg = SweepConfig(
+        channel=ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=OSCILLATORY_LAM),
+        k=0.8, t_max=600.0, steps=steps, basis=basis,
+    )
+    rows = run_sweep(cfg)
+    d = derived(cfg.channel)
+    got = np.array([rows.u_l, rows.u_b, rows.s_xb, rows.s_zb, rows.negativity]).T
+    want = [reference_eur(reference_evolved(cfg.k, d.a, d.b, r.g_plus, r.g_minus, REFERENCE_LEVELS[basis])) for r in rows]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-13
 
 
 def test_scalar_functions_reproduce_sweep_rows():
@@ -182,6 +199,19 @@ def test_batched_completeness_check_names_the_corrupted_sample():
     g_plus[2] = 1.0 + 2e-9
     with pytest.raises(ValueError, match=r"completeness violated: max\|sum K\^dag K - I\| = 4\.000e-09 at t=20$"):
         require_completeness(g_plus, g_minus, ts)
+
+
+def test_completeness_of_an_overflowing_amplitude_is_inf():
+    # G+ = 1e200 squares to inf: under the suite's RuntimeWarning filter the
+    # check and the kernel that calls it still raise the SampleError naming t
+    ts = np.array([0.0, 1.5])
+    g_plus, g_minus = np.array([0.3, 1e200]), np.array([0.3, 0.2])
+    message = r"^Kraus completeness violated: max\|sum K\^dag K - I\| = inf at t=1\.5$"
+    with pytest.raises(SampleError, match=message) as info:
+        require_completeness(g_plus, g_minus, ts)
+    assert info.value.index == 1
+    with pytest.raises(SampleError, match=message):
+        evolved_isotropic_columns(g_plus, g_minus, 0.5, np.eye(3), ts)
 
 
 def test_sweep_failure_names_time_and_parameters():

@@ -78,21 +78,21 @@ def mixed_spectra():
     """The spectra _checked_columns takes, of I/9 at each time of TS3: rho_AB, rho_B, both measured states, rho^T_A."""
     n = len(TS3)
     return [
-        np.full((n, 9), 1.0 / 9.0), np.full((n, 3), 1.0 / 3.0), np.full((n, 2, 9), 1.0 / 9.0), np.full((n, 9), 1.0 / 9.0)
+        np.full((9, n), 1.0 / 9.0), np.full((3, n), 1.0 / 3.0), np.full((2, 9, n), 1.0 / 9.0), np.full((9, n), 1.0 / 9.0)
     ]
 
 
 def spectrum_rows(spectra, i):
-    """Row i of each state spectrum in spectra, by its name in SPECTRA, as views."""
+    """Column i, the time TS3[i], of each state spectrum in spectra, by its name in SPECTRA, as views."""
     w_ab, w_b, w_xz, _ = spectra
-    return dict(zip(SPECTRA, (w_ab[i], w_b[i], w_xz[i, 0], w_xz[i, 1])))
+    return dict(zip(SPECTRA, (w_ab[:, i], w_b[:, i], w_xz[0, :, i], w_xz[1, :, i])))
 
 
 def with_negativity(raw):
     """mixed_spectra, with a partial-transpose spectrum of raw negativity raw[i] at each time."""
     spectra = mixed_spectra()
     spectra[3][:] = 0.0
-    spectra[3][:, 0] = 2.0 * np.asarray(raw) + 1.0
+    spectra[3][0] = 2.0 * np.asarray(raw) + 1.0
     return spectra
 
 
@@ -222,7 +222,7 @@ def test_eur_right_values():
 def test_bound_check_names_the_sample():
     # pure measured states at t = 5: u_l = -2 log2(3), below u_b = 1 + log2(3)
     spectra = mixed_spectra()
-    spectra[2][2] = np.eye(9)[0]
+    spectra[2][:, :, 2] = np.eye(9)[0]
     with pytest.raises(ValueError, match=r"^uncertainty sum -3\.16992\d* below its lower bound 2\.58496\d* at t=5$"):
         _checked_columns(*spectra, TS3)
 
@@ -324,6 +324,22 @@ def test_empty_time_axis_gives_empty_columns():
     s = evolved_isotropic_columns(g_plus, g_minus, 0.6, frame, ts)
     assert isinstance(s, EurSample)
     assert all(column.shape == (0,) and column.dtype == np.float64 for column in s)
+
+
+def test_one_frame_a_stack_of_one_and_one_per_time_agree():
+    # the three frame shapes the kernel takes, the same O at every time
+    ts = np.linspace(0.0, 60.0, 5)
+    frame, g_plus, g_minus = dressed_amplitudes(MIXED, ts)
+    assert frame.shape == (1, 3, 3)
+    single, stack_of_one, per_time = (
+        np.array(evolved_isotropic_columns(g_plus, g_minus, 0.6, f, ts))
+        for f in (frame[0], frame, np.broadcast_to(frame, (len(ts), 3, 3)))
+    )
+    assert np.array_equal(single, stack_of_one)
+    assert np.max(np.abs(per_time - single)) <= 1e-15
+    d = derived(MIXED)
+    want = [reference_eur(reference_evolved(0.6, d.a, d.b, gp, gm)) for gp, gm in zip(g_plus, g_minus)]
+    assert np.max(np.abs(single.T - np.array(want))) <= 1e-13
 
 
 def test_u_l_of_maximally_mixed_is_channel_independent_at_t0():

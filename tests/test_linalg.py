@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qutrit_eur import experiment, linalg
+from qutrit_eur.channel import ChannelParams
+from qutrit_eur.entropy import evolved_isotropic_columns
 from qutrit_eur.experiment import check_cptp, figure_preset, run_sweep
 from qutrit_eur.linalg import (
+    MAX_ENTRY,
     SampleError,
     hermitian_eigvals3,
     require_density_stack,
@@ -147,12 +150,13 @@ def test_partial_transpose_max_entangled_spectrum():
 
 # the off-diagonal entries (a01, a02, a12) in the order symmetric_eigvals3 takes them
 _PAIRS = np.triu_indices(3, 1)
+_DIAG = np.arange(3)
 _EPS = np.finfo(float).eps
 
 
 def eigvals3(m):
-    """symmetric_eigvals3 of a (T, 3, 3) stack, each row sorted as eigvalsh sorts it."""
-    return np.sort(symmetric_eigvals3(np.diagonal(m, axis1=-2, axis2=-1), m[:, _PAIRS[0], _PAIRS[1]]), axis=-1)
+    """symmetric_eigvals3 of a (T, 3, 3) stack as (T, 3), each row sorted as eigvalsh sorts it."""
+    return np.sort(symmetric_eigvals3(np.diagonal(m, axis1=-2, axis2=-1).T, m[:, _PAIRS[0], _PAIRS[1]].T).T, axis=-1)
 
 
 @st.composite
@@ -231,8 +235,8 @@ def test_symmetric_eigvals3_near_rank_one_matches_mpmath(z, delta):
 
 
 def test_symmetric_eigvals3_names_the_time_of_a_nan_entry():
-    diag, off = np.ones((4, 3)), np.full((4, 3), 0.1)
-    off[2, 1] = np.nan
+    diag, off = np.ones((3, 4)), np.full((3, 4), 0.1)
+    off[1, 2] = np.nan
     with pytest.raises(ValueError) as info:
         symmetric_eigvals3(diag, off, np.array([0.0, 0.5, 1.25, 2.0]), "rho_ab")
     assert str(info.value) == "rho_ab has an entry that is not finite at t=1.25"
@@ -244,7 +248,7 @@ def test_symmetric_eigvals3_names_the_time_at_the_sweep_cap(monkeypatch):
     diag = np.array([[[1.0, 2.0, 3.0]] * 2, [[1.0, 2.0, 3.0], [0.3, 0.2, 0.1]]])
     off = np.array([[[0.0, 0.0, 0.0]] * 2, [[0.0, 0.0, 0.0], [0.1, 0.05, 0.02]]])
     with pytest.raises(ValueError) as info:
-        symmetric_eigvals3(diag, off, np.array([3.0, 7.0]), "x block")
+        symmetric_eigvals3(diag.T, off.T, np.array([3.0, 7.0]), "x block")
     assert str(info.value) == "x block: 3x3 eigensolve not converged at the cap of 1 Jacobi sweeps at t=7"
     # through a sweep: with SGI one sweep is enough at t = 0, not at the next sample
     with pytest.raises(ValueError) as info:
@@ -293,7 +297,7 @@ def test_hermitian_eigvals3_matches_mpmath(h):
     # within_eps_norm's error model. The bound is 4, not the 2 of the near
     # rank-one symmetric test: the Jacobi kernel alone reaches 2.1 eps ||A||
     # on general real symmetric draws, and LAPACK's eigvalsh 5.2 on these
-    got = np.sort(hermitian_eigvals3(h[None])[0])
+    got = np.sort(hermitian_eigvals3(h[None])[:, 0])
     with mpmath.workdps(50):
         want = sorted(mpmath.eighe(mpmath.matrix(h.tolist()), eigvals_only=True))
         err = max(abs(mpmath.mpf(g) - w) for g, w in zip(got.tolist(), want))
@@ -319,7 +323,7 @@ def test_hermitian_eigvals3_names_the_time_of_a_nan_entry():
 
 def symmetric_of_stack(m, ts, name):
     """symmetric_eigvals3 on the real diagonals and lower entries (a10, a20, a21) of a (T, 3, 3) stack."""
-    return symmetric_eigvals3(np.diagonal(m.real, axis1=1, axis2=2), m.real[:, [1, 2, 2], [0, 0, 1]], ts, name)
+    return symmetric_eigvals3(np.diagonal(m.real, axis1=1, axis2=2).T, m.real[:, [1, 2, 2], [0, 0, 1]].T, ts, name)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
@@ -339,9 +343,107 @@ def test_a_non_finite_entry_is_a_sample_error(kernel, entry, value):
     assert info.value.index == 2
 
 
+def test_an_entry_near_the_float_maximum_is_a_sample_error():
+    # diagonal (1e308, -1e308, 1) and a01 = 1e308: aqq - app of the first
+    # rotation would overflow, so the entry check names the sample first
+    diag, off = np.array([[1.0, 1e308], [1.0, -1e308], [1.0, 1.0]]), np.array([[0.0, 1e308], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(SampleError) as info:
+        symmetric_eigvals3(diag, off, np.array([0.0, 0.5]), "rho_ab")
+    assert str(info.value) == "rho_ab has an entry of magnitude 1.000e+308, above 2**1020 at t=0.5"
+    assert info.value.index == 1
+    # m + m^dagger of the Hermitian part would overflow too
+    rho = np.tile(np.diag([0.5, 0.3, 0.2]).astype(complex), (2, 1, 1))
+    rho[1, 0, 1] = rho[1, 1, 0] = 1e308
+    with pytest.raises(SampleError) as info:
+        require_density_stack(rho, np.array([0.0, 0.5]))
+    assert str(info.value) == "rho has an entry of magnitude 1.000e+308, above 2**1020 at t=0.5"
+
+
+# entries at the edges of float64: both infinities, NaN, the least and a larger
+# subnormal, and +-1e308, above MAX_ENTRY; with ordinary values in [-1, 1]
+EDGE_FLOATS = st.sampled_from([np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e308, -1e308])
+ENTRIES = st.one_of(st.floats(-1.0, 1.0), EDGE_FLOATS)
+
+
+def out_of_range(x, axes):
+    """Per sample: does any entry of x, over axes, fail the kernels' entry rule (not finite, or above MAX_ENTRY)?"""
+    return ~(np.abs(x) <= MAX_ENTRY).all(axis=axes)
+
+
+def assert_finite_or_names_the_sample(call, ts, bad):
+    """call() returns finite values, or raises a SampleError naming its sample by t; bad flags the samples out of range.
+
+    An out-of-range entry fails the first check each kernel runs, so the
+    first flagged sample is the one named, and nothing is returned.
+    """
+    try:
+        out = call()
+    except SampleError as exc:
+        assert str(exc).endswith(f" at t={float(ts[exc.index]):.12g}")
+        assert not bad.any() or exc.index == int(np.argmax(bad))
+        return
+    assert not bad.any()
+    assert np.isfinite(np.asarray(out)).all()
+
+
+@pytest.mark.parametrize(
+    "kernel", ["symmetric_eigvals3", "hermitian_eigvals3", "require_density_stack", "evolved_isotropic_columns"]
+)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_edge_floats_give_finite_values_or_name_the_sample(kernel, n, data):
+    # under the suite's RuntimeWarning filter: no overflow or invalid value on the way
+    ts = np.arange(n) + 0.5
+
+    def draw(shape, entries=ENTRIES):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(entries, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    if kernel == "symmetric_eigvals3":
+        diag, off = draw((3, 2, n)), draw((3, 2, n))
+        bad = out_of_range(diag, (0, 1)) | out_of_range(off, (0, 1))
+        assert_finite_or_names_the_sample(lambda: symmetric_eigvals3(diag, off, ts), ts, bad)
+    elif kernel == "hermitian_eigvals3":
+        # set part by part: arithmetic on the edge values would warn before the kernel runs
+        h, rows, cols = np.zeros((n, 3, 3), dtype=complex), *np.tril_indices(3, -1)
+        h.real[:, rows, cols], h.imag[:, rows, cols], h.real[:, _DIAG, _DIAG] = draw((n, 3)), draw((n, 3)), draw((n, 3))
+        h[:, cols, rows] = h[:, rows, cols].conj()
+        bad = out_of_range(np.concatenate([h.real[:, rows, cols], h.imag[:, rows, cols], h.real[:, _DIAG, _DIAG]], axis=1), 1)
+        assert_finite_or_names_the_sample(lambda: hermitian_eigvals3(h, ts), ts, bad)
+    elif kernel == "require_density_stack":
+        # a state with entries replaced in both triangles, so it stays Hermitian off the diagonal
+        rho = np.tile(np.diag([0.5, 0.3, 0.2]).astype(complex), (n, 1, 1))
+        for i, a, b in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.integers(0, 2)), max_size=3)):
+            rho[i, a, b] = complex(data.draw(ENTRIES), data.draw(ENTRIES))
+            rho[i, b, a] = np.conj(rho[i, a, b])
+        bad = out_of_range(rho.real, (1, 2)) | out_of_range(rho.imag, (1, 2))
+        assert_finite_or_names_the_sample(lambda: require_density_stack(rho, ts), ts, bad)
+    else:
+        # valid amplitudes, per-time mixing and the frame of a channel, one
+        # or one per time; edge values at one to three entries of one of them
+        frame, _, _ = experiment.dressed_amplitudes(ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05), ts)
+        inputs = {
+            "g_plus": draw((n,), st.floats(-1.0, 1.0)), "g_minus": draw((n,), st.floats(-1.0, 1.0)),
+            "k": draw((n,), st.floats(0.0, 1.0)), "frame": np.repeat(frame, data.draw(st.sampled_from([1, n])), axis=0),
+        }
+        target = data.draw(st.sampled_from(list(inputs)))
+        entries = inputs[target].reshape(-1)
+        for _ in range(data.draw(st.integers(1, 3))):
+            entries[data.draw(st.integers(0, entries.size - 1))] = data.draw(EDGE_FLOATS)
+        # the rule each input is checked by, per sample
+        bad = {
+            "g_plus": ~(np.abs(inputs["g_plus"]) <= 1.0), "g_minus": ~(np.abs(inputs["g_minus"]) <= 1.0),
+            "k": ~((0.0 <= inputs["k"]) & (inputs["k"] <= 1.0)),
+            "frame": np.broadcast_to(~(np.abs(inputs["frame"]) <= 1.0).all(axis=(1, 2)), (n,)),
+        }[target]
+        assert_finite_or_names_the_sample(
+            lambda: evolved_isotropic_columns(inputs["g_plus"], inputs["g_minus"], inputs["k"], inputs["frame"], ts), ts, bad
+        )
+
+
 def test_eigvals3_kernels_take_an_empty_stack():
-    assert hermitian_eigvals3(np.zeros((0, 3, 3))).shape == (0, 3)
-    assert symmetric_eigvals3(np.zeros((0, 4, 3)), np.zeros((0, 4, 3))).shape == (0, 4, 3)
+    assert hermitian_eigvals3(np.zeros((0, 3, 3))).shape == (3, 0)
+    assert symmetric_eigvals3(np.zeros((3, 4, 0)), np.zeros((3, 4, 0))).shape == (3, 4, 0)
 
 
 def test_hermitian_eigvals3_matches_eigvalsh_on_the_cptp_draws(monkeypatch):
@@ -359,4 +461,4 @@ def test_hermitian_eigvals3_matches_eigvalsh_on_the_cptp_draws(monkeypatch):
     assert sum(map(len, matrices)) == 2000
     for m in matrices:
         want = np.linalg.eigvalsh(m)
-        assert within_eps_norm(np.sort(hermitian_eigvals3(m), axis=-1), want, np.abs(want).max(axis=1), 8.0)
+        assert within_eps_norm(np.sort(hermitian_eigvals3(m).T, axis=-1), want, np.abs(want).max(axis=1), 8.0)
