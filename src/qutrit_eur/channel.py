@@ -24,22 +24,19 @@ spin-1 eigenvalue is a choice of the measurement, so a sweep's basis
 convention is a row order of the frame, applied in experiment.run_sweep.
 Rates are in units of the bare decay rate gamma, times in units of 1/gamma.
 
-The kernels work on a time axis: ``dressed_amplitudes`` gives both branch
-amplitudes of a whole block of times with the real orthogonal frame O
-of the dressed levels. The sweep and the inequality suite need only
-those: the evolved isotropic state is closed form in them
-(entropy.evolved_isotropic_columns). The CPTP suite alone evolves
-states: it rotates each input once, O^T rho O, and applies
-``dressed_channel``. Both check ``require_completeness``. The
-parameters broadcast against the times: a batch is one real
-(T, 4) array of rows (gamma1, gamma2, theta, lam), range-checked once
-where it enters; one ChannelParams, which a sweep passes for its whole
-grid, is the one-row case. The rates and mixing amplitudes of a batch
-come from one array derivation over its field rows. The RK4 oracle
-``decoherence_factors_ode`` takes the parameters the same way and returns
-both branch amplitudes (G_plus, G_minus) at every time. The times are
-checked once, with the parameters: ints or floats, one-dimensional,
-finite and nonnegative.
+The kernels work on a time axis. The parameters broadcast against the
+times: a batch is one real (T, 4) array of rows (gamma1, gamma2, theta,
+lam), range-checked once where it enters; one ChannelParams, which a sweep
+passes for its whole grid, is the one-row case. ``dressed_branches``
+derives the rates and the real orthogonal dressed frames O of the rows in
+one array pass, ``_g_closed`` both branch amplitudes in one evaluation.
+``dressed_amplitudes`` runs both on a block of times; a sweep derives once
+and evaluates each block (``branch_amplitudes``). The evolved isotropic
+state is closed form in the amplitudes and O (entropy); the CPTP suite
+alone evolves states, each rotated once, O^T rho O, into
+``dressed_channel``. The RK4 oracle ``decoherence_factors_ode`` takes the
+parameters the same way. Times are checked once per call: ints or floats,
+one-dimensional, finite and nonnegative.
 """
 
 from __future__ import annotations
@@ -154,8 +151,8 @@ def _derive(fields: np.ndarray) -> tuple[np.ndarray, ...]:
     return gamma_plus, gamma_minus, np.where(swap, minor, major), np.where(swap, major, minor)
 
 
-def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
-    """Closed-form branch amplitude G(t), elementwise over broadcast lam, rate and ts.
+def _g_closed(lam, rates, ts: np.ndarray) -> np.ndarray:
+    """Both branch amplitudes G(t) as one (2, T) array, over broadcast lam (1 or T), rates (2, 1 or T) and checked ts.
 
     G = exp(-lam*t/2) * [cosh(d*t/2) + (lam/d)*sinh(d*t/2)], d = sqrt(lam*(lam - 2*rate)),
     is evaluated in every regime as exp((d - lam)/2 * t) * (1 + m/2 - (lam/2) * m/d),
@@ -164,24 +161,25 @@ def _g_closed(lam, rate, ts: np.ndarray) -> np.ndarray:
     underflow for tiny lam as the product lam*(lam - 2*rate) does. The
     exponent's real part is -Re(lam*rate/(d + lam)): never positive, and no
     cancellation between d and lam. Its imaginary part is Im(d)/2, the
-    half-phase of m, so the imaginary parts cancel at any phase. The times
-    come checked from _channel_inputs. A width so large (about 9e307) that
-    d + lam overflows gives a ValueError naming the first failing t; that
-    overflow bounds the accepted widths.
+    half-phase of m, so the imaginary parts cancel at any phase. A value
+    that is not finite and real is a ValueError naming the first failing t
+    of either branch, the plus branch where both fail. A width so large
+    (about 9e307) that d + lam overflows fails so; that bounds the widths.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = np.sqrt(np.asarray(lam, dtype=complex)) * np.sqrt(np.asarray(lam - 2.0 * rate, dtype=complex))
+        d = np.sqrt(np.asarray(lam, dtype=complex)) * np.sqrt(np.asarray(lam - 2.0 * rates, dtype=complex))
         # Re(lam*rate/(d + lam)) in factors that cannot underflow: lam/w and
         # the cosine (d.real + lam)/w both lie in (0, 1]
         w = np.abs(d + lam)
-        exponent = 0.5j * d.imag - lam / w * rate * ((d.real + lam) / w)
+        exponent = 0.5j * d.imag - lam / w * rates * ((d.real + lam) / w)
         m = np.expm1(-d * ts)
         val = np.exp(exponent * ts) * (1.0 + m / 2.0 - lam / 2.0 * np.where(d == 0, -ts, m / d))
+    ok = np.isfinite(val.real) & (np.abs(val.imag) <= 1e-12)
     require_samples(
-        np.isfinite(val.real) & (np.abs(val.imag) <= 1e-12), ts,
-        lambda i: f"branch amplitude not finite and real: {complex(val[i])!r} for "
+        ok.all(axis=0), ts,
+        lambda i: f"branch amplitude not finite and real: {complex(val[ok[:, i].argmin(), i])!r} for "
                   f"lam={float(np.broadcast_to(lam, ts.shape)[i])!r} "
-                  f"(branch rate {float(np.broadcast_to(rate, ts.shape)[i])!r})",
+                  f"(branch rate {float(np.broadcast_to(rates, val.shape)[ok[:, i].argmin(), i])!r})",
     )
     return val.real
 
@@ -226,29 +224,43 @@ def _g_rk4(lam, rate, ts: np.ndarray) -> np.ndarray:
     return y[..., 0, 0]
 
 
-def _channel_inputs(p: ChannelParams | np.ndarray, ts) -> tuple:
-    """The checked times, then the arrays lam, gamma_plus, gamma_minus, a, b, one entry per row of p.
-
-    ts must be a one-dimensional array of ints or floats, every time
-    finite and nonnegative. p
-    is one ChannelParams for every time, checked when built, or a real
-    (T, 4) array of rows (gamma1, gamma2, theta, lam), one per time. Else
-    a ValueError names the shape, the first failing t, the expected form
-    of p or both lengths, and a SampleError the first bad row's first bad field.
-    """
+def _checked_times(ts) -> np.ndarray:
+    """ts as float64, or a ValueError: a one-dimensional array of ints or floats, every time finite and nonnegative."""
     ts = as_real(ts, "ts")
     if ts.ndim != 1:
         raise ValueError(f"ts must be a one-dimensional array of times, got shape {ts.shape}")
     require_samples(
         (ts >= 0) & (ts < math.inf), ts, lambda i: f"t must be finite and nonnegative, got {float(ts[i])!r}"
     )
-    fields = p.row() if isinstance(p, ChannelParams) else _checked_fields(p, len(ts))
-    return (ts, fields[:, 3], *_derive(fields))
+    return ts
+
+
+def dressed_branches(p: ChannelParams | np.ndarray, n: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The widths lam (n,), the branch rates (gamma_plus, gamma_minus) as (2, n) and the dressed frames O (n, 3, 3).
+
+    p is one ChannelParams or a real (n, 4) array of rows (gamma1, gamma2,
+    theta, lam), checked by _checked_fields. O is real orthogonal: its
+    columns are the plus branch (a, -b) and the minus branch (b, a) over
+    (excited 1, excited 2), then the ground level.
+    """
+    fields = p.row() if isinstance(p, ChannelParams) else _checked_fields(p, n)
+    rate_plus, rate_minus, a, b = _derive(fields)
+    frame = np.zeros(a.shape + (3, 3))
+    frame[:, 0, 0], frame[:, 1, 0] = a, -b
+    frame[:, 0, 1], frame[:, 1, 1] = b, a
+    frame[:, 2, 2] = 1.0
+    return fields[:, 3], np.stack([rate_plus, rate_minus]), frame
+
+
+def branch_amplitudes(lam, rates, ts) -> np.ndarray:
+    """G_plus and G_minus as one (2, T) array at the times ts, checked first, of dressed_branches' lam and rates."""
+    return _g_closed(lam, rates, _checked_times(ts))
 
 
 def decoherence_factors_ode(p: ChannelParams | np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
     """RK4 oracle amplitudes (G_plus, G_minus) at every time of ts; independent of the closed form."""
-    ts, lam, rate_plus, rate_minus, _, _ = _channel_inputs(p, ts)
+    ts = _checked_times(ts)
+    lam, (rate_plus, rate_minus), _ = dressed_branches(p, len(ts))
     return _g_rk4(lam, rate_plus, ts), _g_rk4(lam, rate_minus, ts)
 
 
@@ -278,17 +290,11 @@ def dressed_amplitudes(
     """The dressed frames O and both branch amplitudes G_plus(t), G_minus(t) at every time of ts.
 
     p is one ChannelParams for the whole axis or a (T, 4) array of field
-    rows, one per time, as _channel_inputs checks them with ts. O is real
-    orthogonal, one (3, 3) frame per row of p: its columns are the dressed
-    levels in computational indices, the plus branch (a, -b) and the minus
-    branch (b, a) over (excited 1, excited 2), then the ground level.
+    rows, one per time, checked with ts; O is one frame per row of p (dressed_branches).
     """
-    ts, lam, rate_plus, rate_minus, a, b = _channel_inputs(p, ts)
-    frame = np.zeros(a.shape + (3, 3))
-    frame[:, 0, 0], frame[:, 1, 0] = a, -b
-    frame[:, 0, 1], frame[:, 1, 1] = b, a
-    frame[:, 2, 2] = 1.0
-    return frame, _g_closed(lam, rate_plus, ts), _g_closed(lam, rate_minus, ts)
+    ts = _checked_times(ts)
+    lam, rates, frame = dressed_branches(p, len(ts))
+    return (frame, *_g_closed(lam, rates, ts))
 
 
 def dressed_channel(rho: np.ndarray, g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:
@@ -298,6 +304,8 @@ def dressed_channel(rho: np.ndarray, g_plus: np.ndarray, g_minus: np.ndarray) ->
     ground), one pair of amplitudes per state. Each entry is (g_a rho_ad) g_d,
     and the ground population adds the plus branch's feed W+^2 rho_++, then
     the minus branch's: the order of the Kraus sum over K1, W+|g><+|, W-|g><-|.
+    Nothing is checked: an inf or NaN entry of rho or a NaN amplitude comes
+    back as inf or NaN, so its caller checks both first.
     """
     g = np.stack(np.broadcast_arrays(g_plus, g_minus, 1.0), axis=-1)
     out = g[:, :, None] * rho * g[:, None, :]

@@ -97,6 +97,44 @@ _DIAG = np.arange(3)
 def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurSample:
     """EurSample of the isotropic state of mixing k through the product damping channel, in closed form.
 
+    g_plus and g_minus are (T,) arrays, one entry per time of ts, k a
+    scalar or one per time, frame one (3, 3) O or a stack of one or T of
+    them; any other length is a ValueError naming it and the length of ts.
+    Then k (require_mixing), completeness (channel.require_completeness;
+    any |G| > 1 fails it) and the frame (measured_vectors) are checked, then
+    isotropic_block evaluates and checks the columns; each check names the first failing t.
+    """
+    per_time = {"g_plus": g_plus, "g_minus": g_minus}
+    if np.ndim(k):
+        per_time["k"] = k
+    for name, column in per_time.items():
+        if np.shape(column) != np.shape(ts):
+            raise ValueError(
+                f"{name} must hold one entry per time: got shape {np.shape(column)} for ts of shape {np.shape(ts)}"
+            )
+    if np.shape(frame) not in {(3, 3), (1, 3, 3), (len(ts), 3, 3)}:
+        raise ValueError(
+            f"frame must be one (3, 3) frame or a stack of 1 or one per time: got shape {np.shape(frame)} for ts of shape {np.shape(ts)}"
+        )
+    k = require_mixing(k, ts)
+    require_completeness(g_plus, g_minus, ts)
+    return isotropic_block(g_plus, g_minus, k, measured_vectors(frame, ts), ts)
+
+
+def measured_vectors(frame, ts) -> np.ndarray:
+    """The measured vectors u = O^T v of one (3, 3) frame O or a stack of n as columns u[a, v], (3, 6, n): x, then z.
+
+    A frame entry outside [-1, 1], which no orthogonal O has, names the first t of that frame.
+    """
+    frames = np.reshape(frame, (-1, 3, 3))
+    in_range = np.broadcast_to((np.abs(frames) <= 1.0).all(axis=(1, 2)), np.shape(ts))
+    require_samples(in_range, ts, lambda i: "frame has an entry outside [-1, 1]; not an orthogonal frame")
+    return np.ascontiguousarray((_MEASURED_BASES.T @ frames).T)
+
+
+def isotropic_block(g_plus, g_minus, k, u, ts) -> EurSample:
+    """The columns of evolved_isotropic_columns from checked amplitudes, k and u (measured_vectors), in closed form.
+
     The isotropic input is invariant under O (x) O, and in the dressed
     frame O the local map is Phi(X) = K1 X K1 + (W+^2 X_++ + W-^2 X_--) |g><g|,
     K1 = diag(g), g = (G+, G-, 1). The evolved state has the populations
@@ -114,35 +152,7 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurSample:
     three x blocks, four 3x3 matrices per time, go to one symmetric_eigvals3
     call, which names the first t where a matrix is not done at its sweep
     cap. No 9x9 state is formed, and every entry is a time array.
-
-    g_plus and g_minus are (T,) arrays, one entry per time of ts, k a
-    scalar or one per time, frame one (3, 3) O or a stack of one or T of
-    them. Any other length of g_plus, g_minus, a per-time k or the frame
-    stack is a ValueError naming it and the length of ts. k is checked by
-    require_mixing, which names the first failing t when k is given per
-    time. Completeness is checked by channel.require_completeness, the
-    deviation max|sum K^dag K - I| of the map; W = sqrt(max(0, 1 - G^2))
-    clamps to 0, so any |G| > 1 fails it. A frame entry outside [-1, 1],
-    which no orthogonal O has, names the first t of that frame. The other
-    checks are those of _checked_columns; each names the first failing t.
     """
-    per_time = {"g_plus": g_plus, "g_minus": g_minus}
-    if np.ndim(k):
-        per_time["k"] = k
-    for name, column in per_time.items():
-        if np.shape(column) != np.shape(ts):
-            raise ValueError(
-                f"{name} must hold one entry per time: got shape {np.shape(column)} for ts of shape {np.shape(ts)}"
-            )
-    if np.shape(frame) not in {(3, 3), (1, 3, 3), (len(ts), 3, 3)}:
-        raise ValueError(
-            f"frame must be one (3, 3) frame or a stack of 1 or one per time: got shape {np.shape(frame)} for ts of shape {np.shape(ts)}"
-        )
-    k = require_mixing(k, ts)
-    require_completeness(g_plus, g_minus, ts)
-    frames = np.reshape(frame, (-1, 3, 3))
-    in_range = np.broadcast_to((np.abs(frames) <= 1.0).all(axis=(1, 2)), np.shape(ts))
-    require_samples(in_range, ts, lambda i: "frame has an entry outside [-1, 1]; not an orthogonal frame")
     p, m, mix, pure = g_plus * g_plus, g_minus * g_minus, (1.0 - k) / 9.0, k / 3.0
     # P[i, a], the populations of Phi(|i><i|), has five nonzeros: P[0, 0] = G+^2 and
     # P[1, 1] = G-^2 kept, P[0, 2] = W+^2 and P[1, 2] = W-^2 fed to ground, P[2, 2] = 1
@@ -158,8 +168,6 @@ def evolved_isotropic_columns(g_plus, g_minus, k, frame, ts) -> EurSample:
     pair_pops, pair_coh = pops[_PAIR_ROWS, _PAIR_COLS], np.stack([pure * p * m, pure * p, pure * m])
     pop_diag = pops[_DIAG, _DIAG]
     w_pt = np.concatenate([pop_diag, pair_pops + pair_coh, pair_pops - pair_coh])
-    # the measured vectors u = O^T v as columns u[a, v], (3, 6, 1 or T): three x, then three z
-    u = np.ascontiguousarray((_MEASURED_BASES.T @ frames).T)
     # diags[b, v] = sum_a u_a^2 D[a, b], summed in place: an einsum added 0.1 MiB of peak RSS
     diags = u[0] * u[0] * pops[0, :, None]
     for a in (1, 2):

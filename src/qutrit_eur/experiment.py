@@ -3,18 +3,16 @@
 A sweep evolves one isotropic initial state through the product damping
 channel on a uniform time grid and records both sides of the uncertainty
 relation, the negativity, and the two branch amplitudes at every sample.
-The grid is processed in fixed blocks of samples, each through the array
-kernels of the channel and entropy modules. A block takes the branch
-amplitudes and the dressed frame O of the channel (plus branch, minus
-branch, ground), with its rows in the computational order of the sweep's
-basis convention, which leaves the isotropic input unchanged; there the
-evolved state is closed form in (G+^2, G-^2, k), and
-entropy.evolved_isotropic_columns reads every spectrum off its entries,
-with no 9x9 state and no eigensolve larger than 3x3. The x/z measurement
-runs along u = O^T v. The inequality suite does the same with one frame
-per draw. The kernel checks k in [0, 1] itself, with the
-states_obs.require_mixing that SweepConfig calls, so a k outside it names
-itself rather than a broken spectrum.
+The grid is processed in fixed blocks of samples through the array
+kernels of the channel and entropy modules (run_sweep). In the dressed
+frame O of the channel (plus branch, minus branch, ground), its rows in the
+computational order of the sweep's basis convention, the isotropic input
+is unchanged and the evolved state is closed form in (G+^2, G-^2, k):
+every spectrum is read off its entries along the measured vectors
+u = O^T v, with no 9x9 state and no eigensolve larger than 3x3. The
+inequality suite does the same with one frame per draw. SweepConfig and
+evolved_isotropic_columns check k in [0, 1] (states_obs.require_mixing),
+so a k outside it names itself rather than a broken spectrum.
 
 The fig2*/fig3*/fig4* presets pin the parameter sets behind the reference
 curves this package reproduces. The printed spectral width of the
@@ -38,13 +36,15 @@ import numpy as np
 from . import __version__
 from .channel import (
     ChannelParams,
+    branch_amplitudes,
     decoherence_factors_ode,
     dressed_amplitudes,
+    dressed_branches,
     dressed_channel,
     require_completeness,
     require_real_fields,
 )
-from .entropy import evolved_isotropic_columns
+from .entropy import evolved_isotropic_columns, isotropic_block, measured_vectors
 from .linalg import (
     EIGENVALUE_FLOOR,
     TRACE_ATOL,
@@ -121,29 +121,32 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     """Evaluate the uncertainty relation on the uniform grid t_i = i*t_max/(steps-1).
 
     Returns one SWEEP_DTYPE record array, read by column (rows.u_l) or
-    by row (rows[i].u_l). Each block is evaluated in closed form in the
-    dressed frame, its rows in the order of the basis convention
-    (BASIS_ROWS), and measured along the rotated x/z vectors (module
-    docstring), then written into its slice of the rows. A failing check
-    names the first failing t, rows that cannot be allocated name steps,
-    and both name the sweep parameters.
+    by row (rows[i].u_l). Derived once: the channel's rates and frame, its
+    rows in the order of the basis convention (BASIS_ROWS), and the measured
+    vectors. Per block of _BLOCK samples: the times and both branch
+    amplitudes, checked, and the closed-form columns (entropy.isotropic_block),
+    written through one float64 view of the rows. A failing check names the
+    first failing t, rows that cannot be allocated name steps, and both
+    name the sweep parameters.
     """
     try:
         rows = np.recarray(cfg.steps, dtype=SWEEP_DTYPE)
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"steps = {cfg.steps} needs {cfg.steps * SWEEP_DTYPE.itemsize:.3g} bytes of rows, more than "
                          f"can be allocated (sweep {canonical_params(cfg)})") from exc
-    for start in range(0, cfg.steps, _BLOCK):
-        block = rows[start : start + _BLOCK]
-        ts = np.arange(start, start + len(block)) * cfg.t_max / (cfg.steps - 1)
-        try:
-            frame, g_plus, g_minus = dressed_amplitudes(cfg.channel, ts)
-            frame = frame[:, BASIS_ROWS[cfg.basis]]
-            cols = evolved_isotropic_columns(g_plus, g_minus, cfg.k, frame, ts)
-        except ValueError as exc:
-            raise ValueError(f"{exc} (sweep {canonical_params(cfg)})") from exc
-        block.t_gamma, block.g_plus, block.g_minus = ts, g_plus, g_minus
-        block.u_l, block.u_b, block.s_xb, block.s_zb, block.negativity = cols
+    try:
+        # SweepConfig has checked k; a bad frame would name t = 0, the grid's first time
+        lam, rates, frame = dressed_branches(cfg.channel)
+        u = measured_vectors(frame[:, BASIS_ROWS[cfg.basis]], np.zeros(1))
+        values = rows.view(np.float64, np.ndarray).reshape(cfg.steps, len(SWEEP_DTYPE.names))
+        for start in range(0, cfg.steps, _BLOCK):
+            ts = np.arange(start, min(start + _BLOCK, cfg.steps)) * cfg.t_max / (cfg.steps - 1)
+            g = branch_amplitudes(lam, rates, ts)
+            require_completeness(*g, ts)
+            # the block's rows as columns, in SWEEP_DTYPE order
+            values[start : start + len(ts)].T[:] = (ts, *isotropic_block(*g, cfg.k, u, ts), *g)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (sweep {canonical_params(cfg)})") from exc
     return rows
 
 
@@ -363,9 +366,11 @@ def _cptp_draws(seed: int, n: int):
 def _cptp_block(fields, ts, factors):
     frames, g_plus, g_minus = dressed_amplitudes(fields, ts)
     complete = require_completeness(g_plus, g_minus, ts)
-    # the density matrices X X^dagger / tr(X X^dagger) of the factors
-    rho = np.einsum("tij,tkj->tik", factors, factors.conj())
-    rho = require_density_stack(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None], ts)
+    # the density matrices X X^dagger / tr(X X^dagger); the state check names a non-finite one
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho = np.einsum("tij,tkj->tik", factors, factors.conj())
+        rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    rho = require_density_stack(rho, ts)
     # each input once into its dressed frame, O^T rho O: trace and spectrum do not
     # depend on it. O is the real rotation [[a, b], [-b, a]] of levels 0 and 1 and
     # leaves level 2, so O^T mixes rows 0 and 1, then O columns 0 and 1

@@ -435,6 +435,22 @@ def test_g_overflow_raises_value_error_naming_inputs():
         dressed_amplitudes(SYMMETRIC_NO_SGI, [math.inf])
 
 
+def test_both_branches_are_checked_at_once_naming_the_first_failing_t():
+    # one row per time: fine, then the minus branch alone failing (a subnormal
+    # d), then the plus branch alone (lam - 2*rate overflows), then both. The
+    # first failing t is named over both branches, the plus branch where both fail
+    rows = np.array([[1.0, 1.0, 0.5, 1.0], [1.0, 5e-324, 0.0, 1e-310], [1e308, 1.0, 0.0, 1.0], [1e308, 5e-324, 0.0, 1e-310]])
+    ts = np.array([0.0, 1.0, 2.0, 3.0])
+    for start, branch in ((1, "lam=1e-310 (branch rate 5e-324) at t=1"), (2, "lam=1.0 (branch rate 1e+308) at t=2"),
+                          (3, "lam=1e-310 (branch rate 1e+308) at t=3")):
+        with pytest.raises(SampleError) as info:
+            dressed_amplitudes(rows[[0, start]], ts[[0, start]])
+        assert str(info.value) == f"branch amplitude not finite and real: (nan+nanj) for {branch}"
+        assert info.value.index == 1
+    with pytest.raises(SampleError, match=r"\(branch rate 5e-324\) at t=1$"):
+        dressed_amplitudes(rows, ts)
+
+
 def g_mpmath_wide(lam, rate, t):
     """G(t) at 50 digits for any exponent range, away from d = 0.
 

@@ -21,7 +21,7 @@ from qutrit_eur.channel import (
     require_completeness,
 )
 from qutrit_eur.entropy import evolved_isotropic_columns
-from qutrit_eur.experiment import BASIS_ROWS, SweepConfig, check_uncertainty_inequality, run_sweep
+from qutrit_eur.experiment import BASIS_ROWS, SweepConfig, check_uncertainty_inequality, figure_preset, run_sweep
 from qutrit_eur.linalg import SampleError, require_density_stack
 
 from conftest import REFERENCE_LEVELS, derived, random_density_matrix, reference_eur, reference_evolved, reference_g
@@ -87,6 +87,37 @@ def test_edge_blocks_match_dense_reference(basis, steps):
     got = np.array([rows.u_l, rows.u_b, rows.s_xb, rows.s_zb, rows.negativity]).T
     want = [reference_eur(reference_evolved(cfg.k, d.a, d.b, r.g_plus, r.g_minus, REFERENCE_LEVELS[basis])) for r in rows]
     assert np.max(np.abs(got - np.array(want))) <= 1e-13
+
+
+@pytest.mark.parametrize("basis", ["kraus-order", "ground-first"])
+@pytest.mark.parametrize(
+    "channel_params", [figure_preset("fig3d").channel, ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)],
+    ids=["fig3d", "long-sweep"],
+)
+def test_sweep_is_the_public_per_block_path(monkeypatch, basis, channel_params):
+    # 1,100 samples: two full blocks of 512 and one of 76. run_sweep derives
+    # the channel once; each block's columns are those of the public path,
+    # dressed_amplitudes then evolved_isotropic_columns, bit for bit
+    derive, calls = channel._derive, []
+
+    def counting(fields):
+        calls.append(len(fields))
+        return derive(fields)
+
+    monkeypatch.setattr(channel, "_derive", counting)
+    cfg = SweepConfig(channel=channel_params, k=0.8, t_max=600.0, steps=1100, basis=basis)
+    rows = run_sweep(cfg)
+    assert calls == [1]
+    monkeypatch.setattr(channel, "_derive", derive)
+    assert experiment._BLOCK == 512
+    for start in range(0, cfg.steps, 512):
+        block = rows[start : start + 512]
+        ts = np.arange(start, start + len(block)) * cfg.t_max / (cfg.steps - 1)
+        frame, g_plus, g_minus = dressed_amplitudes(cfg.channel, ts)
+        cols = evolved_isotropic_columns(g_plus, g_minus, cfg.k, frame[:, BASIS_ROWS[basis]], ts)
+        for name, want in zip(COLUMNS, (ts, *cols, g_plus, g_minus)):
+            assert np.array_equal(block[name], want), (start, name)
+    assert len(block) == 76
 
 
 def test_scalar_functions_reproduce_sweep_rows():
@@ -228,7 +259,7 @@ def amplitude_above_one(monkeypatch):
 
     def bumped(lam, rate, ts):
         g = g_closed(lam, rate, ts)
-        g[5] = 1.0 + 1e-9
+        g[..., 5] = 1.0 + 1e-9
         return g
 
     monkeypatch.setattr(channel, "_g_closed", bumped)

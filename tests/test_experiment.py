@@ -41,6 +41,7 @@ from qutrit_eur.experiment import (
     summarize,
     write_summary,
 )
+from qutrit_eur.linalg import SampleError
 
 from conftest import (
     as_fields,
@@ -54,6 +55,8 @@ from conftest import (
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUICK_CHANNEL = ChannelParams(gamma1=1.0, gamma2=1.0, theta=0.0, lam=0.001)
+# the channel of the 24,000-step benchmark sweep
+LONG_SWEEP_CHANNEL = ChannelParams(gamma1=1.5, gamma2=0.5, theta=0.5, lam=0.05)
 
 
 def src_env():
@@ -451,6 +454,26 @@ def test_emit_csv_memory_is_one_block(tmp_path):
     assert peak < 2**20
 
 
+def test_sweep_memory_does_not_grow_with_steps():
+    """Guards the block bound of run_sweep: beyond its rows, its tracemalloc peak at 24,000 steps is that at 4,800.
+
+    Per-sweep and per-block arrays only: about 0.71 MiB at both lengths. A
+    range check of the whole time grid at once raised it to 0.89 MiB at
+    24,000 steps against 0.74 MiB at 4,800.
+    """
+    beyond_rows = []
+    for steps in (4800, 24000):
+        cfg = SweepConfig(LONG_SWEEP_CHANNEL, k=0.8, t_max=600.0, steps=steps, basis="ground-first")
+        tracemalloc.start()
+        try:
+            rows = run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond_rows.append(peak - rows.nbytes)
+    assert abs(beyond_rows[1] - beyond_rows[0]) <= 0.05 * 2**20
+
+
 def test_emit_csv_round_trip(tmp_path):
     cfg = quick_config(steps=16, t_max=150.0)
     records = run_sweep(cfg)
@@ -702,6 +725,20 @@ def test_block_draws_equal_the_scalar_calls(draws, reference, max_ulp, seed):
         assert ts.tobytes() == np.array(want_ts).tobytes(), n
         # in ulps of the float64 parts: 0 for k, whose values are all non-negative
         np.testing.assert_array_max_ulp(last.view(float), np.array(want_last).view(float), max_ulp)
+
+
+def test_cptp_block_names_a_non_finite_factor_before_the_channel_runs(monkeypatch):
+    # dressed_channel checks nothing: its one caller validates the input states first
+    def unreachable(*args):
+        raise AssertionError("dressed_channel ran on an unchecked state")
+
+    monkeypatch.setattr(experiment, "dressed_channel", unreachable)
+    fields, ts, factors = experiment._cptp_draws(0, 4)
+    factors[2, 1, 0] = complex(math.nan, 0.5)
+    with pytest.raises(SampleError) as info:
+        experiment._cptp_block(fields, ts, factors)
+    assert str(info.value) == f"rho has an entry that is not finite at t={float(ts[2]):.12g}"
+    assert info.value.index == 2
 
 
 def patch_draw(monkeypatch, index, bad):

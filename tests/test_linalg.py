@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qutrit_eur import experiment, linalg
-from qutrit_eur.channel import ChannelParams
+from qutrit_eur.channel import ChannelParams, dressed_amplitudes
 from qutrit_eur.entropy import evolved_isotropic_columns
 from qutrit_eur.experiment import check_cptp, figure_preset, run_sweep
 from qutrit_eur.linalg import (
@@ -387,7 +387,8 @@ def assert_finite_or_names_the_sample(call, ts, bad):
 
 
 @pytest.mark.parametrize(
-    "kernel", ["symmetric_eigvals3", "hermitian_eigvals3", "require_density_stack", "evolved_isotropic_columns"]
+    "kernel",
+    ["symmetric_eigvals3", "hermitian_eigvals3", "require_density_stack", "evolved_isotropic_columns", "dressed_amplitudes"],
 )
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3), data=st.data())
@@ -418,6 +419,10 @@ def test_edge_floats_give_finite_values_or_name_the_sample(kernel, n, data):
             rho[i, b, a] = np.conj(rho[i, a, b])
         bad = out_of_range(rho.real, (1, 2)) | out_of_range(rho.imag, (1, 2))
         assert_finite_or_names_the_sample(lambda: require_density_stack(rho, ts), ts, bad)
+    elif kernel == "dressed_amplitudes":
+        times, rows, per_time = draw((n,)), edge_field_rows(draw, n), data.draw(st.booleans())
+        p = rows if per_time else ChannelParams(*rows[0])
+        assert_amplitudes_finite_or_name_the_first_failing_sample(p, times, per_time)
     else:
         # valid amplitudes, per-time mixing and the frame of a channel, one
         # or one per time; edge values at one to three entries of one of them
@@ -439,6 +444,51 @@ def test_edge_floats_give_finite_values_or_name_the_sample(kernel, n, data):
         assert_finite_or_names_the_sample(
             lambda: evolved_isotropic_columns(inputs["g_plus"], inputs["g_minus"], inputs["k"], inputs["frame"], ts), ts, bad
         )
+
+
+# field values at the edges of their ranges: the least subnormal and the
+# float maximum for the positive rates and width, +-1 for theta
+POSITIVE_FIELDS = st.one_of(st.floats(0.001, 1000.0), st.sampled_from([5e-324, 2.5e-310, 1e308, np.finfo(float).max]))
+THETAS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]))
+
+
+def edge_field_rows(draw, n):
+    """n rows (gamma1, gamma2, theta, lam), each field drawn in its range, its edges included."""
+    return np.column_stack([draw((n,), POSITIVE_FIELDS), draw((n,), POSITIVE_FIELDS), draw((n,), THETAS), draw((n,), POSITIVE_FIELDS)])
+
+
+def assert_amplitudes_finite_or_name_the_first_failing_sample(p, ts, per_time):
+    """dressed_amplitudes(p, ts) is finite, or its SampleError is that of the first failing sample, in the order of the checks.
+
+    The times are checked first, then the rates of the field rows, then both
+    branch amplitudes at once. Each sample alone, its row and its time, is
+    the oracle: the batch names the first sample whose own call fails that
+    stage, with the same message, so the two-branch reduction names the
+    first failing t and the plus branch where both fail there.
+    """
+    bad_time = ~((ts >= 0) & (ts < np.inf))
+    outcomes = []
+    for i in range(len(ts)):
+        try:
+            outcomes.append(np.isfinite(dressed_amplitudes(p[i : i + 1] if per_time else p, ts[i : i + 1])[1:]).all())
+        except SampleError as exc:
+            outcomes.append(str(exc))
+    assert all(isinstance(o, str) or o for o in outcomes)
+    rate_failures = [i for i, o in enumerate(outcomes) if isinstance(o, str) and o.startswith("branch rate gamma_plus")]
+    if bad_time.any():
+        first = int(np.argmax(bad_time))
+    elif rate_failures:
+        first = rate_failures[0] if per_time else 0
+    else:
+        first = next((i for i, o in enumerate(outcomes) if isinstance(o, str)), None)
+    try:
+        _, g_plus, g_minus = dressed_amplitudes(p, ts)
+    except SampleError as exc:
+        assert exc.index == first
+        assert str(exc) == outcomes[first]
+        return
+    assert first is None
+    assert np.isfinite(g_plus).all() and np.isfinite(g_minus).all()
 
 
 def test_eigvals3_kernels_take_an_empty_stack():

@@ -133,20 +133,20 @@ def test_z_rows_never_mix_ground_and_excited(draws, basis):
 def test_sweep_frame_rows_follow_the_basis_convention(monkeypatch, basis):
     # the sweep measures in the channel's kraus-order frame with its rows
     # reordered: level j of (excited 1, excited 2, ground) sits in row
-    # REFERENCE_LEVELS[basis][j], bit for bit
+    # REFERENCE_LEVELS[basis][j], bit for bit; it takes the frame once, not per block
     frames = []
-    kernel = experiment.evolved_isotropic_columns
+    prepare = experiment.measured_vectors
 
-    def recording(g_plus, g_minus, k, frame, ts):
+    def recording(frame, ts):
         frames.append(frame)
-        return kernel(g_plus, g_minus, k, frame, ts)
+        return prepare(frame, ts)
 
-    monkeypatch.setattr(experiment, "evolved_isotropic_columns", recording)
+    monkeypatch.setattr(experiment, "measured_vectors", recording)
     monkeypatch.setattr(experiment, "_BLOCK", 64)
     run_sweep(SweepConfig(MIXED, k=0.8, t_max=600.0, steps=100, basis=basis))
     channel_frame = dressed_amplitudes(MIXED, TS[:1])[0]
     levels = list(REFERENCE_LEVELS[basis])
-    assert len(frames) == 2
+    assert len(frames) == 1
     for frame in frames:
         assert np.array_equal(frame[:, levels], channel_frame)
         # the ground level of the basis convention is the third column of O
